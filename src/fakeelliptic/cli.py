@@ -348,11 +348,13 @@ def build_parser():
     p.set_defaults(handler=_cmd_classify, command="classify")
     _add_common(p)
 
-    p = sub.add_parser("suite", help="randomized property suites")
-    p.add_argument("name", choices=["riemann", "cocycle", "isogeny", "all"])
-    p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(handler=_cmd_suite, command="suite")
-    _add_common(p)
+    suite = sub.add_parser("suite", help="randomized property suites")
+    ssub = suite.add_subparsers(dest="action", required=True)
+    for name in (*_SUITES, "all"):
+        p = ssub.add_parser(name, help=f"property suite: {name}")
+        p.add_argument("--trials", type=int, default=20)
+        p.set_defaults(handler=_cmd_suite, command=f"suite {name}", name=name)
+        _add_common(p)
 
     return parser
 
@@ -397,10 +399,7 @@ def main(argv=None):
         return 1
     elapsed = time.perf_counter() - start
 
-    command = args.command
-    if command == "suite":
-        command = f"suite {args.name}"
-    report = {"schema": 1, "command": command, "inputs": inputs,
+    report = {"schema": 1, "command": args.command, "inputs": inputs,
               "results": results, "citations": citations,
               "timings": {"seconds": round(elapsed, 6)}}
     _emit(report, args.out)

@@ -13,7 +13,7 @@ import math
 
 from .exactlinalg import (ComputationError, exact_det, exact_rank, exact_solve,
                           fraction_sqrt)
-from .quaternions import AlgebraSplit, QuatElement, ramified_primes
+from .quaternions import AlgebraSplit, QuatElement, _factorize, ramified_primes
 
 
 class NotAnOrder(ComputationError):
@@ -88,14 +88,18 @@ def is_order(L):
     return not problems, problems
 
 
+def _gram(L):
+    """Trace pairing trd(e_i * conj(e_j)); nrd(sum s_i e_i) = s^T G s / 2."""
+    gens = L.generators()
+    return [[(gi * gj.conj()).trd() for gj in gens] for gi in gens]
+
+
 def reduced_discriminant(L):
     """sqrt|det| of the Gram matrix trd(e_i * conj(e_j)) over the basis."""
     ok, problems = is_order(L)
     if not ok:
         raise NotAnOrder("; ".join(problems))
-    gens = L.generators()
-    gram = [[(gi * gj.conj()).trd() for gj in gens] for gi in gens]
-    d = abs(exact_det(gram))
+    d = abs(exact_det(_gram(L)))
     root = fraction_sqrt(Fraction(d))
     if root is None or root.denominator != 1:
         raise NotAnOrder("discriminant Gram determinant is not a perfect square")
@@ -117,56 +121,68 @@ def saturate(L, max_passes=64):
     basis row is the last one with a nonzero coset coefficient (the
     representative is scaled so that coefficient is 1 mod q), which keeps
     the leading generators, in particular 1, in place.
+
+    Each pass returns the first coset, in `itertools.product(range(q),
+    repeat=4)` order, that passes the exact checks.  Trace and norm
+    integrality are screened in machine integers first; only survivors
+    are built with `Fraction` coordinates and certified by `is_order`,
+    once per lattice.
     """
-    ok, problems = is_order(L)
-    if not ok:
-        raise NotAnOrder("; ".join(problems))
-    ram = ramified_primes(L.params)
-    target = math.prod(ram) if ram else 1
+    disc = reduced_discriminant(L)
+    target = math.prod(ramified_primes(L.params))
     current = L
     for _ in range(max_passes):
-        disc = reduced_discriminant(current)
         if disc == target:
             return current
-        gap = disc // target
         enlarged = None
-        for q in sorted(set(_prime_divisors(gap))):
+        for q in sorted(_factorize(disc // target)):
             enlarged = _adjoin_coset(current, q, disc)
             if enlarged is not None:
                 break
         if enlarged is None:
             raise SearchExhausted(
                 f"no integral enlargement below discriminant {disc}", current)
-        current = enlarged
+        current, disc = enlarged
     raise SearchExhausted("saturation did not terminate", current)
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    n = int(n)
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+def _integral_cosets(L, q):
+    """(j, s) for each v = sum(s_i g_i)/q with trd(v), nrd(v) in Z.
+
+    c runs in `itertools.product` order, j is its last nonzero index and
+    s = c / c_j mod q.  L is a certified order: trd(g_i) and the Gram
+    matrix are integral.
+    """
+    t = [int(2 * row[0]) for row in L.basis]
+    G = [[int(x) for x in row] for row in _gram(L)]
+    t3_inv = pow(t[3], -1, q) if t[3] % q else None
+    for c0, c1, c2 in itertools.product(range(q), repeat=3):
+        # trd(v) in Z <=> sum c_i t_i = 0 mod q, which fixes c3 if t3 is a unit
+        partial = (c0 * t[0] + c1 * t[1] + c2 * t[2]) % q
+        if t3_inv is not None:
+            tails = ((-partial * t3_inv) % q,)
+        else:
+            tails = () if partial else range(q)
+        for c3 in tails:
+            c = (c0, c1, c2, c3)
+            if not any(c):
+                continue
+            j = max(i for i, ci in enumerate(c) if ci)
+            # scale the representative so the replaced coordinate is 1 mod q
+            inv = pow(c[j], -1, q)
+            s = [(ci * inv) % q for ci in c]
+            # nrd(v) in Z <=> s^T G s = 0 mod 2 q^2
+            form = sum(G[a][b] * s[a] * s[b] for a in range(4) for b in range(4))
+            if form % (2 * q * q) == 0:
+                yield j, s
 
 
 def _adjoin_coset(L, q, disc):
+    """First enlargement (order, disc) of L by an integral v/q, or None."""
     gens = L.generators()
-    for coeffs in itertools.product(range(q), repeat=4):
-        if all(c == 0 for c in coeffs):
-            continue
-        j = max(i for i, c in enumerate(coeffs) if c != 0)
-        # scale the representative so the replaced coordinate is 1 mod q
-        inv = pow(coeffs[j], -1, q)
-        scaled = [(c * inv) % q for c in coeffs]
+    for j, s in _integral_cosets(L, q):
         v = QuatElement(L.params, 0)
-        for c, g in zip(scaled, gens):
+        for c, g in zip(s, gens):
             v = v + g * Fraction(c, q)
         if v.trd().denominator != 1 or v.nrd().denominator != 1:
             continue
@@ -175,9 +191,12 @@ def _adjoin_coset(L, q, disc):
         if exact_rank(rows) != 4:
             continue
         candidate = OrderLattice(L.params, rows)
-        ok, _ = is_order(candidate)
-        if ok and reduced_discriminant(candidate) < disc:
-            return candidate
+        try:
+            candidate_disc = reduced_discriminant(candidate)
+        except NotAnOrder:
+            continue
+        if candidate_disc < disc:
+            return candidate, candidate_disc
     return None
 
 

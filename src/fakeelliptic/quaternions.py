@@ -134,22 +134,6 @@ class QuatElement:
         return f"QuatElement({self.k}, {self.l}, {self.m}, {self.n})"
 
 
-def quat_mul(p, q):
-    return p * q
-
-
-def quat_conj(q):
-    return q.conj()
-
-
-def reduced_trace(q):
-    return q.trd()
-
-
-def reduced_norm(q):
-    return q.nrd()
-
-
 def embed(q):
     """The fixed embedding into M_2(Q(sqrt a)).
 

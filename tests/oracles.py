@@ -4,16 +4,20 @@ Everything here deliberately avoids the code paths under test: determinants
 by cofactor expansion instead of elimination, Hilbert symbols by brute-force
 solubility instead of the Legendre-symbol formulas, unit counts by symbolic
 2x2 determinants instead of the norm form, quadratic roots by the explicit
-formula instead of the library solver.
+formula instead of the library solver, and saturation by the plain
+q^4 coset search instead of the integer-screened one.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp
 
-from fakeelliptic.quaternions import embed
+from fakeelliptic.exactlinalg import exact_rank
+from fakeelliptic.orders import OrderLattice, is_order, reduced_discriminant
+from fakeelliptic.quaternions import QuatElement, _factorize, embed, ramified_primes
 
 
 def squarefree_part(r):
@@ -176,3 +180,58 @@ def fixes_tau_numeric(mu, tau, prec=128, tol=None):
         C = M[1][0].numeric(prec)
         D = M[1][1].numeric(prec)
         return abs(C * tau * tau + (D - A) * tau - B) < tol
+
+
+def adjoin_coset_bruteforce(L, q, disc):
+    """First enlargement of L by an integral v/q, trying all q^4 residues.
+
+    Every candidate is built as a `QuatElement` with `Fraction`
+    coordinates and tested for integrality directly.
+    """
+    gens = L.generators()
+    for coeffs in itertools.product(range(q), repeat=4):
+        if all(c == 0 for c in coeffs):
+            continue
+        j = max(i for i, c in enumerate(coeffs) if c != 0)
+        # scale the representative so the replaced coordinate is 1 mod q
+        inv = pow(coeffs[j], -1, q)
+        scaled = [(c * inv) % q for c in coeffs]
+        v = QuatElement(L.params, 0)
+        for c, g in zip(scaled, gens):
+            v = v + g * Fraction(c, q)
+        if v.trd().denominator != 1 or v.nrd().denominator != 1:
+            continue
+        rows = [list(r) for r in L.basis]
+        rows[j] = [Fraction(x) for x in v.coords()]
+        if exact_rank(rows) != 4:
+            continue
+        candidate = OrderLattice(L.params, rows)
+        ok, _ = is_order(candidate)
+        if ok and reduced_discriminant(candidate) < disc:
+            return candidate
+    return None
+
+
+def saturate_bruteforce(L):
+    """Saturation driven by `adjoin_coset_bruteforce`.
+
+    Returns the chain of lattices from L to the maximal order, each paired
+    with the prime q whose coset search produced the next one (None for
+    the last).
+    """
+    target = math.prod(ramified_primes(L.params))
+    chain = []
+    current = L
+    while True:
+        disc = reduced_discriminant(current)
+        if disc == target:
+            chain.append((current, None))
+            return chain
+        enlarged = None
+        for q in sorted(_factorize(disc // target)):
+            enlarged = adjoin_coset_bruteforce(current, q, disc)
+            if enlarged is not None:
+                break
+        assert enlarged is not None, f"no enlargement below {disc}"
+        chain.append((current, q))
+        current = enlarged

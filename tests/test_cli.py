@@ -142,6 +142,22 @@ def test_suite_all(capsys):
     assert report["command"] == "suite all"
 
 
+def test_suite_accepts_config_after_options(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algebra.a = 3\nalgebra.b = -1\nprecision = 128\nseed = 5\n")
+    reports = []
+    for argv in (("suite", "all", "--trials", "1", str(cfg)),
+                 ("suite", "all", str(cfg), "--trials", "1")):
+        code, report, err = run(capsys, *argv)
+        assert code == 0, err
+        del report["timings"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["command"] == "suite all"
+    assert reports[0]["inputs"]["name"] == "all"
+    assert reports[0]["inputs"]["trials"] == 1
+
+
 def test_config_file_and_out(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("algebra.a = 3\nalgebra.b = -1\nprecision = 64\nseed = 5\n")

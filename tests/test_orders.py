@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from fakeelliptic.orders import (NotAnOrder, OrderLattice, congruence_filter,
-                                 enumerate_units, is_maximal, is_order,
-                                 reduced_discriminant, saturate,
-                                 standard_order)
+from fakeelliptic.orders import (NotAnOrder, OrderLattice, _adjoin_coset,
+                                 congruence_filter, enumerate_units,
+                                 is_maximal, is_order, reduced_discriminant,
+                                 saturate, standard_order)
 from fakeelliptic.quaternions import AlgebraParams, AlgebraSplit, QuatElement
-from oracles import count_units_by_embedding, laplace_det
+from oracles import (count_units_by_embedding, laplace_det,
+                     saturate_bruteforce)
 
 
 def test_standard_order_is_order(params, std_order):
@@ -75,6 +76,34 @@ def test_saturate_split_algebra_reaches_disc_one():
     assert reduced_discriminant(std) == 24
     sat = saturate(std)
     assert reduced_discriminant(sat) == 1
+
+
+def test_saturate_matches_bruteforce_search():
+    # gap primes 2, 3, 7 and 13, the split (3, -2), and passes where the
+    # trace of the last generator is 0 mod q (every first pass, since
+    # trd(xy) = 0) as well as a unit mod q; (11, -14) has a pass with
+    # several integral cosets after one prefix (c0, c1, c2)
+    seen = set()
+    for a, b in ((3, -1), (3, -7), (7, -34), (13, -10), (3, -2), (7, -33),
+                 (11, -14)):
+        std = standard_order(AlgebraParams(a, b))
+        chain = saturate_bruteforce(std)
+        for (L, q), (want, _) in zip(chain, chain[1:]):
+            got, disc = _adjoin_coset(L, q, reduced_discriminant(L))
+            assert got.basis == want.basis, (a, b, q)
+            assert disc == reduced_discriminant(want)
+            seen.add((q, 2 * L.basis[3][0] % q != 0))
+        assert saturate(std).basis == chain[-1][0].basis, (a, b)
+    assert {q for q, _ in seen} == {2, 3, 7, 13}
+    assert {unit for _, unit in seen} == {False, True}
+
+
+def test_saturate_large_unramified_gap_prime():
+    # q = 97 divides b but not the ramified set {2, 3}
+    L = saturate(standard_order(AlgebraParams(3, -97)))
+    assert reduced_discriminant(L) == 6
+    ok, problems = is_order(L)
+    assert ok, problems
 
 
 def test_index_two_sublattice_doubles_disc(params, std_order):
