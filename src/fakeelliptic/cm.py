@@ -14,7 +14,7 @@ from mpmath import mp
 
 from .exactlinalg import ComputationError, DEFAULT_PRECISION, solve_quadratic
 from .family import UpperHalfPoint, as_complex
-from .quaternions import QuatElement, embed
+from .quaternions import embed
 
 
 class NotElliptic(ComputationError):
@@ -137,32 +137,65 @@ def in_window(tau, window):
     return re_min <= t.real <= re_max and im_min <= t.imag <= im_max
 
 
+def _upper_orientation(M, N, an, ad):
+    """Whether M - N sqrt(an/ad) > 0, for integers M, N not both zero."""
+    if M >= 0 and N <= 0:
+        return True
+    if M <= 0 and N >= 0:
+        return False
+    # equal signs: compare M^2 with a N^2, never equal as a is no square
+    return (M > 0) == (ad * M * M > an * N * N)
+
+
 def enumerate_cm_points(order, height, window=None, prec=DEFAULT_PRECISION):
     """All CM points of elliptic elements with coordinates in [-height, height]^4.
 
     Deduplicated by the exact monic quadratic of tau; for each point the
     representative mu with the smallest coordinate norm is kept
-    (lexicographic coordinates break ties).
+    (lexicographic coordinates break ties), with the sign that puts tau'
+    in the upper half plane.
+
+    The box is scanned in machine integers and grouped into classes.
+    Scaled by the lcm of the basis denominators, the trace-zero part mu0
+    of mu = sum c_i g_i has integer (x, y, xy) coordinates (L, M, N), and the
+    fixed-point quadratic of mu is, up to a common factor,
+    (M - N sqrt a, -2 L sqrt a, -b (M + N sqrt a)).  So all elements whose
+    primitive (L, M, N) agree up to sign fix the same point; mu is elliptic
+    iff trd^2 - 4 nrd = -4 nrd(mu0) < 0, i.e. -a L^2 - b M^2 + a b N^2 > 0;
+    and Im tau' has the sign of C = M - N sqrt a.  The loop keeps the
+    minimal (sum c^2, c) per oriented primitive (L, M, N), and `cm_point`
+    runs once per elliptic class, on the minimum of the orientation with
+    C > 0.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
-    gens = order.generators()
-    found = {}
-    for coeffs in itertools.product(range(-height, height + 1), repeat=4):
-        mu = QuatElement(order.params, 0)
-        for c, g in zip(coeffs, gens):
-            mu = mu + g * c
-        if mu.is_zero() or mu.is_scalar():
-            continue
-        if not is_elliptic(mu):
-            continue
-        pt = cm_point(mu, prec, coords=coeffs)
-        if not in_window(pt.tau, window):
-            continue
-        key = pt.quad_key()
-        rank = (sum(c * c for c in pt.coords), pt.coords)
-        if key not in found or rank < found[key][0]:
-            found[key] = (rank, pt)
-    pts = [pt for _, pt in found.values()]
+    den = math.lcm(*(x.denominator for row in order.basis for x in row))
+    rows = [[int(x * den) for x in row[1:]] for row in order.basis]
+    best = {}
+    for c in itertools.product(range(-height, height + 1), repeat=4):
+        L = M = N = 0
+        for ci, (l, m, n) in zip(c, rows):
+            L += ci * l
+            M += ci * m
+            N += ci * n
+        g = math.gcd(L, M, N)
+        if g == 0:
+            continue  # scalar
+        key = (L // g, M // g, N // g)
+        rank = (c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3], c)
+        if key not in best or rank < best[key]:
+            best[key] = rank
+    an, ad = order.params.a.numerator, order.params.a.denominator
+    bn, bd = order.params.b.numerator, order.params.b.denominator
+    pts = []
+    for (L, M, N), (_, coords) in best.items():
+        # ad bd (-a L^2 - b M^2 + a b N^2) > 0
+        if an * (bn * N * N - bd * L * L) - bn * ad * M * M <= 0:
+            continue  # not elliptic
+        if not _upper_orientation(M, N, an, ad):
+            continue  # the class is visited from its other orientation
+        pt = cm_point(order.element_from(coords), prec, coords)
+        if in_window(pt.tau, window):
+            pts.append(pt)
     pts.sort(key=lambda p: (sum(c * c for c in p.coords), p.coords))
     return pts

@@ -14,7 +14,7 @@ import mpmath
 from .exactlinalg import DEFAULT_PRECISION
 from .family import PolarizationData, default_rho
 from .orders import OrderLattice, saturate, standard_order
-from .quaternions import AlgebraParams, QuatElement
+from .quaternions import AlgebraParams, QuatElement, _squarefree
 
 PRECISION_ENV = "FAKEELLIPTIC_PRECISION"
 
@@ -109,8 +109,19 @@ class Config:
     # -- certified object builders
 
     def algebra(self):
+        """The algebra (a, b / Q) the order lives in.
+
+        From the standard order, (a, b) are first replaced by the squarefree
+        integers of their square classes: the algebra is the same, and
+        Z<1, x, y, xy> is then an order whose saturation reaches a maximal
+        one.  An explicit basis is written in the coordinates of the given
+        (a, b), so those stay as they are.  `as_dict` echoes the input.
+        """
+        a, b = self.a, self.b
+        if self.order_mode == "saturate-from-standard":
+            a, b = _squarefree(a), _squarefree(b)
         try:
-            return AlgebraParams(self.a, self.b)
+            return AlgebraParams(a, b)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

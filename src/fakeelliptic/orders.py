@@ -106,11 +106,16 @@ def reduced_discriminant(L):
     return int(root)
 
 
-def is_maximal(L):
-    ram = ramified_primes(L.params)
+def maximal_discriminant(params):
+    """Product of the ramified primes: the reduced discriminant of a maximal order."""
+    ram = ramified_primes(params)
     if not ram:
         raise AlgebraSplit("the algebra is split; the family needs a division algebra")
-    return reduced_discriminant(L) == math.prod(ram)
+    return math.prod(ram)
+
+
+def is_maximal(L):
+    return reduced_discriminant(L) == maximal_discriminant(L.params)
 
 
 def saturate(L, max_passes=64):
@@ -216,27 +221,45 @@ class UnitSample:
 
 
 def enumerate_units(L, height):
-    """All elements with basis coordinates in [-height, height]^4 and nrd = 1."""
+    """All elements with basis coordinates in [-height, height]^4 and nrd = 1.
+
+    nrd(sum c_i g_i) = c^T G c / 2 for the trace pairing G = `_gram(L)`, so
+    the box is screened in machine integers on G' = den * G, with den
+    clearing the denominators of G (there are none when L is an order):
+    nrd = 1 iff c^T G' c = 2 den.  Only the units are built as elements,
+    in `itertools.product` order, which sorts them by coordinates.
+    """
     if height < 0:
         raise ValueError("height must be >= 0")
-    gens = L.generators()
+    G = _gram(L)
+    den = math.lcm(*(x.denominator for row in G for x in row))
+    G = [[int(x * den) for x in row] for row in G]
+    box = range(-height, height + 1)
     out = []
-    for coeffs in itertools.product(range(-height, height + 1), repeat=4):
-        q = QuatElement(L.params, 0)
-        for c, g in zip(coeffs, gens):
-            q = q + g * c
-        if q.nrd() == 1:
-            out.append(UnitSample(q, coeffs))
-    out.sort(key=lambda u: u.coords)
+    for c0, c1, c2 in itertools.product(box, repeat=3):
+        # the form in c3: G33 c3^2 + 2 lin c3 + head
+        head = (G[0][0] * c0 * c0 + G[1][1] * c1 * c1 + G[2][2] * c2 * c2
+                + 2 * (G[0][1] * c0 * c1 + G[0][2] * c0 * c2
+                       + G[1][2] * c1 * c2))
+        lin = G[0][3] * c0 + G[1][3] * c1 + G[2][3] * c2
+        for c3 in box:
+            if head + (2 * lin + G[3][3] * c3) * c3 == 2 * den:
+                coords = (c0, c1, c2, c3)
+                out.append(UnitSample(L.element_from(coords), coords))
     return out
 
 
 def congruence_filter(units, N, L):
-    """Units congruent to 1 modulo N in the lattice basis (N >= 3 for torsion-freeness)."""
-    kept = []
-    for u in units:
-        delta = L.coords_of(u.element - QuatElement(L.params, 1))
-        if delta is not None and all(c.denominator == 1 and c.numerator % N == 0
-                                     for c in delta):
-            kept.append(u)
-    return kept
+    """Units congruent to 1 modulo N in the lattice basis (N >= 3 for torsion-freeness).
+
+    The units carry their coordinates in the basis of L, as
+    `enumerate_units(L, height)` returns them; u = 1 mod N L iff those
+    coordinates agree with the coordinates of 1 modulo N.
+    """
+    if N == 0:
+        raise ValueError("the congruence modulus must be nonzero")
+    one = L.coords_of(QuatElement(L.params, 1))
+    if any(c.denominator != 1 for c in one):
+        return []  # 1 is not in L, so no u - 1 is
+    return [u for u in units
+            if all((c - o.numerator) % N == 0 for c, o in zip(u.coords, one))]

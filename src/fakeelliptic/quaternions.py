@@ -182,6 +182,8 @@ def _factorize(n):
 
 def _squarefree(r):
     """Squarefree integer with the same square class as the rational r."""
+    if r == 0:
+        return 0
     sign = -1 if r < 0 else 1
     n = abs(r.numerator) * r.denominator  # same class as |r|
     out = 1

@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths under test: determinants
 by cofactor expansion instead of elimination, Hilbert symbols by brute-force
 solubility instead of the Legendre-symbol formulas, unit counts by symbolic
 2x2 determinants instead of the norm form, quadratic roots by the explicit
-formula instead of the library solver, and saturation by the plain
-q^4 coset search instead of the integer-screened one.
+formula instead of the library solver, saturation by the plain
+q^4 coset search instead of the integer-screened one, and units and CM
+points by building every box element as a `QuatElement` instead of
+scanning integer forms.
 """
 
 import itertools
@@ -15,8 +17,10 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from fakeelliptic.exactlinalg import exact_rank
-from fakeelliptic.orders import OrderLattice, is_order, reduced_discriminant
+from fakeelliptic.cm import cm_point, in_window, is_elliptic
+from fakeelliptic.exactlinalg import DEFAULT_PRECISION, exact_rank
+from fakeelliptic.orders import (OrderLattice, UnitSample, is_order,
+                                 reduced_discriminant)
 from fakeelliptic.quaternions import QuatElement, _factorize, embed, ramified_primes
 
 
@@ -235,3 +239,66 @@ def saturate_bruteforce(L):
         assert enlarged is not None, f"no enlargement below {disc}"
         chain.append((current, q))
         current = enlarged
+
+
+def enumerate_units_bruteforce(L, height):
+    """All elements with basis coordinates in [-height, height]^4 and nrd = 1.
+
+    Every box element is built as a `QuatElement` and its norm computed
+    with `Fraction` arithmetic.
+    """
+    if height < 0:
+        raise ValueError("height must be >= 0")
+    gens = L.generators()
+    out = []
+    for coeffs in itertools.product(range(-height, height + 1), repeat=4):
+        q = QuatElement(L.params, 0)
+        for c, g in zip(coeffs, gens):
+            q = q + g * c
+        if q.nrd() == 1:
+            out.append(UnitSample(q, coeffs))
+    out.sort(key=lambda u: u.coords)
+    return out
+
+
+def congruence_filter_bruteforce(units, N, L):
+    """Units congruent to 1 modulo N, one exact solve per unit."""
+    kept = []
+    for u in units:
+        delta = L.coords_of(u.element - QuatElement(L.params, 1))
+        if delta is not None and all(c.denominator == 1 and c.numerator % N == 0
+                                     for c in delta):
+            kept.append(u)
+    return kept
+
+
+def enumerate_cm_points_bruteforce(order, height, window=None,
+                                   prec=DEFAULT_PRECISION):
+    """All CM points of elliptic elements with coordinates in [-height, height]^4.
+
+    Every box element is built as a `QuatElement`, and `cm_point` runs on
+    each elliptic one; points are deduplicated by the exact monic
+    quadratic of tau, keeping the smallest (sum c^2, c).
+    """
+    if height < 1:
+        raise ValueError("height must be >= 1")
+    gens = order.generators()
+    found = {}
+    for coeffs in itertools.product(range(-height, height + 1), repeat=4):
+        mu = QuatElement(order.params, 0)
+        for c, g in zip(coeffs, gens):
+            mu = mu + g * c
+        if mu.is_zero() or mu.is_scalar():
+            continue
+        if not is_elliptic(mu):
+            continue
+        pt = cm_point(mu, prec, coords=coeffs)
+        if not in_window(pt.tau, window):
+            continue
+        key = pt.quad_key()
+        rank = (sum(c * c for c in pt.coords), pt.coords)
+        if key not in found or rank < found[key][0]:
+            found[key] = (rank, pt)
+    pts = [pt for _, pt in found.values()]
+    pts.sort(key=lambda p: (sum(c * c for c in p.coords), p.coords))
+    return pts

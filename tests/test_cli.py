@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fakeelliptic import orders
 from fakeelliptic.cli import main
 
 
@@ -187,3 +188,36 @@ def test_env_precision_reaches_report(monkeypatch, capsys):
     code, report, _ = run(capsys, "algebra", "check")
     assert code == 0
     assert report["inputs"]["config"]["precision"] == "192"
+
+
+def test_order_commands_certify_each_lattice_once(tmp_path, capsys,
+                                                  monkeypatch):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("algebra.a = 7\nalgebra.b = -57\n")
+    calls = []
+    is_order = orders.is_order
+    monkeypatch.setattr(orders, "is_order",
+                        lambda L: calls.append(L) or is_order(L))
+    code, report, _ = run(capsys, "order", "saturate", str(cfg))
+    assert code == 0
+    assert report["results"]["disc_before"] == "1596"
+    assert report["results"]["disc_after"] == "14"
+    assert report["results"]["maximal"] is True
+    # the start lattice, then the start and the three enlargements in saturate
+    assert len(calls) == 5
+    calls.clear()
+    code, report, _ = run(capsys, "order", "maximal", str(cfg))
+    assert code == 0
+    assert report["results"] == {"maximal": True, "reduced_discriminant": "14",
+                                 "target": "14"}
+    # four in saturate, one for the discriminant
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("action", ["saturate", "maximal"])
+def test_order_commands_reject_split_algebra(tmp_path, capsys, action):
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text("algebra.a = 3\nalgebra.b = -2\n")
+    code, report, err = run(capsys, "order", action, str(cfg))
+    assert code == 1 and report is None
+    assert "AlgebraSplit" in err

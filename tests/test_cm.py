@@ -10,9 +10,10 @@ from fakeelliptic.cm import (EigenMismatch, NotElliptic, cm_point,
                              fixed_point, fixed_point_quadratic, in_window,
                              is_elliptic, normalize_isogeny)
 from fakeelliptic.family import moebius_act
-from fakeelliptic.orders import enumerate_units
-from fakeelliptic.quaternions import QuatElement, embed
-from oracles import fixes_tau_numeric, reference_roots
+from fakeelliptic.orders import enumerate_units, saturate, standard_order
+from fakeelliptic.quaternions import AlgebraParams, QuatElement, embed
+from oracles import (enumerate_cm_points_bruteforce, fixes_tau_numeric,
+                     reference_roots)
 
 I = mpmath.mpc(0, 1)
 EPS = mpmath.mpf(10) ** -30
@@ -187,3 +188,45 @@ def test_grid_equivalence_with_brute_force(max_order):
         assert any(fixes_tau_numeric(mu, pt.tau.tau, 128) for mu in box)
     generic = mpmath.mpc("0.31", "0.93")
     assert not any(fixes_tau_numeric(mu, generic, 128) for mu in box)
+
+
+def test_class_shares_quad_key(max_order):
+    # mu, -mu, mu + k and 2 mu have one fixed point: the class dedup of
+    # enumerate_cm_points rests on this
+    for pt in enumerate_cm_points(max_order, 2, prec=128):
+        mu = pt.mu
+        key = pt.quad_key()
+        for other in (-mu, mu + 3, mu * 2):
+            assert cm_point(other, 128).quad_key() == key
+            c2, c1, c0 = fixed_point_quadratic(other)
+            assert (c1 / c2, c0 / c2) == key
+
+
+def _point_fields(pt):
+    c2, c1, c0 = pt.tau.quad
+    return (pt.coords, pt.mu.coords(), pt.tau.tau, pt.tau_prime, pt.char_poly,
+            tuple((c.u, c.v, c.rad) for c in (c2, c1, c0)))
+
+
+# the window edges Re = 0, Im = 1/2 and Im = 1 pass through CM points of
+# (3, -1), such as i and (sqrt 3 + i) / 2
+ORACLE_CASES = [((3, -1), h, w) for h in (1, 2, 3)
+                for w in (None, (0, 1.5, 0.5, 1))]
+ORACLE_CASES += [(ab, h, None) for ab in ((3, -7), (2, -5), (7, -57), (13, -10))
+                 for h in (1, 2)]
+
+
+def _case_id(case):
+    (a, b), h, window = case
+    return f"{a},{b}-h{h}" + ("-window" if window else "")
+
+
+@pytest.mark.parametrize("ab,height,window", ORACLE_CASES,
+                         ids=[_case_id(c) for c in ORACLE_CASES])
+def test_enumerate_matches_bruteforce(ab, height, window):
+    order = saturate(standard_order(AlgebraParams(*ab)))
+    if window is not None:
+        window = tuple(mpmath.mpf(w) for w in window)
+    got = enumerate_cm_points(order, height, window, 128)
+    want = enumerate_cm_points_bruteforce(order, height, window, 128)
+    assert [_point_fields(p) for p in got] == [_point_fields(p) for p in want]

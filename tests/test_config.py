@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +9,7 @@ from fakeelliptic.config import (Config, ConfigError, DEFAULT_CONFIG_TEXT,
                                  config_from_dict, default_config,
                                  load_config, parse_complex, parse_config)
 from fakeelliptic.orders import reduced_discriminant, standard_order
+from fakeelliptic.quaternions import AlgebraParams, ramified_primes
 
 
 def test_default_config(monkeypatch):
@@ -79,6 +81,11 @@ def test_validation_in_constructor():
     cfg = Config(a=4)
     with pytest.raises(ConfigError, match="square"):
         cfg.algebra()
+    # and keeps its message through the squarefree normalization
+    for kwargs, message in (({"a": Fraction(9, 4)}, "square"),
+                            ({"a": 0}, "positive"), ({"b": 0}, "negative")):
+        with pytest.raises(ConfigError, match=message):
+            Config(**kwargs).algebra()
 
 
 def test_precision_env_override(monkeypatch):
@@ -118,3 +125,23 @@ def test_load_config_missing_file(tmp_path):
     p = tmp_path / "ok.cfg"
     p.write_text(DEFAULT_CONFIG_TEXT)
     assert load_config(p) == default_config()
+
+
+@pytest.mark.parametrize("a,b", [(2, -9), (5, -18), (18, -7),
+                                 (Fraction(3, 2), -1)])
+def test_standard_order_of_non_squarefree_parameters(a, b):
+    # 9 | a or b used to end in SearchExhausted, a = 3/2 in NotAnOrder; the
+    # squarefree representatives give the same algebra
+    cfg = Config(a=a, b=b)
+    params = cfg.algebra()
+    assert (params.a.denominator, params.b.denominator) == (1, 1)
+    assert ramified_primes(params) == ramified_primes(AlgebraParams(a, b))
+    order = cfg.build_order()
+    assert reduced_discriminant(order) == math.prod(ramified_primes(params))
+    assert cfg.as_dict()["algebra.a"] == str(Fraction(a))
+
+
+def test_explicit_order_keeps_parameters():
+    rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    cfg = Config(a=12, b=-9, order_mode="explicit", order_basis=rows)
+    assert cfg.algebra() == AlgebraParams(12, -9)

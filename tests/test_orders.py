@@ -8,7 +8,8 @@ from fakeelliptic.orders import (NotAnOrder, OrderLattice, _adjoin_coset,
                                  is_maximal, is_order, reduced_discriminant,
                                  saturate, standard_order)
 from fakeelliptic.quaternions import AlgebraParams, AlgebraSplit, QuatElement
-from oracles import (count_units_by_embedding, laplace_det,
+from oracles import (congruence_filter_bruteforce, count_units_by_embedding,
+                     enumerate_units_bruteforce, laplace_det,
                      saturate_bruteforce)
 
 
@@ -182,3 +183,33 @@ def test_coords_round_trip(params, max_order):
         back = max_order.coords_of(q)
         assert [Fraction(c) for c in coords] == list(back)
         assert max_order.contains(q)
+
+
+def _unit_fields(units):
+    return [(u.coords, u.element.coords(), u.norm, u.is_elliptic)
+            for u in units]
+
+
+def test_enumerate_units_matches_bruteforce(params, std_order, max_order):
+    # Fraction rows, and a lattice that is no order: its Gram matrix has
+    # denominators
+    halves = OrderLattice(params, [[Fraction(1, 2), 0, 0, 0], [0, 1, 0, 0],
+                                   [0, 0, Fraction(1, 2), 0], [0, 0, 0, 1]])
+    cases = [(std_order, 2), (max_order, 3), (halves, 2)]
+    cases += [(saturate(standard_order(AlgebraParams(a, b))), 2)
+              for a, b in ((3, -7), (2, -5), (7, -57), (13, -10))]
+    for L, height in cases:
+        for h in range(height + 1):
+            got = enumerate_units(L, h)
+            want = enumerate_units_bruteforce(L, h)
+            assert _unit_fields(got) == _unit_fields(want)
+            for N in (1, 2, 3, 4):
+                assert ([u.coords for u in congruence_filter(got, N, L)]
+                        == [u.coords for u in
+                            congruence_filter_bruteforce(want, N, L)])
+
+
+def test_congruence_filter_needs_nonzero_modulus(max_order):
+    units = enumerate_units(max_order, 1)
+    with pytest.raises(ValueError):
+        congruence_filter(units, 0, max_order)
