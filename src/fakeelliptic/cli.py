@@ -51,10 +51,6 @@ CITE_ELLIPTIC_FAMILY = ("The fiber of the elliptic modular family also "
                         "with determinant one.")
 
 
-def _mpf_tol(cfg):
-    return mpmath.mpf(cfg.tolerance.numerator) / cfg.tolerance.denominator
-
-
 # ---------------------------------------------------------------------------
 # command handlers: (args, cfg) -> (results, citations, ok)
 
@@ -178,7 +174,7 @@ def _cmd_curve_split(args, cfg):
     if not order.contains(mu):
         raise ComputationError("mu does not lie in the configured order")
     pt = cm_points.cm_point(mu, cfg.precision)
-    report = splitting.curve_splitting_report(pt, cfg.precision, cfg.tolerance)
+    report = splitting.curve_splitting_report(pt, cfg.precision)
     results = report.as_dict()
     results["dphi"] = complex_pair(report.dphi_value)
     results["mu"] = [str(c) for c in pt.mu.coords()]
@@ -197,12 +193,12 @@ def _cmd_classify(args, cfg):
 def _suite_riemann(cfg, order, trials):
     pol = cfg.polarization(order)
     rng = random.Random(cfg.seed)
-    tol = _mpf_tol(cfg)
     failures = []
     taus = [mpmath.mpc(0, 1)] + [family.random_tau(rng) for _ in range(trials)]
     for tau in taus:
         lattice = family.PeriodLattice(order, tau, cfg.precision)
-        rep = family.riemann_conditions_check(lattice, pol, cfg.precision, tol)
+        rep = family.riemann_conditions_check(lattice, pol, cfg.precision,
+                                              cfg.tolerance)
         if not rep["all_pass"]:
             failures.append({"tau": complex_pair(tau),
                              "conditions": {k: v["pass"] for k, v in
@@ -231,13 +227,12 @@ def _suite_cocycle(cfg, order, trials):
 def _suite_isogeny(cfg, order, trials):
     units = orders.enumerate_units(order, 1)
     rng = random.Random(cfg.seed + 2)
-    tol = _mpf_tol(cfg)
     failures = 0
     for _ in range(trials):
         gamma = rng.choice([u.element for u in units])
         tau = family.random_tau(rng)
         if not family.isogeny_lattice_check(gamma, tau, order, cfg.precision,
-                                            tol):
+                                            cfg.tolerance):
             failures += 1
     return {"trials": trials, "failures": failures}
 

@@ -12,8 +12,9 @@ import math
 import mpmath
 from mpmath import mp
 
-from .exactlinalg import ComputationError, DEFAULT_PRECISION, solve_quadratic
-from .family import UpperHalfPoint, as_complex
+from .exactlinalg import (ComputationError, DEFAULT_PRECISION,
+                          precision_tolerance, solve_quadratic)
+from .family import UpperHalfPoint, as_complex, complex_structure
 from .quaternions import embed
 
 
@@ -54,22 +55,18 @@ def fixed_point(mu, prec=DEFAULT_PRECISION):
 def eigenvalue_tau_prime(mu, tau, prec=DEFAULT_PRECISION, tol=None):
     """tau' with mu_tau = tau' * (tau, 1)^t, i.e. tau' = C tau + D.
 
-    Verifies the eigenvector relation in both coordinates.
+    The second coordinate holds by the definition of tau'; the first,
+    A tau + B = tau' tau, is verified relative to 1 + |tau'|, by default
+    at the tolerance 2^-(prec/2) that the working precision resolves.
     """
     with mp.workprec(prec):
         if tol is None:
-            tol = mpmath.mpf(10) ** -20
+            tol = precision_tolerance(prec)
         t = as_complex(tau)
-        M = embed(mu)
-        C = M[1][0].numeric(prec)
-        D = M[1][1].numeric(prec)
-        tprime = C * t + D
-        r1 = M[0][0].numeric(prec) * t + M[0][1].numeric(prec) - tprime * t
-        r2 = C * t + D - tprime
-        scale = 1 + abs(tprime)
-        if abs(r1) > tol * scale or abs(r2) > tol * scale:
-            raise EigenMismatch(
-                f"residuals {mpmath.nstr(abs(r1), 5)}, {mpmath.nstr(abs(r2), 5)}")
+        v1, tprime = complex_structure(mu, t, prec)
+        r1 = v1 - tprime * t
+        if abs(r1) > tol * (1 + abs(tprime)):
+            raise EigenMismatch(f"residual {mpmath.nstr(abs(r1), 5)}")
         return tprime
 
 

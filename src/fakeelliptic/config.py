@@ -11,14 +11,12 @@ from fractions import Fraction
 
 import mpmath
 
-from .exactlinalg import DEFAULT_PRECISION
+from .exactlinalg import DEFAULT_PRECISION, DEFAULT_TOLERANCE
 from .family import PolarizationData, default_rho
 from .orders import OrderLattice, saturate, standard_order
 from .quaternions import AlgebraParams, QuatElement, _squarefree
 
 PRECISION_ENV = "FAKEELLIPTIC_PRECISION"
-
-DEFAULT_TOLERANCE = Fraction(1, 10 ** 20)
 
 DEFAULT_CONFIG_TEXT = """\
 # the worked example: B = (3, -1 / Q) with its maximal order

@@ -7,7 +7,10 @@ Gaussian elimination with exact pivots, so ranks and determinants carry
 no tolerance.
 
 Numeric work (period lattices, nullspaces of the section systems) runs on
-mpmath at a configurable binary precision, 128 bits by default.
+mpmath at a configurable binary precision, 128 bits by default.  The
+numeric policies live here once: the conversion of exact scalars to mpf,
+the default tolerances, and the doubled-precision recheck of near-zero
+certificates.
 """
 
 from fractions import Fraction
@@ -18,6 +21,14 @@ from mpmath import mp
 
 DEFAULT_PRECISION = 128
 
+# residual tolerance of the lattice checks and numeric nullspaces
+DEFAULT_TOLERANCE = Fraction(1, 10 ** 20)
+# residual tolerance of the automorphy identities (cocycle, canonical degree)
+IDENTITY_TOL = Fraction(1, 10 ** 12)
+# verdict threshold for "nonzero" certificates (determinants, dphi); values
+# within a factor 10^3 of it trigger one doubled-precision recheck
+NONZERO_TOL = Fraction(1, 10 ** 12)
+
 
 class ComputationError(Exception):
     """Base for every failure a computation can certify about its input."""
@@ -25,6 +36,37 @@ class ComputationError(Exception):
 
 class NonConvergence(ComputationError):
     """Numeric decomposition failed at the configured precision."""
+
+
+def to_mpf(x):
+    """A Fraction, int or mpf as an mpf at the ambient precision."""
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
+
+
+def precision_tolerance(prec):
+    """2^-(prec/2): a residual that prec-bit arithmetic resolves from zero."""
+    return mpmath.mpf(2) ** (-prec // 2)
+
+
+def escalate(run, prec):
+    """Run a certificate at prec bits, and once more at 2*prec if near zero.
+
+    run(prec) is called under workprec(prec) and returns
+    (certificate, result); the rerun happens when |certificate| is within
+    a factor 10^3 of NONZERO_TOL.  Returns (certificate, result,
+    precision used).
+    """
+    with mp.workprec(prec):
+        threshold = to_mpf(NONZERO_TOL) * 1000
+        cert, result = run(prec)
+        if abs(cert) > threshold:
+            return cert, result, prec
+    prec *= 2
+    with mp.workprec(prec):
+        cert, result = run(prec)
+    return cert, result, prec
 
 
 def fraction_sqrt(r):
@@ -110,9 +152,8 @@ class QuadExt:
 
     def numeric(self, prec=DEFAULT_PRECISION):
         with mp.workprec(prec):
-            s = mpmath.sqrt(mpmath.mpf(self.rad.numerator) / self.rad.denominator)
-            return (mpmath.mpf(self.u.numerator) / self.u.denominator
-                    + (mpmath.mpf(self.v.numerator) / self.v.denominator) * s)
+            s = mpmath.sqrt(to_mpf(self.rad))
+            return to_mpf(self.u) + to_mpf(self.v) * s
 
     def __repr__(self):
         return f"({self.u} + {self.v}*sqrt({self.rad}))"
@@ -263,17 +304,6 @@ def numeric_svd(m, prec=DEFAULT_PRECISION):
         return [S[i] for i in range(S.rows)], V
 
 
-def numeric_rank(m, tol, prec=DEFAULT_PRECISION):
-    with mp.workprec(prec):
-        sigma, _ = numeric_svd(m, prec)
-        if not sigma:
-            return 0
-        smax = max(sigma)
-        if smax < tol:
-            return 0
-        return sum(1 for s in sigma if s >= tol * smax)
-
-
 def numeric_nullspace(m, tol, prec=DEFAULT_PRECISION):
     """Orthonormal basis of the right nullspace at relative tolerance tol."""
     with mp.workprec(prec):
@@ -296,15 +326,9 @@ def solve_quadratic(c2, c1, c0, prec=DEFAULT_PRECISION):
     Deterministic order: larger imaginary part first, ties broken by
     larger real part.
     """
-    def num(c):
-        if isinstance(c, QuadExt):
-            return c.numeric(prec)
-        c = Fraction(c)
-        with mp.workprec(prec):
-            return mpmath.mpf(c.numerator) / c.denominator
-
     with mp.workprec(prec):
-        A, B, C = num(c2), num(c1), num(c0)
+        A, B, C = (c.numeric(prec) if isinstance(c, QuadExt) else to_mpf(c)
+                   for c in (c2, c1, c0))
         if A == 0:
             raise ZeroDivisionError("leading coefficient is zero")
         disc = B * B - 4 * A * C

@@ -14,18 +14,14 @@ import math
 import mpmath
 from mpmath import mp
 
-from .exactlinalg import ComputationError, DEFAULT_PRECISION
+from .exactlinalg import (ComputationError, DEFAULT_PRECISION,
+                          DEFAULT_TOLERANCE, IDENTITY_TOL, precision_tolerance,
+                          to_mpf)
 from .quaternions import QuatElement, embed
 
 
 class DegenerateLattice(ComputationError):
     """The four period vectors failed the real-rank-4 condition."""
-
-
-def _fr(x, prec):
-    x = Fraction(x)
-    with mp.workprec(prec):
-        return mpmath.mpf(x.numerator) / x.denominator
 
 
 def as_complex(tau):
@@ -59,7 +55,8 @@ class UpperHalfPoint:
 
 
 def complex_structure(m, tau, prec=DEFAULT_PRECISION):
-    """m_tau = embed(m) * (tau, 1)^t in C^2."""
+    """m_tau = embed(m) * (tau, 1)^t in C^2; for a unit, the second
+    coordinate is its automorphy denominator j = c tau + d."""
     with mp.workprec(prec):
         tau = as_complex(tau)
         E = embed(m)
@@ -85,7 +82,7 @@ class PeriodLattice:
             self.vectors = [complex_structure(g, tau.tau, prec)
                             for g in order.generators()]
             if tol is None:
-                tol = mpmath.mpf(2) ** (-prec // 2)
+                tol = precision_tolerance(prec)
             P = self.real_matrix()
             try:
                 _, S, _ = mpmath.svd_r(P)
@@ -96,14 +93,18 @@ class PeriodLattice:
                 raise DegenerateLattice("period vectors are not R-independent")
 
     def real_matrix(self):
-        """4x4 real matrix, column j = (Re v1, Im v1, Re v2, Im v2) of vector j."""
-        P = mpmath.zeros(4, 4)
-        for j, (v1, v2) in enumerate(self.vectors):
-            P[0, j] = v1.real
-            P[1, j] = v1.imag
-            P[2, j] = v2.real
-            P[3, j] = v2.imag
-        return P
+        return _real_matrix(self.vectors)
+
+
+def _real_matrix(vectors):
+    """4x4 real matrix, column j = (Re v1, Im v1, Re v2, Im v2) of vector j."""
+    P = mpmath.zeros(4, 4)
+    for j, (v1, v2) in enumerate(vectors):
+        P[0, j] = v1.real
+        P[1, j] = v1.imag
+        P[2, j] = v2.real
+        P[3, j] = v2.imag
+    return P
 
 
 def riemann_form(rho, m1, m2):
@@ -163,8 +164,7 @@ def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION, tol=None):
     Returns a report dict with per-condition verdicts and witnesses.
     """
     with mp.workprec(prec):
-        if tol is None:
-            tol = mpmath.mpf(10) ** -20
+        tol = to_mpf(DEFAULT_TOLERANCE if tol is None else tol)
         order = lattice.order
         gens = order.generators()
         report = {"conditions": {}, "all_pass": True}
@@ -181,7 +181,7 @@ def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION, tol=None):
         }
 
         J = complex_structure_matrix(lattice)
-        E4 = mpmath.matrix([[_fr(v, prec) for v in row] for row in values])
+        E4 = mpmath.matrix([[to_mpf(v) for v in row] for row in values])
         compat = mpmath.mnorm(J.T * E4 * J - E4)
         scaleref = mpmath.mnorm(E4) + 1
         report["conditions"]["j_compatible"] = {
@@ -227,10 +227,7 @@ def moebius_act(gamma, tau, prec=DEFAULT_PRECISION):
     if gamma.nrd() != 1:
         raise ValueError("Moebius action needs det 1 (reduced norm 1)")
     with mp.workprec(prec):
-        tau = as_complex(tau)
-        M = embed(gamma)
-        num = M[0][0].numeric(prec) * tau + M[0][1].numeric(prec)
-        den = M[1][0].numeric(prec) * tau + M[1][1].numeric(prec)
+        num, den = complex_structure(gamma, tau, prec)
         return num / den
 
 
@@ -241,29 +238,17 @@ def isogeny_lattice_check(gamma, tau, order, prec=DEFAULT_PRECISION, tol=None):
     integrality; together with unit determinant this certifies equality.
     """
     with mp.workprec(prec):
-        if tol is None:
-            tol = mpmath.mpf(10) ** -20
+        tol = to_mpf(DEFAULT_TOLERANCE if tol is None else tol)
         tau = as_complex(tau)
-        M = embed(gamma)
-        j = M[1][0].numeric(prec) * tau + M[1][1].numeric(prec)
+        j = complex_structure(gamma, tau, prec)[1]
         tprime = moebius_act(gamma, tau, prec)
         gens = order.generators()
-
-        def realify(vectors):
-            P = mpmath.zeros(4, 4)
-            for col, (v1, v2) in enumerate(vectors):
-                P[0, col] = v1.real
-                P[1, col] = v1.imag
-                P[2, col] = v2.real
-                P[3, col] = v2.imag
-            return P
-
-        left = realify([complex_structure(g, tprime, prec) for g in gens])
+        left = _real_matrix([complex_structure(g, tprime, prec) for g in gens])
         scaled = []
         for g in gens:
             v1, v2 = complex_structure(g, tau, prec)
             scaled.append((v1 / j, v2 / j))
-        right = realify(scaled)
+        right = _real_matrix(scaled)
 
         for A, B in ((left, right), (right, left)):
             C = B ** -1 * A
@@ -309,13 +294,11 @@ class FamilyGroupElement:
     def act(self, z, tau, prec=DEFAULT_PRECISION):
         """((z + lambda_tau)/(c tau + d), gamma(tau))."""
         with mp.workprec(prec):
-            tau = as_complex(tau)
-            M = embed(self.gamma)
-            j = M[1][0].numeric(prec) * tau + M[1][1].numeric(prec)
+            num, j = complex_structure(self.gamma, tau, prec)
             lt = complex_structure(self.lam, tau, prec)
             z1 = (as_complex(z[0]) + lt[0]) / j
             z2 = (as_complex(z[1]) + lt[1]) / j
-            return (z1, z2), moebius_act(self.gamma, tau, prec)
+            return (z1, z2), num / j
 
 
 def automorphy_factor(g, z, tau, prec=DEFAULT_PRECISION):
@@ -331,9 +314,8 @@ def automorphy_factor(g, z, tau, prec=DEFAULT_PRECISION):
     """
     with mp.workprec(prec):
         tau = as_complex(tau)
-        M = embed(g.gamma)
-        c = M[1][0].numeric(prec)
-        j = c * tau + M[1][1].numeric(prec)
+        c = first_column(g.gamma, prec)[1]
+        j = complex_structure(g.gamma, tau, prec)[1]
         l1 = first_column(g.lam, prec)
         lt = complex_structure(g.lam, tau, prec)
         A = mpmath.zeros(3, 3)
@@ -348,8 +330,7 @@ def automorphy_factor(g, z, tau, prec=DEFAULT_PRECISION):
 def cocycle_check(g1, g2, z, tau, prec=DEFAULT_PRECISION, tol=None):
     """a(g1 g2, x) = a(g1, g2 x) * a(g2, x) at x = (z, tau)."""
     with mp.workprec(prec):
-        if tol is None:
-            tol = mpmath.mpf(10) ** -12
+        tol = to_mpf(IDENTITY_TOL if tol is None else tol)
         left = automorphy_factor(g1 * g2, z, tau, prec)
         z2, t2 = g2.act(z, tau, prec)
         right = automorphy_factor(g1, z2, t2, prec) * automorphy_factor(g2, z, tau, prec)
@@ -359,11 +340,9 @@ def cocycle_check(g1, g2, z, tau, prec=DEFAULT_PRECISION, tol=None):
 def canonical_degree_check(g, z, tau, prec=DEFAULT_PRECISION, tol=None):
     """det a(g, (z, tau)) = (c tau + d)^-4: the canonical bundle identity."""
     with mp.workprec(prec):
-        if tol is None:
-            tol = mpmath.mpf(10) ** -12
+        tol = to_mpf(IDENTITY_TOL if tol is None else tol)
         A = automorphy_factor(g, z, tau, prec)
-        M = embed(g.gamma)
-        j = M[1][0].numeric(prec) * as_complex(tau) + M[1][1].numeric(prec)
+        j = complex_structure(g.gamma, tau, prec)[1]
         return abs(mpmath.det(A) - j ** -4) < tol
 
 

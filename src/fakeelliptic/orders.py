@@ -71,6 +71,11 @@ def standard_order(params):
                                  [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
+def _coords_str(q):
+    """(0, 1/2, 0, 0): readable (1, x, y, xy) coordinates for messages."""
+    return "(" + ", ".join(str(c) for c in q.coords()) + ")"
+
+
 def is_order(L):
     """Closure certificate: returns (bool, list of violated conditions)."""
     problems = []
@@ -80,11 +85,11 @@ def is_order(L):
     gens = L.generators()
     for g in gens:
         if g.trd().denominator != 1 or g.nrd().denominator != 1:
-            problems.append(f"generator {g.coords()} is not integral")
+            problems.append(f"generator {_coords_str(g)} is not integral")
     for gi, gj in itertools.product(gens, gens):
         if not L.contains(gi * gj):
-            problems.append(
-                f"product {gi.coords()} * {gj.coords()} leaves the lattice")
+            problems.append(f"product {_coords_str(gi)} * {_coords_str(gj)} "
+                            "leaves the lattice")
     return not problems, problems
 
 

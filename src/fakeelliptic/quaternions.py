@@ -146,19 +146,6 @@ def embed(q):
             [QuadExt(m, -n, a), QuadExt(k, -l, a)]]
 
 
-def mat2_mul(P, Q):
-    return [[P[0][0] * Q[0][0] + P[0][1] * Q[1][0], P[0][0] * Q[0][1] + P[0][1] * Q[1][1]],
-            [P[1][0] * Q[0][0] + P[1][1] * Q[1][0], P[1][0] * Q[0][1] + P[1][1] * Q[1][1]]]
-
-
-def mat2_trace(P):
-    return P[0][0] + P[1][1]
-
-
-def mat2_det(P):
-    return P[0][0] * P[1][1] - P[0][1] * P[1][0]
-
-
 # ---------------------------------------------------------------------------
 # local invariants
 

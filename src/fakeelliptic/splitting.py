@@ -14,32 +14,19 @@ Riemann-Hurwitz bookkeeping.
 """
 
 import random
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp
 
-from .exactlinalg import (ComputationError, DEFAULT_PRECISION, QuadExt,
-                          exact_det, numeric_nullspace)
+from .exactlinalg import (ComputationError, DEFAULT_PRECISION,
+                          DEFAULT_TOLERANCE, NONZERO_TOL, QuadExt, escalate,
+                          exact_det, numeric_nullspace, to_mpf)
 from .family import PeriodLattice, as_complex, complex_structure
 from .quaternions import embed
-
-# verdict threshold for "nonzero" certificates (determinants, dphi); values
-# within a factor 10^3 of it trigger one doubled-precision recheck
-NONZERO_TOL = Fraction(1, 10 ** 12)
 
 
 class InconsistentData(ComputationError):
     pass
-
-
-def _tol(tol, prec):
-    with mp.workprec(prec):
-        if tol is None:
-            return mpmath.mpf(10) ** -20
-        if isinstance(tol, Fraction):
-            return mpmath.mpf(tol.numerator) / tol.denominator
-        return mpmath.mpf(tol)
 
 
 class FlatRep:
@@ -137,16 +124,13 @@ def fiber_h0(order, tau, prec=DEFAULT_PRECISION, tol=None):
     triangular tau-block, so the witness is tau-independent and the
     stacked determinant is computed exactly as a cross-check.
     """
+    def system(p):
+        M = _fiber_system(order, tau, p)
+        return abs(mpmath.det(M)), M
+
     with mp.workprec(prec):
-        tolv = _tol(tol, prec)
-        nz = _tol(NONZERO_TOL, prec)
-        M = _fiber_system(order, tau, prec)
-        witness = abs(mpmath.det(M))
-        if witness <= nz * 1000:
-            prec = prec * 2
-            with mp.workprec(prec):
-                M = _fiber_system(order, tau, prec)
-                witness = abs(mpmath.det(M))
+        tolv = to_mpf(DEFAULT_TOLERANCE if tol is None else tol)
+        witness, M, prec = escalate(system, prec)
         null = numeric_nullspace(M, tolv, prec)
         h0 = 1 + len(null)
 
@@ -196,35 +180,29 @@ class CurveH0:
         self.eigen_residual = eigen_residual
 
 
-def curve_h0(point, prec=DEFAULT_PRECISION, tol=None):
+def curve_h0(point, prec=DEFAULT_PRECISION):
     """h^0 on an elliptic curve in a fiber, with the section basis.
 
-    The invariance equations reduce to tau' f1 = mu_11 f1 + mu_21 f2;
-    each solution extends to the section (f1, f2, -f1 z).  Solutions are
-    normalized to f1 = 1 (mu_21 = m - n sqrt(a) never vanishes for an
-    elliptic mu, and f1 = 0 would force f2 = 0) and are eigenvectors of
-    the transposed embedding with eigenvalue tau'.
+    The invariance equations reduce to the single equation
+    tau' f1 = mu_11 f1 + mu_21 f2, and each solution extends to the
+    section (f1, f2, -f1 z).  mu_21 = m - n sqrt(a) never vanishes for an
+    elliptic mu, so the solutions form a line: h0 = 2, spanned by the
+    constant section and f1 = 1, f2 = (tau' - mu_11) / mu_21.  That f is
+    an eigenvector of the transposed embedding with eigenvalue tau'; the
+    eigen residual and dphi on it are the certificate.
     """
     with mp.workprec(prec):
-        tolv = _tol(tol, prec)
         M = embed(point.mu)
         m11 = M[0][0].numeric(prec)
         m21 = M[1][0].numeric(prec)
         tprime = as_complex(point.tau_prime)
-        system = mpmath.matrix([[m11 - tprime, m21]])
-        null = numeric_nullspace(system, tolv, prec)
-        h0 = 1 + len(null)
-        sections = [CurveSection(0, 0, 0, 1)]
-        residual = mpmath.mpf(0)
-        for _ in null:
-            f1 = mpmath.mpc(1)
-            f2 = (tprime - m11) / m21
-            sections.append(CurveSection(f1, f2, -f1, 0))
-            vec = mpmath.matrix([f1, f2])
-            Mt = mpmath.matrix([[m11, m21],
-                                [M[0][1].numeric(prec), M[1][1].numeric(prec)]])
-            residual = max(residual, mpmath.norm(Mt * vec - tprime * vec))
-        return CurveH0(h0, sections, residual)
+        f1 = mpmath.mpc(1)
+        f2 = (tprime - m11) / m21
+        sections = [CurveSection(0, 0, 0, 1), CurveSection(f1, f2, -f1, 0)]
+        vec = mpmath.matrix([f1, f2])
+        Mt = mpmath.matrix([[m11, m21],
+                            [M[0][1].numeric(prec), M[1][1].numeric(prec)]])
+        return CurveH0(2, sections, mpmath.norm(Mt * vec - tprime * vec))
 
 
 def dphi_check(section, tau_prime):
@@ -232,22 +210,13 @@ def dphi_check(section, tau_prime):
     return section.f1 * as_complex(tau_prime) + section.f2
 
 
-def robust_dphi(point, prec=DEFAULT_PRECISION, tol=None):
+def robust_dphi(point, prec=DEFAULT_PRECISION):
     """dphi of the non-constant section, with the near-threshold recheck."""
-    with mp.workprec(prec):
-        nz = _tol(NONZERO_TOL, prec)
-        result = curve_h0(point, prec, tol)
-        if result.h0 < 2:
-            return mpmath.mpc(0)
-        value = dphi_check(result.sections[1], point.tau_prime)
-        if abs(value) <= nz * 1000:
-            prec = prec * 2
-            with mp.workprec(prec):
-                result = curve_h0(point, prec, tol)
-                if result.h0 < 2:
-                    return mpmath.mpc(0)
-                value = dphi_check(result.sections[1], point.tau_prime)
-        return value
+    def dphi(p):
+        section = curve_h0(point, p).sections[1]
+        return dphi_check(section, point.tau_prime), None
+
+    return escalate(dphi, prec)[0]
 
 
 def verify_sections(rep, sections, n_points=20, seed=0, prec=DEFAULT_PRECISION,
@@ -288,7 +257,7 @@ def elliptic_family_fiber_h0(tau, prec=DEFAULT_PRECISION, tol=None):
         t = as_complex(tau)
         if not t.imag > 0:
             raise ValueError("tau must lie in the upper half plane")
-        tolv = _tol(tol, prec)
+        tolv = to_mpf(DEFAULT_TOLERANCE if tol is None else tol)
         M = mpmath.matrix([[1, t], [0, 1]])
         null = numeric_nullspace(M, tolv, prec)
         return 1 + len(null)
@@ -349,20 +318,18 @@ def fiber_splitting_report(order, tau, prec=DEFAULT_PRECISION, tol=None):
     return SplittingReport("Fiber", verdict, h0=result.h0, certificate=cert)
 
 
-def curve_splitting_report(point, prec=DEFAULT_PRECISION, tol=None):
-    result = curve_h0(point, prec, tol)
-    dphi = robust_dphi(point, prec, tol)
+def curve_splitting_report(point, prec=DEFAULT_PRECISION):
+    result = curve_h0(point, prec)
+    dphi = robust_dphi(point, prec)
     with mp.workprec(prec):
-        nz = _tol(NONZERO_TOL, prec)
-        split = result.h0 == 2 and abs(dphi) > nz
+        split = abs(dphi) > to_mpf(NONZERO_TOL)
     verdict = "Split" if split else "NonSplit"
+    s = result.sections[1]
     cert = {"eigen_residual": mpmath.nstr(result.eigen_residual, 5),
-            "citation": CITE_ELLIPTIC}
-    if result.h0 == 2:
-        s = result.sections[1]
-        cert["section"] = {"f1": mpmath.nstr(s.f1, 15),
-                           "f2": mpmath.nstr(s.f2, 15),
-                           "a": mpmath.nstr(s.a, 15)}
+            "citation": CITE_ELLIPTIC,
+            "section": {"f1": mpmath.nstr(s.f1, 15),
+                        "f2": mpmath.nstr(s.f2, 15),
+                        "a": mpmath.nstr(s.a, 15)}}
     return SplittingReport("EllipticInFiber", verdict, h0=result.h0,
                            certificate=cert, dphi_value=dphi)
 

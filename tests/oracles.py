@@ -5,9 +5,10 @@ by cofactor expansion instead of elimination, Hilbert symbols by brute-force
 solubility instead of the Legendre-symbol formulas, unit counts by symbolic
 2x2 determinants instead of the norm form, quadratic roots by the explicit
 formula instead of the library solver, saturation by the plain
-q^4 coset search instead of the integer-screened one, and units and CM
+q^4 coset search instead of the integer-screened one, units and CM
 points by building every box element as a `QuatElement` instead of
-scanning integer forms.
+scanning integer forms, and the curve section space by an SVD nullspace
+instead of the closed form.
 """
 
 import itertools
@@ -18,10 +19,13 @@ import mpmath
 from mpmath import mp
 
 from fakeelliptic.cm import cm_point, in_window, is_elliptic
-from fakeelliptic.exactlinalg import DEFAULT_PRECISION, exact_rank
+from fakeelliptic.exactlinalg import (DEFAULT_PRECISION, exact_rank,
+                                      numeric_nullspace)
+from fakeelliptic.family import as_complex
 from fakeelliptic.orders import (OrderLattice, UnitSample, is_order,
                                  reduced_discriminant)
 from fakeelliptic.quaternions import QuatElement, _factorize, embed, ramified_primes
+from fakeelliptic.splitting import CurveH0, CurveSection
 
 
 def squarefree_part(r):
@@ -137,6 +141,19 @@ def reference_roots(c2, c1, c0, prec=128):
         if (r2.imag, r2.real) > (r1.imag, r1.real):
             r1, r2 = r2, r1
         return r1, r2
+
+
+def mat2_mul(P, Q):
+    return [[P[0][0] * Q[0][0] + P[0][1] * Q[1][0], P[0][0] * Q[0][1] + P[0][1] * Q[1][1]],
+            [P[1][0] * Q[0][0] + P[1][1] * Q[1][0], P[1][0] * Q[0][1] + P[1][1] * Q[1][1]]]
+
+
+def mat2_trace(P):
+    return P[0][0] + P[1][1]
+
+
+def mat2_det(P):
+    return P[0][0] * P[1][1] - P[0][1] * P[1][0]
 
 
 def embed_det(q):
@@ -302,3 +319,32 @@ def enumerate_cm_points_bruteforce(order, height, window=None,
     pts = [pt for _, pt in found.values()]
     pts.sort(key=lambda p: (sum(c * c for c in p.coords), p.coords))
     return pts
+
+
+def curve_h0_svd(point, prec=DEFAULT_PRECISION, tol=None):
+    """h^0 on the elliptic curve of a CM point from the SVD nullspace of the
+    1x2 system (mu_11 - tau', mu_21), zero-padded to 2x2.
+
+    Sections and the eigen residual are built the same way as by the
+    closed form, once per nullspace vector.
+    """
+    with mp.workprec(prec):
+        tolv = mpmath.mpf(10) ** -20 if tol is None else mpmath.mpf(tol)
+        M = embed(point.mu)
+        m11 = M[0][0].numeric(prec)
+        m21 = M[1][0].numeric(prec)
+        tprime = as_complex(point.tau_prime)
+        system = mpmath.matrix([[m11 - tprime, m21]])
+        null = numeric_nullspace(system, tolv, prec)
+        h0 = 1 + len(null)
+        sections = [CurveSection(0, 0, 0, 1)]
+        residual = mpmath.mpf(0)
+        for _ in null:
+            f1 = mpmath.mpc(1)
+            f2 = (tprime - m11) / m21
+            sections.append(CurveSection(f1, f2, -f1, 0))
+            vec = mpmath.matrix([f1, f2])
+            Mt = mpmath.matrix([[m11, m21],
+                                [M[0][1].numeric(prec), M[1][1].numeric(prec)]])
+            residual = max(residual, mpmath.norm(Mt * vec - tprime * vec))
+        return CurveH0(h0, sections, residual)

@@ -221,3 +221,29 @@ def test_order_commands_reject_split_algebra(tmp_path, capsys, action):
     code, report, err = run(capsys, "order", action, str(cfg))
     assert code == 1 and report is None
     assert "AlgebraSplit" in err
+
+
+def test_low_precision_cm_and_curve_commands(tmp_path, capsys):
+    # the eigenvector check follows the precision: 64 bits cannot resolve 1e-20
+    cfg = tmp_path / "p64.cfg"
+    cfg.write_text("algebra.a = 3\nalgebra.b = -1\nprecision = 64\n")
+    code, report, err = run(capsys, "cm", "enumerate", "--height", "3", str(cfg))
+    assert code == 0, err
+    assert report["results"]["count"] == 29  # the count at 128 bits
+    code, report, err = run(capsys, "curve", "split", "--mu=1/2,1/2,3/2,1/2",
+                            str(cfg))
+    assert code == 0, err
+    assert report["results"]["verdict"] == "Split"
+
+
+def test_non_order_message_is_readable(tmp_path, capsys):
+    cfg = tmp_path / "explicit.cfg"
+    cfg.write_text("algebra.a = 3/2\nalgebra.b = -1\norder = explicit\n"
+                   "order.basis.1 = 1, 0, 0, 0\norder.basis.2 = 0, 1, 0, 0\n"
+                   "order.basis.3 = 0, 0, 1, 0\norder.basis.4 = 0, 0, 0, 1\n")
+    code, report, err = run(capsys, "order", "disc", str(cfg))
+    assert code == 1
+    assert "NotAnOrder" in err
+    assert "generator (0, 1, 0, 0) is not integral" in err
+    assert "product (0, 1, 0, 0) * (0, 1, 0, 0) leaves the lattice" in err
+    assert "Fraction(" not in err

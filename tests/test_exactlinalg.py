@@ -5,10 +5,12 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from fakeelliptic.exactlinalg import (QuadExt, exact_det, exact_nullspace,
-                                      exact_rank, exact_solve, fraction_sqrt,
-                                      numeric_nullspace, numeric_rank,
-                                      numeric_svd, solve_quadratic)
+from fakeelliptic.exactlinalg import (NONZERO_TOL, QuadExt, escalate,
+                                      exact_det, exact_nullspace, exact_rank,
+                                      exact_solve, fraction_sqrt,
+                                      numeric_nullspace, numeric_svd,
+                                      precision_tolerance, solve_quadratic,
+                                      to_mpf)
 from oracles import laplace_det, rank_by_minors, reference_roots
 
 
@@ -125,15 +127,6 @@ def test_numeric_svd_reconstructs():
         assert all(sigma[i] >= sigma[i + 1] for i in range(len(sigma) - 1))
 
 
-def test_numeric_rank():
-    with mp.workprec(128):
-        tol = mpmath.mpf(10) ** -20
-        assert numeric_rank(mpmath.eye(4), tol, 128) == 4
-        one = mpmath.matrix([[1, 2], [2, 4]])
-        assert numeric_rank(one, tol, 128) == 1
-        assert numeric_rank(mpmath.zeros(2, 2), tol, 128) == 0
-
-
 def test_numeric_nullspace_identity_empty():
     with mp.workprec(128):
         assert numeric_nullspace(mpmath.eye(3), mpmath.mpf(10) ** -20, 128) == []
@@ -199,3 +192,66 @@ def test_solve_quadratic_matches_formula_oracle():
 def test_solve_quadratic_zero_leading():
     with pytest.raises(ZeroDivisionError):
         solve_quadratic(Fraction(0), Fraction(1), Fraction(1))
+
+
+@pytest.mark.parametrize("prec", [16, 24, 53, 64, 100, 128, 192, 256, 512])
+def test_to_mpf_matches_replaced_expressions(prec):
+    with mp.workprec(prec):
+        # the tolerance literals it replaced
+        for k in (12, 20):
+            assert to_mpf(Fraction(1, 10 ** k)) == mpmath.mpf(10) ** -k
+        for x in (Fraction(3, 7), Fraction(-22, 9), Fraction(10 ** 30 + 1, 3)):
+            assert to_mpf(x) == mpmath.mpf(x.numerator) / x.denominator
+        assert to_mpf(-5) == mpmath.mpf(-5)
+        with mp.workprec(2 * prec):
+            wide = mpmath.mpf(1) / 3
+        # an mpf is rounded to the ambient precision, like mpmath.mpf(x)
+        assert to_mpf(wide) == mpmath.mpf(wide) != wide
+        q = QuadExt(Fraction(1, 3), Fraction(-2, 7), 3)
+        s = mpmath.sqrt(mpmath.mpf(3) / 1)
+        assert q.numeric(prec) == (mpmath.mpf(1) / 3
+                                   + (mpmath.mpf(-2) / 7) * s)
+
+
+def test_precision_tolerance_halves_the_bits():
+    assert precision_tolerance(128) == mpmath.mpf(2) ** -64
+    assert precision_tolerance(64) == mpmath.mpf(2) ** -32
+    with mp.workprec(64):
+        assert mpmath.mpf(10) ** -20 < precision_tolerance(64)
+
+
+def _recording_run(certificates):
+    """A certificate run returning the next value, recording (prec, ambient)."""
+    calls = []
+
+    def run(prec):
+        calls.append((prec, mp.prec))
+        return certificates[len(calls) - 1], f"result at {prec}"
+    return run, calls
+
+
+@pytest.mark.parametrize("cert", [1, mpmath.mpf(10) ** -8, -6,
+                                  mpmath.mpc(0, 2) * 10 ** -9])
+def test_escalate_keeps_precision_away_from_threshold(cert):
+    run, calls = _recording_run([cert])
+    assert escalate(run, 128) == (cert, "result at 128", 128)
+    assert calls == [(128, 128)]
+
+
+@pytest.mark.parametrize("scale", [0, 1, 0.001, -0.999, 0.1j])
+def test_escalate_reruns_once_at_double_precision(scale):
+    # within the factor 10^3, the threshold included; the rerun is final,
+    # even when its certificate is near zero again
+    with mp.workprec(96):
+        first = scale * (to_mpf(NONZERO_TOL) * 1000)
+    run, calls = _recording_run([first, 0])
+    cert, result, used = escalate(run, 96)
+    assert (cert, result, used) == (0, "result at 192", 192)
+    assert calls == [(96, 96), (192, 192)]
+
+
+def test_escalate_threshold_is_exclusive_just_above():
+    just_above = to_mpf(NONZERO_TOL) * 1000 * (1 + mpmath.mpf(2) ** -60)
+    run, calls = _recording_run([just_above])
+    assert escalate(run, 128)[2] == 128
+    assert len(calls) == 1

@@ -5,10 +5,10 @@ import pytest
 
 from fakeelliptic.quaternions import (INFINITE_PLACE, AlgebraParams,
                                       QuatElement, embed, hilbert_symbol,
-                                      is_indefinite_division, mat2_det,
-                                      mat2_mul, mat2_trace, ramified_primes,
+                                      is_indefinite_division, ramified_primes,
                                       symbol_support)
-from oracles import hilbert_solvable, hilbert_solvable_real
+from oracles import (hilbert_solvable, hilbert_solvable_real, mat2_det,
+                     mat2_mul, mat2_trace)
 
 
 def test_params_validation():

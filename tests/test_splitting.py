@@ -13,7 +13,9 @@ from fakeelliptic.splitting import (CurveSection, InconsistentData,
                                     elliptic_family_fiber_h0, fiber_h0,
                                     fiber_rep, fiber_splitting_report,
                                     robust_dphi, verify_sections)
-from oracles import laplace_det
+from fakeelliptic import (AlgebraParams, enumerate_cm_points, saturate,
+                          standard_order)
+from oracles import curve_h0_svd, laplace_det
 
 I = mpmath.mpc(0, 1)
 EPS = mpmath.mpf(10) ** -30
@@ -99,6 +101,28 @@ def test_curve_f2_is_minus_conjugate_tau(max_order):
             dphi = dphi_check(res.sections[1], pt.tau_prime)
             assert abs(dphi - (pt.tau_prime - mpmath.conj(pt.tau.tau))) < mpmath.mpf(10) ** -25
             assert abs(dphi) > mpmath.mpf(10) ** -12
+
+
+def _section_values(res):
+    return [(s.f1, s.f2, s.a, s.b) for s in res.sections]
+
+
+@pytest.mark.parametrize("ab,height", [((3, -1), 3), ((3, -7), 2)])
+@pytest.mark.parametrize("prec", [128, 256])
+def test_curve_h0_closed_form_matches_svd_oracle(ab, height, prec, monkeypatch):
+    order = saturate(standard_order(AlgebraParams(*ab)))
+    pts = enumerate_cm_points(order, height, prec=prec)
+    assert pts
+    with monkeypatch.context() as m:
+        # the closed form runs no decomposition at all
+        for name in ("svd", "svd_c", "svd_r"):
+            m.setattr(mpmath, name, None)
+        closed = [curve_h0(pt, prec) for pt in pts]
+    for pt, res in zip(pts, closed):
+        ref = curve_h0_svd(pt, prec)
+        assert res.h0 == ref.h0 == 2
+        assert _section_values(res) == _section_values(ref)
+        assert res.eigen_residual == ref.eigen_residual
 
 
 def test_robust_dphi_matches_direct(params):
