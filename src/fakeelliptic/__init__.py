@@ -11,24 +11,40 @@ elliptic curves in fibers always do, and among the remaining curves
 exactly the etale multisections do.
 """
 
-from .cm import (CMPoint, NotElliptic, cm_point, enumerate_cm_points,
-                 fixed_point, fixed_point_quadratic)
+import importlib
+
 from .config import (Config, ConfigError, default_config, load_config,
                      parse_config)
 from .exactlinalg import ComputationError, DEFAULT_PRECISION, QuadExt
-from .family import (DegenerateLattice, FamilyGroupElement, PeriodLattice,
-                     PolarizationData, UpperHalfPoint, automorphy_factor,
-                     cocycle_check, default_rho, moebius_act,
-                     riemann_conditions_check, riemann_form)
 from .orders import (NotAnOrder, OrderLattice, SearchExhausted,
                      enumerate_units, is_maximal, is_order,
                      reduced_discriminant, saturate, standard_order)
 from .quaternions import (AlgebraParams, AlgebraSplit, QuatElement, embed,
                           hilbert_symbol, is_indefinite_division,
                           ramified_primes)
-from .splitting import (InconsistentData, SplittingReport, classify_candidate,
-                        curve_h0, dphi_check, elliptic_family_fiber_h0,
-                        fiber_h0, verify_sections)
+
+# the numeric modules load mpmath, so their names are imported on first use
+_NUMERIC = {
+    "cm": ("CMPoint", "NotElliptic", "cm_point", "enumerate_cm_points",
+           "fixed_point", "fixed_point_quadratic"),
+    "family": ("DegenerateLattice", "FamilyGroupElement", "PeriodLattice",
+               "PolarizationData", "UpperHalfPoint", "automorphy_factor",
+               "cocycle_check", "default_rho", "moebius_act",
+               "riemann_conditions_check", "riemann_form"),
+    "splitting": ("InconsistentData", "SplittingReport", "classify_candidate",
+                  "curve_h0", "dphi_check", "elliptic_family_fiber_h0",
+                  "fiber_h0", "verify_sections"),
+}
+_LAZY = {name: module for module, names in _NUMERIC.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _NUMERIC:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY:
+        return getattr(__getattr__(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

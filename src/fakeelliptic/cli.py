@@ -4,6 +4,10 @@ Every command emits one JSON report (schema 1) with the echoed inputs,
 typed results, the mathematical statement each result instantiates, and
 wall-clock timings.  Exit code 0 means the computation ran; the suite
 commands additionally exit nonzero when an invariant fails.
+
+The exact commands (`algebra`, `order`, `units`) never load mpmath: the
+numeric handlers import their modules themselves and run at the
+configured working precision.
 """
 
 import argparse
@@ -12,11 +16,7 @@ import random
 import sys
 import time
 
-import mpmath
-from mpmath import mp
-
-from . import cm as cm_points
-from . import family, orders, quaternions, splitting
+from . import orders, quaternions
 from .config import (ConfigError, _fraction_list, complex_pair, default_config,
                      load_config, parse_complex)
 from .exactlinalg import ComputationError
@@ -55,6 +55,15 @@ CITE_ELLIPTIC_FAMILY = ("The fiber of the elliptic modular family also "
 # command handlers: (args, cfg) -> (results, citations, ok)
 
 
+def _numeric(handler):
+    """Run a handler under mpmath's working precision cfg.precision."""
+    def run(args, cfg):
+        import mpmath
+        with mpmath.workprec(cfg.precision):
+            return handler(args, cfg)
+    return run
+
+
 def _cmd_algebra_check(args, cfg):
     params = cfg.algebra()
     ram = quaternions.ramified_primes(params)
@@ -74,7 +83,7 @@ def _basis_strings(order):
 
 
 def _cmd_order_verify(args, cfg):
-    order = cfg.build_order()
+    order = cfg.build_order(certify=False)
     ok, problems = orders.is_order(order)
     return ({"is_order": ok, "problems": problems,
              "basis": _basis_strings(order)}, [CITE_DISC], True)
@@ -127,7 +136,10 @@ def _quad_pair(q):
     return [str(q.u), str(q.v)]
 
 
+@_numeric
 def _cmd_cm_enumerate(args, cfg):
+    import mpmath
+    from . import cm as cm_points
     order = cfg.build_order()
     window = None
     if args.window is not None:
@@ -157,7 +169,9 @@ def _cmd_cm_enumerate(args, cfg):
     return results, [CITE_CM], True
 
 
+@_numeric
 def _cmd_fiber_h0(args, cfg):
+    from . import splitting
     order = cfg.build_order()
     tau = parse_complex(args.tau)
     report = splitting.fiber_splitting_report(order, tau, cfg.precision,
@@ -167,7 +181,9 @@ def _cmd_fiber_h0(args, cfg):
     return results, [splitting.CITE_FIBER], True
 
 
+@_numeric
 def _cmd_curve_split(args, cfg):
+    from . import cm as cm_points, splitting
     order = cfg.build_order()
     coords = _fraction_list(args.mu, 4)
     mu = quaternions.QuatElement(order.params, *coords)
@@ -183,7 +199,9 @@ def _cmd_curve_split(args, cfg):
     return results, [splitting.CITE_ELLIPTIC, CITE_CM], True
 
 
+@_numeric
 def _cmd_classify(args, cfg):
+    from . import splitting
     report = splitting.classify_candidate(args.genus, args.in_fiber,
                                           args.degree, args.ramification,
                                           args.gc)
@@ -191,6 +209,8 @@ def _cmd_classify(args, cfg):
 
 
 def _suite_riemann(cfg, order, trials):
+    import mpmath
+    from . import family
     pol = cfg.polarization(order)
     rng = random.Random(cfg.seed)
     failures = []
@@ -208,6 +228,8 @@ def _suite_riemann(cfg, order, trials):
 
 
 def _suite_cocycle(cfg, order, trials):
+    import mpmath
+    from . import family
     units = orders.enumerate_units(order, 1)
     rng = random.Random(cfg.seed + 1)
     failures = 0
@@ -225,6 +247,7 @@ def _suite_cocycle(cfg, order, trials):
 
 
 def _suite_isogeny(cfg, order, trials):
+    from . import family
     units = orders.enumerate_units(order, 1)
     rng = random.Random(cfg.seed + 2)
     failures = 0
@@ -242,6 +265,7 @@ _SUITES = {"riemann": (_suite_riemann, CITE_RIEMANN),
            "isogeny": (_suite_isogeny, CITE_ISOGENY)}
 
 
+@_numeric
 def _cmd_suite(args, cfg):
     order = cfg.build_order()
     names = list(_SUITES) if args.name == "all" else [args.name]
@@ -250,8 +274,7 @@ def _cmd_suite(args, cfg):
     ok = True
     for name in names:
         run, cite = _SUITES[name]
-        with mp.workprec(cfg.precision):
-            out = run(cfg, order, args.trials)
+        out = run(cfg, order, args.trials)
         failed = out["failures"] if isinstance(out["failures"], int) \
             else len(out["failures"])
         out["pass"] = failed == 0
@@ -378,8 +401,7 @@ def main(argv=None):
 
     start = time.perf_counter()
     try:
-        with mp.workprec(cfg.precision):
-            results, citations, ok = args.handler(args, cfg)
+        results, citations, ok = args.handler(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ from mpmath import mp
 from .exactlinalg import (ComputationError, DEFAULT_PRECISION,
                           precision_tolerance, solve_quadratic)
 from .family import UpperHalfPoint, as_complex, complex_structure
+from .orders import _coords_str
 from .quaternions import embed
 
 
@@ -89,7 +90,7 @@ class CMPoint:
         return (c1 / c2, c0 / c2)
 
     def __repr__(self):
-        return (f"CMPoint(mu={self.mu.coords()}, "
+        return (f"CMPoint(mu={_coords_str(self.mu.coords())}, "
                 f"tau={mpmath.nstr(self.tau.tau, 10)}, "
                 f"tau_prime={mpmath.nstr(self.tau_prime, 10)})")
 
@@ -108,22 +109,6 @@ def cm_point(mu, prec=DEFAULT_PRECISION, coords=None):
         tprime = eigenvalue_tau_prime(mu, tau, prec)
         coords = tuple(-c for c in coords) if coords is not None else None
     return CMPoint(mu, tau, tprime, coords)
-
-
-def normalize_isogeny(lam, mu, order):
-    """mu' = n * lam^-1 * mu with n minimal positive making mu' integral.
-
-    Replaces the pair (lam, mu) of the covering relation by (id, mu'),
-    at the cost of passing to the n-fold cover of the elliptic curve.
-    """
-    if lam.is_zero():
-        raise ValueError("lam must be nonzero")
-    v = lam.inverse() * mu
-    coords = order.coords_of(v)
-    if coords is None:
-        raise ValueError("lam^-1 * mu does not lie in the span of the order")
-    n = math.lcm(*(c.denominator for c in coords))
-    return v * n
 
 
 def in_window(tau, window):

@@ -4,16 +4,15 @@ Rationals are written as strings ("3", "-1", "3/2") so that exactness
 survives serialization; complex values entering through the command line
 use "re+im i" notation and serialize to {re, im} pairs of decimal
 strings.  Unknown keys and malformed values fail with the line number.
+mpmath and `family` are imported only where they are used, so that the
+exact commands never load them.
 """
 
 import os
 from fractions import Fraction
 
-import mpmath
-
 from .exactlinalg import DEFAULT_PRECISION, DEFAULT_TOLERANCE
-from .family import PolarizationData, default_rho
-from .orders import OrderLattice, saturate, standard_order
+from .orders import NotAnOrder, OrderLattice, is_order, saturate, standard_order
 from .quaternions import AlgebraParams, QuatElement, _squarefree
 
 PRECISION_ENV = "FAKEELLIPTIC_PRECISION"
@@ -60,6 +59,7 @@ def _fraction_list(text, count, line=None):
 
 def parse_complex(text):
     """Complex scalar from "1+2i", "i", "2i", "-0.5", or "re,im" notation."""
+    import mpmath
     s = text.strip().lower().replace(" ", "")
     if "," in s:
         re_s, im_s = s.split(",", 1)
@@ -73,6 +73,7 @@ def parse_complex(text):
 
 def complex_pair(z, digits=20):
     """{re, im} pair of decimal strings, the report form of complex values."""
+    import mpmath
     z = mpmath.mpc(z)
     return {"re": mpmath.nstr(z.real, digits), "im": mpmath.nstr(z.imag, digits)}
 
@@ -123,13 +124,24 @@ class Config:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def build_order(self):
+    def build_order(self, certify=True):
+        """The configured order; an explicit basis is certified by `is_order`.
+
+        certify=False returns an explicit lattice as it is, for the
+        certifier itself (`order verify`).
+        """
         params = self.algebra()
         if self.order_mode == "saturate-from-standard":
             return saturate(standard_order(params))
-        return OrderLattice(params, [list(row) for row in self.order_basis])
+        order = OrderLattice(params, [list(row) for row in self.order_basis])
+        if certify:
+            ok, problems = is_order(order)
+            if not ok:
+                raise NotAnOrder("; ".join(problems))
+        return order
 
     def polarization(self, order):
+        from .family import PolarizationData, default_rho
         params = order.params
         if self.rho_coords is None:
             rho = default_rho(params)

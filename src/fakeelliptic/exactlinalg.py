@@ -10,14 +10,12 @@ Numeric work (period lattices, nullspaces of the section systems) runs on
 mpmath at a configurable binary precision, 128 bits by default.  The
 numeric policies live here once: the conversion of exact scalars to mpf,
 the default tolerances, and the doubled-precision recheck of near-zero
-certificates.
+certificates.  The numeric functions import mpmath where they run, so the
+exact commands never load it.
 """
 
 from fractions import Fraction
 import math
-
-import mpmath
-from mpmath import mp
 
 DEFAULT_PRECISION = 128
 
@@ -40,6 +38,7 @@ class NonConvergence(ComputationError):
 
 def to_mpf(x):
     """A Fraction, int or mpf as an mpf at the ambient precision."""
+    import mpmath
     if isinstance(x, Fraction):
         return mpmath.mpf(x.numerator) / x.denominator
     return mpmath.mpf(x)
@@ -47,6 +46,7 @@ def to_mpf(x):
 
 def precision_tolerance(prec):
     """2^-(prec/2): a residual that prec-bit arithmetic resolves from zero."""
+    import mpmath
     return mpmath.mpf(2) ** (-prec // 2)
 
 
@@ -58,13 +58,14 @@ def escalate(run, prec):
     a factor 10^3 of NONZERO_TOL.  Returns (certificate, result,
     precision used).
     """
-    with mp.workprec(prec):
+    import mpmath
+    with mpmath.workprec(prec):
         threshold = to_mpf(NONZERO_TOL) * 1000
         cert, result = run(prec)
         if abs(cert) > threshold:
             return cert, result, prec
     prec *= 2
-    with mp.workprec(prec):
+    with mpmath.workprec(prec):
         cert, result = run(prec)
     return cert, result, prec
 
@@ -151,7 +152,8 @@ class QuadExt:
         return hash((self.u, self.v, self.rad))
 
     def numeric(self, prec=DEFAULT_PRECISION):
-        with mp.workprec(prec):
+        import mpmath
+        with mpmath.workprec(prec):
             s = mpmath.sqrt(to_mpf(self.rad))
             return to_mpf(self.u) + to_mpf(self.v) * s
 
@@ -236,25 +238,6 @@ def exact_det(rows):
     return det
 
 
-def exact_nullspace(rows):
-    """Basis of the right nullspace, one vector per free column."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = exact_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    zero = _zero_like(rows[0][0])
-    one = zero + 1
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def exact_solve(rows, rhs):
     """Solve A x = rhs exactly; None if inconsistent or underdetermined."""
     n = len(rows)
@@ -277,6 +260,7 @@ def exact_solve(rows, rhs):
 
 
 def _to_ap_matrix(rows):
+    import mpmath
     if isinstance(rows, mpmath.matrix):
         return rows.copy()
     return mpmath.matrix([[mpmath.mpmathify(x) for x in r] for r in rows])
@@ -289,7 +273,8 @@ def numeric_svd(m, prec=DEFAULT_PRECISION):
     rows of V beyond the numeric rank span the row-space complement, so
     their conjugates give the right nullspace.
     """
-    with mp.workprec(prec):
+    import mpmath
+    with mpmath.workprec(prec):
         A = _to_ap_matrix(m)
         if A.rows < A.cols:
             P = mpmath.zeros(A.cols, A.cols)
@@ -306,7 +291,8 @@ def numeric_svd(m, prec=DEFAULT_PRECISION):
 
 def numeric_nullspace(m, tol, prec=DEFAULT_PRECISION):
     """Orthonormal basis of the right nullspace at relative tolerance tol."""
-    with mp.workprec(prec):
+    import mpmath
+    with mpmath.workprec(prec):
         A = _to_ap_matrix(m)
         ncols = A.cols
         sigma, V = numeric_svd(A, prec)
@@ -326,7 +312,8 @@ def solve_quadratic(c2, c1, c0, prec=DEFAULT_PRECISION):
     Deterministic order: larger imaginary part first, ties broken by
     larger real part.
     """
-    with mp.workprec(prec):
+    import mpmath
+    with mpmath.workprec(prec):
         A, B, C = (c.numeric(prec) if isinstance(c, QuadExt) else to_mpf(c)
                    for c in (c2, c1, c0))
         if A == 0:

@@ -11,8 +11,7 @@ from fractions import Fraction
 import itertools
 import math
 
-from .exactlinalg import (ComputationError, exact_det, exact_rank, exact_solve,
-                          fraction_sqrt)
+from .exactlinalg import ComputationError, exact_rank, exact_solve
 from .quaternions import AlgebraSplit, QuatElement, _factorize, ramified_primes
 
 
@@ -71,42 +70,94 @@ def standard_order(params):
                                  [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
-def _coords_str(q):
+def _coords_str(coords):
     """(0, 1/2, 0, 0): readable (1, x, y, xy) coordinates for messages."""
-    return "(" + ", ".join(str(c) for c in q.coords()) + ")"
+    return "(" + ", ".join(str(c) for c in coords) + ")"
+
+
+def _integer_form(L):
+    """(a', b', D, B'): L in machine integers.
+
+    Over x' = den(a) x and y' = den(b) y, whose squares a' and b' are
+    integers, the basis coordinates are scaled to integer rows
+    B' = D * basis by the lcm D of their denominators.  So the products
+    B'_i B'_j = D^2 g_i g_j are integer vectors, and v lies in L iff
+    v adj(B') = 0 mod det(B').
+    """
+    a, b = L.params.a, L.params.b
+    ad, bd = a.denominator, b.denominator
+    coords = [(k, l / ad, m / bd, n / (ad * bd)) for k, l, m, n in L.basis]
+    D = math.lcm(*(x.denominator for row in coords for x in row))
+    return (a.numerator * ad, b.numerator * bd, D,
+            [[int(x * D) for x in row] for row in coords])
+
+
+def _product(u, v, a, b):
+    k1, l1, m1, n1 = u
+    k2, l2, m2, n2 = v
+    return (k1 * k2 + a * l1 * l2 + b * m1 * m2 - a * b * n1 * n2,
+            k1 * l2 + l1 * k2 + b * (n1 * m2 - m1 * n2),
+            k1 * m2 + m1 * k2 + a * (l1 * n2 - n1 * l2),
+            k1 * n2 + l1 * m2 - m1 * l2 + n1 * k2)
+
+
+def _gram(a, b, B):
+    """D^2 trd(g_i conj(g_j)): the trace pairing on `_integer_form` rows."""
+    return [[2 * (u[0] * v[0] - a * u[1] * v[1] - b * u[2] * v[2]
+                  + a * b * u[3] * v[3]) for v in B] for u in B]
+
+
+def _adjugate(m):
+    """(adj(m), det(m)) of a 4x4 integer matrix, by 3x3 cofactors."""
+    def cofactor(i, j):
+        (p, q, r), (s, t, u), (v, w, z) = [
+            [x for c, x in enumerate(row) if c != j]
+            for k, row in enumerate(m) if k != i]
+        return (-1) ** (i + j) * (p * (t * z - u * w) - q * (s * z - u * v)
+                                  + r * (s * w - t * v))
+    adj = [[cofactor(j, i) for j in range(4)] for i in range(4)]
+    return adj, sum(m[0][j] * adj[j][0] for j in range(4))
 
 
 def is_order(L):
-    """Closure certificate: returns (bool, list of violated conditions)."""
+    """Closure certificate: returns (bool, list of violated conditions).
+
+    Decided by divisibility on `_integer_form`: with A = adj(B') and
+    d = det(B'), 1 is in L iff D A_0 = 0 mod d, g_i g_j is iff
+    (B'_i B'_j) A = 0 mod D d, trd(g_i) = 2 B'_i0 / D and
+    nrd(g_i) = G'_ii / 2 D^2 on G' = `_gram`.
+    """
+    a, b, D, B = _integer_form(L)
+    adj, det = _adjugate(B)
+    G = _gram(a, b, B)
     problems = []
-    one = QuatElement(L.params, 1)
-    if not L.contains(one):
+    if any(D * x % det for x in adj[0]):
         problems.append("1 is not in the lattice")
-    gens = L.generators()
-    for g in gens:
-        if g.trd().denominator != 1 or g.nrd().denominator != 1:
-            problems.append(f"generator {_coords_str(g)} is not integral")
-    for gi, gj in itertools.product(gens, gens):
-        if not L.contains(gi * gj):
-            problems.append(f"product {_coords_str(gi)} * {_coords_str(gj)} "
+    for i, row in enumerate(L.basis):
+        if 2 * B[i][0] % D or G[i][i] % (2 * D * D):
+            problems.append(f"generator {_coords_str(row)} is not integral")
+    for (gi, ri), (gj, rj) in itertools.product(zip(B, L.basis), repeat=2):
+        p = _product(gi, gj, a, b)
+        if any(sum(p[k] * adj[k][c] for k in range(4)) % (D * det)
+               for c in range(4)):
+            problems.append(f"product {_coords_str(ri)} * {_coords_str(rj)} "
                             "leaves the lattice")
     return not problems, problems
 
 
-def _gram(L):
-    """Trace pairing trd(e_i * conj(e_j)); nrd(sum s_i e_i) = s^T G s / 2."""
-    gens = L.generators()
-    return [[(gi * gj.conj()).trd() for gj in gens] for gi in gens]
-
-
 def reduced_discriminant(L):
-    """sqrt|det| of the Gram matrix trd(e_i * conj(e_j)) over the basis."""
+    """sqrt|det| of the Gram matrix trd(e_i * conj(e_j)) over the basis.
+
+    The Gram matrix is B diag(2, -2a, -2b, 2ab) B^T, so its determinant
+    is (4 a b det B)^2, and over `_integer_form` the root is
+    4 |a' b' det B'| / D^4.
+    """
     ok, problems = is_order(L)
     if not ok:
         raise NotAnOrder("; ".join(problems))
-    d = abs(exact_det(_gram(L)))
-    root = fraction_sqrt(Fraction(d))
-    if root is None or root.denominator != 1:
+    a, b, D, B = _integer_form(L)
+    root = Fraction(4 * abs(a * b * _adjugate(B)[1]), D ** 4)
+    if root.denominator != 1:
         raise NotAnOrder("discriminant Gram determinant is not a perfect square")
     return int(root)
 
@@ -164,7 +215,8 @@ def _integral_cosets(L, q):
     matrix are integral.
     """
     t = [int(2 * row[0]) for row in L.basis]
-    G = [[int(x) for x in row] for row in _gram(L)]
+    a, b, D, B = _integer_form(L)
+    G = [[x // (D * D) for x in row] for row in _gram(a, b, B)]
     t3_inv = pow(t[3], -1, q) if t[3] % q else None
     for c0, c1, c2 in itertools.product(range(q), repeat=3):
         # trd(v) in Z <=> sum c_i t_i = 0 mod q, which fixes c3 if t3 is a unit
@@ -228,17 +280,16 @@ class UnitSample:
 def enumerate_units(L, height):
     """All elements with basis coordinates in [-height, height]^4 and nrd = 1.
 
-    nrd(sum c_i g_i) = c^T G c / 2 for the trace pairing G = `_gram(L)`, so
-    the box is screened in machine integers on G' = den * G, with den
-    clearing the denominators of G (there are none when L is an order):
-    nrd = 1 iff c^T G' c = 2 den.  Only the units are built as elements,
-    in `itertools.product` order, which sorts them by coordinates.
+    nrd(sum c_i g_i) = c^T G c / 2 for the trace pairing G, so the box is
+    screened in machine integers on G' = D^2 G of `_gram`, which is
+    integral also when L is no order: nrd = 1 iff c^T G' c = 2 D^2.  Only
+    the units are built as elements, in `itertools.product` order, which
+    sorts them by coordinates.
     """
     if height < 0:
         raise ValueError("height must be >= 0")
-    G = _gram(L)
-    den = math.lcm(*(x.denominator for row in G for x in row))
-    G = [[int(x * den) for x in row] for row in G]
+    a, b, D, B = _integer_form(L)
+    G, target = _gram(a, b, B), 2 * D * D
     box = range(-height, height + 1)
     out = []
     for c0, c1, c2 in itertools.product(box, repeat=3):
@@ -248,7 +299,7 @@ def enumerate_units(L, height):
                        + G[1][2] * c1 * c2))
         lin = G[0][3] * c0 + G[1][3] * c1 + G[2][3] * c2
         for c3 in box:
-            if head + (2 * lin + G[3][3] * c3) * c3 == 2 * den:
+            if head + (2 * lin + G[3][3] * c3) * c3 == target:
                 coords = (c0, c1, c2, c3)
                 out.append(UnitSample(L.element_from(coords), coords))
     return out

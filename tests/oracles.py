@@ -7,8 +7,13 @@ solubility instead of the Legendre-symbol formulas, unit counts by symbolic
 formula instead of the library solver, saturation by the plain
 q^4 coset search instead of the integer-screened one, units and CM
 points by building every box element as a `QuatElement` instead of
-scanning integer forms, and the curve section space by an SVD nullspace
-instead of the closed form.
+scanning integer forms, the curve section space by an SVD nullspace
+instead of the closed form, and the order certificate and discriminant by
+`Fraction` quaternion products and solves instead of divisibility on the
+integer form of the lattice.
+
+`normalize_isogeny` and `exact_nullspace` are helpers that the package
+itself does not call; they live here beside their tests.
 """
 
 import itertools
@@ -19,11 +24,11 @@ import mpmath
 from mpmath import mp
 
 from fakeelliptic.cm import cm_point, in_window, is_elliptic
-from fakeelliptic.exactlinalg import (DEFAULT_PRECISION, exact_rank,
-                                      numeric_nullspace)
+from fakeelliptic.exactlinalg import (DEFAULT_PRECISION, _zero_like,
+                                      exact_det, exact_rank, exact_rref,
+                                      fraction_sqrt, numeric_nullspace)
 from fakeelliptic.family import as_complex
-from fakeelliptic.orders import (OrderLattice, UnitSample, is_order,
-                                 reduced_discriminant)
+from fakeelliptic.orders import NotAnOrder, OrderLattice, UnitSample
 from fakeelliptic.quaternions import QuatElement, _factorize, embed, ramified_primes
 from fakeelliptic.splitting import CurveH0, CurveSection
 
@@ -227,8 +232,8 @@ def adjoin_coset_bruteforce(L, q, disc):
         if exact_rank(rows) != 4:
             continue
         candidate = OrderLattice(L.params, rows)
-        ok, _ = is_order(candidate)
-        if ok and reduced_discriminant(candidate) < disc:
+        ok, _ = is_order_fraction(candidate)
+        if ok and reduced_discriminant_fraction(candidate) < disc:
             return candidate
     return None
 
@@ -244,7 +249,7 @@ def saturate_bruteforce(L):
     chain = []
     current = L
     while True:
-        disc = reduced_discriminant(current)
+        disc = reduced_discriminant_fraction(current)
         if disc == target:
             chain.append((current, None))
             return chain
@@ -348,3 +353,78 @@ def curve_h0_svd(point, prec=DEFAULT_PRECISION, tol=None):
                                 [M[0][1].numeric(prec), M[1][1].numeric(prec)]])
             residual = max(residual, mpmath.norm(Mt * vec - tprime * vec))
         return CurveH0(h0, sections, residual)
+
+
+def _coords_str(q):
+    """(0, 1/2, 0, 0): readable (1, x, y, xy) coordinates for messages."""
+    return "(" + ", ".join(str(c) for c in q.coords()) + ")"
+
+
+def is_order_fraction(L):
+    """Closure certificate: returns (bool, list of violated conditions)."""
+    problems = []
+    one = QuatElement(L.params, 1)
+    if not L.contains(one):
+        problems.append("1 is not in the lattice")
+    gens = L.generators()
+    for g in gens:
+        if g.trd().denominator != 1 or g.nrd().denominator != 1:
+            problems.append(f"generator {_coords_str(g)} is not integral")
+    for gi, gj in itertools.product(gens, gens):
+        if not L.contains(gi * gj):
+            problems.append(f"product {_coords_str(gi)} * {_coords_str(gj)} "
+                            "leaves the lattice")
+    return not problems, problems
+
+
+def gram_fraction(L):
+    """Trace pairing trd(e_i * conj(e_j)); nrd(sum s_i e_i) = s^T G s / 2."""
+    gens = L.generators()
+    return [[(gi * gj.conj()).trd() for gj in gens] for gi in gens]
+
+
+def reduced_discriminant_fraction(L):
+    """sqrt|det| of the Gram matrix trd(e_i * conj(e_j)) over the basis."""
+    ok, problems = is_order_fraction(L)
+    if not ok:
+        raise NotAnOrder("; ".join(problems))
+    d = abs(exact_det(gram_fraction(L)))
+    root = fraction_sqrt(Fraction(d))
+    if root is None or root.denominator != 1:
+        raise NotAnOrder("discriminant Gram determinant is not a perfect square")
+    return int(root)
+
+
+def normalize_isogeny(lam, mu, order):
+    """mu' = n * lam^-1 * mu with n minimal positive making mu' integral.
+
+    Replaces the pair (lam, mu) of the covering relation by (id, mu'),
+    at the cost of passing to the n-fold cover of the elliptic curve.
+    """
+    if lam.is_zero():
+        raise ValueError("lam must be nonzero")
+    v = lam.inverse() * mu
+    coords = order.coords_of(v)
+    if coords is None:
+        raise ValueError("lam^-1 * mu does not lie in the span of the order")
+    n = math.lcm(*(c.denominator for c in coords))
+    return v * n
+
+
+def exact_nullspace(rows):
+    """Basis of the right nullspace, one vector per free column."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    rref, pivots = exact_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    zero = _zero_like(rows[0][0])
+    one = zero + 1
+    basis = []
+    for fc in free:
+        vec = [zero] * ncols
+        vec[fc] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][fc]
+        basis.append(vec)
+    return basis

@@ -236,14 +236,42 @@ def test_low_precision_cm_and_curve_commands(tmp_path, capsys):
     assert report["results"]["verdict"] == "Split"
 
 
+NON_ORDER_CONFIG = ("algebra.a = 3/2\nalgebra.b = -1\norder = explicit\n"
+                    "order.basis.1 = 1, 0, 0, 0\norder.basis.2 = 0, 1, 0, 0\n"
+                    "order.basis.3 = 0, 0, 1, 0\norder.basis.4 = 0, 0, 0, 1\n")
+
+
 def test_non_order_message_is_readable(tmp_path, capsys):
     cfg = tmp_path / "explicit.cfg"
-    cfg.write_text("algebra.a = 3/2\nalgebra.b = -1\norder = explicit\n"
-                   "order.basis.1 = 1, 0, 0, 0\norder.basis.2 = 0, 1, 0, 0\n"
-                   "order.basis.3 = 0, 0, 1, 0\norder.basis.4 = 0, 0, 0, 1\n")
+    cfg.write_text(NON_ORDER_CONFIG)
     code, report, err = run(capsys, "order", "disc", str(cfg))
     assert code == 1
     assert "NotAnOrder" in err
     assert "generator (0, 1, 0, 0) is not integral" in err
     assert "product (0, 1, 0, 0) * (0, 1, 0, 0) leaves the lattice" in err
     assert "Fraction(" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("units", "--height", "1"), ("cm", "enumerate", "--height", "1"),
+    ("fiber", "h0", "--tau", "i"), ("curve", "split", "--mu=0,0,1,0")])
+def test_every_command_certifies_an_explicit_basis(tmp_path, capsys, argv):
+    cfg = tmp_path / "explicit.cfg"
+    cfg.write_text(NON_ORDER_CONFIG)
+    code, report, err = run(capsys, *argv, str(cfg))
+    assert code == 1 and report is None
+    assert "NotAnOrder" in err
+    assert "generator (0, 1, 0, 0) is not integral" in err
+    assert "Fraction(" not in err
+
+
+def test_order_verify_reports_an_explicit_non_order(tmp_path, capsys):
+    cfg = tmp_path / "explicit.cfg"
+    cfg.write_text(NON_ORDER_CONFIG)
+    code, report, err = run(capsys, "order", "verify", str(cfg))
+    assert code == 0, err
+    assert report["results"]["is_order"] is False
+    problems = report["results"]["problems"]
+    assert problems[:2] == ["generator (0, 1, 0, 0) is not integral",
+                            "generator (0, 0, 0, 1) is not integral"]
+    assert "product (0, 1, 0, 0) * (0, 1, 0, 0) leaves the lattice" in problems

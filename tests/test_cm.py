@@ -8,12 +8,12 @@ from mpmath import mp
 from fakeelliptic.cm import (EigenMismatch, NotElliptic, cm_point,
                              enumerate_cm_points, eigenvalue_tau_prime,
                              fixed_point, fixed_point_quadratic, in_window,
-                             is_elliptic, normalize_isogeny)
+                             is_elliptic)
 from fakeelliptic.family import moebius_act
 from fakeelliptic.orders import enumerate_units, saturate, standard_order
 from fakeelliptic.quaternions import AlgebraParams, QuatElement, embed
 from oracles import (enumerate_cm_points_bruteforce, fixes_tau_numeric,
-                     reference_roots)
+                     normalize_isogeny, reference_roots)
 
 I = mpmath.mpc(0, 1)
 EPS = mpmath.mpf(10) ** -30
@@ -118,6 +118,12 @@ def test_normalize_isogeny_clears_denominators(params, max_order):
     lam = QuatElement(params, 3)
     assert normalize_isogeny(lam, y, max_order) == y
     assert normalize_isogeny(lam, 3 * y, max_order) == y
+
+
+def test_cm_point_repr(max_order):
+    pt = enumerate_cm_points(max_order, 1)[0]
+    assert repr(pt) == ("CMPoint(mu=(0, 0, 1, 0), tau=(0.0 + 1.0j), "
+                        "tau_prime=(0.0 + 1.0j))")
 
 
 def test_enumerate_counts(max_order):

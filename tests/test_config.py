@@ -8,7 +8,8 @@ from fakeelliptic.config import (Config, ConfigError, DEFAULT_CONFIG_TEXT,
                                  PRECISION_ENV, complex_pair,
                                  config_from_dict, default_config,
                                  load_config, parse_complex, parse_config)
-from fakeelliptic.orders import reduced_discriminant, standard_order
+from fakeelliptic.orders import (NotAnOrder, is_order, reduced_discriminant,
+                                 standard_order)
 from fakeelliptic.quaternions import AlgebraParams, ramified_primes
 
 
@@ -68,6 +69,18 @@ def test_explicit_order_builds():
     order = cfg.build_order()
     assert order == standard_order(cfg.algebra())
     assert reduced_discriminant(order) == 12
+
+
+def test_explicit_basis_is_certified():
+    # over a = 3/2 the standard rows span no order: nrd(x) = -3/2
+    rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    cfg = Config(a=Fraction(3, 2), b=-1, order_mode="explicit",
+                 order_basis=rows)
+    with pytest.raises(NotAnOrder, match=r"generator \(0, 1, 0, 0\) is not"):
+        cfg.build_order()
+    lattice = cfg.build_order(certify=False)
+    assert lattice.basis == [[Fraction(c) for c in row] for row in rows]
+    assert not is_order(lattice)[0]
 
 
 def test_validation_in_constructor():

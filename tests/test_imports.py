@@ -1,0 +1,63 @@
+"""The exact commands run without loading mpmath.
+
+Each check runs in a fresh interpreter, since the test session itself
+has long imported mpmath.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fakeelliptic
+
+SRC = str(Path(fakeelliptic.__file__).resolve().parents[1])
+
+EXACT_COMMANDS = (
+    ["algebra", "check"], ["order", "verify"], ["order", "disc"],
+    ["order", "maximal"], ["order", "saturate"], ["units", "--height", "1"],
+)
+
+
+def _python(code):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_exact_commands_never_load_mpmath():
+    out = _python(f"""
+import contextlib, io, sys
+from fakeelliptic import cli
+for argv in {EXACT_COMMANDS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "mpmath" not in sys.modules, argv
+print("ok")
+""")
+    assert out.split() == ["ok"]
+
+
+def test_package_loads_numeric_modules_on_first_use():
+    out = _python("""
+import sys
+import pytest
+
+import fakeelliptic
+print("mpmath" in sys.modules)
+from fakeelliptic.splitting import fiber_h0
+print(fakeelliptic.fiber_h0 is fiber_h0, "mpmath" in sys.modules)
+""")
+    assert out.split() == ["False", "True", "True"]
+
+
+def test_every_exported_name_resolves():
+    for name in fakeelliptic.__all__:
+        assert getattr(fakeelliptic, name) is not None, name
+    assert fakeelliptic.family.__name__ == "fakeelliptic.family"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fakeelliptic.no_such_name

@@ -3,14 +3,26 @@ from fractions import Fraction
 
 import pytest
 
+from fakeelliptic import orders
 from fakeelliptic.orders import (NotAnOrder, OrderLattice, _adjoin_coset,
                                  congruence_filter, enumerate_units,
                                  is_maximal, is_order, reduced_discriminant,
                                  saturate, standard_order)
 from fakeelliptic.quaternions import AlgebraParams, AlgebraSplit, QuatElement
 from oracles import (congruence_filter_bruteforce, count_units_by_embedding,
-                     enumerate_units_bruteforce, laplace_det,
+                     enumerate_units_bruteforce, is_order_fraction,
+                     laplace_det, reduced_discriminant_fraction,
                      saturate_bruteforce)
+
+# the algebras of the benchmark's enumerate and saturate workloads, and two
+# with a large unramified gap prime
+BENCHMARK_ALGEBRAS = (
+    (3, -7), (2, -5), (5, -7), (2, -13),
+    (7, -57), (21, -34), (11, -38), (34, -51), (30, -57), (19, -29),
+    (13, -22), (39, -42), (13, -38), (13, -42), (13, -14), (13, -10),
+    (7, -34), (7, -17), (7, -33), (11, -14), (2, -35), (7, -35),
+    (3, -37), (3, -97),
+)
 
 
 def test_standard_order_is_order(params, std_order):
@@ -136,6 +148,8 @@ def test_enumerate_units_counts(std_order, max_order):
     assert len(enumerate_units(std_order, 2)) == 20
     assert len(enumerate_units(max_order, 1)) == 20
     assert len(enumerate_units(max_order, 2)) == 64
+    assert len(enumerate_units(max_order, 3)) == 144
+    assert len(enumerate_units(max_order, 4)) == 232
 
 
 def test_enumerate_units_matches_embedding_oracle(std_order, max_order):
@@ -213,3 +227,81 @@ def test_congruence_filter_needs_nonzero_modulus(max_order):
     units = enumerate_units(max_order, 1)
     with pytest.raises(ValueError):
         congruence_filter(units, 0, max_order)
+
+
+def _certificate(L, order_test, discriminant):
+    """(verdict, problems, discriminant or the NotAnOrder message)."""
+    ok, problems = order_test(L)
+    try:
+        disc = discriminant(L)
+    except NotAnOrder as exc:
+        disc = str(exc)
+    return ok, problems, disc
+
+
+def _assert_matches_fraction_oracle(L):
+    got = _certificate(L, is_order, reduced_discriminant)
+    want = _certificate(L, is_order_fraction, reduced_discriminant_fraction)
+    assert got == want, L.basis
+    return got
+
+
+def test_certificate_matches_fraction_oracle_on_saturation(monkeypatch):
+    # every lattice that saturate certifies: each start and each candidate
+    seen = []
+    certify = orders.is_order
+    monkeypatch.setattr(orders, "is_order",
+                        lambda L: seen.append(L) or certify(L))
+    for a, b in BENCHMARK_ALGEBRAS:
+        saturate(standard_order(AlgebraParams(a, b)))
+    monkeypatch.undo()
+    assert len(seen) > 3 * len(BENCHMARK_ALGEBRAS)
+    for L in seen:
+        _assert_matches_fraction_oracle(L)
+
+
+def test_certificate_matches_fraction_oracle_on_non_orders():
+    std = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    half = Fraction(1, 2)
+    cases = [
+        # rational (a, b): nrd(x) = -3/2 and x^2 = 3/2 leaves the lattice
+        (AlgebraParams(Fraction(3, 2), -1), std),
+        (AlgebraParams(Fraction(2, 9), Fraction(-5, 4)), std),
+        # without 1
+        (AlgebraParams(3, -1), ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                                (0, 0, 0, 1))),
+        # containing x/2
+        (AlgebraParams(3, -1), ((1, 0, 0, 0), (0, half, 0, 0), (0, 0, 1, 0),
+                                (0, 0, 0, 1))),
+        # an order over rational (a, b): the standard order of (3, -2)
+        (AlgebraParams(Fraction(1, 3), Fraction(-1, 2)),
+         ((1, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 6))),
+    ]
+    verdicts = []
+    for params, rows in cases:
+        L = OrderLattice(params, [[Fraction(c) for c in row] for row in rows])
+        verdicts.append(_assert_matches_fraction_oracle(L)[0])
+    assert verdicts == [False, False, False, False, True]
+    ok, problems, message = _certificate(
+        OrderLattice(*cases[2]), is_order, reduced_discriminant)
+    assert problems[0] == "1 is not in the lattice"
+    assert message == "; ".join(problems)
+
+
+def test_certificate_matches_fraction_oracle_on_random_lattices(max_order):
+    # unimodular changes of the maximal order of (3, -1), some with one row
+    # divided by 2 or 3: orders and non-orders
+    rng = random.Random(6)
+    verdicts = []
+    for _ in range(24):
+        rows = [list(r) for r in max_order.basis]
+        for _ in range(6):
+            i, j = rng.sample(range(4), 2)
+            c = rng.randint(-2, 2)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        if rng.random() < 0.5:
+            i = rng.randrange(4)
+            rows[i] = [x / rng.choice((2, 3)) for x in rows[i]]
+        L = OrderLattice(max_order.params, rows)
+        verdicts.append(_assert_matches_fraction_oracle(L)[0])
+    assert set(verdicts) == {True, False}
