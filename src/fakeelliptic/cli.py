@@ -174,8 +174,7 @@ def _cmd_fiber_h0(args, cfg):
     from . import splitting
     order = cfg.build_order()
     tau = parse_complex(args.tau)
-    report = splitting.fiber_splitting_report(order, tau, cfg.precision,
-                                              cfg.tolerance)
+    report = splitting.fiber_splitting_report(order, tau, cfg.precision)
     results = report.as_dict()
     results["tau"] = complex_pair(tau)
     return results, [splitting.CITE_FIBER], True

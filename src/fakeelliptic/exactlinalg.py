@@ -6,10 +6,10 @@ of rows over either scalar type; everything is computed by fraction-free
 Gaussian elimination with exact pivots, so ranks and determinants carry
 no tolerance.
 
-Numeric work (period lattices, nullspaces of the section systems) runs on
-mpmath at a configurable binary precision, 128 bits by default.  The
-numeric policies live here once: the conversion of exact scalars to mpf,
-the default tolerances, and the doubled-precision recheck of near-zero
+Numeric work (periods, witnesses, CM points) runs on mpmath at a
+configurable binary precision, 128 bits by default.  The numeric
+policies live here once: the conversion of exact scalars to mpf, the
+default tolerances, and the doubled-precision recheck of near-zero
 certificates.  The numeric functions import mpmath where they run, so the
 exact commands never load it.
 """
@@ -19,7 +19,7 @@ import math
 
 DEFAULT_PRECISION = 128
 
-# residual tolerance of the lattice checks and numeric nullspaces
+# residual tolerance of the lattice checks
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 20)
 # residual tolerance of the automorphy identities (cocycle, canonical degree)
 IDENTITY_TOL = Fraction(1, 10 ** 12)
@@ -271,7 +271,8 @@ def numeric_svd(m, prec=DEFAULT_PRECISION):
 
     Returns (sigma list, V) with the input equal to U*diag(sigma)*V; the
     rows of V beyond the numeric rank span the row-space complement, so
-    their conjugates give the right nullspace.
+    their conjugates give the right nullspace.  The package decides its
+    ranks exactly; this is the kernel of the tests' SVD oracles.
     """
     import mpmath
     with mpmath.workprec(prec):
@@ -287,23 +288,6 @@ def numeric_svd(m, prec=DEFAULT_PRECISION):
         except Exception as exc:  # pragma: no cover - mpmath failure path
             raise NonConvergence(str(exc)) from exc
         return [S[i] for i in range(S.rows)], V
-
-
-def numeric_nullspace(m, tol, prec=DEFAULT_PRECISION):
-    """Orthonormal basis of the right nullspace at relative tolerance tol."""
-    import mpmath
-    with mpmath.workprec(prec):
-        A = _to_ap_matrix(m)
-        ncols = A.cols
-        sigma, V = numeric_svd(A, prec)
-        smax = max(sigma) if sigma else mpmath.mpf(0)
-        basis = []
-        for i in range(ncols):
-            s = sigma[i] if i < len(sigma) else mpmath.mpf(0)
-            if smax < tol or s < tol * smax:
-                vec = mpmath.matrix([mpmath.conj(V[i, j]) for j in range(ncols)])
-                basis.append(vec)
-        return basis
 
 
 def solve_quadratic(c2, c1, c0, prec=DEFAULT_PRECISION):

@@ -15,8 +15,7 @@ import mpmath
 from mpmath import mp
 
 from .exactlinalg import (ComputationError, DEFAULT_PRECISION,
-                          DEFAULT_TOLERANCE, IDENTITY_TOL, precision_tolerance,
-                          to_mpf)
+                          DEFAULT_TOLERANCE, IDENTITY_TOL, exact_det, to_mpf)
 from .quaternions import QuatElement, embed
 
 
@@ -70,27 +69,29 @@ def first_column(m, prec=DEFAULT_PRECISION):
 
 
 class PeriodLattice:
-    """The four generator images in C^2; enforces the rank-4 condition."""
+    """The four generator images in C^2; enforces the rank-4 condition.
 
-    def __init__(self, order, tau, prec=DEFAULT_PRECISION, tol=None):
+    Column j of the real period matrix P is a 4x4 matrix in tau, of
+    determinant +-(Im tau)^2, times the row (E00, E10, E01, E11) of the
+    embedded generator j, so |det P| = |det S| (Im tau)^2 for the stacked
+    matrix S of those rows.  Im tau > 0 holds for every UpperHalfPoint,
+    so the condition is the exact embedding_det = det S != 0 in
+    Q(sqrt a); for an order, |det S| is its reduced discriminant.
+    """
+
+    def __init__(self, order, tau, prec=DEFAULT_PRECISION):
         if not isinstance(tau, UpperHalfPoint):
             tau = UpperHalfPoint(tau)
+        gens = order.generators()
+        self.embedding_det = exact_det([[E[0][0], E[1][0], E[0][1], E[1][1]]
+                                        for E in map(embed, gens)])
+        if self.embedding_det == 0:
+            raise DegenerateLattice("period vectors are not R-independent")
         self.order = order
         self.tau = tau
         self.prec = prec
         with mp.workprec(prec):
-            self.vectors = [complex_structure(g, tau.tau, prec)
-                            for g in order.generators()]
-            if tol is None:
-                tol = precision_tolerance(prec)
-            P = self.real_matrix()
-            try:
-                _, S, _ = mpmath.svd_r(P)
-            except Exception as exc:
-                raise DegenerateLattice(str(exc)) from exc
-            smax = max(S[i] for i in range(4))
-            if smax == 0 or min(S[i] for i in range(4)) < tol * smax:
-                raise DegenerateLattice("period vectors are not R-independent")
+            self.vectors = [complex_structure(g, tau.tau, prec) for g in gens]
 
     def real_matrix(self):
         return _real_matrix(self.vectors)

@@ -240,25 +240,19 @@ def _integral_cosets(L, q):
 
 
 def _adjoin_coset(L, q, disc):
-    """First enlargement (order, disc) of L by an integral v/q, or None."""
-    gens = L.generators()
+    """First enlargement (order, disc) of L by an integral v/q, or None.
+
+    Each v = sum(s_i g_i)/q from `_integral_cosets` is integral and has
+    s_j = 1, so replacing g_j by v gives a lattice containing L with index
+    q: once `is_order` certifies it, its discriminant is disc/q.
+    """
     for j, s in _integral_cosets(L, q):
-        v = QuatElement(L.params, 0)
-        for c, g in zip(s, gens):
-            v = v + g * Fraction(c, q)
-        if v.trd().denominator != 1 or v.nrd().denominator != 1:
-            continue
         rows = [list(r) for r in L.basis]
-        rows[j] = [Fraction(x) for x in v.coords()]
-        if exact_rank(rows) != 4:
-            continue
+        rows[j] = [sum(c * row[k] for c, row in zip(s, L.basis)) / q
+                   for k in range(4)]
         candidate = OrderLattice(L.params, rows)
-        try:
-            candidate_disc = reduced_discriminant(candidate)
-        except NotAnOrder:
-            continue
-        if candidate_disc < disc:
-            return candidate, candidate_disc
+        if is_order(candidate)[0]:
+            return candidate, disc // q
     return None
 
 

@@ -18,10 +18,10 @@ import random
 import mpmath
 from mpmath import mp
 
-from .exactlinalg import (ComputationError, DEFAULT_PRECISION,
-                          DEFAULT_TOLERANCE, NONZERO_TOL, QuadExt, escalate,
-                          exact_det, numeric_nullspace, to_mpf)
-from .family import PeriodLattice, as_complex, complex_structure
+from .exactlinalg import (ComputationError, DEFAULT_PRECISION, NONZERO_TOL,
+                          QuadExt, escalate, to_mpf)
+from .family import (PeriodLattice, as_complex, complex_structure,
+                     first_column)
 from .quaternions import embed
 
 
@@ -105,45 +105,34 @@ class FiberH0:
 
 
 def _fiber_system(order, tau, prec):
-    """The 4x4 matrix with one row (v1, v2, period1, period2) per generator."""
+    """The lattice and the 4x4 matrix with one row (v1, v2, period1,
+    period2) per generator, v the first column of its embedding."""
     lattice = PeriodLattice(order, tau, prec)
-    rep = fiber_rep(order, lattice.tau, prec)
-    rows = []
-    for v, per in zip(rep.generator_vectors, rep.periods):
-        rows.append([v[0].numeric(prec), v[1].numeric(prec), per[0], per[1]])
-    return mpmath.matrix(rows)
+    rows = [[*first_column(g, prec), *per]
+            for g, per in zip(order.generators(), lattice.vectors)]
+    return lattice, mpmath.matrix(rows)
 
 
-def fiber_h0(order, tau, prec=DEFAULT_PRECISION, tol=None):
+def fiber_h0(order, tau, prec=DEFAULT_PRECISION):
     """h^0 of the restricted cotangent bundle on the fiber at tau.
 
-    Assembles the 4x4 system in (f1, f2, a1, a2) with one row
-    (v1, v2, period1, period2) per generator; h0 = 1 + its nullity.  The
-    determinant modulus is the non-splitting witness; the system factors
-    as the stacked column matrix of the embeddings times a unit
-    triangular tau-block, so the witness is tau-independent and the
-    stacked determinant is computed exactly as a cross-check.
+    The 4x4 system in (f1, f2, a1, a2) has one row
+    (v1, v2, period1, period2) per generator, and h0 = 1 + its nullity.
+    It factors as the stacked column matrix S of the embeddings times a
+    unit triangular tau-block, so det M = det S, which `PeriodLattice`
+    certifies nonzero exactly: the nullity is 0, h0 = 1, and the only
+    section is the constant one.  |det M| is the printed non-splitting
+    witness and |det S| its exact, tau-independent value.
     """
     def system(p):
-        M = _fiber_system(order, tau, p)
-        return abs(mpmath.det(M)), M
+        lattice, M = _fiber_system(order, tau, p)
+        return abs(mpmath.det(M)), (lattice, M)
 
+    witness, (lattice, M), prec = escalate(system, prec)
     with mp.workprec(prec):
-        tolv = to_mpf(DEFAULT_TOLERANCE if tol is None else tol)
-        witness, M, prec = escalate(system, prec)
-        null = numeric_nullspace(M, tolv, prec)
-        h0 = 1 + len(null)
-
-        stacked = []
-        for g in order.generators():
-            Eg = embed(g)
-            stacked.append([Eg[0][0], Eg[1][0], Eg[0][1], Eg[1][1]])
-        factored = exact_det(stacked).numeric(prec)
-
-        sections = [FiberSection(0, 0, 0, 0, 1)]
-        for vec in null:
-            sections.append(FiberSection(vec[0], vec[1], vec[2], vec[3], 0))
-        return FiberH0(h0, witness, abs(factored), sections, M, prec)
+        factored = abs(lattice.embedding_det.numeric(prec))
+    return FiberH0(1, witness, factored, [FiberSection(0, 0, 0, 0, 1)], M,
+                   prec)
 
 
 def curve_rep(mu, tau, tau_prime, prec=DEFAULT_PRECISION):
@@ -246,21 +235,21 @@ def verify_sections(rep, sections, n_points=20, seed=0, prec=DEFAULT_PRECISION,
         return worst
 
 
-def elliptic_family_fiber_h0(tau, prec=DEFAULT_PRECISION, tol=None):
+def elliptic_family_fiber_h0(tau, prec=DEFAULT_PRECISION):
     """The degenerate genus-1 analogue of the fiber computation.
 
     Over the lattice Z tau + Z the representation sends m tau + n to
     [[1, 0], [-m, 1]]; sections (f1, a z + b) satisfy the 2x2 system with
-    rows (1, tau) and (0, 1), of determinant 1, so h0 is always 1.
+    rows (1, tau) and (0, 1).  The row (1, tau) gives rank >= 1, so h0 is
+    1 when the determinant exceeds NONZERO_TOL and 2 otherwise; the
+    determinant is 1, so h0 is always 1.
     """
     with mp.workprec(prec):
         t = as_complex(tau)
         if not t.imag > 0:
             raise ValueError("tau must lie in the upper half plane")
-        tolv = to_mpf(DEFAULT_TOLERANCE if tol is None else tol)
-        M = mpmath.matrix([[1, t], [0, 1]])
-        null = numeric_nullspace(M, tolv, prec)
-        return 1 + len(null)
+        det = mpmath.det(mpmath.matrix([[1, t], [0, 1]]))
+        return 1 if abs(det) > to_mpf(NONZERO_TOL) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +298,8 @@ CITE_RAMIFIED = ("A ramified multisection cannot split: the canonical "
                  "vanish.")
 
 
-def fiber_splitting_report(order, tau, prec=DEFAULT_PRECISION, tol=None):
-    result = fiber_h0(order, tau, prec, tol)
+def fiber_splitting_report(order, tau, prec=DEFAULT_PRECISION):
+    result = fiber_h0(order, tau, prec)
     verdict = "NonSplit" if result.h0 == 1 else "Split"
     cert = {"det_witness": mpmath.nstr(result.det_witness, 15),
             "factored_det": mpmath.nstr(result.factored_det, 15),

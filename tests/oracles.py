@@ -8,12 +8,15 @@ formula instead of the library solver, saturation by the plain
 q^4 coset search instead of the integer-screened one, units and CM
 points by building every box element as a `QuatElement` instead of
 scanning integer forms, the curve section space by an SVD nullspace
-instead of the closed form, and the order certificate and discriminant by
-`Fraction` quaternion products and solves instead of divisibility on the
-integer form of the lattice.
+instead of the closed form, the period lattice rank condition by an SVD
+of the real period matrix instead of the exact embedding determinant,
+and the order certificate and discriminant by `Fraction` quaternion
+products and solves instead of divisibility on the integer form of the
+lattice.
 
-`normalize_isogeny` and `exact_nullspace` are helpers that the package
-itself does not call; they live here beside their tests.
+`normalize_isogeny`, `exact_nullspace` and `numeric_nullspace` are
+helpers that the package itself does not call; they live here beside
+their tests.
 """
 
 import itertools
@@ -24,9 +27,10 @@ import mpmath
 from mpmath import mp
 
 from fakeelliptic.cm import cm_point, in_window, is_elliptic
-from fakeelliptic.exactlinalg import (DEFAULT_PRECISION, _zero_like,
-                                      exact_det, exact_rank, exact_rref,
-                                      fraction_sqrt, numeric_nullspace)
+from fakeelliptic.exactlinalg import (DEFAULT_PRECISION, _to_ap_matrix,
+                                      _zero_like, exact_det, exact_rank,
+                                      exact_rref, fraction_sqrt, numeric_svd,
+                                      precision_tolerance)
 from fakeelliptic.family import as_complex
 from fakeelliptic.orders import NotAnOrder, OrderLattice, UnitSample
 from fakeelliptic.quaternions import QuatElement, _factorize, embed, ramified_primes
@@ -324,6 +328,33 @@ def enumerate_cm_points_bruteforce(order, height, window=None,
     pts = [pt for _, pt in found.values()]
     pts.sort(key=lambda p: (sum(c * c for c in p.coords), p.coords))
     return pts
+
+
+def numeric_nullspace(m, tol, prec=DEFAULT_PRECISION):
+    """Orthonormal basis of the right nullspace at relative tolerance tol."""
+    with mp.workprec(prec):
+        A = _to_ap_matrix(m)
+        ncols = A.cols
+        sigma, V = numeric_svd(A, prec)
+        smax = max(sigma) if sigma else mpmath.mpf(0)
+        basis = []
+        for i in range(ncols):
+            s = sigma[i] if i < len(sigma) else mpmath.mpf(0)
+            if smax < tol or s < tol * smax:
+                vec = mpmath.matrix([mpmath.conj(V[i, j]) for j in range(ncols)])
+                basis.append(vec)
+        return basis
+
+
+def period_rank_svd(lattice, prec=DEFAULT_PRECISION, tol=None):
+    """The real-rank-4 condition by an SVD of the real period matrix:
+    sigma_min >= tol * sigma_max, with tol = 2^-(prec/2) by default."""
+    with mp.workprec(prec):
+        if tol is None:
+            tol = precision_tolerance(prec)
+        _, S, _ = mpmath.svd_r(lattice.real_matrix())
+        smax = max(S[i] for i in range(4))
+        return smax != 0 and min(S[i] for i in range(4)) >= tol * smax
 
 
 def curve_h0_svd(point, prec=DEFAULT_PRECISION, tol=None):

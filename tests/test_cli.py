@@ -86,6 +86,19 @@ def test_fiber_h0(capsys):
     assert r["tau"] == {"re": "0.0", "im": "1.0"}
 
 
+@pytest.mark.parametrize("prec", ["64", "128", "256"])
+@pytest.mark.parametrize("tau", ["0.3+1e-25i", "0.3+1e-200i"])
+def test_fiber_h0_near_the_real_axis(monkeypatch, capsys, prec, tau):
+    # the rank condition is exact, so no Im tau > 0 is too small for it
+    monkeypatch.setenv("FAKEELLIPTIC_PRECISION", prec)
+    code, report, err = run(capsys, "fiber", "h0", "--tau=" + tau)
+    assert code == 0, err
+    r = report["results"]
+    assert r["h0"] == 1
+    assert r["certificate"]["det_witness"] == "6.0"
+    assert r["certificate"]["factored_det"] == "6.0"
+
+
 def test_fiber_h0_rejects_lower_half_plane(capsys):
     code, report, err = run(capsys, "fiber", "h0", "--tau=-i")
     assert code == 2

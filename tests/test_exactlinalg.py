@@ -8,11 +8,10 @@ from mpmath import mp
 from fakeelliptic.exactlinalg import (NONZERO_TOL, QuadExt, escalate,
                                       exact_det, exact_rank,
                                       exact_solve, fraction_sqrt,
-                                      numeric_nullspace, numeric_svd,
-                                      precision_tolerance, solve_quadratic,
-                                      to_mpf)
-from oracles import (exact_nullspace, laplace_det, rank_by_minors,
-                     reference_roots)
+                                      numeric_svd, precision_tolerance,
+                                      solve_quadratic, to_mpf)
+from oracles import (exact_nullspace, laplace_det, numeric_nullspace,
+                     rank_by_minors, reference_roots)
 
 
 def frows(vals):

@@ -14,9 +14,13 @@ from fakeelliptic.family import (DegenerateLattice, FamilyGroupElement,
                                  random_group_element, random_order_element,
                                  random_tau, riemann_conditions_check,
                                  riemann_form)
+from fakeelliptic import AlgebraParams, saturate, standard_order
+from fakeelliptic.exactlinalg import DEFAULT_TOLERANCE, exact_det, to_mpf
 from fakeelliptic.orders import enumerate_units
 from fakeelliptic.quaternions import QuatElement
-from oracles import laplace_det, riemann_form_by_matrices
+from fakeelliptic.splitting import _fiber_system
+from oracles import (laplace_det, numeric_nullspace, period_rank_svd,
+                     reduced_discriminant_fraction, riemann_form_by_matrices)
 
 I = mpmath.mpc(0, 1)
 EPS = mpmath.mpf(10) ** -30
@@ -61,6 +65,31 @@ def test_period_lattice_rejects_dependent_vectors(params, max_order):
 
     with pytest.raises(DegenerateLattice):
         PeriodLattice(Dependent(), mpmath.mpc(0, 1), 128)
+
+
+@pytest.mark.parametrize("ab", [(3, -1), (3, -7), (2, -5), (7, -57),
+                                (13, -10)])
+@pytest.mark.parametrize("maximal", [False, True])
+def test_exact_rank_condition_matches_svd_oracle(ab, maximal):
+    params = AlgebraParams(*ab)
+    order = standard_order(params)
+    if maximal:
+        order = saturate(order)
+    disc = reduced_discriminant_fraction(order)
+    assert disc == 4 * abs(params.a * params.b * exact_det(order.basis))
+    taus = (I, mpmath.mpc(0.3, 2.5), mpmath.mpc(-1.7, 0.01))
+    for prec in (64, 128, 256):
+        with mp.workprec(prec):
+            tol = to_mpf(DEFAULT_TOLERANCE)
+            for tau in taus:
+                lattice, M = _fiber_system(order, tau, prec)
+                det_s = lattice.embedding_det
+                assert det_s.v == 0 and abs(det_s.u) == disc
+                assert period_rank_svd(lattice, prec)
+                assert numeric_nullspace(M, tol, prec) == []
+                det_p = abs(mpmath.det(lattice.real_matrix()))
+                assert (abs(det_p - disc * lattice.tau.tau.imag ** 2)
+                        < mpmath.mpf(2) ** -(prec // 2))
 
 
 def test_riemann_form_pinned(params):

@@ -15,6 +15,7 @@ from fakeelliptic.splitting import (CurveSection, InconsistentData,
                                     robust_dphi, verify_sections)
 from fakeelliptic import (AlgebraParams, enumerate_cm_points, saturate,
                           standard_order)
+from fakeelliptic.cli import main
 from oracles import curve_h0_svd, laplace_det
 
 I = mpmath.mpc(0, 1)
@@ -123,6 +124,22 @@ def test_curve_h0_closed_form_matches_svd_oracle(ab, height, prec, monkeypatch):
         assert res.h0 == ref.h0 == 2
         assert _section_values(res) == _section_values(ref)
         assert res.eigen_residual == ref.eigen_residual
+
+
+def test_fiber_path_runs_no_svd(max_order, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fiber path runs no SVD")
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algebra.a = 3\nalgebra.b = -1\nprecision = 128\n")
+    for name in ("svd", "svd_c", "svd_r"):
+        monkeypatch.setattr(mpmath, name, refuse)
+    tau = mpmath.mpc(0.3, 2.5)
+    assert fiber_h0(max_order, tau, 128).h0 == 1
+    assert fiber_splitting_report(max_order, tau, 128).verdict == "NonSplit"
+    assert elliptic_family_fiber_h0(tau, 128) == 1
+    assert main(["suite", "riemann", "--trials", "2", str(cfg)]) == 0
+    capsys.readouterr()
 
 
 def test_robust_dphi_matches_direct(params):
