@@ -13,6 +13,7 @@ exactly the etale multisections do.
 
 import importlib
 
+from .classify import InconsistentData, SplittingReport, classify_candidate
 from .config import (Config, ConfigError, default_config, load_config,
                      parse_config)
 from .exactlinalg import ComputationError, DEFAULT_PRECISION, QuadExt
@@ -31,8 +32,7 @@ _NUMERIC = {
                "PolarizationData", "UpperHalfPoint", "automorphy_factor",
                "cocycle_check", "default_rho", "moebius_act",
                "riemann_conditions_check", "riemann_form"),
-    "splitting": ("InconsistentData", "SplittingReport", "classify_candidate",
-                  "curve_h0", "dphi_check", "elliptic_family_fiber_h0",
+    "splitting": ("curve_h0", "dphi_check", "elliptic_family_fiber_h0",
                   "fiber_h0", "verify_sections"),
 }
 _LAZY = {name: module for module, names in _NUMERIC.items() for name in names}

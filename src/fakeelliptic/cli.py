@@ -5,18 +5,20 @@ typed results, the mathematical statement each result instantiates, and
 wall-clock timings.  Exit code 0 means the computation ran; the suite
 commands additionally exit nonzero when an invariant fails.
 
-The exact commands (`algebra`, `order`, `units`) never load mpmath: the
-numeric handlers import their modules themselves and run at the
-configured working precision.
+The exact commands (`algebra`, `order`, `units`, `classify`) never load
+mpmath: the numeric handlers import their modules themselves and run at
+the configured working precision.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
 import time
 
 from . import orders, quaternions
+from .classify import classify_candidate
 from .config import (ConfigError, _fraction_list, complex_pair, default_config,
                      load_config, parse_complex)
 from .exactlinalg import ComputationError
@@ -198,16 +200,17 @@ def _cmd_curve_split(args, cfg):
     return results, [splitting.CITE_ELLIPTIC, CITE_CM], True
 
 
-@_numeric
 def _cmd_classify(args, cfg):
-    from . import splitting
-    report = splitting.classify_candidate(args.genus, args.in_fiber,
-                                          args.degree, args.ramification,
-                                          args.gc)
+    report = classify_candidate(args.genus, args.in_fiber, args.degree,
+                                args.ramification, args.gc)
     return report.as_dict(), [report.certificate.get("citation", "")], True
 
 
-def _suite_riemann(cfg, order, trials):
+# suite runners: (cfg, order, trials, units) -> results, where units()
+# returns the height-1 units of the order, enumerated once per command
+
+
+def _suite_riemann(cfg, order, trials, units):
     import mpmath
     from . import family
     pol = cfg.polarization(order)
@@ -226,15 +229,14 @@ def _suite_riemann(cfg, order, trials):
             "failures": failures}
 
 
-def _suite_cocycle(cfg, order, trials):
+def _suite_cocycle(cfg, order, trials, units):
     import mpmath
     from . import family
-    units = orders.enumerate_units(order, 1)
     rng = random.Random(cfg.seed + 1)
     failures = 0
     for _ in range(trials):
-        g1 = family.random_group_element(order, units, rng)
-        g2 = family.random_group_element(order, units, rng)
+        g1 = family.random_group_element(order, units(), rng)
+        g2 = family.random_group_element(order, units(), rng)
         tau = family.random_tau(rng)
         z = (mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)),
              mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)))
@@ -245,13 +247,12 @@ def _suite_cocycle(cfg, order, trials):
     return {"trials": trials, "failures": failures}
 
 
-def _suite_isogeny(cfg, order, trials):
+def _suite_isogeny(cfg, order, trials, units):
     from . import family
-    units = orders.enumerate_units(order, 1)
     rng = random.Random(cfg.seed + 2)
     failures = 0
     for _ in range(trials):
-        gamma = rng.choice([u.element for u in units])
+        gamma = rng.choice([u.element for u in units()])
         tau = family.random_tau(rng)
         if not family.isogeny_lattice_check(gamma, tau, order, cfg.precision,
                                             cfg.tolerance):
@@ -267,13 +268,14 @@ _SUITES = {"riemann": (_suite_riemann, CITE_RIEMANN),
 @_numeric
 def _cmd_suite(args, cfg):
     order = cfg.build_order()
+    units = functools.cache(lambda: orders.enumerate_units(order, 1))
     names = list(_SUITES) if args.name == "all" else [args.name]
     results = {"suites": {}}
     citations = []
     ok = True
     for name in names:
         run, cite = _SUITES[name]
-        out = run(cfg, order, args.trials)
+        out = run(cfg, order, args.trials, units)
         failed = out["failures"] if isinstance(out["failures"], int) \
             else len(out["failures"])
         out["pass"] = failed == 0

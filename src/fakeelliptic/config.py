@@ -11,9 +11,10 @@ exact commands never load them.
 import os
 from fractions import Fraction
 
-from .exactlinalg import DEFAULT_PRECISION, DEFAULT_TOLERANCE
+from .exactlinalg import (DEFAULT_PRECISION, DEFAULT_TOLERANCE, resolution,
+                          tolerance_at)
 from .orders import NotAnOrder, OrderLattice, is_order, saturate, standard_order
-from .quaternions import AlgebraParams, QuatElement, _squarefree
+from .quaternions import AlgebraParams, QuatElement
 
 PRECISION_ENV = "FAKEELLIPTIC_PRECISION"
 
@@ -24,8 +25,8 @@ algebra.b = -1
 order = saturate-from-standard
 # rho = y, the default polarization direction
 polarization.rho = 0, 0, 1, 0
-# precision defaults to 128 bits, or the FAKEELLIPTIC_PRECISION variable
-tolerance = 1/100000000000000000000
+# precision defaults to 128 bits, or the FAKEELLIPTIC_PRECISION variable;
+# tolerance to 1/100000000000000000000 where the precision resolves it
 seed = 0
 """
 
@@ -84,8 +85,7 @@ class Config:
 
     def __init__(self, a=Fraction(3), b=Fraction(-1),
                  order_mode="saturate-from-standard", order_basis=None,
-                 rho_coords=None, precision=None, tolerance=DEFAULT_TOLERANCE,
-                 seed=0):
+                 rho_coords=None, precision=None, tolerance=None, seed=0):
         self.a = Fraction(a)
         self.b = Fraction(b)
         if order_mode not in _ORDER_MODES:
@@ -100,9 +100,16 @@ class Config:
         if precision < 16:
             raise ConfigError("precision must be at least 16 bits")
         self.precision = precision
+        if tolerance is None:
+            tolerance = tolerance_at(DEFAULT_TOLERANCE, precision)
         self.tolerance = Fraction(tolerance)
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
+        if self.tolerance < resolution(precision):
+            raise ConfigError(
+                f"tolerance {self.tolerance} is finer than {precision}-bit "
+                f"arithmetic resolves (2^-{3 * precision // 4}); raise the "
+                "precision or leave the tolerance to its default")
         self.seed = int(seed)
 
     # -- certified object builders
@@ -116,13 +123,13 @@ class Config:
         one.  An explicit basis is written in the coordinates of the given
         (a, b), so those stay as they are.  `as_dict` echoes the input.
         """
-        a, b = self.a, self.b
-        if self.order_mode == "saturate-from-standard":
-            a, b = _squarefree(a), _squarefree(b)
         try:
-            return AlgebraParams(a, b)
+            params = AlgebraParams(self.a, self.b)
+            if self.order_mode == "saturate-from-standard":
+                params = params.squarefree()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        return params
 
     def build_order(self, certify=True):
         """The configured order; an explicit basis is certified by `is_order`.

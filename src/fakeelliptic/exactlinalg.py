@@ -15,6 +15,7 @@ exact commands never load it.
 """
 
 from fractions import Fraction
+import functools
 import math
 
 DEFAULT_PRECISION = 128
@@ -44,10 +45,30 @@ def to_mpf(x):
     return mpmath.mpf(x)
 
 
+def _half_bits(prec):
+    return Fraction(1, 2 ** ((prec + 1) // 2))
+
+
 def precision_tolerance(prec):
     """2^-(prec/2): a residual that prec-bit arithmetic resolves from zero."""
-    import mpmath
-    return mpmath.mpf(2) ** (-prec // 2)
+    return to_mpf(_half_bits(prec))
+
+
+def resolution(prec):
+    """2^-(3 prec/4): the finest residual tolerance prec bits resolve.
+
+    The residuals of the lattice and automorphy identities stay below
+    2^20 units in the last place from 16 to 256 bits; a tolerance must
+    keep a quarter of the bits above that unit.  The config's tolerance
+    (1e-20) is resolved from 90 bits on, IDENTITY_TOL from 54.
+    """
+    return Fraction(1, 2 ** (3 * prec // 4))
+
+
+def tolerance_at(tol, prec):
+    """tol where prec bits resolve it, else 2^-(prec/2) (exact): the
+    default tolerance of every residual check at that precision."""
+    return tol if tol >= resolution(prec) else _half_bits(prec)
 
 
 def escalate(run, prec):
@@ -154,11 +175,18 @@ class QuadExt:
     def numeric(self, prec=DEFAULT_PRECISION):
         import mpmath
         with mpmath.workprec(prec):
-            s = mpmath.sqrt(to_mpf(self.rad))
-            return to_mpf(self.u) + to_mpf(self.v) * s
+            return to_mpf(self.u) + to_mpf(self.v) * _sqrt(self.rad, prec)
 
     def __repr__(self):
         return f"({self.u} + {self.v}*sqrt({self.rad}))"
+
+
+@functools.lru_cache(maxsize=64)
+def _sqrt(rad, prec):
+    """sqrt(rad) as an mpf at prec bits, computed once per pair."""
+    import mpmath
+    with mpmath.workprec(prec):
+        return mpmath.sqrt(to_mpf(rad))
 
 
 def _zero_like(x):

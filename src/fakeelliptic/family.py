@@ -15,7 +15,8 @@ import mpmath
 from mpmath import mp
 
 from .exactlinalg import (ComputationError, DEFAULT_PRECISION,
-                          DEFAULT_TOLERANCE, IDENTITY_TOL, exact_det, to_mpf)
+                          DEFAULT_TOLERANCE, IDENTITY_TOL, to_mpf,
+                          tolerance_at)
 from .quaternions import QuatElement, embed
 
 
@@ -53,19 +54,26 @@ class UpperHalfPoint:
         return f"UpperHalfPoint({mpmath.nstr(self.tau, 12)})"
 
 
+def _tolerance(tol, default, prec):
+    """tol as an mpf; None means the default as far as prec bits resolve it."""
+    return to_mpf(tolerance_at(default, prec) if tol is None else tol)
+
+
 def complex_structure(m, tau, prec=DEFAULT_PRECISION):
     """m_tau = embed(m) * (tau, 1)^t in C^2; for a unit, the second
     coordinate is its automorphy denominator j = c tau + d."""
     with mp.workprec(prec):
-        tau = as_complex(tau)
-        E = embed(m)
-        return (E[0][0].numeric(prec) * tau + E[0][1].numeric(prec),
-                E[1][0].numeric(prec) * tau + E[1][1].numeric(prec))
+        return _apply(_numeric(embed(m), prec), as_complex(tau))
 
 
-def first_column(m, prec=DEFAULT_PRECISION):
-    E = embed(m)
-    return (E[0][0].numeric(prec), E[1][0].numeric(prec))
+def _numeric(E, prec):
+    """A 2x2 matrix over Q(sqrt a) with mpf entries at prec bits."""
+    return [[x.numeric(prec) for x in row] for row in E]
+
+
+def _apply(N, tau):
+    """N (tau, 1)^t for a numeric 2x2 matrix N."""
+    return (N[0][0] * tau + N[0][1], N[1][0] * tau + N[1][1])
 
 
 class PeriodLattice:
@@ -76,22 +84,21 @@ class PeriodLattice:
     embedded generator j, so |det P| = |det S| (Im tau)^2 for the stacked
     matrix S of those rows.  Im tau > 0 holds for every UpperHalfPoint,
     so the condition is the exact embedding_det = det S != 0 in
-    Q(sqrt a); for an order, |det S| is its reduced discriminant.
+    Q(sqrt a), which the order computes once (`OrderLattice.embedding_det`).
     """
 
     def __init__(self, order, tau, prec=DEFAULT_PRECISION):
         if not isinstance(tau, UpperHalfPoint):
             tau = UpperHalfPoint(tau)
-        gens = order.generators()
-        self.embedding_det = exact_det([[E[0][0], E[1][0], E[0][1], E[1][1]]
-                                        for E in map(embed, gens)])
+        self.embedding_det = order.embedding_det
         if self.embedding_det == 0:
             raise DegenerateLattice("period vectors are not R-independent")
         self.order = order
         self.tau = tau
         self.prec = prec
         with mp.workprec(prec):
-            self.vectors = [complex_structure(g, tau.tau, prec) for g in gens]
+            self.vectors = [_apply(_numeric(E, prec), tau.tau)
+                            for E in order.embedding]
 
     def real_matrix(self):
         return _real_matrix(self.vectors)
@@ -113,10 +120,21 @@ def riemann_form(rho, m1, m2):
     return (rho * m1 * m2.conj()).trd()
 
 
-class PolarizationData:
-    """A pure quaternion rho with rho^2 < 0, and the integrality scale."""
+def _form_gram(rho, order, scale):
+    """scale * E on the pairs of order basis elements."""
+    gens = order.generators()
+    return [[scale * riemann_form(rho, gi, gj) for gj in gens] for gi in gens]
 
-    __slots__ = ("rho", "scale")
+
+class PolarizationData:
+    """A pure quaternion rho with rho^2 < 0, and the integrality scale.
+
+    The Gram matrix of scale * E on an order basis is kept for the last
+    order it was asked for (`gram`), so a suite over many taus forms it
+    once.
+    """
+
+    __slots__ = ("rho", "scale", "_gram")
 
     def __init__(self, rho, scale=Fraction(1)):
         if rho.k != 0:
@@ -127,16 +145,21 @@ class PolarizationData:
         self.scale = Fraction(scale)
         if self.scale <= 0:
             raise ValueError("scale must be positive")
+        self._gram = (None, None)
 
     @classmethod
     def with_minimal_scale(cls, rho, order):
         """Scale = lcm of the denominators of E on the order basis pairs."""
-        gens = order.generators()
-        scale = 1
-        for gi in gens:
-            for gj in gens:
-                scale = math.lcm(scale, riemann_form(rho, gi, gj).denominator)
-        return cls(rho, Fraction(scale))
+        form = _form_gram(rho, order, 1)
+        pol = cls(rho, math.lcm(*(v.denominator for row in form for v in row)))
+        pol._gram = (order, [[pol.scale * v for v in row] for row in form])
+        return pol
+
+    def gram(self, order):
+        """scale * E on the pairs of order basis elements (exact)."""
+        if self._gram[0] is not order:
+            self._gram = (order, _form_gram(self.rho, order, self.scale))
+        return self._gram[1]
 
 
 def default_rho(params):
@@ -144,14 +167,9 @@ def default_rho(params):
     return QuatElement(params, 0, 0, 1, 0)
 
 
+# multiplication by i on C^2 = R^4 in the coordinates of `_real_matrix`
 _J_STANDARD = mpmath.matrix([[0, -1, 0, 0], [1, 0, 0, 0],
                              [0, 0, 0, -1], [0, 0, 1, 0]])
-
-
-def complex_structure_matrix(lattice):
-    """J on lattice coordinates: the pullback of multiplication by i on C^2."""
-    P = lattice.real_matrix()
-    return P ** -1 * _J_STANDARD * P
 
 
 def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION, tol=None):
@@ -165,13 +183,10 @@ def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION, tol=None):
     Returns a report dict with per-condition verdicts and witnesses.
     """
     with mp.workprec(prec):
-        tol = to_mpf(DEFAULT_TOLERANCE if tol is None else tol)
-        order = lattice.order
-        gens = order.generators()
+        tol = _tolerance(tol, DEFAULT_TOLERANCE, prec)
         report = {"conditions": {}, "all_pass": True}
 
-        values = [[pol.scale * riemann_form(pol.rho, gi, gj) for gj in gens]
-                  for gi in gens]
+        values = pol.gram(lattice.order)
         bad = [(i, j) for i in range(4) for j in range(4)
                if values[i][j].denominator != 1]
         report["conditions"]["integral"] = {
@@ -181,7 +196,10 @@ def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION, tol=None):
             "gram": [[str(v) for v in row] for row in values],
         }
 
-        J = complex_structure_matrix(lattice)
+        # J on lattice coordinates: the pullback of multiplication by i
+        P = lattice.real_matrix()
+        Pi = P ** -1
+        J = Pi * _J_STANDARD * P
         E4 = mpmath.matrix([[to_mpf(v) for v in row] for row in values])
         compat = mpmath.mnorm(J.T * E4 * J - E4)
         scaleref = mpmath.mnorm(E4) + 1
@@ -192,8 +210,6 @@ def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION, tol=None):
 
         # Hermitian Gram on the standard basis of C^2 pulled back to
         # lattice coordinates.
-        P = lattice.real_matrix()
-        Pi = P ** -1
         basis_real = [mpmath.matrix([1, 0, 0, 0]), mpmath.matrix([0, 0, 1, 0])]
         vs = [Pi * e for e in basis_real]
 
@@ -239,17 +255,14 @@ def isogeny_lattice_check(gamma, tau, order, prec=DEFAULT_PRECISION, tol=None):
     integrality; together with unit determinant this certifies equality.
     """
     with mp.workprec(prec):
-        tol = to_mpf(DEFAULT_TOLERANCE if tol is None else tol)
+        tol = _tolerance(tol, DEFAULT_TOLERANCE, prec)
         tau = as_complex(tau)
         j = complex_structure(gamma, tau, prec)[1]
         tprime = moebius_act(gamma, tau, prec)
-        gens = order.generators()
-        left = _real_matrix([complex_structure(g, tprime, prec) for g in gens])
-        scaled = []
-        for g in gens:
-            v1, v2 = complex_structure(g, tau, prec)
-            scaled.append((v1 / j, v2 / j))
-        right = _real_matrix(scaled)
+        gens = [_numeric(E, prec) for E in order.embedding]
+        left = _real_matrix([_apply(N, tprime) for N in gens])
+        right = _real_matrix([(v1 / j, v2 / j)
+                              for v1, v2 in (_apply(N, tau) for N in gens)])
 
         for A, B in ((left, right), (right, left)):
             C = B ** -1 * A
@@ -315,23 +328,23 @@ def automorphy_factor(g, z, tau, prec=DEFAULT_PRECISION):
     """
     with mp.workprec(prec):
         tau = as_complex(tau)
-        c = first_column(g.gamma, prec)[1]
-        j = complex_structure(g.gamma, tau, prec)[1]
-        l1 = first_column(g.lam, prec)
-        lt = complex_structure(g.lam, tau, prec)
+        c, d = _numeric(embed(g.gamma), prec)[1]
+        j = c * tau + d
+        L = _numeric(embed(g.lam), prec)
+        lt = _apply(L, tau)
         A = mpmath.zeros(3, 3)
         A[0, 0] = 1 / j
         A[1, 1] = 1 / j
         A[2, 2] = 1 / j ** 2
-        A[0, 2] = (l1[0] - c * (as_complex(z[0]) + lt[0]) / j) / j
-        A[1, 2] = (l1[1] - c * (as_complex(z[1]) + lt[1]) / j) / j
+        A[0, 2] = (L[0][0] - c * (as_complex(z[0]) + lt[0]) / j) / j
+        A[1, 2] = (L[1][0] - c * (as_complex(z[1]) + lt[1]) / j) / j
         return A
 
 
 def cocycle_check(g1, g2, z, tau, prec=DEFAULT_PRECISION, tol=None):
     """a(g1 g2, x) = a(g1, g2 x) * a(g2, x) at x = (z, tau)."""
     with mp.workprec(prec):
-        tol = to_mpf(IDENTITY_TOL if tol is None else tol)
+        tol = _tolerance(tol, IDENTITY_TOL, prec)
         left = automorphy_factor(g1 * g2, z, tau, prec)
         z2, t2 = g2.act(z, tau, prec)
         right = automorphy_factor(g1, z2, t2, prec) * automorphy_factor(g2, z, tau, prec)
@@ -341,7 +354,7 @@ def cocycle_check(g1, g2, z, tau, prec=DEFAULT_PRECISION, tol=None):
 def canonical_degree_check(g, z, tau, prec=DEFAULT_PRECISION, tol=None):
     """det a(g, (z, tau)) = (c tau + d)^-4: the canonical bundle identity."""
     with mp.workprec(prec):
-        tol = to_mpf(IDENTITY_TOL if tol is None else tol)
+        tol = _tolerance(tol, IDENTITY_TOL, prec)
         A = automorphy_factor(g, z, tau, prec)
         j = complex_structure(g.gamma, tau, prec)[1]
         return abs(mpmath.det(A) - j ** -4) < tol

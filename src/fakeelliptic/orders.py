@@ -8,11 +8,13 @@ Z<1, x, y, xy> by saturation.
 """
 
 from fractions import Fraction
+import functools
 import itertools
 import math
 
-from .exactlinalg import ComputationError, exact_rank, exact_solve
-from .quaternions import AlgebraSplit, QuatElement, _factorize, ramified_primes
+from .exactlinalg import ComputationError, exact_det, exact_rank, exact_solve
+from .quaternions import (AlgebraSplit, QuatElement, _factorize, embed,
+                          ramified_primes)
 
 
 class NotAnOrder(ComputationError):
@@ -41,6 +43,20 @@ class OrderLattice:
 
     def generators(self):
         return [QuatElement(self.params, *row) for row in self.basis]
+
+    @functools.cached_property
+    def embedding(self):
+        """embed(g) of each generator: 2x2 matrices over Q(sqrt a)."""
+        return [embed(g) for g in self.generators()]
+
+    @functools.cached_property
+    def embedding_det(self):
+        """det S, exact in Q(sqrt a), for S the stacked rows (E00, E10,
+        E01, E11) of `embedding`; for an order |det S| is its reduced
+        discriminant, and the period lattices are nondegenerate iff it is
+        nonzero (`family.PeriodLattice`)."""
+        return exact_det([[E[0][0], E[1][0], E[0][1], E[1][1]]
+                          for E in self.embedding])
 
     def coords_of(self, q):
         """Coordinates of q in the lattice basis, or None."""
@@ -188,6 +204,11 @@ def saturate(L, max_passes=64):
     integrality are screened in machine integers first; only survivors
     are built with `Fraction` coordinates and certified by `is_order`,
     once per lattice.
+
+    L.params must be squarefree integers (`AlgebraParams.squarefree`, as
+    `Config.algebra()` builds them).  In other presentations of the same
+    algebra, such as (5, -18) for (5, -2), this one-coset-at-a-time
+    search can stop short of a maximal order and raise SearchExhausted.
     """
     disc = reduced_discriminant(L)
     target = math.prod(ramified_primes(L.params))

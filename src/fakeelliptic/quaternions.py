@@ -7,6 +7,9 @@ ramified primes) live here.
 """
 
 from fractions import Fraction
+import functools
+import itertools
+import math
 
 from .exactlinalg import ComputationError, QuadExt, fraction_sqrt
 
@@ -40,6 +43,12 @@ class AlgebraParams:
 
     def __repr__(self):
         return f"AlgebraParams({self.a}, {self.b})"
+
+    def squarefree(self):
+        """The same algebra with a and b replaced by the squarefree
+        integers of their square classes, the presentation that
+        `orders.saturate` expects."""
+        return AlgebraParams(_squarefree(self.a), _squarefree(self.b))
 
 
 class QuatElement:
@@ -152,31 +161,91 @@ def embed(q):
 INFINITE_PLACE = "oo"
 
 
+# the largest integer `_factorize` accepts: Pollard rho splits a composite
+# in about p^(1/2) steps for its least prime factor p <= n^(1/2), so every
+# accepted n factors in about 2^16 steps
+FACTOR_LIMIT = 2 ** 64
+# trial division runs below this bound, which settles every n < 10^6
+_TRIAL_BOUND = 1000
+# Miller-Rabin with these bases is exact below 3.3 * 10^24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _factorize(n):
-    """Trial-division factorization of a positive integer; {prime: exponent}."""
+    """Factorization of a positive integer n <= FACTOR_LIMIT; {prime: exponent}.
+
+    Trial division by d < 1000, then Miller-Rabin and Pollard rho on
+    what is left; all of its prime factors exceed the last trial divisor d,
+    so a part below d^2 is prime.
+    """
     n = int(n)
+    if n > FACTOR_LIMIT:
+        raise ValueError(f"cannot factor {n}: integers above 2^64 are out "
+                         "of range")
     out = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_BOUND:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < d * d or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho(m)
+            parts += [f, m // f]
     return out
 
 
+def _is_prime(n):
+    """Deterministic Miller-Rabin for odd n > 37 below 3.3 * 10^24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n):
+    """A proper factor of the odd composite n: Pollard rho with Floyd's
+    cycle search on x -> x^2 + c, for c = 1, 2, ... until one succeeds."""
+    for c in itertools.count(1):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
+
+
+@functools.lru_cache(maxsize=128)
 def _squarefree(r):
     """Squarefree integer with the same square class as the rational r."""
     if r == 0:
         return 0
     sign = -1 if r < 0 else 1
-    n = abs(r.numerator) * r.denominator  # same class as |r|
     out = 1
-    for p, e in _factorize(n).items():
-        if e % 2:
-            out *= p
+    # |r| and num * den share a square class; num and den are coprime
+    for n in (abs(r.numerator), r.denominator):
+        for p, e in _factorize(n).items():
+            if e % 2:
+                out *= p
     return sign * out
 
 
@@ -238,8 +307,10 @@ def symbol_support(a, b):
     """Finite places where the symbol can be nontrivial: p | 2*num*den of a and b."""
     a = Fraction(a)
     b = Fraction(b)
-    n = 2 * a.numerator * a.denominator * b.numerator * b.denominator
-    return sorted(_factorize(abs(n)))
+    primes = {2}
+    for n in (a.numerator, a.denominator, b.numerator, b.denominator):
+        primes.update(_factorize(abs(n)))
+    return sorted(primes)
 
 
 def ramified_primes(params):

@@ -8,9 +8,8 @@ systems: the 4x4 fiber system whose nonzero determinant certifies
 non-splitting, and the single equation tau' f1 = mu_11 f1 + mu_21 f2
 providing the extra section that splits an elliptic curve.
 
-The classifier settles arbitrary candidate submanifolds by the
-trichotomy (fiber / elliptic curve in a fiber / multisection) with exact
-Riemann-Hurwitz bookkeeping.
+The exact classifier and the report type live in `classify`, which
+needs no mpmath; they are re-exported here.
 """
 
 import random
@@ -18,15 +17,13 @@ import random
 import mpmath
 from mpmath import mp
 
-from .exactlinalg import (ComputationError, DEFAULT_PRECISION, NONZERO_TOL,
-                          QuadExt, escalate, to_mpf)
-from .family import (PeriodLattice, as_complex, complex_structure,
-                     first_column)
+# the exact verdicts and citations, re-exported
+from .classify import (CITE_ELLIPTIC, CITE_ETALE, CITE_FIBER,  # noqa: F401
+                       CITE_GENUS, CITE_RAMIFIED, CITE_RATIONAL, CITE_SURFACE,
+                       InconsistentData, SplittingReport, classify_candidate)
+from .exactlinalg import DEFAULT_PRECISION, NONZERO_TOL, QuadExt, escalate, to_mpf
+from .family import PeriodLattice, as_complex, complex_structure
 from .quaternions import embed
-
-
-class InconsistentData(ComputationError):
-    pass
 
 
 class FlatRep:
@@ -65,13 +62,8 @@ class FlatRep:
 def fiber_rep(order, tau, prec=DEFAULT_PRECISION):
     """One vector per order generator: the first column of its embedding."""
     t = as_complex(tau)
-    vectors = []
-    periods = []
-    for g in order.generators():
-        M = embed(g)
-        vectors.append((M[0][0], M[1][0]))
-        periods.append(complex_structure(g, t, prec))
-    return FlatRep("fiber", vectors, periods)
+    return FlatRep("fiber", [(E[0][0], E[1][0]) for E in order.embedding],
+                   [complex_structure(g, t, prec) for g in order.generators()])
 
 
 class FiberSection:
@@ -108,8 +100,8 @@ def _fiber_system(order, tau, prec):
     """The lattice and the 4x4 matrix with one row (v1, v2, period1,
     period2) per generator, v the first column of its embedding."""
     lattice = PeriodLattice(order, tau, prec)
-    rows = [[*first_column(g, prec), *per]
-            for g, per in zip(order.generators(), lattice.vectors)]
+    rows = [[E[0][0].numeric(prec), E[1][0].numeric(prec), *per]
+            for E, per in zip(order.embedding, lattice.vectors)]
     return lattice, mpmath.matrix(rows)
 
 
@@ -256,48 +248,6 @@ def elliptic_family_fiber_h0(tau, prec=DEFAULT_PRECISION):
 # verdicts
 
 
-class SplittingReport:
-    """Verdict plus the certificate that backs it."""
-
-    __slots__ = ("kind", "verdict", "h0", "certificate", "dphi_value")
-
-    def __init__(self, kind, verdict, h0=None, certificate=None,
-                 dphi_value=None):
-        self.kind = kind
-        self.verdict = verdict
-        self.h0 = h0
-        self.certificate = certificate if certificate is not None else {}
-        self.dphi_value = dphi_value
-
-    def as_dict(self):
-        out = {"kind": self.kind, "verdict": self.verdict, "h0": self.h0,
-               "certificate": dict(self.certificate)}
-        if self.dphi_value is not None:
-            out["dphi"] = mpmath.nstr(self.dphi_value, 15)
-        return out
-
-
-CITE_FIBER = ("A fiber never splits: the four lattice equations in "
-              "(f1, f2, a1, a2) have nonzero determinant, so the only flat "
-              "sections are the constant normal ones.")
-CITE_SURFACE = ("A surface that is neither a fiber nor the whole space "
-                "cannot split off its conormal direction: the candidates "
-                "are ball quotients, which are hyperbolic, or tori, which "
-                "admit no surjection onto a curve of genus at least two.")
-CITE_ELLIPTIC = ("An elliptic curve in a fiber splits: the restricted "
-                 "cotangent bundle has a two-dimensional space of flat "
-                 "sections and the differential is surjective on them.")
-CITE_ETALE = ("An etale multisection splits: the projection to the base "
-              "is unramified, so its differential splits off the pulled "
-              "back canonical direction.")
-CITE_RATIONAL = "The total space contains no rational curve."
-CITE_GENUS = ("A curve contained in a fiber splits only if its canonical "
-              "bundle has degree zero, forcing genus one.")
-CITE_RAMIFIED = ("A ramified multisection cannot split: the canonical "
-                 "degree comparison forces the ramification divisor to "
-                 "vanish.")
-
-
 def fiber_splitting_report(order, tau, prec=DEFAULT_PRECISION):
     result = fiber_h0(order, tau, prec)
     verdict = "NonSplit" if result.h0 == 1 else "Split"
@@ -321,49 +271,3 @@ def curve_splitting_report(point, prec=DEFAULT_PRECISION):
                         "a": mpmath.nstr(s.a, 15)}}
     return SplittingReport("EllipticInFiber", verdict, h0=result.h0,
                            certificate=cert, dphi_value=dphi)
-
-
-def classify_candidate(genus, in_fiber, degree_over_C=0, ramification_degree=0,
-                       g_C=2):
-    """Splitting verdict for a candidate submanifold, by the case rules.
-
-    genus is None for a surface candidate (a fiber when in_fiber is set),
-    or the genus of a curve candidate.  Curves not contained in fibers
-    are multisections of degree degree_over_C with total ramification
-    ramification_degree; the Riemann-Hurwitz identity
-    2g - 2 = d (2 g_C - 2) + r is enforced exactly.
-    """
-    if g_C < 2:
-        raise InconsistentData("the base curve has genus at least 2")
-    if genus is None:
-        if in_fiber:
-            return SplittingReport("Fiber", "NonSplit", h0=1,
-                                   certificate={"citation": CITE_FIBER})
-        return SplittingReport("Other", "NonSplit",
-                               certificate={"citation": CITE_SURFACE})
-    if genus < 0:
-        raise InconsistentData("genus must be nonnegative")
-    if genus == 0:
-        return SplittingReport("Other", "NonSplit",
-                               certificate={"citation": CITE_RATIONAL})
-    if in_fiber:
-        if degree_over_C != 0 or ramification_degree != 0:
-            raise InconsistentData("a curve in a fiber does not cover the base")
-        if genus == 1:
-            return SplittingReport("EllipticInFiber", "Split", h0=2,
-                                   certificate={"citation": CITE_ELLIPTIC})
-        return SplittingReport("Other", "NonSplit",
-                               certificate={"citation": CITE_GENUS})
-    if degree_over_C < 1:
-        raise InconsistentData("a multisection covers the base with positive degree")
-    if ramification_degree < 0:
-        raise InconsistentData("ramification degree must be nonnegative")
-    expected = degree_over_C * (2 * g_C - 2) + ramification_degree
-    if 2 * genus - 2 != expected:
-        raise InconsistentData(
-            f"2g-2 = {2 * genus - 2} but the covering data give {expected}")
-    if ramification_degree == 0:
-        return SplittingReport("EtaleMultisection", "Split",
-                               certificate={"citation": CITE_ETALE})
-    return SplittingReport("Other", "NonSplit",
-                           certificate={"citation": CITE_RAMIFIED})

@@ -459,3 +459,117 @@ def exact_nullspace(rows):
             vec[pc] = -rref[r][fc]
         basis.append(vec)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# the lattice and automorphy checks, recomputed from scratch on every call:
+# no embedding, Gram matrix, square root or inverse is kept between calls
+
+
+def _numeric_fresh(q, prec):
+    with mp.workprec(prec):
+        return (mpmath.mpf(q.u.numerator) / q.u.denominator
+                + mpmath.mpf(q.v.numerator) / q.v.denominator
+                * mpmath.sqrt(mpmath.mpf(q.rad.numerator) / q.rad.denominator))
+
+
+def _periods_fresh(m, tau, prec):
+    E = embed(m)
+    with mp.workprec(prec):
+        return (_numeric_fresh(E[0][0], prec) * tau + _numeric_fresh(E[0][1], prec),
+                _numeric_fresh(E[1][0], prec) * tau + _numeric_fresh(E[1][1], prec))
+
+
+def _real_matrix_fresh(vectors):
+    P = mpmath.zeros(4, 4)
+    for j, (v1, v2) in enumerate(vectors):
+        P[0, j], P[1, j], P[2, j], P[3, j] = v1.real, v1.imag, v2.real, v2.imag
+    return P
+
+
+def riemann_conditions_fresh(order, rho, scale, tau, prec, tol):
+    """`family.riemann_conditions_check` on the lattice of order at tau,
+    with the Gram matrix formed and P inverted anew for each use."""
+    J_std = mpmath.matrix([[0, -1, 0, 0], [1, 0, 0, 0],
+                           [0, 0, 0, -1], [0, 0, 1, 0]])
+    with mp.workprec(prec):
+        tol = mpmath.mpf(tol.numerator) / tol.denominator
+        gens = order.generators()
+        values = [[scale * (rho * gi * gj.conj()).trd() for gj in gens]
+                  for gi in gens]
+        bad = [(i, j) for i in range(4) for j in range(4)
+               if values[i][j].denominator != 1]
+        conditions = {"integral": {
+            "pass": not bad,
+            "witness": None if not bad else
+            {"pair": bad[0], "value": str(values[bad[0][0]][bad[0][1]])},
+            "gram": [[str(v) for v in row] for row in values]}}
+        P = _real_matrix_fresh([_periods_fresh(g, tau, prec) for g in gens])
+        J = P ** -1 * J_std * P
+        E4 = mpmath.matrix([[mpmath.mpf(v.numerator) / v.denominator
+                             for v in row] for row in values])
+        compat = mpmath.mnorm(J.T * E4 * J - E4)
+        conditions["j_compatible"] = {
+            "pass": compat < tol * (mpmath.mnorm(E4) + 1),
+            "witness": {"residual": mpmath.nstr(compat, 8)}}
+        P = _real_matrix_fresh([_periods_fresh(g, tau, prec) for g in gens])
+        vs = [P ** -1 * mpmath.matrix(e) for e in ([1, 0, 0, 0], [0, 0, 1, 0])]
+        G = mpmath.zeros(2, 2)
+        for i in range(2):
+            for j in range(2):
+                G[i, j] = ((vs[i].T * E4 * (J * vs[j]))[0, 0]
+                           + 1j * (vs[i].T * E4 * vs[j])[0, 0])
+        herm = mpmath.mnorm(G - G.transpose_conj())
+        minor1 = G[0, 0].real
+        minor2 = (G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]).real
+        pos = herm < tol * (mpmath.mnorm(G) + 1) and minor1 > tol and minor2 > tol
+        conditions["positive_definite"] = {
+            "pass": bool(pos),
+            "witness": {"leading_minors": [mpmath.nstr(minor1, 10),
+                                           mpmath.nstr(minor2, 10)],
+                        "hermitian_residual": mpmath.nstr(herm, 8)}}
+        return {"conditions": conditions,
+                "all_pass": all(c["pass"] for c in conditions.values())}
+
+
+def isogeny_deviation_fresh(gamma, tau, order, prec):
+    """max |C - nint(C)| over both change-of-basis matrices between the
+    lattice at gamma(tau) and 1/(c tau + d) times the lattice at tau."""
+    with mp.workprec(prec):
+        num, j = _periods_fresh(gamma, tau, prec)
+        tprime = num / j
+        gens = order.generators()
+        left = _real_matrix_fresh([_periods_fresh(g, tprime, prec) for g in gens])
+        right = _real_matrix_fresh([tuple(v / j for v in _periods_fresh(g, tau, prec))
+                                    for g in gens])
+        return max(abs(C[i, k] - mpmath.nint(C[i, k]))
+                   for A, B in ((left, right), (right, left))
+                   for C in (B ** -1 * A,) for i in range(4) for k in range(4))
+
+
+def automorphy_factor_fresh(g, z, tau, prec):
+    """The 3x3 factor of `family.automorphy_factor`, entry by entry."""
+    with mp.workprec(prec):
+        c = _numeric_fresh(embed(g.gamma)[1][0], prec)
+        j = _periods_fresh(g.gamma, tau, prec)[1]
+        L = embed(g.lam)
+        l1 = (_numeric_fresh(L[0][0], prec), _numeric_fresh(L[1][0], prec))
+        lt = _periods_fresh(g.lam, tau, prec)
+        A = mpmath.zeros(3, 3)
+        A[0, 0] = A[1, 1] = 1 / j
+        A[2, 2] = 1 / j ** 2
+        for r in range(2):
+            A[r, 2] = (l1[r] - c * (z[r] + lt[r]) / j) / j
+        return A
+
+
+def cocycle_residual_fresh(g1, g2, z, tau, prec):
+    """mnorm(a(g1 g2, x) - a(g1, g2 x) a(g2, x)) at x = (z, tau)."""
+    with mp.workprec(prec):
+        num, j = _periods_fresh(g2.gamma, tau, prec)
+        lt = _periods_fresh(g2.lam, tau, prec)
+        z2 = ((z[0] + lt[0]) / j, (z[1] + lt[1]) / j)
+        left = automorphy_factor_fresh(g1 * g2, z, tau, prec)
+        right = (automorphy_factor_fresh(g1, z2, num / j, prec)
+                 * automorphy_factor_fresh(g2, z, tau, prec))
+        return mpmath.mnorm(left - right)

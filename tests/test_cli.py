@@ -1,9 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import fakeelliptic
 from fakeelliptic import orders
 from fakeelliptic.cli import main
+
+SRC = os.pathsep.join(filter(None, [
+    str(Path(fakeelliptic.__file__).resolve().parents[1]),
+    os.environ.get("PYTHONPATH")]))
 
 
 def run(capsys, *argv):
@@ -288,3 +298,83 @@ def test_order_verify_reports_an_explicit_non_order(tmp_path, capsys):
     assert problems[:2] == ["generator (0, 1, 0, 0) is not integral",
                             "generator (0, 0, 0, 1) is not integral"]
     assert "product (0, 1, 0, 0) * (0, 1, 0, 0) leaves the lattice" in problems
+
+
+def test_suite_at_64_bits_derives_its_tolerance(tmp_path, capsys):
+    # 1e-20 is finer than 64 bits resolve; it made riemann and isogeny fail
+    cfg = tmp_path / "p64.cfg"
+    cfg.write_text("algebra.a = 3\nalgebra.b = -1\nprecision = 64\nseed = 5\n")
+    code, report, err = run(capsys, "suite", "all", str(cfg), "--trials", "1")
+    assert code == 0, err
+    assert report["results"]["pass"] is True
+    assert report["inputs"]["config"]["tolerance"] == "1/4294967296"
+
+
+def test_unresolvable_tolerance_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "p64.cfg"
+    cfg.write_text("precision = 64\ntolerance = 1/100000000000000000000\n")
+    code, report, err = run(capsys, "suite", "all", str(cfg), "--trials", "1")
+    assert code == 2 and report is None
+    assert "finer than 64-bit arithmetic resolves" in err
+
+
+@pytest.mark.parametrize("prec", [16, 32, 48])
+def test_cocycle_suite_at_low_precision(tmp_path, capsys, prec):
+    # IDENTITY_TOL = 1e-12 is not resolved below 54 bits
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text(f"algebra.a = 3\nalgebra.b = -1\nprecision = {prec}\n")
+    code, report, err = run(capsys, "suite", "cocycle", str(cfg),
+                            "--trials", "10")
+    assert code == 0, err
+    assert report["results"]["suites"]["cocycle"]["failures"] == 0
+
+
+def test_suites_build_tau_independent_data_once(monkeypatch, capsys):
+    from fakeelliptic import family
+    counts = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(family, "riemann_form")
+    count(orders, "exact_det")
+    count(orders, "enumerate_units")
+    for trials in (1, 4):
+        counts.clear()
+        code, report, _ = run(capsys, "suite", "riemann", "--trials",
+                              str(trials))
+        assert code == 0
+        assert report["results"]["suites"]["riemann"]["trials"] == trials + 1
+        # one Gram matrix of E (16 pairs) and one det S per command
+        assert counts == {"riemann_form": 16, "exact_det": 1}
+    counts.clear()
+    code, report, _ = run(capsys, "suite", "all", "--trials", "2")
+    assert code == 0
+    # cocycle and isogeny share one enumeration of the height-1 units
+    assert counts == {"riemann_form": 16, "exact_det": 1, "enumerate_units": 1}
+
+
+def test_large_algebra_parameter_is_factored(tmp_path):
+    # trial division ran for minutes on this prime
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("algebra.a = 1000000000000000003\nalgebra.b = -1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fakeelliptic.cli", "algebra", "check",
+         str(cfg)], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    ram = json.loads(proc.stdout)["results"]["ramified"]
+    assert set(ram) <= {2, 1000000000000000003}
+
+
+def test_parameter_beyond_the_factoring_bound_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"algebra.a = {2 ** 64 + 1}\nalgebra.b = -1\n")
+    code, report, err = run(capsys, "algebra", "check", str(cfg))
+    assert code == 2 and report is None
+    assert f"cannot factor {2 ** 64 + 1}: integers above 2^64" in err

@@ -158,3 +158,23 @@ def test_explicit_order_keeps_parameters():
     rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     cfg = Config(a=12, b=-9, order_mode="explicit", order_basis=rows)
     assert cfg.algebra() == AlgebraParams(12, -9)
+
+
+@pytest.mark.parametrize("prec,tol", [
+    (128, Fraction(1, 10 ** 20)), (256, Fraction(1, 10 ** 20)),
+    (90, Fraction(1, 10 ** 20)), (89, Fraction(1, 2 ** 45)),
+    (64, Fraction(1, 2 ** 32)), (16, Fraction(1, 2 ** 8))])
+def test_default_tolerance_follows_the_precision(prec, tol):
+    cfg = Config(precision=prec)
+    assert cfg.tolerance == tol
+    assert parse_config(f"precision = {prec}\n").tolerance == tol
+    assert config_from_dict(cfg.as_dict()) == cfg
+
+
+def test_tolerance_finer_than_the_precision_is_rejected():
+    Config(precision=90, tolerance=Fraction(1, 10 ** 20))
+    Config(precision=64, tolerance=Fraction(1, 2 ** 48))
+    with pytest.raises(ConfigError, match="finer than 64-bit"):
+        Config(precision=64, tolerance=Fraction(1, 10 ** 20))
+    with pytest.raises(ConfigError, match="finer than 64-bit"):
+        parse_config("precision = 64\ntolerance = 1/100000000000000000000\n")

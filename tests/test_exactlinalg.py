@@ -5,11 +5,13 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from fakeelliptic.exactlinalg import (NONZERO_TOL, QuadExt, escalate,
+from fakeelliptic.exactlinalg import (DEFAULT_TOLERANCE, IDENTITY_TOL,
+                                      NONZERO_TOL, QuadExt, escalate,
                                       exact_det, exact_rank,
                                       exact_solve, fraction_sqrt,
                                       numeric_svd, precision_tolerance,
-                                      solve_quadratic, to_mpf)
+                                      resolution, solve_quadratic, to_mpf,
+                                      tolerance_at)
 from oracles import (exact_nullspace, laplace_det, numeric_nullspace,
                      rank_by_minors, reference_roots)
 
@@ -255,3 +257,17 @@ def test_escalate_threshold_is_exclusive_just_above():
     run, calls = _recording_run([just_above])
     assert escalate(run, 128)[2] == 128
     assert len(calls) == 1
+
+
+def test_tolerance_at_keeps_what_the_precision_resolves():
+    assert resolution(128) == Fraction(1, 2 ** 96)
+    for tol in (DEFAULT_TOLERANCE, IDENTITY_TOL):
+        for prec in (128, 192, 256):
+            assert tolerance_at(tol, prec) is tol
+    assert tolerance_at(IDENTITY_TOL, 54) is IDENTITY_TOL
+    assert tolerance_at(IDENTITY_TOL, 53) == Fraction(1, 2 ** 27)
+    for prec in (16, 33, 64, 89):
+        with mp.workprec(prec):
+            assert (to_mpf(tolerance_at(DEFAULT_TOLERANCE, prec))
+                    == precision_tolerance(prec))
+

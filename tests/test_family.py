@@ -14,13 +14,15 @@ from fakeelliptic.family import (DegenerateLattice, FamilyGroupElement,
                                  random_group_element, random_order_element,
                                  random_tau, riemann_conditions_check,
                                  riemann_form)
-from fakeelliptic import AlgebraParams, saturate, standard_order
+from fakeelliptic import AlgebraParams, Config, saturate, standard_order
 from fakeelliptic.exactlinalg import DEFAULT_TOLERANCE, exact_det, to_mpf
-from fakeelliptic.orders import enumerate_units
+from fakeelliptic.orders import OrderLattice, enumerate_units
 from fakeelliptic.quaternions import QuatElement
 from fakeelliptic.splitting import _fiber_system
-from oracles import (laplace_det, numeric_nullspace, period_rank_svd,
-                     reduced_discriminant_fraction, riemann_form_by_matrices)
+from oracles import (automorphy_factor_fresh, cocycle_residual_fresh,
+                     isogeny_deviation_fresh, laplace_det, numeric_nullspace,
+                     period_rank_svd, reduced_discriminant_fraction,
+                     riemann_conditions_fresh, riemann_form_by_matrices)
 
 I = mpmath.mpc(0, 1)
 EPS = mpmath.mpf(10) ** -30
@@ -55,16 +57,14 @@ def test_period_lattice_rank_four(max_order):
 
 
 def test_period_lattice_rejects_dependent_vectors(params, max_order):
-    y = QuatElement(params, 0, 0, 1)
-
-    class Dependent:
-        params_ = params
-
-        def generators(self):
-            return [QuatElement(params, 1), y, y, QuatElement(params, 2)]
-
+    # generators 1, y, y, 2: built past the rank check of the constructor,
+    # so that the lattice's own embedding_det decides
+    dependent = OrderLattice.__new__(OrderLattice)
+    dependent.params = params
+    dependent.basis = [[Fraction(c) for c in row] for row in
+                       ([1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0], [2, 0, 0, 0])]
     with pytest.raises(DegenerateLattice):
-        PeriodLattice(Dependent(), mpmath.mpc(0, 1), 128)
+        PeriodLattice(dependent, mpmath.mpc(0, 1), 128)
 
 
 @pytest.mark.parametrize("ab", [(3, -1), (3, -7), (2, -5), (7, -57),
@@ -305,3 +305,52 @@ def test_random_order_element_lies_in_order(max_order):
     for _ in range(10):
         q = random_order_element(max_order, rng)
         assert max_order.contains(q)
+
+
+@pytest.mark.parametrize("ab", [(3, -1), (3, -7), (7, -57), (13, -10)])
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_checks_match_fresh_recomputation(ab, prec):
+    # the order keeps its embedding, the polarization its Gram matrix and
+    # QuadExt its square roots; the oracles recompute all of it per call
+    cfg = Config(a=ab[0], b=ab[1], precision=prec)
+    order = cfg.build_order()
+    pol = cfg.polarization(order)
+    units = enumerate_units(order, 1)
+    rng = random.Random(sum(ab) + prec)
+    for tol in (cfg.tolerance, DEFAULT_TOLERANCE):
+        for _ in range(2):
+            tau = random_tau(rng)
+            lattice = PeriodLattice(order, tau, prec)
+            assert (riemann_conditions_check(lattice, pol, prec, tol)
+                    == riemann_conditions_fresh(order, pol.rho, pol.scale,
+                                                tau, prec, tol))
+    with mp.workprec(prec):
+        slack = 1 + mpmath.mpf(2) ** (8 - prec)
+        for _ in range(2):
+            # the verdicts flip exactly at the oracle's residuals
+            gamma = rng.choice(units).element
+            tau = random_tau(rng)
+            dev = isogeny_deviation_fresh(gamma, tau, order, prec)
+            assert isogeny_lattice_check(gamma, tau, order, prec, dev)
+            if dev:
+                assert not isogeny_lattice_check(gamma, tau, order, prec,
+                                                 dev / slack)
+            g1 = random_group_element(order, units, rng)
+            g2 = random_group_element(order, units, rng)
+            z = (mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                 mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+            res = cocycle_residual_fresh(g1, g2, z, tau, prec)
+            assert not cocycle_check(g1, g2, z, tau, prec, res)
+            assert cocycle_check(g1, g2, z, tau, prec,
+                                 res * slack if res else slack - 1)
+            A = automorphy_factor(g1, z, tau, prec)
+            assert A == automorphy_factor_fresh(g1, z, tau, prec)
+
+
+def test_polarization_gram_follows_the_order(params, std_order, max_order):
+    pol = PolarizationData.with_minimal_scale(default_rho(params), max_order)
+    for order in (max_order, std_order, max_order):
+        gens = order.generators()
+        assert pol.gram(order) == [
+            [pol.scale * riemann_form(pol.rho, gi, gj) for gj in gens]
+            for gi in gens]

@@ -18,6 +18,11 @@ SRC = str(Path(fakeelliptic.__file__).resolve().parents[1])
 EXACT_COMMANDS = (
     ["algebra", "check"], ["order", "verify"], ["order", "disc"],
     ["order", "maximal"], ["order", "saturate"], ["units", "--height", "1"],
+    ["classify"], ["classify", "--in-fiber"], ["classify", "--genus", "0"],
+    ["classify", "--genus", "1", "--in-fiber"],
+    ["classify", "--genus", "3", "--in-fiber"],
+    ["classify", "--genus", "3", "--degree", "2"],
+    ["classify", "--genus", "4", "--degree", "2", "--ramification", "2"],
 )
 
 

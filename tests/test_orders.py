@@ -8,11 +8,12 @@ from fakeelliptic.orders import (NotAnOrder, OrderLattice, _adjoin_coset,
                                  congruence_filter, enumerate_units,
                                  is_maximal, is_order, reduced_discriminant,
                                  saturate, standard_order)
-from fakeelliptic.quaternions import AlgebraParams, AlgebraSplit, QuatElement
+from fakeelliptic.quaternions import (AlgebraParams, AlgebraSplit,
+                                      QuatElement, ramified_primes)
 from oracles import (congruence_filter_bruteforce, count_units_by_embedding,
                      enumerate_units_bruteforce, is_order_fraction,
                      laplace_det, reduced_discriminant_fraction,
-                     saturate_bruteforce)
+                     saturate_bruteforce, squarefree_part)
 
 # the algebras of the benchmark's enumerate and saturate workloads, and two
 # with a large unramified gap prime
@@ -305,3 +306,19 @@ def test_certificate_matches_fraction_oracle_on_random_lattices(max_order):
         L = OrderLattice(max_order.params, rows)
         verdicts.append(_assert_matches_fraction_oracle(L)[0])
     assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("a,b", [(5, -18), (3, -25), (27, -7), (2, -45),
+                                 (7, -50)])
+def test_saturate_from_the_squarefree_presentation(a, b):
+    # from (a, b) the search may stop short, but never at a wrong order;
+    # from the squarefree presentation it reaches a maximal order
+    params = AlgebraParams(a, b)
+    try:
+        assert is_maximal(saturate(standard_order(params)))
+    except orders.SearchExhausted as exc:
+        assert not is_maximal(exc.order)
+    sq = params.squarefree()
+    assert (sq.a, sq.b) == (squarefree_part(a), squarefree_part(b))
+    assert ramified_primes(sq) == ramified_primes(params)
+    assert is_maximal(saturate(standard_order(sq)))

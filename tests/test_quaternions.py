@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fakeelliptic.quaternions import (INFINITE_PLACE, AlgebraParams,
-                                      QuatElement, embed, hilbert_symbol,
+from fakeelliptic.quaternions import (FACTOR_LIMIT, INFINITE_PLACE,
+                                      AlgebraParams, QuatElement, _factorize,
+                                      embed, hilbert_symbol,
                                       is_indefinite_division, ramified_primes,
                                       symbol_support)
 from oracles import (hilbert_solvable, hilbert_solvable_real, mat2_det,
@@ -158,3 +160,44 @@ def test_ramified_primes(params):
     assert ramified_primes(AlgebraParams(2, -1)) == []
     assert is_indefinite_division(params)
     assert not is_indefinite_division(AlgebraParams(2, -1))
+
+
+def _trial_division(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    rng = random.Random(30)
+    for n in [1, 2, 999983, 10 ** 6, 1000003 ** 2] + [
+            rng.randint(1, 10 ** 9) for _ in range(300)]:
+        assert _factorize(n) == _trial_division(n), n
+
+
+@pytest.mark.parametrize("factors", [
+    {1000000000000000003: 1},            # a prime near 10^18
+    {4294967291: 1, 4294967279: 1},      # the two largest 32-bit primes
+    {2147483647: 1, 4294967291: 1},
+    {3: 1, 1000003: 1, 1000033: 1},
+    {999983: 2, 1009: 1}, {2: 64}])
+def test_factorize_large_cofactors(factors):
+    n = math.prod(p ** e for p, e in factors.items())
+    assert n <= FACTOR_LIMIT
+    assert _factorize(n) == factors
+
+
+def test_factorize_refuses_beyond_the_bound():
+    with pytest.raises(ValueError, match="above 2\\^64"):
+        _factorize(FACTOR_LIMIT + 1)
+    # symbol_support factors each part of a and b on its own, so their
+    # product may exceed the bound
+    assert symbol_support(Fraction(2 ** 40 + 1, 2 ** 40 - 1),
+                          -(2 ** 61 - 1)) == [2, 3, 5, 11, 17, 31, 41, 257,
+                                              61681, 4278255361, 2 ** 61 - 1]
