@@ -10,9 +10,11 @@ points by building every box element as a `QuatElement` instead of
 scanning integer forms, the curve section space by an SVD nullspace
 instead of the closed form, the period lattice rank condition by an SVD
 of the real period matrix instead of the exact embedding determinant,
-and the order certificate and discriminant by `Fraction` quaternion
+the order certificate and discriminant by `Fraction` quaternion
 products and solves instead of divisibility on the integer form of the
-lattice.
+lattice, and the Riemann, isogeny and cocycle checks recomputed from
+scratch on every call instead of from the embedding, Gram matrix and
+square roots that the order, the polarization and `QuadExt` keep.
 
 `normalize_isogeny`, `exact_nullspace` and `numeric_nullspace` are
 helpers that the package itself does not call; they live here beside
