@@ -53,20 +53,18 @@ def fixed_point(mu, prec=DEFAULT_PRECISION):
     return UpperHalfPoint(r1, quad=(c2, c1, c0))
 
 
-def eigenvalue_tau_prime(mu, tau, prec=DEFAULT_PRECISION, tol=None):
+def eigenvalue_tau_prime(mu, tau, prec=DEFAULT_PRECISION):
     """tau' with mu_tau = tau' * (tau, 1)^t, i.e. tau' = C tau + D.
 
     The second coordinate holds by the definition of tau'; the first,
-    A tau + B = tau' tau, is verified relative to 1 + |tau'|, by default
-    at the tolerance 2^-(prec/2) that the working precision resolves.
+    A tau + B = tau' tau, is verified relative to 1 + |tau'|, at the
+    tolerance 2^-(prec/2) that the working precision resolves.
     """
     with mp.workprec(prec):
-        if tol is None:
-            tol = precision_tolerance(prec)
         t = as_complex(tau)
         v1, tprime = complex_structure(mu, t, prec)
         r1 = v1 - tprime * t
-        if abs(r1) > tol * (1 + abs(tprime)):
+        if abs(r1) > precision_tolerance(prec) * (1 + abs(tprime)):
             raise EigenMismatch(f"residual {mpmath.nstr(abs(r1), 5)}")
         return tprime
 
@@ -98,17 +96,15 @@ class CMPoint:
 def cm_point(mu, prec=DEFAULT_PRECISION, coords=None):
     """Build the CM point of mu, normalizing the sign so Im(tau') > 0.
 
-    mu and -mu have the same fixed point with conjugate eigenvalues, so
-    exactly one sign puts tau' in the upper half plane.
+    mu and -mu have the same fixed point with conjugate eigenvalues, and
+    Im tau' = C Im tau, so the sign with C = m - n sqrt(a) > 0 is kept.
     """
-    tau = fixed_point(mu, prec)
-    tprime = eigenvalue_tau_prime(mu, tau, prec)
-    if tprime.imag <= 0:
+    a = mu.params.a
+    if not _upper_orientation(mu.m, mu.n, a.numerator, a.denominator):
         mu = -mu
-        tau = fixed_point(mu, prec)
-        tprime = eigenvalue_tau_prime(mu, tau, prec)
         coords = tuple(-c for c in coords) if coords is not None else None
-    return CMPoint(mu, tau, tprime, coords)
+    tau = fixed_point(mu, prec)
+    return CMPoint(mu, tau, eigenvalue_tau_prime(mu, tau, prec), coords)
 
 
 def in_window(tau, window):
@@ -120,7 +116,7 @@ def in_window(tau, window):
 
 
 def _upper_orientation(M, N, an, ad):
-    """Whether M - N sqrt(an/ad) > 0, for integers M, N not both zero."""
+    """Whether M - N sqrt(an/ad) > 0, for rationals M, N not both zero."""
     if M >= 0 and N <= 0:
         return True
     if M <= 0 and N >= 0:

@@ -8,10 +8,10 @@ no tolerance.
 
 Numeric work (periods, witnesses, CM points) runs on mpmath at a
 configurable binary precision, 128 bits by default.  The numeric
-policies live here once: the conversion of exact scalars to mpf, the
-default tolerances, and the doubled-precision recheck of near-zero
-certificates.  The numeric functions import mpmath where they run, so the
-exact commands never load it.
+policies live here once: the conversion of exact scalars to mpf and the
+default tolerances (the splitting verdicts are exact and need none).  The
+numeric functions import mpmath where they run, so the exact commands
+never load it.
 """
 
 from fractions import Fraction
@@ -24,8 +24,7 @@ DEFAULT_PRECISION = 128
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 20)
 # residual tolerance of the automorphy identities (cocycle, canonical degree)
 IDENTITY_TOL = Fraction(1, 10 ** 12)
-# verdict threshold for "nonzero" certificates (determinants, dphi); values
-# within a factor 10^3 of it trigger one doubled-precision recheck
+# "nonzero" threshold of the genus-1 comparison `elliptic_family_fiber_h0`
 NONZERO_TOL = Fraction(1, 10 ** 12)
 
 
@@ -71,26 +70,6 @@ def tolerance_at(tol, prec):
     return tol if tol >= resolution(prec) else _half_bits(prec)
 
 
-def escalate(run, prec):
-    """Run a certificate at prec bits, and once more at 2*prec if near zero.
-
-    run(prec) is called under workprec(prec) and returns
-    (certificate, result); the rerun happens when |certificate| is within
-    a factor 10^3 of NONZERO_TOL.  Returns (certificate, result,
-    precision used).
-    """
-    import mpmath
-    with mpmath.workprec(prec):
-        threshold = to_mpf(NONZERO_TOL) * 1000
-        cert, result = run(prec)
-        if abs(cert) > threshold:
-            return cert, result, prec
-    prec *= 2
-    with mpmath.workprec(prec):
-        cert, result = run(prec)
-    return cert, result, prec
-
-
 def fraction_sqrt(r):
     """Exact square root of a nonnegative Fraction, or None."""
     if r < 0:
@@ -107,31 +86,34 @@ class QuadExt:
 
     __slots__ = ("u", "v", "rad")
 
-    def __init__(self, u, v=0, rad=None):
-        if rad is None:
-            raise ValueError("QuadExt needs the radicand")
+    def __init__(self, u, v, rad):
         rad = Fraction(rad)
         if rad <= 0 or fraction_sqrt(rad) is not None:
             raise ValueError("radicand must be positive and not a rational square")
-        self.u = Fraction(u)
-        self.v = Fraction(v)
-        self.rad = rad
+        self.u, self.v, self.rad = Fraction(u), Fraction(v), rad
+
+    @classmethod
+    def _over(cls, u, v, rad):
+        """u + v*sqrt(rad) for Fractions u, v and a radicand already checked."""
+        q = cls.__new__(cls)
+        q.u, q.v, q.rad = u, v, rad
+        return q
 
     def _coerce(self, other):
         if isinstance(other, QuadExt):
             if other.rad != self.rad:
                 raise ValueError("mixed radicands")
             return other
-        return QuadExt(other, 0, self.rad)
+        return QuadExt._over(Fraction(other), Fraction(0), self.rad)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuadExt(self.u + o.u, self.v + o.v, self.rad)
+        return QuadExt._over(self.u + o.u, self.v + o.v, self.rad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.u, -self.v, self.rad)
+        return QuadExt._over(-self.u, -self.v, self.rad)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -141,8 +123,8 @@ class QuadExt:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return QuadExt(self.u * o.u + self.rad * self.v * o.v,
-                       self.u * o.v + self.v * o.u, self.rad)
+        return QuadExt._over(self.u * o.u + self.rad * self.v * o.v,
+                             self.u * o.v + self.v * o.u, self.rad)
 
     __rmul__ = __mul__
 
@@ -150,7 +132,7 @@ class QuadExt:
         nm = self.u * self.u - self.rad * self.v * self.v
         if nm == 0:
             raise ZeroDivisionError("zero element of the quadratic field")
-        return QuadExt(self.u / nm, -self.v / nm, self.rad)
+        return QuadExt._over(self.u / nm, -self.v / nm, self.rad)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -159,7 +141,7 @@ class QuadExt:
         return self._coerce(other) * self.inverse()
 
     def conjugate(self):
-        return QuadExt(self.u, -self.v, self.rad)
+        return QuadExt._over(self.u, -self.v, self.rad)
 
     def is_zero(self):
         return self.u == 0 and self.v == 0
@@ -191,7 +173,7 @@ def _sqrt(rad, prec):
 
 def _zero_like(x):
     if isinstance(x, QuadExt):
-        return QuadExt(0, 0, x.rad)
+        return QuadExt._over(Fraction(0), Fraction(0), x.rad)
     return Fraction(0)
 
 

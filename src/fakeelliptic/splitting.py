@@ -21,7 +21,8 @@ from mpmath import mp
 from .classify import (CITE_ELLIPTIC, CITE_ETALE, CITE_FIBER,  # noqa: F401
                        CITE_GENUS, CITE_RAMIFIED, CITE_RATIONAL, CITE_SURFACE,
                        InconsistentData, SplittingReport, classify_candidate)
-from .exactlinalg import DEFAULT_PRECISION, NONZERO_TOL, QuadExt, escalate, to_mpf
+from .cm import _upper_orientation
+from .exactlinalg import DEFAULT_PRECISION, NONZERO_TOL, QuadExt, to_mpf
 from .family import PeriodLattice, as_complex, complex_structure
 from .quaternions import embed
 
@@ -83,16 +84,15 @@ class FiberSection:
 
 
 class FiberH0:
-    __slots__ = ("h0", "det_witness", "factored_det", "sections", "matrix",
+    __slots__ = ("h0", "det_witness", "factored_det", "sections",
                  "precision_used")
 
-    def __init__(self, h0, det_witness, factored_det, sections, matrix,
+    def __init__(self, h0, det_witness, factored_det, sections,
                  precision_used):
         self.h0 = h0
         self.det_witness = det_witness
         self.factored_det = factored_det
         self.sections = sections
-        self.matrix = matrix
         self.precision_used = precision_used
 
 
@@ -116,15 +116,11 @@ def fiber_h0(order, tau, prec=DEFAULT_PRECISION):
     section is the constant one.  |det M| is the printed non-splitting
     witness and |det S| its exact, tau-independent value.
     """
-    def system(p):
-        lattice, M = _fiber_system(order, tau, p)
-        return abs(mpmath.det(M)), (lattice, M)
-
-    witness, (lattice, M), prec = escalate(system, prec)
     with mp.workprec(prec):
+        lattice, M = _fiber_system(order, tau, prec)
+        witness = abs(mpmath.det(M))
         factored = abs(lattice.embedding_det.numeric(prec))
-    return FiberH0(1, witness, factored, [FiberSection(0, 0, 0, 0, 1)], M,
-                   prec)
+    return FiberH0(1, witness, factored, [FiberSection(0, 0, 0, 0, 1)], prec)
 
 
 def curve_rep(mu, tau, tau_prime, prec=DEFAULT_PRECISION):
@@ -192,12 +188,9 @@ def dphi_check(section, tau_prime):
 
 
 def robust_dphi(point, prec=DEFAULT_PRECISION):
-    """dphi of the non-constant section, with the near-threshold recheck."""
-    def dphi(p):
-        section = curve_h0(point, p).sections[1]
-        return dphi_check(section, point.tau_prime), None
-
-    return escalate(dphi, prec)[0]
+    """dphi of the non-constant section at prec bits."""
+    with mp.workprec(prec):
+        return dphi_check(curve_h0(point, prec).sections[1], point.tau_prime)
 
 
 def verify_sections(rep, sections, n_points=20, seed=0, prec=DEFAULT_PRECISION,
@@ -258,16 +251,19 @@ def fiber_splitting_report(order, tau, prec=DEFAULT_PRECISION):
 
 
 def curve_splitting_report(point, prec=DEFAULT_PRECISION):
+    """Split: Im dphi = Im tau' (1 + 1/C) > 0 on the non-constant section,
+    as C = m - n sqrt(a) > 0 (exact) for the oriented mu of a CM point."""
+    mu, a = point.mu, point.mu.params.a
+    if not _upper_orientation(mu.m, mu.n, a.numerator, a.denominator):
+        raise ValueError("mu is not oriented: build the point with cm_point")
     result = curve_h0(point, prec)
-    dphi = robust_dphi(point, prec)
-    with mp.workprec(prec):
-        split = abs(dphi) > to_mpf(NONZERO_TOL)
-    verdict = "Split" if split else "NonSplit"
     s = result.sections[1]
+    with mp.workprec(prec):
+        dphi = dphi_check(s, point.tau_prime)
     cert = {"eigen_residual": mpmath.nstr(result.eigen_residual, 5),
             "citation": CITE_ELLIPTIC,
             "section": {"f1": mpmath.nstr(s.f1, 15),
                         "f2": mpmath.nstr(s.f2, 15),
                         "a": mpmath.nstr(s.a, 15)}}
-    return SplittingReport("EllipticInFiber", verdict, h0=result.h0,
+    return SplittingReport("EllipticInFiber", "Split", h0=result.h0,
                            certificate=cert, dphi_value=dphi)

@@ -8,9 +8,7 @@ import inspect
 import types
 from pathlib import Path
 
-import mpmath
-
-from fakeelliptic import exactlinalg, splitting
+from fakeelliptic import splitting
 from fakeelliptic.cm import cm_point
 from fakeelliptic.quaternions import QuatElement
 
@@ -49,7 +47,3 @@ def test_robust_dphi_calls_curve_h0_once_per_precision(params, monkeypatch):
                         lambda point, prec: precs.append(prec) or curve_h0(point, prec))
     splitting.robust_dphi(pt, 128)
     assert precs == [128]
-    # |dphi| = 2 lies within 10^3 of a threshold of 1/100
-    monkeypatch.setattr(exactlinalg, "NONZERO_TOL", mpmath.mpf(1) / 100)
-    splitting.robust_dphi(pt, 128)
-    assert precs == [128, 128, 256]

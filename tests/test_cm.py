@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import mpmath
 import pytest
 from mpmath import mp
 
+from fakeelliptic import cm
 from fakeelliptic.cm import (EigenMismatch, NotElliptic, cm_point,
                              enumerate_cm_points, eigenvalue_tau_prime,
                              fixed_point, fixed_point_quadratic, in_window,
@@ -83,6 +85,29 @@ def test_cm_point_sign_normalization(params):
     assert pt.coords == (0, 0, 1, 0)
     assert pt.tau_prime.imag > 0
     assert pt.char_poly == (0, 1)
+
+
+@pytest.mark.parametrize("ab", [(3, -1), (5, -2), (7, -57)])
+def test_cm_point_orients_either_sign_with_one_fixed_point(ab, monkeypatch):
+    params = AlgebraParams(*ab)
+    m = math.isqrt(int(params.a)) + 1  # m^2 > a: -b (m^2 - a) > 0, elliptic
+    fixed = cm.fixed_point
+    calls = []
+    monkeypatch.setattr(cm, "fixed_point",
+                        lambda mu, prec: calls.append(mu) or fixed(mu, prec))
+    # C = m - n sqrt a is 1, m - sqrt a and m + sqrt a, each with both signs
+    for coords in ((0, 0, 1, 0), (1, 0, m, 1), (0, 0, m, -1)):
+        mu = QuatElement(params, *coords)
+        # oracle: the sign whose numeric eigenvalue lies in the upper half plane
+        upper = [s for s in (mu, -mu)
+                 if eigenvalue_tau_prime(s, fixed(s, 128), 128).imag > 0]
+        assert len(upper) == 1
+        for start in (mu, -mu):
+            calls.clear()
+            pt = cm_point(start, 128, coords=start.coords())
+            assert len(calls) == 1
+            assert pt.mu == upper[0] and pt.coords == upper[0].coords()
+            assert pt.tau_prime.imag > 0
 
 
 def test_cm_point_eigenvector_relation(params, max_order):

@@ -5,13 +5,14 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from fakeelliptic import exactlinalg
 from fakeelliptic.exactlinalg import (DEFAULT_TOLERANCE, IDENTITY_TOL,
-                                      NONZERO_TOL, QuadExt, escalate,
-                                      exact_det, exact_rank,
+                                      QuadExt, exact_det, exact_rank,
                                       exact_solve, fraction_sqrt,
                                       numeric_svd, precision_tolerance,
                                       resolution, solve_quadratic, to_mpf,
                                       tolerance_at)
+from fakeelliptic.quaternions import AlgebraParams, QuatElement, embed
 from oracles import (exact_nullspace, laplace_det, numeric_nullspace,
                      rank_by_minors, reference_roots)
 
@@ -48,6 +49,24 @@ def test_quadext_validation():
         QuadExt(0, 1, 3) + QuadExt(0, 1, 5)
     with pytest.raises(ZeroDivisionError):
         QuadExt(0, 0, 3).inverse()
+
+
+def test_quadext_arithmetic_reuses_the_checked_radicand(monkeypatch):
+    params = AlgebraParams(3, -1)
+    mu = QuatElement(params, 1, 2, 3, 4)
+    nu = QuatElement(params, 0, 1, 2, Fraction(1, 2))
+    M, N, want = embed(mu), embed(nu), embed(mu * nu)
+    calls = []
+    monkeypatch.setattr(exactlinalg, "fraction_sqrt",
+                        lambda r: calls.append(r))
+    prod = [[M[i][0] * N[0][j] + M[i][1] * N[1][j] for j in range(2)]
+            for i in range(2)]
+    det = exact_det(M)
+    quotient = (1 - M[0][0]) / M[1][0] - 2
+    assert calls == []
+    assert prod == want
+    assert det == mu.nrd()
+    assert quotient * M[1][0] == 1 - M[0][0] - 2 * M[1][0]
 
 
 def test_quadext_numeric():
@@ -220,43 +239,6 @@ def test_precision_tolerance_halves_the_bits():
     assert precision_tolerance(64) == mpmath.mpf(2) ** -32
     with mp.workprec(64):
         assert mpmath.mpf(10) ** -20 < precision_tolerance(64)
-
-
-def _recording_run(certificates):
-    """A certificate run returning the next value, recording (prec, ambient)."""
-    calls = []
-
-    def run(prec):
-        calls.append((prec, mp.prec))
-        return certificates[len(calls) - 1], f"result at {prec}"
-    return run, calls
-
-
-@pytest.mark.parametrize("cert", [1, mpmath.mpf(10) ** -8, -6,
-                                  mpmath.mpc(0, 2) * 10 ** -9])
-def test_escalate_keeps_precision_away_from_threshold(cert):
-    run, calls = _recording_run([cert])
-    assert escalate(run, 128) == (cert, "result at 128", 128)
-    assert calls == [(128, 128)]
-
-
-@pytest.mark.parametrize("scale", [0, 1, 0.001, -0.999, 0.1j])
-def test_escalate_reruns_once_at_double_precision(scale):
-    # within the factor 10^3, the threshold included; the rerun is final,
-    # even when its certificate is near zero again
-    with mp.workprec(96):
-        first = scale * (to_mpf(NONZERO_TOL) * 1000)
-    run, calls = _recording_run([first, 0])
-    cert, result, used = escalate(run, 96)
-    assert (cert, result, used) == (0, "result at 192", 192)
-    assert calls == [(96, 96), (192, 192)]
-
-
-def test_escalate_threshold_is_exclusive_just_above():
-    just_above = to_mpf(NONZERO_TOL) * 1000 * (1 + mpmath.mpf(2) ** -60)
-    run, calls = _recording_run([just_above])
-    assert escalate(run, 128)[2] == 128
-    assert len(calls) == 1
 
 
 def test_tolerance_at_keeps_what_the_precision_resolves():

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from fakeelliptic.cm import cm_point
+from fakeelliptic import exactlinalg, splitting
+from fakeelliptic.cm import CMPoint, cm_point
 from fakeelliptic.family import random_tau
 from fakeelliptic.quaternions import QuatElement, embed
 from fakeelliptic.splitting import (CurveSection, InconsistentData,
@@ -184,6 +186,40 @@ def test_curve_report(params):
     d = report.as_dict()
     assert d["verdict"] == "Split"
     assert d["h0"] == 2
+
+
+def test_curve_verdict_does_not_read_the_threshold(params, monkeypatch):
+    # |dphi| < 3 here, far below the patched threshold
+    monkeypatch.setattr(splitting, "NONZERO_TOL", Fraction(10 ** 6))
+    monkeypatch.setattr(exactlinalg, "NONZERO_TOL", Fraction(10 ** 6))
+    for coords in ((0, 0, 1, 0), (0, 1, 2, 0), (1, 0, 1, 0)):
+        pt = cm_point(QuatElement(params, *coords), 128, coords=coords)
+        report = curve_splitting_report(pt, 128)
+        assert report.verdict == "Split"
+        assert report.dphi_value.imag > 0
+
+
+def test_curve_report_needs_an_oriented_point(params):
+    y = QuatElement(params, 0, 0, 1)
+    pt = cm_point(y, 128)
+    # -y fixes the same tau with eigenvalue -tau', in the lower half plane
+    with pytest.raises(ValueError):
+        curve_splitting_report(CMPoint(-y, pt.tau, -pt.tau_prime), 128)
+
+
+def test_fiber_h0_builds_one_lattice_at_prec(max_order, monkeypatch):
+    lattice = splitting.PeriodLattice
+    built = []
+    monkeypatch.setattr(splitting, "PeriodLattice",
+                        lambda *args: built.append(args) or lattice(*args))
+    # the witness 6 lies far below the patched threshold
+    monkeypatch.setattr(exactlinalg, "NONZERO_TOL", Fraction(10 ** 6))
+    for prec in (64, 128, 256):
+        built.clear()
+        res = fiber_h0(max_order, I, prec)
+        assert len(built) == 1
+        assert res.precision_used == prec
+        assert res.h0 == 1
 
 
 def test_elliptic_family_fiber_h0():
