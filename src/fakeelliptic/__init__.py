@@ -28,10 +28,10 @@ from .quaternions import (AlgebraParams, AlgebraSplit, QuatElement, embed,
 _NUMERIC = {
     "cm": ("CMPoint", "NotElliptic", "cm_point", "enumerate_cm_points",
            "fixed_point", "fixed_point_quadratic"),
-    "family": ("DegenerateLattice", "FamilyGroupElement", "PeriodLattice",
-               "PolarizationData", "UpperHalfPoint", "automorphy_factor",
-               "cocycle_check", "default_rho", "moebius_act",
-               "riemann_conditions_check", "riemann_form"),
+    "family": ("FamilyGroupElement", "PeriodLattice", "PolarizationData",
+               "UpperHalfPoint", "automorphy_factor", "cocycle_check",
+               "default_rho", "moebius_act", "riemann_conditions_check",
+               "riemann_form"),
     "splitting": ("curve_h0", "dphi_check", "elliptic_family_fiber_h0",
                   "fiber_h0", "verify_sections"),
 }
@@ -50,10 +50,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraParams", "AlgebraSplit", "CMPoint", "ComputationError", "Config",
-    "ConfigError", "DEFAULT_PRECISION", "DegenerateLattice",
-    "FamilyGroupElement", "InconsistentData", "NotAnOrder", "NotElliptic",
-    "OrderLattice", "PeriodLattice", "PolarizationData", "QuadExt",
-    "QuatElement", "SearchExhausted", "SplittingReport", "UpperHalfPoint",
+    "ConfigError", "DEFAULT_PRECISION", "FamilyGroupElement",
+    "InconsistentData", "NotAnOrder", "NotElliptic", "OrderLattice",
+    "PeriodLattice", "PolarizationData", "QuadExt", "QuatElement",
+    "SearchExhausted", "SplittingReport", "UpperHalfPoint",
     "automorphy_factor", "classify_candidate", "cm_point", "cocycle_check",
     "curve_h0", "default_config", "default_rho", "dphi_check", "embed",
     "elliptic_family_fiber_h0", "enumerate_cm_points", "enumerate_units",

@@ -99,8 +99,7 @@ def cm_point(mu, prec=DEFAULT_PRECISION, coords=None):
     mu and -mu have the same fixed point with conjugate eigenvalues, and
     Im tau' = C Im tau, so the sign with C = m - n sqrt(a) > 0 is kept.
     """
-    a = mu.params.a
-    if not _upper_orientation(mu.m, mu.n, a.numerator, a.denominator):
+    if not _upper_orientation(mu.m, mu.n, mu.params.a):
         mu = -mu
         coords = tuple(-c for c in coords) if coords is not None else None
     tau = fixed_point(mu, prec)
@@ -115,14 +114,15 @@ def in_window(tau, window):
     return re_min <= t.real <= re_max and im_min <= t.imag <= im_max
 
 
-def _upper_orientation(M, N, an, ad):
-    """Whether M - N sqrt(an/ad) > 0, for rationals M, N not both zero."""
+def _upper_orientation(M, N, a):
+    """Whether M - N sqrt(a) > 0, for rationals M, N not both zero and a
+    no rational square."""
     if M >= 0 and N <= 0:
         return True
     if M <= 0 and N >= 0:
         return False
     # equal signs: compare M^2 with a N^2, never equal as a is no square
-    return (M > 0) == (ad * M * M > an * N * N)
+    return (M > 0) == (M * M > a * N * N)
 
 
 def enumerate_cm_points(order, height, window=None, prec=DEFAULT_PRECISION):
@@ -133,22 +133,22 @@ def enumerate_cm_points(order, height, window=None, prec=DEFAULT_PRECISION):
     (lexicographic coordinates break ties), with the sign that puts tau'
     in the upper half plane.
 
-    The box is scanned in machine integers and grouped into classes.
-    Scaled by the lcm of the basis denominators, the trace-zero part mu0
-    of mu = sum c_i g_i has integer (x, y, xy) coordinates (L, M, N), and the
-    fixed-point quadratic of mu is, up to a common factor,
-    (M - N sqrt a, -2 L sqrt a, -b (M + N sqrt a)).  So all elements whose
-    primitive (L, M, N) agree up to sign fix the same point; mu is elliptic
-    iff trd^2 - 4 nrd = -4 nrd(mu0) < 0, i.e. -a L^2 - b M^2 + a b N^2 > 0;
-    and Im tau' has the sign of C = M - N sqrt a.  The loop keeps the
-    minimal (sum c^2, c) per oriented primitive (L, M, N), and `cm_point`
-    runs once per elliptic class, on the minimum of the orientation with
-    C > 0.
+    The box is scanned on the integer form (a', b', D, B') of the order
+    (`OrderLattice.form`): the trace-zero part mu0 of mu = sum c_i g_i is
+    (L x' + M y' + N x'y') / D with integers (L, M, N) = sum c_i B'_i.
+    The fixed-point quadratic of mu is linear in mu0 and free of its
+    scalar part, so all elements whose primitive (L, M, N) agree up to
+    sign fix the same point; mu is elliptic iff trd^2 - 4 nrd =
+    -4 nrd(mu0) < 0, i.e. -a' L^2 - b' M^2 + a' b' N^2 > 0; and Im tau'
+    has the sign of C = m - n sqrt a, which is that of M - N sqrt a'.
+    The loop keeps the minimal (sum c^2, c) per oriented primitive
+    (L, M, N), and `cm_point` runs once per elliptic class, on the
+    minimum of the orientation with C > 0.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
-    den = math.lcm(*(x.denominator for row in order.basis for x in row))
-    rows = [[int(x * den) for x in row[1:]] for row in order.basis]
+    a, b, _, B = order.form
+    rows = [row[1:] for row in B]
     best = {}
     for c in itertools.product(range(-height, height + 1), repeat=4):
         L = M = N = 0
@@ -163,14 +163,11 @@ def enumerate_cm_points(order, height, window=None, prec=DEFAULT_PRECISION):
         rank = (c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3], c)
         if key not in best or rank < best[key]:
             best[key] = rank
-    an, ad = order.params.a.numerator, order.params.a.denominator
-    bn, bd = order.params.b.numerator, order.params.b.denominator
     pts = []
     for (L, M, N), (_, coords) in best.items():
-        # ad bd (-a L^2 - b M^2 + a b N^2) > 0
-        if an * (bn * N * N - bd * L * L) - bn * ad * M * M <= 0:
+        if a * (b * N * N - L * L) - b * M * M <= 0:
             continue  # not elliptic
-        if not _upper_orientation(M, N, an, ad):
+        if not _upper_orientation(M, N, a):
             continue  # the class is visited from its other orientation
         pt = cm_point(order.element_from(coords), prec, coords)
         if in_window(pt.tau, window):

@@ -72,11 +72,12 @@ def parse_complex(text):
     return mpmath.mpc(z.real, z.imag)
 
 
-def complex_pair(z, digits=20):
-    """{re, im} pair of decimal strings, the report form of complex values."""
+def complex_pair(z):
+    """{re, im} pair of 20-digit decimal strings, the report form of
+    complex values."""
     import mpmath
     z = mpmath.mpc(z)
-    return {"re": mpmath.nstr(z.real, digits), "im": mpmath.nstr(z.imag, digits)}
+    return {"re": mpmath.nstr(z.real, 20), "im": mpmath.nstr(z.imag, 20)}
 
 
 class Config:

@@ -1,10 +1,10 @@
 """Exact and high-precision linear algebra kernel.
 
 Exact scalars are ``fractions.Fraction`` and :class:`QuadExt` (elements
-u + v*sqrt(a) of a real quadratic field).  Exact matrices are plain lists
-of rows over either scalar type; everything is computed by fraction-free
-Gaussian elimination with exact pivots, so ranks and determinants carry
-no tolerance.
+u + v*sqrt(a) of a real quadratic field).  Lattice ranks, membership and
+determinants are decided on integer forms (`orders.OrderLattice`); the
+elimination kernels `exact_rank`, `exact_det` and `exact_solve` stay
+here as references for the tests and the benchmark's tracer.
 
 Numeric work (periods, witnesses, CM points) runs on mpmath at a
 configurable binary precision, 128 bits by default.  The numeric

@@ -12,9 +12,9 @@ import functools
 import itertools
 import math
 
-from .exactlinalg import ComputationError, exact_det, exact_rank, exact_solve
-from .quaternions import (AlgebraSplit, QuatElement, _factorize, embed,
-                          ramified_primes)
+from .exactlinalg import ComputationError
+from .quaternions import (AlgebraSplit, QuatElement, _factorize, _product,
+                          embed, ramified_primes)
 
 
 class NotAnOrder(ComputationError):
@@ -30,16 +30,23 @@ class SearchExhausted(ComputationError):
 
 
 class OrderLattice:
-    """Rank-4 lattice given by four generator rows in (1,x,y,xy) coordinates."""
+    """Rank-4 lattice given by four generator rows in (1,x,y,xy) coordinates.
+
+    Every exact question about the lattice reads its integer form
+    `form` = (a', b', D, B') and `adjugate` = (adj(B'), det(B')), built
+    once here; the rank is 4 iff det(B') != 0.
+    """
 
     def __init__(self, params, basis):
         basis = [[Fraction(x) for x in row] for row in basis]
         if len(basis) != 4 or any(len(r) != 4 for r in basis):
             raise ValueError("basis must be 4x4")
-        if exact_rank(basis) != 4:
-            raise ValueError("basis is not of full rank")
         self.params = params
         self.basis = basis
+        self.form = _integer_form(params, basis)
+        self.adjugate = _adjugate(self.form[3])
+        if self.adjugate[1] == 0:
+            raise ValueError("basis is not of full rank")
 
     def generators(self):
         return [QuatElement(self.params, *row) for row in self.basis]
@@ -49,19 +56,24 @@ class OrderLattice:
         """embed(g) of each generator: 2x2 matrices over Q(sqrt a)."""
         return [embed(g) for g in self.generators()]
 
-    @functools.cached_property
+    @property
     def embedding_det(self):
-        """det S, exact in Q(sqrt a), for S the stacked rows (E00, E10,
-        E01, E11) of `embedding`; for an order |det S| is its reduced
-        discriminant, and the period lattices are nondegenerate iff it is
-        nonzero (`family.PeriodLattice`)."""
-        return exact_det([[E[0][0], E[1][0], E[0][1], E[1][1]]
-                          for E in self.embedding])
+        """det S, for S the stacked rows (E00, E10, E01, E11) of `embedding`.
+
+        S is the basis times a map of determinant -4ab, so det S =
+        -4ab det(basis) = -4 a'b' det(B') / D^4, a nonzero rational; for
+        an order |det S| is its reduced discriminant.
+        """
+        a, b, D, _ = self.form
+        return Fraction(-4 * a * b * self.adjugate[1], D ** 4)
 
     def coords_of(self, q):
-        """Coordinates of q in the lattice basis, or None."""
-        cols = [[self.basis[j][i] for j in range(4)] for i in range(4)]
-        return exact_solve(cols, list(q.coords()))
+        """Coordinates of q in the lattice basis: q' adj(B') / det(B'), for
+        q' the coordinates of D q over (1, x', y', x'y')."""
+        adj, det = self.adjugate
+        v = [x * self.form[2] for x in _scaled(self.params, q.coords())]
+        return [sum(x * row[c] for x, row in zip(v, adj)) / det
+                for c in range(4)]
 
     def element_from(self, coords):
         q = QuatElement(self.params, 0)
@@ -70,8 +82,7 @@ class OrderLattice:
         return q
 
     def contains(self, q):
-        sol = self.coords_of(q)
-        return sol is not None and all(c.denominator == 1 for c in sol)
+        return all(c.denominator == 1 for c in self.coords_of(q))
 
     def __eq__(self, other):
         if not isinstance(other, OrderLattice):
@@ -91,30 +102,28 @@ def _coords_str(coords):
     return "(" + ", ".join(str(c) for c in coords) + ")"
 
 
-def _integer_form(L):
-    """(a', b', D, B'): L in machine integers.
+def _scaled(params, coords):
+    """(1, x, y, xy) coordinates over (1, x', y', x'y'), for x' = den(a) x
+    and y' = den(b) y."""
+    ad, bd = params.a.denominator, params.b.denominator
+    k, l, m, n = coords
+    return k, l / ad, m / bd, n / (ad * bd)
+
+
+def _integer_form(params, basis):
+    """(a', b', D, B'): the basis in machine integers.
 
     Over x' = den(a) x and y' = den(b) y, whose squares a' and b' are
     integers, the basis coordinates are scaled to integer rows
     B' = D * basis by the lcm D of their denominators.  So the products
-    B'_i B'_j = D^2 g_i g_j are integer vectors, and v lies in L iff
-    v adj(B') = 0 mod det(B').
+    B'_i B'_j = D^2 g_i g_j are integer vectors, and v lies in the
+    lattice iff v adj(B') = 0 mod det(B').
     """
-    a, b = L.params.a, L.params.b
-    ad, bd = a.denominator, b.denominator
-    coords = [(k, l / ad, m / bd, n / (ad * bd)) for k, l, m, n in L.basis]
-    D = math.lcm(*(x.denominator for row in coords for x in row))
-    return (a.numerator * ad, b.numerator * bd, D,
-            [[int(x * D) for x in row] for row in coords])
-
-
-def _product(u, v, a, b):
-    k1, l1, m1, n1 = u
-    k2, l2, m2, n2 = v
-    return (k1 * k2 + a * l1 * l2 + b * m1 * m2 - a * b * n1 * n2,
-            k1 * l2 + l1 * k2 + b * (n1 * m2 - m1 * n2),
-            k1 * m2 + m1 * k2 + a * (l1 * n2 - n1 * l2),
-            k1 * n2 + l1 * m2 - m1 * l2 + n1 * k2)
+    a, b = params.a, params.b
+    rows = [_scaled(params, row) for row in basis]
+    D = math.lcm(*(x.denominator for row in rows for x in row))
+    return (a.numerator * a.denominator, b.numerator * b.denominator, D,
+            [[int(x * D) for x in row] for row in rows])
 
 
 def _gram(a, b, B):
@@ -138,13 +147,13 @@ def _adjugate(m):
 def is_order(L):
     """Closure certificate: returns (bool, list of violated conditions).
 
-    Decided by divisibility on `_integer_form`: with A = adj(B') and
-    d = det(B'), 1 is in L iff D A_0 = 0 mod d, g_i g_j is iff
+    Decided by divisibility on the integer form of L: with A = adj(B')
+    and d = det(B'), 1 is in L iff D A_0 = 0 mod d, g_i g_j is iff
     (B'_i B'_j) A = 0 mod D d, trd(g_i) = 2 B'_i0 / D and
     nrd(g_i) = G'_ii / 2 D^2 on G' = `_gram`.
     """
-    a, b, D, B = _integer_form(L)
-    adj, det = _adjugate(B)
+    a, b, D, B = L.form
+    adj, det = L.adjugate
     G = _gram(a, b, B)
     problems = []
     if any(D * x % det for x in adj[0]):
@@ -165,17 +174,13 @@ def reduced_discriminant(L):
     """sqrt|det| of the Gram matrix trd(e_i * conj(e_j)) over the basis.
 
     The Gram matrix is B diag(2, -2a, -2b, 2ab) B^T, so its determinant
-    is (4 a b det B)^2, and over `_integer_form` the root is
-    4 |a' b' det B'| / D^4.
+    is (4 a b det B)^2 and the root is |`embedding_det`|.  It is an
+    integer once `is_order` passes, since the Gram matrix of an order is.
     """
     ok, problems = is_order(L)
     if not ok:
         raise NotAnOrder("; ".join(problems))
-    a, b, D, B = _integer_form(L)
-    root = Fraction(4 * abs(a * b * _adjugate(B)[1]), D ** 4)
-    if root.denominator != 1:
-        raise NotAnOrder("discriminant Gram determinant is not a perfect square")
-    return int(root)
+    return int(abs(L.embedding_det))
 
 
 def maximal_discriminant(params):
@@ -190,7 +195,7 @@ def is_maximal(L):
     return reduced_discriminant(L) == maximal_discriminant(L.params)
 
 
-def saturate(L, max_passes=64):
+def saturate(L):
     """Grow L to a maximal order by adjoining integral coset elements v/q.
 
     The index of L in any maximal order equals disc(L)/disc(B), so the
@@ -209,23 +214,21 @@ def saturate(L, max_passes=64):
     `Config.algebra()` builds them).  In other presentations of the same
     algebra, such as (5, -18) for (5, -2), this one-coset-at-a-time
     search can stop short of a maximal order and raise SearchExhausted.
+    Each pass divides disc by a prime, so the loop ends.
     """
     disc = reduced_discriminant(L)
     target = math.prod(ramified_primes(L.params))
     current = L
-    for _ in range(max_passes):
-        if disc == target:
-            return current
-        enlarged = None
+    while disc != target:
         for q in sorted(_factorize(disc // target)):
             enlarged = _adjoin_coset(current, q, disc)
             if enlarged is not None:
                 break
-        if enlarged is None:
+        else:
             raise SearchExhausted(
                 f"no integral enlargement below discriminant {disc}", current)
         current, disc = enlarged
-    raise SearchExhausted("saturation did not terminate", current)
+    return current
 
 
 def _integral_cosets(L, q):
@@ -235,8 +238,8 @@ def _integral_cosets(L, q):
     s = c / c_j mod q.  L is a certified order: trd(g_i) and the Gram
     matrix are integral.
     """
-    t = [int(2 * row[0]) for row in L.basis]
-    a, b, D, B = _integer_form(L)
+    a, b, D, B = L.form
+    t = [2 * row[0] // D for row in B]
     G = [[x // (D * D) for x in row] for row in _gram(a, b, B)]
     t3_inv = pow(t[3], -1, q) if t[3] % q else None
     for c0, c1, c2 in itertools.product(range(q), repeat=3):
@@ -303,7 +306,7 @@ def enumerate_units(L, height):
     """
     if height < 0:
         raise ValueError("height must be >= 0")
-    a, b, D, B = _integer_form(L)
+    a, b, D, B = L.form
     G, target = _gram(a, b, B), 2 * D * D
     box = range(-height, height + 1)
     out = []

@@ -94,15 +94,8 @@ class QuatElement:
             c = Fraction(other)
             return QuatElement(self.params, c * self.k, c * self.l, c * self.m, c * self.n)
         o = self._coerce(other)
-        a, b = self.params.a, self.params.b
-        k1, l1, m1, n1 = self.coords()
-        k2, l2, m2, n2 = o.coords()
-        return QuatElement(
-            self.params,
-            k1 * k2 + a * l1 * l2 + b * m1 * m2 - a * b * n1 * n2,
-            k1 * l2 + l1 * k2 - b * m1 * n2 + b * n1 * m2,
-            k1 * m2 + m1 * k2 + a * l1 * n2 - a * n1 * l2,
-            k1 * n2 + l1 * m2 - m1 * l2 + n1 * k2)
+        return QuatElement(self.params, *_product(
+            self.coords(), o.coords(), self.params.a, self.params.b))
 
     def __rmul__(self, other):
         # scalars commute
@@ -143,6 +136,17 @@ class QuatElement:
         return f"QuatElement({self.k}, {self.l}, {self.m}, {self.n})"
 
 
+def _product(u, v, a, b):
+    """The multiplication table: coordinates of u v over (1, x, y, xy)
+    for x^2 = a and y^2 = b, on rational or integer coordinates."""
+    k1, l1, m1, n1 = u
+    k2, l2, m2, n2 = v
+    return (k1 * k2 + a * l1 * l2 + b * m1 * m2 - a * b * n1 * n2,
+            k1 * l2 + l1 * k2 + b * (n1 * m2 - m1 * n2),
+            k1 * m2 + m1 * k2 + a * (l1 * n2 - n1 * l2),
+            k1 * n2 + l1 * m2 - m1 * l2 + n1 * k2)
+
+
 def embed(q):
     """The fixed embedding into M_2(Q(sqrt a)).
 
@@ -151,8 +155,9 @@ def embed(q):
     """
     a, b = q.params.a, q.params.b
     k, l, m, n = q.coords()
-    return [[QuadExt(k, l, a), QuadExt(b * m, b * n, a)],
-            [QuadExt(m, -n, a), QuadExt(k, -l, a)]]
+    # AlgebraParams has checked that a is no rational square
+    return [[QuadExt._over(k, l, a), QuadExt._over(b * m, b * n, a)],
+            [QuadExt._over(m, -n, a), QuadExt._over(k, -l, a)]]
 
 
 # ---------------------------------------------------------------------------

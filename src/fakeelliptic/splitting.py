@@ -111,15 +111,16 @@ def fiber_h0(order, tau, prec=DEFAULT_PRECISION):
     The 4x4 system in (f1, f2, a1, a2) has one row
     (v1, v2, period1, period2) per generator, and h0 = 1 + its nullity.
     It factors as the stacked column matrix S of the embeddings times a
-    unit triangular tau-block, so det M = det S, which `PeriodLattice`
-    certifies nonzero exactly: the nullity is 0, h0 = 1, and the only
-    section is the constant one.  |det M| is the printed non-splitting
-    witness and |det S| its exact, tau-independent value.
+    unit triangular tau-block, so det M = det S = -4ab det(basis)
+    (`OrderLattice.embedding_det`), which is nonzero for every lattice:
+    the nullity is 0, h0 = 1, and the only section is the constant one.
+    |det M| is the printed non-splitting witness and |det S| its exact,
+    tau-independent value.
     """
     with mp.workprec(prec):
-        lattice, M = _fiber_system(order, tau, prec)
+        _, M = _fiber_system(order, tau, prec)
         witness = abs(mpmath.det(M))
-        factored = abs(lattice.embedding_det.numeric(prec))
+        factored = to_mpf(abs(order.embedding_det))
     return FiberH0(1, witness, factored, [FiberSection(0, 0, 0, 0, 1)], prec)
 
 
@@ -193,15 +194,13 @@ def robust_dphi(point, prec=DEFAULT_PRECISION):
         return dphi_check(curve_h0(point, prec).sections[1], point.tau_prime)
 
 
-def verify_sections(rep, sections, n_points=20, seed=0, prec=DEFAULT_PRECISION,
-                    rng=None):
+def verify_sections(rep, sections, n_points=20, seed=0, prec=DEFAULT_PRECISION):
     """Max residual of f(z + period) - rho(gen) f(z) over random z.
 
     Re-verifies membership in the section space directly from the
     functional equation, independently of the solver's reduction.
     """
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     with mp.workprec(prec):
         worst = mpmath.mpf(0)
         for idx, period in enumerate(rep.periods):
@@ -253,8 +252,8 @@ def fiber_splitting_report(order, tau, prec=DEFAULT_PRECISION):
 def curve_splitting_report(point, prec=DEFAULT_PRECISION):
     """Split: Im dphi = Im tau' (1 + 1/C) > 0 on the non-constant section,
     as C = m - n sqrt(a) > 0 (exact) for the oriented mu of a CM point."""
-    mu, a = point.mu, point.mu.params.a
-    if not _upper_orientation(mu.m, mu.n, a.numerator, a.denominator):
+    mu = point.mu
+    if not _upper_orientation(mu.m, mu.n, mu.params.a):
         raise ValueError("mu is not oriented: build the point with cm_point")
     result = curve_h0(point, prec)
     s = result.sections[1]

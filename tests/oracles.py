@@ -10,9 +10,10 @@ points by building every box element as a `QuatElement` instead of
 scanning integer forms, the curve section space by an SVD nullspace
 instead of the closed form, the period lattice rank condition by an SVD
 of the real period matrix instead of the exact embedding determinant,
-the order certificate and discriminant by `Fraction` quaternion
-products and solves instead of divisibility on the integer form of the
-lattice, and the Riemann, isogeny and cocycle checks recomputed from
+the order certificate, discriminant and membership by `Fraction`
+quaternion products and solves instead of divisibility on the integer
+form of the lattice, the stacked embedding determinant by elimination
+over Q(sqrt a) instead of -4ab det(basis), and the Riemann, isogeny and cocycle checks recomputed from
 scratch on every call instead of from the embedding, Gram matrix and
 square roots that the order, the polarization and `QuadExt` keep.
 
@@ -31,8 +32,8 @@ from mpmath import mp
 from fakeelliptic.cm import cm_point, in_window, is_elliptic
 from fakeelliptic.exactlinalg import (DEFAULT_PRECISION, _to_ap_matrix,
                                       _zero_like, exact_det, exact_rank,
-                                      exact_rref, fraction_sqrt, numeric_svd,
-                                      precision_tolerance)
+                                      exact_rref, exact_solve, fraction_sqrt,
+                                      numeric_svd, precision_tolerance)
 from fakeelliptic.family import as_complex
 from fakeelliptic.orders import NotAnOrder, OrderLattice, UnitSample
 from fakeelliptic.quaternions import QuatElement, _factorize, embed, ramified_primes
@@ -293,7 +294,7 @@ def congruence_filter_bruteforce(units, N, L):
     """Units congruent to 1 modulo N, one exact solve per unit."""
     kept = []
     for u in units:
-        delta = L.coords_of(u.element - QuatElement(L.params, 1))
+        delta = coords_by_solve(L, u.element - QuatElement(L.params, 1))
         if delta is not None and all(c.denominator == 1 and c.numerator % N == 0
                                      for c in delta):
             kept.append(u)
@@ -393,18 +394,37 @@ def _coords_str(q):
     return "(" + ", ".join(str(c) for c in q.coords()) + ")"
 
 
+def coords_by_solve(L, q):
+    """Coordinates of q in the basis of L by an exact `Fraction` solve of
+    the transposed basis system, or None."""
+    cols = [[L.basis[j][i] for j in range(4)] for i in range(4)]
+    return exact_solve(cols, list(q.coords()))
+
+
+def contains_by_solve(L, q):
+    sol = coords_by_solve(L, q)
+    return sol is not None and all(c.denominator == 1 for c in sol)
+
+
+def stacked_embedding_det(L):
+    """det S by elimination over Q(sqrt a), for S the stacked rows
+    (E00, E10, E01, E11) of the embedded generators of L."""
+    return exact_det([[E[0][0], E[1][0], E[0][1], E[1][1]]
+                      for E in (embed(g) for g in L.generators())])
+
+
 def is_order_fraction(L):
     """Closure certificate: returns (bool, list of violated conditions)."""
     problems = []
     one = QuatElement(L.params, 1)
-    if not L.contains(one):
+    if not contains_by_solve(L, one):
         problems.append("1 is not in the lattice")
     gens = L.generators()
     for g in gens:
         if g.trd().denominator != 1 or g.nrd().denominator != 1:
             problems.append(f"generator {_coords_str(g)} is not integral")
     for gi, gj in itertools.product(gens, gens):
-        if not L.contains(gi * gj):
+        if not contains_by_solve(L, gi * gj):
             problems.append(f"product {_coords_str(gi)} * {_coords_str(gj)} "
                             "leaves the lattice")
     return not problems, problems
@@ -437,7 +457,7 @@ def normalize_isogeny(lam, mu, order):
     if lam.is_zero():
         raise ValueError("lam must be nonzero")
     v = lam.inverse() * mu
-    coords = order.coords_of(v)
+    coords = coords_by_solve(order, v)
     if coords is None:
         raise ValueError("lam^-1 * mu does not lie in the span of the order")
     n = math.lcm(*(c.denominator for c in coords))
@@ -566,7 +586,8 @@ def automorphy_factor_fresh(g, z, tau, prec):
 
 
 def cocycle_residual_fresh(g1, g2, z, tau, prec):
-    """mnorm(a(g1 g2, x) - a(g1, g2 x) a(g2, x)) at x = (z, tau)."""
+    """mnorm(L - R) / (1 + mnorm(L)) for L = a(g1 g2, x) and
+    R = a(g1, g2 x) a(g2, x), at x = (z, tau)."""
     with mp.workprec(prec):
         num, j = _periods_fresh(g2.gamma, tau, prec)
         lt = _periods_fresh(g2.lam, tau, prec)
@@ -574,4 +595,12 @@ def cocycle_residual_fresh(g1, g2, z, tau, prec):
         left = automorphy_factor_fresh(g1 * g2, z, tau, prec)
         right = (automorphy_factor_fresh(g1, z2, num / j, prec)
                  * automorphy_factor_fresh(g2, z, tau, prec))
-        return mpmath.mnorm(left - right)
+        return mpmath.mnorm(left - right) / (1 + mpmath.mnorm(left))
+
+
+def canonical_residual_fresh(g, z, tau, prec):
+    """|det a(g, x) - j^-4| / (1 + |j^-4|) at x = (z, tau), j = c tau + d."""
+    with mp.workprec(prec):
+        canonical = _periods_fresh(g.gamma, tau, prec)[1] ** -4
+        det = mpmath.det(automorphy_factor_fresh(g, z, tau, prec))
+        return abs(det - canonical) / (1 + abs(canonical))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fakeelliptic
-from fakeelliptic import orders
+from fakeelliptic import exactlinalg, orders
 from fakeelliptic.cli import main
 
 SRC = os.pathsep.join(filter(None, [
@@ -342,7 +342,7 @@ def test_suites_build_tau_independent_data_once(monkeypatch, capsys):
         monkeypatch.setattr(module, name, counted)
 
     count(family, "riemann_form")
-    count(orders, "exact_det")
+    count(exactlinalg, "exact_det")
     count(orders, "enumerate_units")
     for trials in (1, 4):
         counts.clear()
@@ -350,13 +350,28 @@ def test_suites_build_tau_independent_data_once(monkeypatch, capsys):
                               str(trials))
         assert code == 0
         assert report["results"]["suites"]["riemann"]["trials"] == trials + 1
-        # one Gram matrix of E (16 pairs) and one det S per command
-        assert counts == {"riemann_form": 16, "exact_det": 1}
+        # one Gram matrix of E (16 pairs) per command; det S is read off
+        # the order's integer form, with no elimination
+        assert counts == {"riemann_form": 16}
+        assert counts["exact_det"] == 0
     counts.clear()
     code, report, _ = run(capsys, "suite", "all", "--trials", "2")
     assert code == 0
     # cocycle and isogeny share one enumeration of the height-1 units
-    assert counts == {"riemann_form": 16, "exact_det": 1, "enumerate_units": 1}
+    assert counts == {"riemann_form": 16, "enumerate_units": 1}
+
+
+def test_low_precision_cocycle_suite_on_a_large_automorphy_factor(
+        tmp_path, capsys):
+    # a sampled group element has |j^-4| = 3.3e5, whose absolute
+    # canonical-degree residual 1.2e-4 exceeded the 32-bit tolerance 2^-16
+    cfg = tmp_path / "b37.cfg"
+    cfg.write_text("algebra.a = 3\nalgebra.b = -7\nprecision = 32\n"
+                   "seed = 0\n")
+    code, report, err = run(capsys, "suite", "cocycle", str(cfg),
+                            "--trials", "10")
+    assert code == 0, err
+    assert report["results"]["suites"]["cocycle"]["failures"] == 0
 
 
 def test_large_algebra_parameter_is_factored(tmp_path):

@@ -261,3 +261,13 @@ def test_enumerate_matches_bruteforce(ab, height, window):
     got = enumerate_cm_points(order, height, window, 128)
     want = enumerate_cm_points_bruteforce(order, height, window, 128)
     assert [_point_fields(p) for p in got] == [_point_fields(p) for p in want]
+
+
+def test_enumerate_matches_bruteforce_on_rational_lattices(rational_lattices):
+    # the integer form scales x and y, so (L, M, N), a' and b' differ from
+    # the (1, x, y, xy) coordinates
+    for L in rational_lattices:
+        got = enumerate_cm_points(L, 2, None, 128)
+        want = enumerate_cm_points_bruteforce(L, 2, None, 128)
+        assert got
+        assert [_point_fields(p) for p in got] == [_point_fields(p) for p in want]

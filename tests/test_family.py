@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from fakeelliptic.family import (DegenerateLattice, FamilyGroupElement,
+from fakeelliptic.family import (FamilyGroupElement,
                                  PeriodLattice, PolarizationData,
                                  UpperHalfPoint, automorphy_factor,
                                  canonical_degree_check, cocycle_check,
@@ -16,13 +16,14 @@ from fakeelliptic.family import (DegenerateLattice, FamilyGroupElement,
                                  riemann_form)
 from fakeelliptic import AlgebraParams, Config, saturate, standard_order
 from fakeelliptic.exactlinalg import DEFAULT_TOLERANCE, exact_det, to_mpf
-from fakeelliptic.orders import OrderLattice, enumerate_units
+from fakeelliptic.orders import enumerate_units
 from fakeelliptic.quaternions import QuatElement
 from fakeelliptic.splitting import _fiber_system
-from oracles import (automorphy_factor_fresh, cocycle_residual_fresh,
-                     isogeny_deviation_fresh, laplace_det, numeric_nullspace,
-                     period_rank_svd, reduced_discriminant_fraction,
-                     riemann_conditions_fresh, riemann_form_by_matrices)
+from oracles import (automorphy_factor_fresh, canonical_residual_fresh,
+                     cocycle_residual_fresh, isogeny_deviation_fresh,
+                     laplace_det, numeric_nullspace, period_rank_svd,
+                     reduced_discriminant_fraction, riemann_conditions_fresh,
+                     riemann_form_by_matrices, stacked_embedding_det)
 
 I = mpmath.mpc(0, 1)
 EPS = mpmath.mpf(10) ** -30
@@ -56,17 +57,6 @@ def test_period_lattice_rank_four(max_order):
         PeriodLattice(max_order, random_tau(rng), 128)
 
 
-def test_period_lattice_rejects_dependent_vectors(params, max_order):
-    # generators 1, y, y, 2: built past the rank check of the constructor,
-    # so that the lattice's own embedding_det decides
-    dependent = OrderLattice.__new__(OrderLattice)
-    dependent.params = params
-    dependent.basis = [[Fraction(c) for c in row] for row in
-                       ([1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0], [2, 0, 0, 0])]
-    with pytest.raises(DegenerateLattice):
-        PeriodLattice(dependent, mpmath.mpc(0, 1), 128)
-
-
 @pytest.mark.parametrize("ab", [(3, -1), (3, -7), (2, -5), (7, -57),
                                 (13, -10)])
 @pytest.mark.parametrize("maximal", [False, True])
@@ -77,14 +67,14 @@ def test_exact_rank_condition_matches_svd_oracle(ab, maximal):
         order = saturate(order)
     disc = reduced_discriminant_fraction(order)
     assert disc == 4 * abs(params.a * params.b * exact_det(order.basis))
+    det_s = order.embedding_det
+    assert det_s == stacked_embedding_det(order) and abs(det_s) == disc
     taus = (I, mpmath.mpc(0.3, 2.5), mpmath.mpc(-1.7, 0.01))
     for prec in (64, 128, 256):
         with mp.workprec(prec):
             tol = to_mpf(DEFAULT_TOLERANCE)
             for tau in taus:
                 lattice, M = _fiber_system(order, tau, prec)
-                det_s = lattice.embedding_det
-                assert det_s.v == 0 and abs(det_s.u) == disc
                 assert period_rank_svd(lattice, prec)
                 assert numeric_nullspace(M, tol, prec) == []
                 det_p = abs(mpmath.det(lattice.real_matrix()))
@@ -343,6 +333,10 @@ def test_checks_match_fresh_recomputation(ab, prec):
             assert not cocycle_check(g1, g2, z, tau, prec, res)
             assert cocycle_check(g1, g2, z, tau, prec,
                                  res * slack if res else slack - 1)
+            res = canonical_residual_fresh(g1, z, tau, prec)
+            assert not canonical_degree_check(g1, z, tau, prec, res)
+            assert canonical_degree_check(g1, z, tau, prec,
+                                          res * slack if res else slack - 1)
             A = automorphy_factor(g1, z, tau, prec)
             assert A == automorphy_factor_fresh(g1, z, tau, prec)
 

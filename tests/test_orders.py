@@ -1,19 +1,22 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
-from fakeelliptic import orders
+from fakeelliptic import cm, family, orders, splitting
 from fakeelliptic.orders import (NotAnOrder, OrderLattice, _adjoin_coset,
                                  congruence_filter, enumerate_units,
                                  is_maximal, is_order, reduced_discriminant,
                                  saturate, standard_order)
 from fakeelliptic.quaternions import (AlgebraParams, AlgebraSplit,
                                       QuatElement, ramified_primes)
-from oracles import (congruence_filter_bruteforce, count_units_by_embedding,
+from oracles import (congruence_filter_bruteforce, contains_by_solve,
+                     coords_by_solve, count_units_by_embedding,
                      enumerate_units_bruteforce, is_order_fraction,
                      laplace_det, reduced_discriminant_fraction,
-                     saturate_bruteforce, squarefree_part)
+                     saturate_bruteforce, squarefree_part,
+                     stacked_embedding_det)
 
 # the algebras of the benchmark's enumerate and saturate workloads, and two
 # with a large unramified gap prime
@@ -205,12 +208,14 @@ def _unit_fields(units):
             for u in units]
 
 
-def test_enumerate_units_matches_bruteforce(params, std_order, max_order):
+def test_enumerate_units_matches_bruteforce(params, std_order, max_order,
+                                           rational_lattices):
     # Fraction rows, and a lattice that is no order: its Gram matrix has
     # denominators
     halves = OrderLattice(params, [[Fraction(1, 2), 0, 0, 0], [0, 1, 0, 0],
                                    [0, 0, Fraction(1, 2), 0], [0, 0, 0, 1]])
     cases = [(std_order, 2), (max_order, 3), (halves, 2)]
+    cases += [(L, 2) for L in rational_lattices]
     cases += [(saturate(standard_order(AlgebraParams(a, b))), 2)
               for a, b in ((3, -7), (2, -5), (7, -57), (13, -10))]
     for L, height in cases:
@@ -322,3 +327,82 @@ def test_saturate_from_the_squarefree_presentation(a, b):
     assert (sq.a, sq.b) == (squarefree_part(a), squarefree_part(b))
     assert ramified_primes(sq) == ramified_primes(params)
     assert is_maximal(saturate(standard_order(sq)))
+
+
+def test_order_lattice_rejects_dependent_rows(params):
+    # generators 1, y, y, 2 span a lattice of rank 2
+    with pytest.raises(ValueError, match="full rank"):
+        OrderLattice(params, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0],
+                              [2, 0, 0, 0]])
+
+
+def _lattices(max_order, rational_lattices):
+    """Orders and non-orders over integer and rational (a, b)."""
+    out = [saturate(standard_order(AlgebraParams(a, b)))
+           for a, b in ((3, -7), (2, -5), (7, -57), (13, -10))]
+    out += [standard_order(AlgebraParams(3, -1)), max_order]
+    out += rational_lattices
+    rng = random.Random(11)
+    for _ in range(6):
+        rows = [list(r) for r in max_order.basis]
+        for _ in range(6):
+            i, j = rng.sample(range(4), 2)
+            rows[i] = [x + rng.randint(-2, 2) * y
+                       for x, y in zip(rows[i], rows[j])]
+        i, d = rng.randrange(4), rng.choice((1, 2, 3))
+        rows[i] = [x / d for x in rows[i]]
+        out.append(OrderLattice(max_order.params, rows))
+    return out
+
+
+def test_embedding_det_matches_elimination_oracle(max_order,
+                                                   rational_lattices):
+    for L in _lattices(max_order, rational_lattices):
+        assert stacked_embedding_det(L) == L.embedding_det, L.basis
+
+
+def test_membership_matches_exact_solve(max_order, rational_lattices):
+    rng = random.Random(12)
+    seen = set()
+    for L in _lattices(max_order, rational_lattices):
+        for _ in range(8):
+            member = L.element_from([rng.randint(-3, 3) for _ in range(4)])
+            other = QuatElement(L.params, *[Fraction(rng.randint(-6, 6),
+                                                     rng.choice((1, 2, 3, 5)))
+                                            for _ in range(4)])
+            for q in (member, other):
+                assert L.coords_of(q) == coords_by_solve(L, q)
+                assert L.contains(q) == contains_by_solve(L, q)
+                seen.add(L.contains(q))
+    assert seen == {True, False}
+
+
+def test_adjugate_runs_once_per_lattice(monkeypatch):
+    counts = {"lattices": 0, "adjugates": 0}
+    init, adjugate = OrderLattice.__init__, orders._adjugate
+
+    def counted_init(self, *args):
+        counts["lattices"] += 1
+        init(self, *args)
+
+    def counted_adjugate(m):
+        counts["adjugates"] += 1
+        return adjugate(m)
+    monkeypatch.setattr(OrderLattice, "__init__", counted_init)
+    monkeypatch.setattr(orders, "_adjugate", counted_adjugate)
+    L = saturate(standard_order(AlgebraParams(7, -57)))
+    assert is_maximal(L) and is_order(L)[0] and L == L
+    units = enumerate_units(L, 1)
+    congruence_filter(units, 3, L)
+    assert L.contains(QuatElement(L.params, 1)) and L.embedding_det
+    assert counts["lattices"] > 2
+    assert counts["adjugates"] == counts["lattices"]
+
+
+def test_order_modules_use_no_elimination():
+    # rank, membership, det S and the discriminant come from the integer
+    # form; the elimination kernel is left to the tests' oracles
+    for module in (orders, cm, family, splitting):
+        source = inspect.getsource(module)
+        for name in ("exact_rank", "exact_det", "exact_solve", "exact_rref"):
+            assert name not in source, (module.__name__, name)

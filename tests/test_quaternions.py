@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from fakeelliptic import exactlinalg
+from fakeelliptic.exactlinalg import QuadExt
 from fakeelliptic.quaternions import (FACTOR_LIMIT, INFINITE_PLACE,
                                       AlgebraParams, QuatElement, _factorize,
                                       embed, hilbert_symbol,
@@ -80,6 +82,20 @@ def test_embed_entries(params):
     assert M[1][1].u == 1 and M[1][1].v == -2
     assert mat2_trace(M) == q.trd()
     assert mat2_det(M) == q.nrd()
+
+
+def test_embed_reuses_the_checked_radicand(monkeypatch):
+    # AlgebraParams has checked a; embed builds no QuadExt that checks it
+    params = AlgebraParams(Fraction(7, 3), -5)
+    q = QuatElement(params, 1, 2, Fraction(1, 2), -3)
+    calls = []
+    monkeypatch.setattr(exactlinalg, "fraction_sqrt", calls.append)
+    M = embed(q)
+    assert calls == []
+    monkeypatch.undo()
+    a = params.a
+    assert M == [[QuadExt(1, 2, a), QuadExt(-5 * Fraction(1, 2), 15, a)],
+                 [QuadExt(Fraction(1, 2), 3, a), QuadExt(1, -2, a)]]
 
 
 def test_embed_homomorphism(params):
