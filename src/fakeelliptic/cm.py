@@ -98,8 +98,10 @@ def cm_point(mu, prec=DEFAULT_PRECISION, coords=None):
 
     mu and -mu have the same fixed point with conjugate eigenvalues, and
     Im tau' = C Im tau, so the sign with C = m - n sqrt(a) > 0 is kept.
+    For elliptic mu that is the sign with m > 0: with a > 0 > b,
+    -b m^2 > a l^2 - a b n^2 >= -a b n^2 forces m^2 > a n^2.
     """
-    if not _upper_orientation(mu.m, mu.n, mu.params.a):
+    if mu.m <= 0:
         mu = -mu
         coords = tuple(-c for c in coords) if coords is not None else None
     tau = fixed_point(mu, prec)
@@ -112,17 +114,6 @@ def in_window(tau, window):
     re_min, re_max, im_min, im_max = window
     t = as_complex(tau)
     return re_min <= t.real <= re_max and im_min <= t.imag <= im_max
-
-
-def _upper_orientation(M, N, a):
-    """Whether M - N sqrt(a) > 0, for rationals M, N not both zero and a
-    no rational square."""
-    if M >= 0 and N <= 0:
-        return True
-    if M <= 0 and N >= 0:
-        return False
-    # equal signs: compare M^2 with a N^2, never equal as a is no square
-    return (M > 0) == (M * M > a * N * N)
 
 
 def enumerate_cm_points(order, height, window=None, prec=DEFAULT_PRECISION):
@@ -140,7 +131,8 @@ def enumerate_cm_points(order, height, window=None, prec=DEFAULT_PRECISION):
     scalar part, so all elements whose primitive (L, M, N) agree up to
     sign fix the same point; mu is elliptic iff trd^2 - 4 nrd =
     -4 nrd(mu0) < 0, i.e. -a' L^2 - b' M^2 + a' b' N^2 > 0; and Im tau'
-    has the sign of C = m - n sqrt a, which is that of M - N sqrt a'.
+    has the sign of C = m - n sqrt a, which for elliptic mu is that of M
+    (`cm_point`).
     The loop keeps the minimal (sum c^2, c) per oriented primitive
     (L, M, N), and `cm_point` runs once per elliptic class, on the
     minimum of the orientation with C > 0.
@@ -167,7 +159,7 @@ def enumerate_cm_points(order, height, window=None, prec=DEFAULT_PRECISION):
     for (L, M, N), (_, coords) in best.items():
         if a * (b * N * N - L * L) - b * M * M <= 0:
             continue  # not elliptic
-        if not _upper_orientation(M, N, a):
+        if M <= 0:
             continue  # the class is visited from its other orientation
         pt = cm_point(order.element_from(coords), prec, coords)
         if in_window(pt.tau, window):

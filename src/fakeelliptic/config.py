@@ -110,7 +110,7 @@ class Config:
             raise ConfigError(
                 f"tolerance {self.tolerance} is finer than {precision}-bit "
                 f"arithmetic resolves (2^-{3 * precision // 4}); raise the "
-                "precision or leave the tolerance to its default")
+                "precision or leave the tolerance out (no verdict reads it)")
         self.seed = int(seed)
 
     # -- certified object builders

@@ -9,9 +9,9 @@ here as references for the tests and the benchmark's tracer.
 Numeric work (periods, witnesses, CM points) runs on mpmath at a
 configurable binary precision, 128 bits by default.  The numeric
 policies live here once: the conversion of exact scalars to mpf and the
-default tolerances (the splitting verdicts are exact and need none).  The
-numeric functions import mpmath where they run, so the exact commands
-never load it.
+default tolerances (the splitting, Riemann and isogeny verdicts are exact
+and need none).  The numeric functions import mpmath where they run, so
+the exact commands never load it.
 """
 
 from fractions import Fraction
@@ -20,9 +20,9 @@ import math
 
 DEFAULT_PRECISION = 128
 
-# residual tolerance of the lattice checks
+# the config's default `tolerance`; no verdict reads it
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 20)
-# residual tolerance of the automorphy identities (cocycle, canonical degree)
+# residual tolerance of the cocycle identity
 IDENTITY_TOL = Fraction(1, 10 ** 12)
 # "nonzero" threshold of the genus-1 comparison `elliptic_family_fiber_h0`
 NONZERO_TOL = Fraction(1, 10 ** 12)
@@ -145,6 +145,12 @@ class QuadExt:
 
     def is_zero(self):
         return self.u == 0 and self.v == 0
+
+    def sign(self):
+        """-1, 0 or 1, exactly: t -> t |t| is increasing, so u + v sqrt(rad)
+        has the sign of u |u| + rad v |v|."""
+        s = self.u * abs(self.u) + self.rad * self.v * abs(self.v)
+        return (s > 0) - (s < 0)
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):

@@ -56,6 +56,14 @@ class OrderLattice:
         """embed(g) of each generator: 2x2 matrices over Q(sqrt a)."""
         return [embed(g) for g in self.generators()]
 
+    @functools.cached_property
+    def right_multiplication(self):
+        """R(e) for e = 1, x, y, xy: row i of R(e) is `coords_of(g_i e)`,
+        so R(q) = sum of q_e R(e) is right multiplication by q on the basis."""
+        gens = self.generators()
+        return [[self.coords_of(g * QuatElement(self.params, *e)) for g in gens]
+                for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+
     @property
     def embedding_det(self):
         """det S, for S the stacked rows (E00, E10, E01, E11) of `embedding`.

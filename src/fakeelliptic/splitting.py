@@ -21,7 +21,6 @@ from mpmath import mp
 from .classify import (CITE_ELLIPTIC, CITE_ETALE, CITE_FIBER,  # noqa: F401
                        CITE_GENUS, CITE_RAMIFIED, CITE_RATIONAL, CITE_SURFACE,
                        InconsistentData, SplittingReport, classify_candidate)
-from .cm import _upper_orientation
 from .exactlinalg import DEFAULT_PRECISION, NONZERO_TOL, QuadExt, to_mpf
 from .family import PeriodLattice, as_complex, complex_structure
 from .quaternions import embed
@@ -251,9 +250,10 @@ def fiber_splitting_report(order, tau, prec=DEFAULT_PRECISION):
 
 def curve_splitting_report(point, prec=DEFAULT_PRECISION):
     """Split: Im dphi = Im tau' (1 + 1/C) > 0 on the non-constant section,
-    as C = m - n sqrt(a) > 0 (exact) for the oriented mu of a CM point."""
+    as C = m - n sqrt(a) > 0 for the oriented mu of a CM point, which for
+    an elliptic mu means m > 0 (`cm.cm_point`)."""
     mu = point.mu
-    if not _upper_orientation(mu.m, mu.n, mu.params.a):
+    if mu.m <= 0:
         raise ValueError("mu is not oriented: build the point with cm_point")
     result = curve_h0(point, prec)
     s = result.sections[1]

@@ -355,7 +355,7 @@ def period_rank_svd(lattice, prec=DEFAULT_PRECISION, tol=None):
     with mp.workprec(prec):
         if tol is None:
             tol = precision_tolerance(prec)
-        _, S, _ = mpmath.svd_r(lattice.real_matrix())
+        _, S, _ = mpmath.svd_r(real_period_matrix(lattice.vectors))
         smax = max(S[i] for i in range(4))
         return smax != 0 and min(S[i] for i in range(4)) >= tol * smax
 
@@ -502,7 +502,7 @@ def _periods_fresh(m, tau, prec):
                 _numeric_fresh(E[1][0], prec) * tau + _numeric_fresh(E[1][1], prec))
 
 
-def _real_matrix_fresh(vectors):
+def real_period_matrix(vectors):
     P = mpmath.zeros(4, 4)
     for j, (v1, v2) in enumerate(vectors):
         P[0, j], P[1, j], P[2, j], P[3, j] = v1.real, v1.imag, v2.real, v2.imag
@@ -526,7 +526,7 @@ def riemann_conditions_fresh(order, rho, scale, tau, prec, tol):
             "witness": None if not bad else
             {"pair": bad[0], "value": str(values[bad[0][0]][bad[0][1]])},
             "gram": [[str(v) for v in row] for row in values]}}
-        P = _real_matrix_fresh([_periods_fresh(g, tau, prec) for g in gens])
+        P = real_period_matrix([_periods_fresh(g, tau, prec) for g in gens])
         J = P ** -1 * J_std * P
         E4 = mpmath.matrix([[mpmath.mpf(v.numerator) / v.denominator
                              for v in row] for row in values])
@@ -534,7 +534,7 @@ def riemann_conditions_fresh(order, rho, scale, tau, prec, tol):
         conditions["j_compatible"] = {
             "pass": compat < tol * (mpmath.mnorm(E4) + 1),
             "witness": {"residual": mpmath.nstr(compat, 8)}}
-        P = _real_matrix_fresh([_periods_fresh(g, tau, prec) for g in gens])
+        P = real_period_matrix([_periods_fresh(g, tau, prec) for g in gens])
         vs = [P ** -1 * mpmath.matrix(e) for e in ([1, 0, 0, 0], [0, 0, 1, 0])]
         G = mpmath.zeros(2, 2)
         for i in range(2):
@@ -561,8 +561,8 @@ def isogeny_deviation_fresh(gamma, tau, order, prec):
         num, j = _periods_fresh(gamma, tau, prec)
         tprime = num / j
         gens = order.generators()
-        left = _real_matrix_fresh([_periods_fresh(g, tprime, prec) for g in gens])
-        right = _real_matrix_fresh([tuple(v / j for v in _periods_fresh(g, tau, prec))
+        left = real_period_matrix([_periods_fresh(g, tprime, prec) for g in gens])
+        right = real_period_matrix([tuple(v / j for v in _periods_fresh(g, tau, prec))
                                     for g in gens])
         return max(abs(C[i, k] - mpmath.nint(C[i, k]))
                    for A, B in ((left, right), (right, left))

@@ -361,6 +361,55 @@ def test_suites_build_tau_independent_data_once(monkeypatch, capsys):
     assert counts == {"riemann_form": 16, "enumerate_units": 1}
 
 
+def test_suites_convert_each_embedding_once(monkeypatch, capsys):
+    # a cocycle trial involves six elements (gamma and lambda of g1, g2
+    # and g1 g2)
+    numeric = exactlinalg.QuadExt.numeric
+    calls = Counter()
+
+    def counted(self, *args):
+        calls["numeric"] += 1
+        return numeric(self, *args)
+    monkeypatch.setattr(exactlinalg.QuadExt, "numeric", counted)
+    for name, most in (("cocycle", 240), ("riemann", 44), ("isogeny", 0)):
+        calls.clear()
+        code, _, _ = run(capsys, "suite", name, "--trials", "10")
+        assert code == 0
+        assert calls["numeric"] <= most, name
+
+
+@pytest.mark.parametrize("ab,seed", [((7, -57), s) for s in range(5)]
+                         + [((2, -5), 1)])
+def test_suites_pass_at_16_bits(tmp_path, capsys, ab, seed):
+    # j_compatible failed here while it compared rounded residuals of
+    # P^-1; the Riemann and isogeny verdicts are exact now
+    cfg = tmp_path / "p16.cfg"
+    cfg.write_text(f"algebra.a = {ab[0]}\nalgebra.b = {ab[1]}\n"
+                   f"precision = 16\nseed = {seed}\n")
+    code, report, err = run(capsys, "suite", "all", str(cfg), "--trials", "10")
+    assert code == 0, err
+    assert report["results"]["pass"] is True
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_suite_rejects_fewer_than_one_trial(capsys, trials):
+    code, report, err = run(capsys, "suite", "all", "--trials", trials)
+    assert code == 2 and report is None
+    assert f"--trials must be at least 1, got {trials}" in err
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the report is written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fakeelliptic.cli", "cm", "enumerate",
+         "--height", "2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_low_precision_cocycle_suite_on_a_large_automorphy_factor(
         tmp_path, capsys):
     # a sampled group element has |j^-4| = 3.3e5, whose absolute

@@ -12,6 +12,7 @@ from fakeelliptic.cm import (EigenMismatch, NotElliptic, cm_point,
                              fixed_point, fixed_point_quadratic, in_window,
                              is_elliptic)
 from fakeelliptic.family import moebius_act
+from fakeelliptic.exactlinalg import QuadExt
 from fakeelliptic.orders import enumerate_units, saturate, standard_order
 from fakeelliptic.quaternions import AlgebraParams, QuatElement, embed
 from oracles import (enumerate_cm_points_bruteforce, fixes_tau_numeric,
@@ -108,6 +109,22 @@ def test_cm_point_orients_either_sign_with_one_fixed_point(ab, monkeypatch):
             assert len(calls) == 1
             assert pt.mu == upper[0] and pt.coords == upper[0].coords()
             assert pt.tau_prime.imag > 0
+
+
+def test_orientation_is_the_sign_of_m(max_order, rational_lattices):
+    # elliptic mu, a > 0 > b: -b m^2 > a l^2 - a b n^2 >= -a b n^2, so
+    # m^2 > a n^2 and C = m - n sqrt(a) has the sign of m
+    for order in (max_order, rational_lattices[0]):
+        a = order.params.a
+        pts = enumerate_cm_points(order, 2, None, 128)
+        assert pts
+        for pt in pts:
+            assert pt.mu.m > 0 and pt.mu.m ** 2 > a * pt.mu.n ** 2
+        for c in itertools.product(range(-2, 3), repeat=4):
+            mu = order.element_from(c)
+            if not mu.is_zero() and is_elliptic(mu):
+                assert mu.m ** 2 > a * mu.n ** 2
+                assert QuadExt(mu.m, -mu.n, a).sign() == (1 if mu.m > 0 else -1)
 
 
 def test_cm_point_eigenvector_relation(params, max_order):

@@ -51,6 +51,19 @@ def test_quadext_validation():
         QuadExt(0, 0, 3).inverse()
 
 
+def test_quadext_sign_matches_the_numeric_value():
+    rng = random.Random(3)
+    assert QuadExt(0, 0, 3).sign() == 0
+    # 7 - 4 sqrt 3 = 0.0718 and 26 - 15 sqrt 3 = 0.0192: close to 0
+    assert QuadExt(7, -4, 3).sign() == 1 and QuadExt(-26, 15, 3).sign() == -1
+    for _ in range(200):
+        rad = Fraction(rng.choice([2, 3, 5, 7, 13]), rng.choice([1, 4, 9]))
+        q = QuadExt(Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                    Fraction(rng.randint(-40, 40), rng.randint(1, 9)), rad)
+        value = q.numeric(128)
+        assert q.sign() == (value > 0) - (value < 0)
+
+
 def test_quadext_arithmetic_reuses_the_checked_radicand(monkeypatch):
     params = AlgebraParams(3, -1)
     mu = QuatElement(params, 1, 2, 3, 4)

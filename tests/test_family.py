@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from fakeelliptic import family
 from fakeelliptic.family import (FamilyGroupElement,
                                  PeriodLattice, PolarizationData,
                                  UpperHalfPoint, automorphy_factor,
@@ -15,15 +16,17 @@ from fakeelliptic.family import (FamilyGroupElement,
                                  random_tau, riemann_conditions_check,
                                  riemann_form)
 from fakeelliptic import AlgebraParams, Config, saturate, standard_order
-from fakeelliptic.exactlinalg import DEFAULT_TOLERANCE, exact_det, to_mpf
+from fakeelliptic.exactlinalg import (DEFAULT_TOLERANCE, IDENTITY_TOL,
+                                      exact_det, to_mpf)
 from fakeelliptic.orders import enumerate_units
 from fakeelliptic.quaternions import QuatElement
 from fakeelliptic.splitting import _fiber_system
 from oracles import (automorphy_factor_fresh, canonical_residual_fresh,
                      cocycle_residual_fresh, isogeny_deviation_fresh,
                      laplace_det, numeric_nullspace, period_rank_svd,
-                     reduced_discriminant_fraction, riemann_conditions_fresh,
-                     riemann_form_by_matrices, stacked_embedding_det)
+                     real_period_matrix, reduced_discriminant_fraction,
+                     riemann_conditions_fresh, riemann_form_by_matrices,
+                     stacked_embedding_det)
 
 I = mpmath.mpc(0, 1)
 EPS = mpmath.mpf(10) ** -30
@@ -77,7 +80,7 @@ def test_exact_rank_condition_matches_svd_oracle(ab, maximal):
                 lattice, M = _fiber_system(order, tau, prec)
                 assert period_rank_svd(lattice, prec)
                 assert numeric_nullspace(M, tol, prec) == []
-                det_p = abs(mpmath.det(lattice.real_matrix()))
+                det_p = abs(mpmath.det(real_period_matrix(lattice.vectors)))
                 assert (abs(det_p - disc * lattice.tau.tau.imag ** 2)
                         < mpmath.mpf(2) ** -(prec // 2))
 
@@ -193,9 +196,15 @@ def test_moebius_group_action(params, max_order):
 def test_isogeny_lattice_pinned(params, max_order):
     one = QuatElement(params, 1)
     y = QuatElement(params, 0, 0, 1)
-    assert isogeny_lattice_check(one, I, max_order, 128)
+    assert isogeny_lattice_check(one, I, max_order)
     # tau = i is the fixed point of y: the lattice returns to itself scaled by 1/i
-    assert isogeny_lattice_check(y, I, max_order, 128)
+    assert isogeny_lattice_check(y, I, max_order)
+    # nrd 1, but 3/5 + 4/5 y is no element of the order
+    assert not isogeny_lattice_check(QuatElement(params, Fraction(3, 5), 0,
+                                                 Fraction(4, 5), 0),
+                                     I, max_order)
+    with pytest.raises(ValueError):
+        isogeny_lattice_check(QuatElement(params, 2), I, max_order)
 
 
 def test_isogeny_lattice_random(params, max_order):
@@ -203,7 +212,7 @@ def test_isogeny_lattice_random(params, max_order):
     rng = random.Random(12)
     for _ in range(10):
         g = rng.choice(units)
-        assert isogeny_lattice_check(g, random_tau(rng), max_order, 128)
+        assert isogeny_lattice_check(g, random_tau(rng), max_order)
 
 
 def test_group_element_validation(params):
@@ -300,45 +309,147 @@ def test_random_order_element_lies_in_order(max_order):
 @pytest.mark.parametrize("ab", [(3, -1), (3, -7), (7, -57), (13, -10)])
 @pytest.mark.parametrize("prec", [64, 128, 256])
 def test_checks_match_fresh_recomputation(ab, prec):
-    # the order keeps its embedding, the polarization its Gram matrix and
-    # QuadExt its square roots; the oracles recompute all of it per call
+    # the cocycle converts each embedding once and QuadExt keeps its square
+    # roots; the oracles recompute all of it per call
     cfg = Config(a=ab[0], b=ab[1], precision=prec)
     order = cfg.build_order()
-    pol = cfg.polarization(order)
     units = enumerate_units(order, 1)
     rng = random.Random(sum(ab) + prec)
-    for tol in (cfg.tolerance, DEFAULT_TOLERANCE):
-        for _ in range(2):
-            tau = random_tau(rng)
-            lattice = PeriodLattice(order, tau, prec)
-            assert (riemann_conditions_check(lattice, pol, prec, tol)
-                    == riemann_conditions_fresh(order, pol.rho, pol.scale,
-                                                tau, prec, tol))
     with mp.workprec(prec):
         slack = 1 + mpmath.mpf(2) ** (8 - prec)
         for _ in range(2):
-            # the verdicts flip exactly at the oracle's residuals
-            gamma = rng.choice(units).element
-            tau = random_tau(rng)
-            dev = isogeny_deviation_fresh(gamma, tau, order, prec)
-            assert isogeny_lattice_check(gamma, tau, order, prec, dev)
-            if dev:
-                assert not isogeny_lattice_check(gamma, tau, order, prec,
-                                                 dev / slack)
+            # the verdict flips exactly at the oracle's residual
             g1 = random_group_element(order, units, rng)
             g2 = random_group_element(order, units, rng)
+            tau = random_tau(rng)
             z = (mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)),
                  mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)))
             res = cocycle_residual_fresh(g1, g2, z, tau, prec)
             assert not cocycle_check(g1, g2, z, tau, prec, res)
             assert cocycle_check(g1, g2, z, tau, prec,
                                  res * slack if res else slack - 1)
-            res = canonical_residual_fresh(g1, z, tau, prec)
-            assert not canonical_degree_check(g1, z, tau, prec, res)
-            assert canonical_degree_check(g1, z, tau, prec,
-                                          res * slack if res else slack - 1)
             A = automorphy_factor(g1, z, tau, prec)
             assert A == automorphy_factor_fresh(g1, z, tau, prec)
+
+
+EXACT_ALGEBRAS = [(3, -1), (3, -7), (7, -57), (13, -10), (2, -5)]
+
+
+def _off_order_units(params):
+    """Elements k + m y of reduced norm 1 with trd = 2k not integral, so
+    in no order: k^2 + |b| m^2 = 1 at the rational point t = 1/2."""
+    nb = -params.b
+    return [QuatElement(params, s * (4 - nb) / (4 + nb), 0, 4 / (4 + nb), 0)
+            for s in (1, -1)]
+
+
+@pytest.mark.parametrize("ab", EXACT_ALGEBRAS)
+@pytest.mark.parametrize("prec", [16, 24, 64, 256])
+def test_exact_riemann_verdicts_match_the_numeric_oracle(ab, prec):
+    # the oracle inverts P at 256 bits and compares residuals with 1e-20;
+    # rho = -y makes E(u, Ju) negative, scale 1/2 makes E non-integral
+    cfg = Config(a=ab[0], b=ab[1], precision=prec)
+    order = cfg.build_order()
+    y = default_rho(order.params)
+    base = cfg.polarization(order)
+    pols = [base, PolarizationData(-y, base.scale),
+            PolarizationData(y, base.scale / 2)]
+    rng = random.Random(sum(ab) * prec)
+    verdicts = set()
+    for tau in (I, mpmath.mpc(-1.62, 0.28)) + tuple(random_tau(rng)
+                                                   for _ in range(2)):
+        with mp.workprec(prec):
+            tau = mpmath.mpc(tau)  # the check sees tau rounded to prec bits
+        for pol in pols:
+            got = riemann_conditions_check(PeriodLattice(order, tau, prec),
+                                           pol, prec)
+            want = riemann_conditions_fresh(order, pol.rho, pol.scale, tau,
+                                            256, DEFAULT_TOLERANCE)
+            flags = {k: v["pass"] for k, v in got["conditions"].items()}
+            assert flags == {k: v["pass"]
+                             for k, v in want["conditions"].items()}
+            assert got["all_pass"] == want["all_pass"]
+            assert got["conditions"]["j_compatible"]["witness"] == {
+                "residual": "0"}
+            verdicts.add(tuple(flags.values()))
+    assert {(True, True, True), (True, True, False)} <= verdicts
+
+
+@pytest.mark.parametrize("ab", EXACT_ALGEBRAS)
+@pytest.mark.parametrize("prec", [16, 64, 256])
+def test_exact_isogeny_verdicts_match_the_numeric_oracle(ab, prec):
+    cfg = Config(a=ab[0], b=ab[1], precision=prec)
+    order = cfg.build_order()
+    rng = random.Random(sum(ab) + prec)
+    units = enumerate_units(order, 1)
+    gammas = [u.element for u in rng.sample(units, min(3, len(units)))]
+    gammas += _off_order_units(order.params)
+    with mp.workprec(256):
+        small = mpmath.mpf(2) ** -64
+    for gamma in gammas:
+        with mp.workprec(prec):
+            tau = random_tau(rng)
+        dev = isogeny_deviation_fresh(gamma, tau, order, 256)
+        assert isogeny_lattice_check(gamma, tau, order) == (dev < small)
+        assert (dev < small) == order.contains(gamma)
+
+
+@pytest.mark.parametrize("ab", EXACT_ALGEBRAS)
+def test_complex_structure_is_right_multiplication_by_k_tau(ab):
+    # J = P^-1 J_std P on order coordinates is R(k_tau)^T, det S = det G
+    cfg = Config(a=ab[0], b=ab[1])
+    order = cfg.build_order()
+    pol = cfg.polarization(order)
+    _, (gx, gy, gxy), det_g = pol.complex_forms(order)
+    assert det_g == laplace_det(pol.gram(order)) and det_g > 0
+    J_std = mpmath.matrix([[0, -1, 0, 0], [1, 0, 0, 0],
+                           [0, 0, 0, -1], [0, 0, 1, 0]])
+    a, b = order.params.a, order.params.b
+    for tau in (I, mpmath.mpc(0.3, 2.5), mpmath.mpc(-1.62, 0.28),
+                mpmath.mpc(-1.7, 0.01)):
+        l, m, n = family._k_tau(tau, order.params)
+        # embed(k_tau) = K_tau is rational, with K^2 = -1 and det K = 1
+        K = [[a * l, b * (m + a * n)], [m - a * n, -a * l]]
+        assert [[sum(K[i][t] * K[t][j] for t in range(2)) for j in range(2)]
+                for i in range(2)] == [[-1, 0], [0, -1]]
+        assert a * a * (b * n * n - l * l) - b * m * m == 1  # nrd(k_tau)
+        lattice = PeriodLattice(order, tau, 256)
+        with mp.workprec(256):
+            s = mpmath.sqrt(to_mpf(a))
+            R = mpmath.matrix([[s * (to_mpf(l) * rx + to_mpf(n) * rxy)
+                                + to_mpf(m) * ry
+                                for rx, ry, rxy in zip(*rows)]
+                               for rows in zip(*order.right_multiplication[1:])])
+            P = real_period_matrix(lattice.vectors)
+            assert mpmath.mnorm(R.T - P ** -1 * J_std * P) < mpmath.mpf(2) ** -200
+        S = [[family.QuadExt._over(m * vy, l * vx + n * vxy, a)
+              for vx, vy, vxy in zip(*rows)] for rows in zip(gx, gy, gxy)]
+        assert family._det(S) == det_g
+        report = riemann_conditions_check(lattice, pol, 256)
+        minors = report["conditions"]["positive_definite"]["witness"][
+            "leading_minors"]
+        assert len(minors) == 4 and mpmath.mpf(minors[3]) == det_g
+
+
+def test_canonical_degree_rests_on_the_triangular_factor(params, max_order):
+    # the check reads only j; the factor must be upper triangular with
+    # diagonal (1/j, 1/j, 1/j^2), and det = j^-4 up to rounding
+    units = enumerate_units(max_order, 1)
+    rng = random.Random(24)
+    for prec in (16, 53, 128):
+        for _ in range(10):
+            g = random_group_element(max_order, units, rng)
+            z = (mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                 mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+            tau = random_tau(rng)
+            A = automorphy_factor(g, z, tau, prec)
+            with mp.workprec(prec):
+                j = complex_structure(g.gamma, tau, prec)[1]
+                assert [A[1, 0], A[2, 0], A[2, 1], A[0, 1]] == [0, 0, 0, 0]
+                assert A[0, 0] == A[1, 1] == 1 / j and A[2, 2] == 1 / j ** 2
+            assert canonical_degree_check(g, z, tau, prec)
+            assert (canonical_residual_fresh(g, z, tau, 256)
+                    < to_mpf(IDENTITY_TOL))
 
 
 def test_polarization_gram_follows_the_order(params, std_order, max_order):
