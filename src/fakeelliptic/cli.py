@@ -150,6 +150,8 @@ def _cmd_cm_enumerate(args, cfg):
         if len(parts) != 4:
             raise ConfigError("--window takes re_min,re_max,im_min,im_max")
         window = tuple(mpmath.mpf(p) for p in parts)
+        if not (window[0] <= window[1] and window[2] <= window[3]):  # or nan
+            raise ValueError("--window needs re_min <= re_max, im_min <= im_max")
     pts = cm_points.enumerate_cm_points(order, args.height, window,
                                         cfg.precision)
     entries = []

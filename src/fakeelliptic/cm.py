@@ -133,28 +133,31 @@ def enumerate_cm_points(order, height, window=None, prec=DEFAULT_PRECISION):
     -4 nrd(mu0) < 0, i.e. -a' L^2 - b' M^2 + a' b' N^2 > 0; and Im tau'
     has the sign of C = m - n sqrt a, which for elliptic mu is that of M
     (`cm_point`).
-    The loop keeps the minimal (sum c^2, c) per oriented primitive
-    (L, M, N), and `cm_point` runs once per elliptic class, on the
-    minimum of the orientation with C > 0.
+    The loop (partial sums over c0, c1, c2, then c3) keeps the minimal
+    (sum c^2, c) per oriented primitive (L, M, N), and `cm_point` runs
+    once per elliptic class, on the minimum of the orientation with C > 0.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
     a, b, _, B = order.form
-    rows = [row[1:] for row in B]
+    (l0, m0, n0), (l1, m1, n1), (l2, m2, n2), (l3, m3, n3) = (r[1:] for r in B)
+    box = range(-height, height + 1)
     best = {}
-    for c in itertools.product(range(-height, height + 1), repeat=4):
-        L = M = N = 0
-        for ci, (l, m, n) in zip(c, rows):
-            L += ci * l
-            M += ci * m
-            N += ci * n
-        g = math.gcd(L, M, N)
-        if g == 0:
-            continue  # scalar
-        key = (L // g, M // g, N // g)
-        rank = (c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3], c)
-        if key not in best or rank < best[key]:
-            best[key] = rank
+    for c0, c1, c2 in itertools.product(box, repeat=3):
+        L0 = c0 * l0 + c1 * l1 + c2 * l2
+        M0 = c0 * m0 + c1 * m1 + c2 * m2
+        N0 = c0 * n0 + c1 * n1 + c2 * n2
+        s0 = c0 * c0 + c1 * c1 + c2 * c2
+        for c3 in box:
+            L, M, N = L0 + c3 * l3, M0 + c3 * m3, N0 + c3 * n3
+            g = math.gcd(L, M, N)
+            if g == 0:
+                continue  # scalar
+            key = (L // g, M // g, N // g)
+            # c runs in lexicographic order: on a tie the first c is least
+            norm, old = s0 + c3 * c3, best.get(key)
+            if old is None or norm < old[0]:
+                best[key] = (norm, (c0, c1, c2, c3))
     pts = []
     for (L, M, N), (_, coords) in best.items():
         if a * (b * N * N - L * L) - b * M * M <= 0:

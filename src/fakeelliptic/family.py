@@ -77,7 +77,7 @@ class PeriodLattice:
     matrix S of those rows.  det S = -4ab det(basis)
     (`OrderLattice.embedding_det`) is nonzero for every lattice, and
     Im tau > 0 for every UpperHalfPoint, so the rank is always 4.
-    The vectors are computed on first use.
+    The numeric embeddings and the vectors are computed on first use.
     """
 
     def __init__(self, order, tau, prec=DEFAULT_PRECISION):
@@ -88,10 +88,13 @@ class PeriodLattice:
         self.prec = prec
 
     @functools.cached_property
+    def numeric(self):
+        return [_numeric(E, self.prec) for E in self.order.embedding]
+
+    @functools.cached_property
     def vectors(self):
         with mp.workprec(self.prec):
-            return [_apply(_numeric(E, self.prec), self.tau.tau)
-                    for E in self.order.embedding]
+            return [_apply(N, self.tau.tau) for N in self.numeric]
 
 
 def riemann_form(rho, m1, m2):

@@ -84,10 +84,13 @@ class OrderLattice:
                 for c in range(4)]
 
     def element_from(self, coords):
-        q = QuatElement(self.params, 0)
-        for c, g in zip(coords, self.generators()):
-            q = q + g * Fraction(c)
-        return q
+        """sum c_i g_i (c integer or `Fraction`) from v = c B': undoing
+        `_scaled`, it is (v0, v1 den a, v2 den b, v3 den a den b) / D."""
+        _, _, D, B = self.form
+        ad, bd = self.params.a.denominator, self.params.b.denominator
+        return QuatElement(self.params, *(
+            Fraction(sum(c * row[k] for c, row in zip(coords, B)) * s, D)
+            for k, s in enumerate((1, ad, bd, ad * bd))))
 
     def contains(self, q):
         return all(c.denominator == 1 for c in self.coords_of(q))
@@ -289,15 +292,14 @@ def _adjoin_coset(L, q, disc):
 
 
 class UnitSample:
-    """A lattice element of reduced norm 1, tagged elliptic when trd^2 < 4."""
+    """An element of nrd 1 (proved by the caller), elliptic when trd^2 < 4."""
 
-    __slots__ = ("element", "norm", "is_elliptic", "coords")
+    __slots__ = ("element", "is_elliptic", "coords")
 
     def __init__(self, element, coords):
         self.element = element
         self.coords = tuple(coords)
-        self.norm = element.nrd()
-        self.is_elliptic = element.trd() ** 2 < 4 * self.norm
+        self.is_elliptic = element.trd() ** 2 < 4
 
     def __repr__(self):
         return f"UnitSample({self.element!r}, elliptic={self.is_elliptic})"
@@ -309,8 +311,8 @@ def enumerate_units(L, height):
     nrd(sum c_i g_i) = c^T G c / 2 for the trace pairing G, so the box is
     screened in machine integers on G' = D^2 G of `_gram`, which is
     integral also when L is no order: nrd = 1 iff c^T G' c = 2 D^2.  Only
-    the units are built as elements, in `itertools.product` order, which
-    sorts them by coordinates.
+    the units are built, by `element_from` and with no second norm, in
+    `itertools.product` order, which sorts them by coordinates.
     """
     if height < 0:
         raise ValueError("height must be >= 0")

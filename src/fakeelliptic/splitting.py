@@ -99,8 +99,8 @@ def _fiber_system(order, tau, prec):
     """The lattice and the 4x4 matrix with one row (v1, v2, period1,
     period2) per generator, v the first column of its embedding."""
     lattice = PeriodLattice(order, tau, prec)
-    rows = [[E[0][0].numeric(prec), E[1][0].numeric(prec), *per]
-            for E, per in zip(order.embedding, lattice.vectors)]
+    rows = [[N[0][0], N[1][0], *per]
+            for N, per in zip(lattice.numeric, lattice.vectors)]
     return lattice, mpmath.matrix(rows)
 
 

@@ -176,9 +176,12 @@ def embed_det(q):
 
 def count_units_by_embedding(order, height):
     """Box count of elements whose embedded matrix has determinant 1."""
+    gens = order.generators()
     count = 0
     for coeffs in itertools.product(range(-height, height + 1), repeat=4):
-        q = order.element_from(coeffs)
+        q = QuatElement(order.params, 0)
+        for c, g in zip(coeffs, gens):
+            q = q + g * Fraction(c)
         d = embed_det(q)
         if d.v == 0 and d.u == 1:
             count += 1

@@ -85,6 +85,13 @@ def test_cm_enumerate(capsys):
     assert code == 0
     assert report["results"]["count"] == 0
 
+    # a reversed or nan range is rejected, not read as an empty window
+    for window in ("1,0,0,1", "0,1,1,0.5", "nan,1,0,1"):
+        code, report, err = run(capsys, "cm", "enumerate", "--height", "1",
+                                f"--window={window}")
+        assert code == 2 and report is None
+        assert err.startswith("invalid input: --window")
+
 
 def test_fiber_h0(capsys):
     code, report, _ = run(capsys, "fiber", "h0", "--tau", "i")
@@ -363,7 +370,8 @@ def test_suites_build_tau_independent_data_once(monkeypatch, capsys):
 
 def test_suites_convert_each_embedding_once(monkeypatch, capsys):
     # a cocycle trial involves six elements (gamma and lambda of g1, g2
-    # and g1 g2)
+    # and g1 g2); the fiber system reads the 16 entries of the four
+    # generators that its period lattice converted
     numeric = exactlinalg.QuadExt.numeric
     calls = Counter()
 
@@ -371,11 +379,14 @@ def test_suites_convert_each_embedding_once(monkeypatch, capsys):
         calls["numeric"] += 1
         return numeric(self, *args)
     monkeypatch.setattr(exactlinalg.QuadExt, "numeric", counted)
-    for name, most in (("cocycle", 240), ("riemann", 44), ("isogeny", 0)):
+    for argv, most in ((("suite", "cocycle", "--trials", "10"), 240),
+                       (("suite", "riemann", "--trials", "10"), 44),
+                       (("suite", "isogeny", "--trials", "10"), 0),
+                       (("fiber", "h0", "--tau=i"), 16)):
         calls.clear()
-        code, _, _ = run(capsys, "suite", name, "--trials", "10")
+        code, _, _ = run(capsys, *argv)
         assert code == 0
-        assert calls["numeric"] <= most, name
+        assert calls["numeric"] <= most, argv
 
 
 @pytest.mark.parametrize("ab,seed", [((7, -57), s) for s in range(5)]

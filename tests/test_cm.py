@@ -262,6 +262,8 @@ ORACLE_CASES = [((3, -1), h, w) for h in (1, 2, 3)
                 for w in (None, (0, 1.5, 0.5, 1))]
 ORACLE_CASES += [(ab, h, None) for ab in ((3, -7), (2, -5), (7, -57), (13, -10))
                  for h in (1, 2)]
+# one larger scan: 2401 box elements and 23 points, about 1 s with the oracle
+ORACLE_CASES += [((3, -7), 3, None)]
 
 
 def _case_id(case):

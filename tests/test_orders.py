@@ -203,9 +203,48 @@ def test_coords_round_trip(params, max_order):
         assert max_order.contains(q)
 
 
+def test_element_from_is_the_sum_over_generators(std_order, max_order,
+                                                 rational_lattices):
+    # the integer form scales x and y on the rational lattices, which
+    # element_from must undo
+    rng = random.Random(12)
+    for L in [std_order, max_order, *rational_lattices]:
+        for _ in range(10):
+            ints = [rng.randint(-4, 4) for _ in range(4)]
+            fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                     for _ in range(4)]
+            for coords in (ints, fracs):
+                want = QuatElement(L.params, 0)
+                for c, g in zip(coords, L.generators()):
+                    want = want + g * c
+                assert L.element_from(coords) == want
+
+
+def test_enumerate_units_builds_one_element_per_unit(max_order, monkeypatch):
+    # the integer screen proves nrd = 1, so no norm is recomputed, and
+    # each unit is built once from the integer form
+    calls = {"nrd": 0, "init": 0}
+    nrd, init = QuatElement.nrd, QuatElement.__init__
+
+    def counted_nrd(self):
+        calls["nrd"] += 1
+        return nrd(self)
+
+    def counted_init(self, *args):
+        calls["init"] += 1
+        init(self, *args)
+    monkeypatch.setattr(QuatElement, "nrd", counted_nrd)
+    monkeypatch.setattr(QuatElement, "__init__", counted_init)
+    units = enumerate_units(max_order, 4)
+    assert len(units) == 232
+    assert calls == {"nrd": 0, "init": 232}
+
+
 def _unit_fields(units):
-    return [(u.coords, u.element.coords(), u.norm, u.is_elliptic)
-            for u in units]
+    # UnitSample keeps no norm; checking nrd = 1 on every unit here is no
+    # weaker than comparing a stored norm with the oracle's
+    assert all(u.element.nrd() == 1 for u in units)
+    return [(u.coords, u.element.coords(), u.is_elliptic) for u in units]
 
 
 def test_enumerate_units_matches_bruteforce(params, std_order, max_order,
