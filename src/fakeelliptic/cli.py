@@ -381,8 +381,12 @@ def build_parser():
 def _emit(report, out_path):
     text = json.dumps(report, indent=2)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out_path}: "
+                             f"{exc.strerror or exc}") from None
     else:
         print(text)
         sys.stdout.flush()
@@ -406,6 +410,15 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         results, citations, ok = args.handler(args, cfg)
+        elapsed = time.perf_counter() - start
+        report = {"schema": 1, "command": args.command, "inputs": inputs,
+                  "results": results, "citations": citations,
+                  "timings": {"seconds": round(elapsed, 6)}}
+        _emit(report, args.out)
+    except BrokenPipeError:
+        # the reader is gone: spare the interpreter's last flush a retry
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -416,19 +429,23 @@ def main(argv=None):
         print(f"computation error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - start
-
-    report = {"schema": 1, "command": args.command, "inputs": inputs,
-              "results": results, "citations": citations,
-              "timings": {"seconds": round(elapsed, 6)}}
-    try:
-        _emit(report, args.out)
-    except BrokenPipeError:
-        # the reader is gone: spare the interpreter's last flush a retry
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     return 0 if ok else 1
 
 
+def run():
+    """Entry point: `main()`, flush, then exit without interpreter teardown.
+
+    An exception escaping `main` (argparse's SystemExit too) exits the
+    normal way, so its message prints; a failed final flush never exits 0.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = code or 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -27,12 +27,13 @@ class EigenMismatch(ComputationError):
     pass
 
 
-def is_elliptic(mu):
+def is_elliptic(mu, nrd=None):
+    """nrd, where given, is nrd(mu), computed once by the caller."""
     if mu.is_zero():
         raise ValueError("mu must be nonzero")
     if mu.is_scalar():
         return False
-    nrd = mu.nrd()
+    nrd = mu.nrd() if nrd is None else nrd
     return nrd > 0 and mu.trd() ** 2 < 4 * nrd
 
 
@@ -42,9 +43,9 @@ def fixed_point_quadratic(mu):
     return M[1][0], M[1][1] - M[0][0], -M[0][1]
 
 
-def fixed_point(mu, prec=DEFAULT_PRECISION):
+def fixed_point(mu, prec=DEFAULT_PRECISION, nrd=None):
     """The unique fixed point of mu in the upper half plane."""
-    if not is_elliptic(mu):
+    if not is_elliptic(mu, nrd):
         raise NotElliptic(f"{mu!r} has no fixed point in the upper half plane")
     c2, c1, c0 = fixed_point_quadratic(mu)
     # c2 = m - n*sqrt(a) is nonzero: otherwise mu is triangular with real
@@ -74,12 +75,12 @@ class CMPoint:
 
     __slots__ = ("mu", "tau", "tau_prime", "char_poly", "coords")
 
-    def __init__(self, mu, tau, tau_prime, coords=None):
+    def __init__(self, mu, tau, tau_prime, coords=None, nrd=None):
         self.mu = mu
         self.tau = tau
         self.tau_prime = tau_prime
         # tau' is a root of T^2 - trd(mu) T + nrd(mu)
-        self.char_poly = (mu.trd(), mu.nrd())
+        self.char_poly = (mu.trd(), mu.nrd() if nrd is None else nrd)
         self.coords = coords
 
     def quad_key(self):
@@ -104,8 +105,9 @@ def cm_point(mu, prec=DEFAULT_PRECISION, coords=None):
     if mu.m <= 0:
         mu = -mu
         coords = tuple(-c for c in coords) if coords is not None else None
-    tau = fixed_point(mu, prec)
-    return CMPoint(mu, tau, eigenvalue_tau_prime(mu, tau, prec), coords)
+    nrd = mu.nrd()
+    tau = fixed_point(mu, prec, nrd)
+    return CMPoint(mu, tau, eigenvalue_tau_prime(mu, tau, prec), coords, nrd)
 
 
 def in_window(tau, window):

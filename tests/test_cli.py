@@ -1,14 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tomllib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import fakeelliptic
-from fakeelliptic import exactlinalg, orders
+from fakeelliptic import cli, exactlinalg, orders
 from fakeelliptic.cli import main
 
 SRC = os.pathsep.join(filter(None, [
@@ -211,6 +213,23 @@ def test_bad_config_exits_two(tmp_path, capsys):
     code, report, err = run(capsys, "algebra", "check",
                             str(tmp_path / "absent.cfg"))
     assert code == 2
+
+
+@pytest.mark.parametrize("target", ["absent/report.json", "."])
+def test_unwritable_out_exits_two(tmp_path, capsys, target):
+    out = tmp_path / target
+    code, report, err = run(capsys, "order", "disc", "--out", str(out))
+    assert code == 2 and report is None
+    reason = "Is a directory" if out.is_dir() else "No such file or directory"
+    assert err == f"invalid input: cannot write --out {out}: {reason}\n"
+
+
+def test_precision_above_the_ceiling_exits_two(monkeypatch, capsys):
+    # rejected while the config is read, before any computation starts
+    monkeypatch.setenv("FAKEELLIPTIC_PRECISION", "20000000")
+    code, report, err = run(capsys, "fiber", "h0", "--tau=i")
+    assert code == 2 and report is None
+    assert err == "config error: precision must be at most 4096 bits\n"
 
 
 def test_env_precision_reaches_report(monkeypatch, capsys):
@@ -419,6 +438,88 @@ def test_closed_stdout_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def _child(*argv):
+    """`python -m fakeelliptic.cli`, which ends through `cli.run`."""
+    return subprocess.run(
+        [sys.executable, "-m", "fakeelliptic.cli", *argv], capture_output=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+
+
+def test_child_writes_a_complete_report_through_a_pipe():
+    proc = _child("cm", "enumerate", "--height", "3")
+    assert proc.returncode == 0 and proc.stderr == b""
+    # larger than the stdio buffer, so os._exit follows a partial write
+    assert len(proc.stdout) > io.DEFAULT_BUFFER_SIZE
+    report = json.loads(proc.stdout)
+    assert report["results"]["count"] == 29
+
+
+def test_child_writes_a_complete_out_file(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    proc = _child("cm", "enumerate", "--height", "3", "--out", str(out))
+    assert proc.returncode == 0 and proc.stdout == proc.stderr == b""
+    assert main(["cm", "enumerate", "--height", "3"]) == 0
+    want = json.loads(capsys.readouterr().out)
+    got = json.loads(out.read_text())
+    assert got["results"] == want["results"]
+
+
+def test_child_exit_codes_carry_their_messages(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("frobnicate = 1\n")
+    proc = _child("algebra", "check", str(cfg))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"config error: line 1: unknown key 'frobnicate'\n"
+    proc = _child("curve", "split", "--mu=1,0,0,0")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.startswith(b"computation error: NotElliptic: ")
+
+
+def test_console_script_ends_through_run():
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"fakeelliptic": "fakeelliptic.cli:run"}
+
+
+class _Exit(Exception):
+    pass
+
+
+def _run_in_process(monkeypatch, main_result):
+    """cli.run with `main` replaced and `os._exit` raising its code."""
+    def exit_(code):
+        raise _Exit(code)
+    monkeypatch.setattr(cli, "main", main_result)
+    monkeypatch.setattr(cli.os, "_exit", exit_)
+    with pytest.raises(_Exit) as info:
+        cli.run()
+    return info.value.args[0]
+
+
+def test_run_exits_with_the_code_of_main(monkeypatch):
+    for code in (0, 1, 2):
+        assert _run_in_process(monkeypatch, lambda: code) == code
+
+
+def test_run_never_exits_zero_after_a_failed_flush(monkeypatch):
+    class Full(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert _run_in_process(monkeypatch, lambda: 0) == 1
+    assert _run_in_process(monkeypatch, lambda: 2) == 2
+
+
+def test_run_leaves_exceptions_to_the_interpreter(monkeypatch):
+    def usage_error():
+        raise SystemExit(2)
+    monkeypatch.setattr(cli, "main", usage_error)
+    monkeypatch.setattr(cli.os, "_exit", lambda code: pytest.fail("_exit"))
+    with pytest.raises(SystemExit):
+        cli.run()
 
 
 def test_low_precision_cocycle_suite_on_a_large_automorphy_factor(

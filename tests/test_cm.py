@@ -94,8 +94,8 @@ def test_cm_point_orients_either_sign_with_one_fixed_point(ab, monkeypatch):
     m = math.isqrt(int(params.a)) + 1  # m^2 > a: -b (m^2 - a) > 0, elliptic
     fixed = cm.fixed_point
     calls = []
-    monkeypatch.setattr(cm, "fixed_point",
-                        lambda mu, prec: calls.append(mu) or fixed(mu, prec))
+    monkeypatch.setattr(cm, "fixed_point", lambda mu, prec, nrd=None:
+                        calls.append(mu) or fixed(mu, prec, nrd))
     # C = m - n sqrt a is 1, m - sqrt a and m + sqrt a, each with both signs
     for coords in ((0, 0, 1, 0), (1, 0, m, 1), (0, 0, m, -1)):
         mu = QuatElement(params, *coords)
@@ -187,6 +187,18 @@ def test_enumerate_finds_pinned_taus(max_order):
         assert want_i < EPS and want_w < EPS
     keys = {p.quad_key() for p in pts}
     assert len(keys) == len(pts)  # deduplicated by exact quadratic
+
+
+def test_enumerate_computes_each_reduced_norm_once(max_order, monkeypatch):
+    # fixed_point's ellipticity test and char_poly share one nrd per point
+    calls = []
+    nrd = QuatElement.nrd
+    monkeypatch.setattr(QuatElement, "nrd",
+                        lambda mu: calls.append(mu) or nrd(mu))
+    pts = enumerate_cm_points(max_order, 4, prec=128)
+    assert len(pts) == 60 and len(calls) == 60
+    monkeypatch.undo()
+    assert all(p.char_poly == (p.mu.trd(), p.mu.nrd()) for p in pts)
 
 
 def test_enumerate_skips_scalars(max_order):

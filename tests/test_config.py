@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from fakeelliptic.config import (Config, ConfigError, DEFAULT_CONFIG_TEXT,
-                                 PRECISION_ENV, complex_pair,
+                                 MAX_PRECISION, PRECISION_ENV, complex_pair,
                                  config_from_dict, default_config,
                                  load_config, parse_complex, parse_config)
 from fakeelliptic.orders import (NotAnOrder, is_order, reduced_discriminant,
@@ -108,6 +108,18 @@ def test_precision_env_override(monkeypatch):
     assert parse_config("precision = 64\n").precision == 64
     monkeypatch.delenv(PRECISION_ENV)
     assert default_config().precision == 128
+
+
+def test_precision_has_a_ceiling(monkeypatch):
+    assert Config(precision=MAX_PRECISION).precision == 4096
+    for build in (lambda: Config(precision=MAX_PRECISION + 1),
+                  lambda: parse_config("precision = 20000000\n")):
+        with pytest.raises(ConfigError,
+                           match="precision must be at most 4096 bits"):
+            build()
+    monkeypatch.setenv(PRECISION_ENV, "20000000")
+    with pytest.raises(ConfigError, match="at most 4096 bits"):
+        default_config()
 
 
 def test_parse_complex():
