@@ -24,7 +24,7 @@ from .quaternions import (AlgebraParams, AlgebraSplit, QuatElement, embed,
                           hilbert_symbol, is_indefinite_division,
                           ramified_primes)
 
-# the numeric modules load mpmath, so their names are imported on first use
+# the modules beyond the exact core are imported on first use (cm loads mpmath)
 _NUMERIC = {
     "cm": ("CMPoint", "NotElliptic", "cm_point", "enumerate_cm_points",
            "fixed_point", "fixed_point_quadratic"),

@@ -5,9 +5,9 @@ typed results, the mathematical statement each result instantiates, and
 wall-clock timings.  Exit code 0 means the computation ran; the suite
 commands additionally exit nonzero when an invariant fails.
 
-The exact commands (`algebra`, `order`, `units`, `classify`) never load
-mpmath: the numeric handlers import their modules themselves and run at
-the configured working precision.
+Only `cm enumerate` and `curve split` load mpmath: their handlers import
+their modules themselves and run at the configured working precision.
+Every other command, `fiber h0` and the suites included, is exact.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from . import orders, quaternions
 from .classify import classify_candidate
 from .config import (ConfigError, _fraction_list, complex_pair, default_config,
                      load_config, parse_complex)
-from .exactlinalg import ComputationError
+from .exactlinalg import ComputationError, QuadComplex
 
 CITE_ALGEBRA = ("A quaternion algebra over Q is a division algebra exactly "
                 "when some place ramifies, and the ramified set is finite of "
@@ -174,7 +174,6 @@ def _cmd_cm_enumerate(args, cfg):
     return results, [CITE_CM], True
 
 
-@_numeric
 def _cmd_fiber_h0(args, cfg):
     from . import splitting
     order = cfg.build_order()
@@ -214,12 +213,11 @@ def _cmd_classify(args, cfg):
 
 
 def _suite_riemann(cfg, order, trials, units):
-    import mpmath
     from . import family
     pol = cfg.polarization(order)
     rng = random.Random(cfg.seed)
     failures = []
-    taus = [mpmath.mpc(0, 1)] + [family.random_tau(rng) for _ in range(trials)]
+    taus = [QuadComplex(0, 1)] + [family.random_tau(rng) for _ in range(trials)]
     for tau in taus:
         lattice = family.PeriodLattice(order, tau, cfg.precision)
         rep = family.riemann_conditions_check(lattice, pol, cfg.precision)
@@ -232,7 +230,6 @@ def _suite_riemann(cfg, order, trials, units):
 
 
 def _suite_cocycle(cfg, order, trials, units):
-    import mpmath
     from . import family
     rng = random.Random(cfg.seed + 1)
     failures = 0
@@ -240,8 +237,7 @@ def _suite_cocycle(cfg, order, trials, units):
         g1 = family.random_group_element(order, units(), rng)
         g2 = family.random_group_element(order, units(), rng)
         tau = family.random_tau(rng)
-        z = (mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-             mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        z = (family.random_complex(rng), family.random_complex(rng))
         # the canonical degree holds by construction (canonical_degree_check)
         if not family.cocycle_check(g1, g2, z, tau, cfg.precision):
             failures += 1
@@ -265,7 +261,6 @@ _SUITES = {"riemann": (_suite_riemann, CITE_RIEMANN),
            "isogeny": (_suite_isogeny, CITE_ISOGENY)}
 
 
-@_numeric
 def _cmd_suite(args, cfg):
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
@@ -300,80 +295,87 @@ def _add_common(p):
                    help="write the JSON report to this file instead of stdout")
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The argument parser.  Given argv, only the group that argv[0] names
+    gets its subcommands and options; the root lists every group either
+    way, so help and usage errors read as on the whole tree."""
     parser = argparse.ArgumentParser(
         prog="fakeelliptic",
         description="Modular families of fake elliptic curves: orders, "
                     "CM points, and splitting certificates.")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    algebra = sub.add_parser("algebra", help="local invariants of (a, b / Q)")
-    asub = algebra.add_subparsers(dest="action", required=True)
-    p = asub.add_parser("check", help="ramified primes and division test")
-    p.set_defaults(handler=_cmd_algebra_check, command="algebra check")
-    _add_common(p)
+    def group(name, help_):
+        p = sub.add_parser(name, help=help_)
+        return p if argv is None or list(argv[:1]) == [name] else None
 
-    order = sub.add_parser("order", help="order certification and saturation")
-    osub = order.add_subparsers(dest="action", required=True)
-    for name, handler, help_ in (
-            ("verify", _cmd_order_verify, "check the order axioms"),
-            ("disc", _cmd_order_disc, "reduced discriminant"),
-            ("maximal", _cmd_order_maximal, "compare disc to the ramified product"),
-            ("saturate", _cmd_order_saturate, "grow to a maximal order")):
-        p = osub.add_parser(name, help=help_)
-        p.set_defaults(handler=handler, command=f"order {name}")
+    if algebra := group("algebra", "local invariants of (a, b / Q)"):
+        asub = algebra.add_subparsers(dest="action", required=True)
+        p = asub.add_parser("check", help="ramified primes and division test")
+        p.set_defaults(handler=_cmd_algebra_check, command="algebra check")
         _add_common(p)
 
-    p = sub.add_parser("units", help="norm-one units in a coordinate box")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--congruence", type=int, default=None,
-                   help="keep units congruent to 1 modulo N")
-    p.set_defaults(handler=_cmd_units, command="units")
-    _add_common(p)
+    if order := group("order", "order certification and saturation"):
+        osub = order.add_subparsers(dest="action", required=True)
+        for name, handler, help_ in (
+                ("verify", _cmd_order_verify, "check the order axioms"),
+                ("disc", _cmd_order_disc, "reduced discriminant"),
+                ("maximal", _cmd_order_maximal, "compare disc to the ramified product"),
+                ("saturate", _cmd_order_saturate, "grow to a maximal order")):
+            p = osub.add_parser(name, help=help_)
+            p.set_defaults(handler=handler, command=f"order {name}")
+            _add_common(p)
 
-    cm = sub.add_parser("cm", help="CM points of elliptic order elements")
-    csub = cm.add_subparsers(dest="action", required=True)
-    p = csub.add_parser("enumerate", help="all CM points up to a height")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--window", default=None,
-                   help="re_min,re_max,im_min,im_max rectangle filter")
-    p.set_defaults(handler=_cmd_cm_enumerate, command="cm enumerate")
-    _add_common(p)
-
-    fiber = sub.add_parser("fiber", help="section space on a fiber")
-    fsub = fiber.add_subparsers(dest="action", required=True)
-    p = fsub.add_parser("h0", help="h^0 of the restricted cotangent bundle")
-    p.add_argument("--tau", required=True, help='upper half plane point, e.g. "i" or "0.5+2i"')
-    p.set_defaults(handler=_cmd_fiber_h0, command="fiber h0")
-    _add_common(p)
-
-    curve = sub.add_parser("curve", help="elliptic curves in fibers")
-    cusub = curve.add_subparsers(dest="action", required=True)
-    p = cusub.add_parser("split", help="splitting certificate for the curve of mu")
-    p.add_argument("--mu", required=True,
-                   help='order element "k,l,m,n" in (1,x,y,xy) coordinates')
-    p.set_defaults(handler=_cmd_curve_split, command="curve split")
-    _add_common(p)
-
-    p = sub.add_parser("classify", help="verdict for a candidate submanifold")
-    p.add_argument("--genus", type=int, default=None,
-                   help="curve genus; omit for a surface candidate")
-    p.add_argument("--in-fiber", action="store_true", dest="in_fiber")
-    p.add_argument("--degree", type=int, default=0,
-                   help="degree over the base curve")
-    p.add_argument("--ramification", type=int, default=0,
-                   help="total ramification degree over the base")
-    p.add_argument("--gc", type=int, default=2, help="genus of the base curve")
-    p.set_defaults(handler=_cmd_classify, command="classify")
-    _add_common(p)
-
-    suite = sub.add_parser("suite", help="randomized property suites")
-    ssub = suite.add_subparsers(dest="action", required=True)
-    for name in (*_SUITES, "all"):
-        p = ssub.add_parser(name, help=f"property suite: {name}")
-        p.add_argument("--trials", type=int, default=20)
-        p.set_defaults(handler=_cmd_suite, command=f"suite {name}", name=name)
+    if p := group("units", "norm-one units in a coordinate box"):
+        p.add_argument("--height", type=int, required=True)
+        p.add_argument("--congruence", type=int, default=None,
+                       help="keep units congruent to 1 modulo N")
+        p.set_defaults(handler=_cmd_units, command="units")
         _add_common(p)
+
+    if cm := group("cm", "CM points of elliptic order elements"):
+        csub = cm.add_subparsers(dest="action", required=True)
+        p = csub.add_parser("enumerate", help="all CM points up to a height")
+        p.add_argument("--height", type=int, required=True)
+        p.add_argument("--window", default=None,
+                       help="re_min,re_max,im_min,im_max rectangle filter")
+        p.set_defaults(handler=_cmd_cm_enumerate, command="cm enumerate")
+        _add_common(p)
+
+    if fiber := group("fiber", "section space on a fiber"):
+        fsub = fiber.add_subparsers(dest="action", required=True)
+        p = fsub.add_parser("h0", help="h^0 of the restricted cotangent bundle")
+        p.add_argument("--tau", required=True, help='upper half plane point, e.g. "i" or "0.5+2i"')
+        p.set_defaults(handler=_cmd_fiber_h0, command="fiber h0")
+        _add_common(p)
+
+    if curve := group("curve", "elliptic curves in fibers"):
+        cusub = curve.add_subparsers(dest="action", required=True)
+        p = cusub.add_parser("split", help="splitting certificate for the curve of mu")
+        p.add_argument("--mu", required=True,
+                       help='order element "k,l,m,n" in (1,x,y,xy) coordinates')
+        p.set_defaults(handler=_cmd_curve_split, command="curve split")
+        _add_common(p)
+
+    if p := group("classify", "verdict for a candidate submanifold"):
+        p.add_argument("--genus", type=int, default=None,
+                       help="curve genus; omit for a surface candidate")
+        p.add_argument("--in-fiber", action="store_true", dest="in_fiber")
+        p.add_argument("--degree", type=int, default=0,
+                       help="degree over the base curve")
+        p.add_argument("--ramification", type=int, default=0,
+                       help="total ramification degree over the base")
+        p.add_argument("--gc", type=int, default=2, help="genus of the base curve")
+        p.set_defaults(handler=_cmd_classify, command="classify")
+        _add_common(p)
+
+    if suite := group("suite", "randomized property suites"):
+        ssub = suite.add_subparsers(dest="action", required=True)
+        for name in (*_SUITES, "all"):
+            p = ssub.add_parser(name, help=f"property suite: {name}")
+            p.add_argument("--trials", type=int, default=20)
+            p.set_defaults(handler=_cmd_suite, command=f"suite {name}", name=name)
+            _add_common(p)
 
     return parser
 
@@ -393,8 +395,8 @@ def _emit(report, out_path):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else default_config()
     except ConfigError as exc:
@@ -418,6 +420,10 @@ def main(argv=None):
     except BrokenPipeError:
         # the reader is gone: spare the interpreter's last flush a retry
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:  # stdout: --out errors are ValueErrors
+        print(f"cannot write the report: {exc.strerror or exc}",
+              file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

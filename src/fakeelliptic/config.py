@@ -2,17 +2,17 @@
 
 Rationals are written as strings ("3", "-1", "3/2") so that exactness
 survives serialization; complex values entering through the command line
-use "re+im i" notation and serialize to {re, im} pairs of decimal
-strings.  Unknown keys and malformed values fail with the line number.
-mpmath and `family` are imported only where they are used, so that the
-exact commands never load them.
+use "re+im i" notation, parse to exact values and serialize to {re, im}
+pairs of decimal strings.  Unknown keys and malformed values fail with
+the line number.  `family` is imported only where it is used, and mpmath
+not at all, so that the exact commands never load them.
 """
 
 import os
 from fractions import Fraction
 
-from .exactlinalg import (DEFAULT_PRECISION, DEFAULT_TOLERANCE, resolution,
-                          tolerance_at)
+from .exactlinalg import (DEFAULT_PRECISION, DEFAULT_TOLERANCE, QuadComplex,
+                          decimal_str, resolution, tolerance_at)
 from .orders import NotAnOrder, OrderLattice, is_order, saturate, standard_order
 from .quaternions import AlgebraParams, QuatElement
 
@@ -61,25 +61,22 @@ def _fraction_list(text, count, line=None):
 
 
 def parse_complex(text):
-    """Complex scalar from "1+2i", "i", "2i", "-0.5", or "re,im" notation."""
-    import mpmath
+    """Exact complex scalar from "1+2i", "i", "2i", "-0.5", or "re,im":
+    the doubles `complex()` reads, or the decimals re and im exactly."""
     s = text.strip().lower().replace(" ", "")
-    if "," in s:
-        re_s, im_s = s.split(",", 1)
-        return mpmath.mpc(mpmath.mpf(re_s), mpmath.mpf(im_s))
     try:
-        z = complex(s.replace("i", "j"))
-    except ValueError:
+        if "," in s:
+            return QuadComplex(*(Fraction(p) for p in s.split(",", 1)))
+        return QuadComplex.of(complex(s.replace("i", "j")))
+    except (ValueError, OverflowError):
         raise ValueError(f"cannot parse complex value {text!r}") from None
-    return mpmath.mpc(z.real, z.imag)
 
 
 def complex_pair(z):
     """{re, im} pair of 20-digit decimal strings, the report form of
-    complex values."""
-    import mpmath
-    z = mpmath.mpc(z)
-    return {"re": mpmath.nstr(z.real, 20), "im": mpmath.nstr(z.imag, 20)}
+    complex values (exact, or an mpc printed as `mpmath.nstr` does)."""
+    z = QuadComplex.of(z)
+    return {"re": decimal_str(z.real, 20), "im": decimal_str(z.imag, 20)}
 
 
 class Config:
@@ -99,7 +96,12 @@ class Config:
         self.order_basis = order_basis
         self.rho_coords = rho_coords
         if precision is None:
-            precision = int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION))
+            precision = os.environ.get(PRECISION_ENV, DEFAULT_PRECISION)
+            try:
+                precision = int(precision)
+            except ValueError:
+                raise ConfigError(f"{PRECISION_ENV} must be an integer, "
+                                  f"got {precision!r}") from None
         if precision < 16:
             raise ConfigError("precision must be at least 16 bits")
         if precision > MAX_PRECISION:

@@ -1,17 +1,18 @@
 """Exact and high-precision linear algebra kernel.
 
-Exact scalars are ``fractions.Fraction`` and :class:`QuadExt` (elements
-u + v*sqrt(a) of a real quadratic field).  Lattice ranks, membership and
-determinants are decided on integer forms (`orders.OrderLattice`); the
-elimination kernels `exact_rank`, `exact_det` and `exact_solve` stay
-here as references for the tests and the benchmark's tracer.
+Exact scalars are ``fractions.Fraction``, :class:`QuadExt` (u + v*sqrt(a)
+in a real quadratic field) and :class:`QuadComplex` (over Q(sqrt a)(i)).
+Lattice ranks, membership and determinants are decided on integer forms
+(`orders.OrderLattice`); the elimination kernels `exact_rank`,
+`exact_det` and `exact_solve` stay here as references for the tests and
+the benchmark's tracer.
 
-Numeric work (periods, witnesses, CM points) runs on mpmath at a
+Numeric work (CM points, curve sections) runs on mpmath at a
 configurable binary precision, 128 bits by default.  The numeric
-policies live here once: the conversion of exact scalars to mpf and the
-default tolerances (the splitting, Riemann and isogeny verdicts are exact
-and need none).  The numeric functions import mpmath where they run, so
-the exact commands never load it.
+policies live here once: the conversions between exact scalars and mpf,
+their decimal form (`decimal_str`) and the default tolerances (no fiber
+or suite verdict needs one).  The numeric functions import mpmath where
+they run, so the exact commands never load it.
 """
 
 from fractions import Fraction
@@ -22,7 +23,7 @@ DEFAULT_PRECISION = 128
 
 # the config's default `tolerance`; no verdict reads it
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 20)
-# residual tolerance of the cocycle identity
+# residual tolerance of the tests' numeric cocycle oracle; no verdict reads it
 IDENTITY_TOL = Fraction(1, 10 ** 12)
 # "nonzero" threshold of the genus-1 comparison `elliptic_family_fiber_h0`
 NONZERO_TOL = Fraction(1, 10 ** 12)
@@ -107,6 +108,8 @@ class QuadExt:
         return QuadExt._over(Fraction(other), Fraction(0), self.rad)
 
     def __add__(self, other):
+        if isinstance(other, QuadComplex):
+            return NotImplemented
         o = self._coerce(other)
         return QuadExt._over(self.u + o.u, self.v + o.v, self.rad)
 
@@ -116,12 +119,14 @@ class QuadExt:
         return QuadExt._over(-self.u, -self.v, self.rad)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + -other
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, QuadComplex):
+            return NotImplemented
         o = self._coerce(other)
         return QuadExt._over(self.u * o.u + self.rad * self.v * o.v,
                              self.u * o.v + self.v * o.u, self.rad)
@@ -155,6 +160,8 @@ class QuadExt:
     def __eq__(self, other):
         if isinstance(other, QuadExt):
             return self.rad == other.rad and self.u == other.u and self.v == other.v
+        if isinstance(other, QuadComplex):
+            return NotImplemented
         return self.v == 0 and self.u == other
 
     def __hash__(self):
@@ -175,6 +182,105 @@ def _sqrt(rad, prec):
     import mpmath
     with mpmath.workprec(prec):
         return mpmath.sqrt(to_mpf(rad))
+
+
+class QuadComplex:
+    """real + i imag, each a Fraction or a QuadExt of one radicand.  With
+    rational parts, `mpmath.mpc(z)` rounds z through the `_mpc_` hook."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag=Fraction(0)):
+        self.real, self.imag = real, imag
+
+    @classmethod
+    def of(cls, z):
+        """z itself, or the exact value of an mpc (dyadic), a complex or a
+        real number; a nan or an infinity raises ValueError or OverflowError."""
+        if isinstance(z, cls):
+            return z
+        if hasattr(z, "_mpc_"):
+            from mpmath.libmp import to_rational
+            return cls(*(Fraction(*to_rational(x)) for x in z._mpc_))
+        return cls(Fraction(z.real), Fraction(z.imag))
+
+    def __add__(self, other):
+        o = other if isinstance(other, QuadComplex) else QuadComplex(other)
+        return QuadComplex(self.real + o.real, self.imag + o.imag)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadComplex(-self.real, -self.imag)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, QuadComplex):
+            return QuadComplex(self.real * other, self.imag * other)
+        return QuadComplex(self.real * other.real - self.imag * other.imag,
+                           self.real * other.imag + self.imag * other.real)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        o = other if isinstance(other, QuadComplex) else QuadComplex(other)
+        return self.real == o.real and self.imag == o.imag
+
+    @property
+    def _mpc_(self):
+        return (to_mpf(self.real)._mpf_, to_mpf(self.imag)._mpf_)
+
+
+def _floor_scaled(x, k):
+    """floor(x 2^k) for a Fraction or a QuadExt x with v != 0, exactly.
+
+    With x 2^k = (A + B sqrt(R)) / d in integers (R = num(rad) den(rad)),
+    B sqrt(R) is irrational, so A + B sqrt(R) lies strictly between the
+    integers A + floor(B sqrt(R)) and the next, and the floor of x 2^k is
+    (A + floor(B sqrt(R))) // d, with floor(B sqrt(R)) from math.isqrt.
+    """
+    x = x * Fraction(2) ** k
+    if not isinstance(x, QuadExt):
+        return math.floor(x)
+    w = x.v / x.rad.denominator  # v sqrt(rad) = w sqrt(R)
+    d = math.lcm(x.u.denominator, w.denominator)
+    A, B = int(x.u * d), int(w * d)
+    root = math.isqrt(B * B * x.rad.numerator * x.rad.denominator)
+    return (A + (root if B > 0 else -root - 1)) // d
+
+
+def decimal_str(x, n):
+    """`mpmath.nstr(x, n)` for an exact x (int, Fraction or QuadExt), n >= 1.
+
+    The steps of mpmath's `to_str` on x itself: truncate to a binary fixed
+    point of (n + 3) log2(10) + 10 significant bits, take its decimal
+    floor, round half up at n digits.  So a dyadic x within 2^+-3500
+    (a double, an mpf) prints exactly as its mpf does."""
+    if isinstance(x, QuadExt) and x.v == 0:
+        x = x.u
+    if x == 0:
+        return "0.0"
+    negative = (x.sign() if isinstance(x, QuadExt) else x) < 0
+    x = -x if negative else x
+    k = 0
+    while (f := _floor_scaled(x, k)) == 0:
+        k += 64
+    fixprec = max(int((n + 3) * math.log(10, 2)) + 10 - f.bit_length() + k, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    digits = str(_floor_scaled(x, fixprec) * 10 ** fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    head = str(int(digits[:n]) + (digits[n:n + 1] >= "5"))
+    if len(head) > len(digits[:n]):  # 99..9 rounded up to 100..0
+        head, exponent = head[:-1], exponent + 1
+    split = 1
+    if min(-(n // 3), -5) < exponent < n:
+        split, head = max(exponent, 0) + 1, "0" * max(-exponent, 0) + head
+        exponent = 0
+    text = (head[:split] + "." + head[split:]).rstrip("0")
+    exp = f"e{exponent:+d}" if exponent else ""
+    return "-" * negative + text + ("0" if text.endswith(".") else "") + exp
 
 
 def _zero_like(x):

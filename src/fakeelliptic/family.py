@@ -5,19 +5,14 @@ giving an abelian surface A_tau.  This module carries the complex
 structure, the polarization form E(m1, m2) = trd(rho * m1 * conj(m2)) and
 its Riemann conditions, the Moebius action of norm-1 units together with
 the lattice isogeny identity, and the 3x3 factor of automorphy of the
-total space, with its cocycle and determinant identities.
+total space, with its cocycle and determinant identities.  The checks
+decide over Q(sqrt a)(i); only the numeric functions import mpmath.
 """
 
 from fractions import Fraction
-import functools
 import math
 
-import mpmath
-from mpmath import mp
-from mpmath.libmp import to_rational
-
-from .exactlinalg import (DEFAULT_PRECISION, IDENTITY_TOL, QuadExt, to_mpf,
-                          tolerance_at)
+from .exactlinalg import DEFAULT_PRECISION, QuadComplex, QuadExt, decimal_str
 from .quaternions import QuatElement, embed
 
 
@@ -26,35 +21,40 @@ def as_complex(tau):
 
     mpmath constructors round to the ambient precision even for existing
     mpmath numbers, so conversions must skip them to keep high-precision
-    inputs intact outside workprec blocks.
+    inputs intact outside workprec blocks.  An exact tau is rounded.
     """
+    import mpmath
     if isinstance(tau, UpperHalfPoint):
-        return tau.tau
+        tau = tau.tau
     if isinstance(tau, mpmath.mpc):
         return tau
     return mpmath.mpc(tau)
 
 
 class UpperHalfPoint:
-    """A point tau with Im > 0, optionally carrying its exact quadratic."""
+    """A point tau with Im > 0, optionally carrying its exact quadratic;
+    a `QuadComplex` tau stays exact, any other becomes an mpc."""
 
     __slots__ = ("tau", "quad")
 
     def __init__(self, tau, quad=None):
-        tau = as_complex(tau)
+        if not isinstance(tau, QuadComplex):
+            tau = as_complex(tau)
         if not tau.imag > 0:
             raise ValueError("point not in the upper half plane")
         self.tau = tau
         self.quad = quad  # (c2, c1, c0) QuadExt coefficients, or None
 
     def __repr__(self):
-        return f"UpperHalfPoint({mpmath.nstr(self.tau, 12)})"
+        import mpmath
+        return f"UpperHalfPoint({mpmath.nstr(as_complex(self.tau), 12)})"
 
 
 def complex_structure(m, tau, prec=DEFAULT_PRECISION):
     """m_tau = embed(m) * (tau, 1)^t in C^2; for a unit, the second
     coordinate is its automorphy denominator j = c tau + d."""
-    with mp.workprec(prec):
+    import mpmath
+    with mpmath.workprec(prec):
         return _apply(_numeric(embed(m), prec), as_complex(tau))
 
 
@@ -76,8 +76,8 @@ class PeriodLattice:
     embedded generator j, so |det P| = |det S| (Im tau)^2 for the stacked
     matrix S of those rows.  det S = -4ab det(basis)
     (`OrderLattice.embedding_det`) is nonzero for every lattice, and
-    Im tau > 0 for every UpperHalfPoint, so the rank is always 4.
-    The numeric embeddings and the vectors are computed on first use.
+    Im tau > 0 for every UpperHalfPoint, so the rank is always 4, and
+    no check needs the vectors themselves.
     """
 
     def __init__(self, order, tau, prec=DEFAULT_PRECISION):
@@ -86,15 +86,6 @@ class PeriodLattice:
         self.order = order
         self.tau = tau
         self.prec = prec
-
-    @functools.cached_property
-    def numeric(self):
-        return [_numeric(E, self.prec) for E in self.order.embedding]
-
-    @functools.cached_property
-    def vectors(self):
-        with mp.workprec(self.prec):
-            return [_apply(N, self.tau.tau) for N in self.numeric]
 
 
 def riemann_form(rho, m1, m2):
@@ -170,11 +161,12 @@ def default_rho(params):
 
 def _k_tau(tau, params):
     """Rationals (l, m, n) with k_tau = sqrt(a) (l x + n xy) + m y for
-    the dyadic tau = s + i t of an mpc: embed(k_tau) = K_tau =
+    the exact value s + i t of tau: embed(k_tau) = K_tau =
     [[s, -|tau|^2], [1, -s]] / t has K_tau (tau, 1)^t = i (tau, 1)^t, so
     right multiplication by k_tau is the complex structure at tau."""
     a, b = params.a, params.b
-    s, t = (Fraction(*to_rational(x._mpf_)) for x in (tau.real, tau.imag))
+    tau = QuadComplex.of(tau)
+    s, t = tau.real, tau.imag
     r = (s * s + t * t) / b
     return s / (a * t), (1 - r) / (2 * t), -(1 + r) / (2 * a * t)
 
@@ -190,7 +182,8 @@ def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION):
           minors of S, sign tests in Q(sqrt a), are positive (Sylvester);
           the last is det S = det G nrd(k_tau)^2.
 
-    Returns per-condition verdicts and witnesses; minors print at prec bits.
+    Returns per-condition verdicts and witnesses; minors print exactly
+    rounded to 10 digits, and prec is not read.
     """
     order = lattice.order
     a, b = order.params.a, order.params.b
@@ -221,8 +214,7 @@ def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION):
     minors.append(QuadExt._over(det_g * nrd * nrd, Fraction(0), a))
     report["conditions"]["positive_definite"] = {
         "pass": asym == 0 and all(d.sign() > 0 for d in minors),
-        "witness": {"leading_minors": [mpmath.nstr(d.numeric(prec), 10)
-                                       for d in minors],
+        "witness": {"leading_minors": [decimal_str(d, 10) for d in minors],
                     "hermitian_residual": str(asym)},
     }
 
@@ -236,9 +228,10 @@ def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION):
 
 def moebius_act(gamma, tau, prec=DEFAULT_PRECISION):
     """(a tau + b)/(c tau + d) for the embedded matrix of a norm-1 unit."""
+    import mpmath
     if gamma.nrd() != 1:
         raise ValueError("Moebius action needs det 1 (reduced norm 1)")
-    with mp.workprec(prec):
+    with mpmath.workprec(prec):
         num, den = complex_structure(gamma, tau, prec)
         return num / den
 
@@ -293,15 +286,13 @@ class FamilyGroupElement:
 
     def act(self, z, tau, prec=DEFAULT_PRECISION):
         """((z + lambda_tau)/(c tau + d), gamma(tau))."""
-        with mp.workprec(prec):
-            return _act(_numeric(embed(self.gamma), prec),
-                        _numeric(embed(self.lam), prec), z, as_complex(tau))
-
-
-def _act(G, L, z, tau):
-    """`FamilyGroupElement.act` on numeric embeddings G, L of gamma, lam."""
-    (num, j), lt = _apply(G, tau), _apply(L, tau)
-    return tuple((as_complex(w) + v) / j for w, v in zip(z, lt)), num / j
+        import mpmath
+        with mpmath.workprec(prec):
+            tau = as_complex(tau)
+            num, j = _apply(_numeric(embed(self.gamma), prec), tau)
+            lt = _apply(_numeric(embed(self.lam), prec), tau)
+            return (tuple((as_complex(w) + v) / j for w, v in zip(z, lt)),
+                    num / j)
 
 
 def automorphy_factor(g, z, tau, prec=DEFAULT_PRECISION):
@@ -316,41 +307,56 @@ def automorphy_factor(g, z, tau, prec=DEFAULT_PRECISION):
     It is upper triangular, with exact zeros below the diagonal, so its
     determinant is j^-4.
     """
-    with mp.workprec(prec):
-        return _factor(_numeric(embed(g.gamma), prec),
-                       _numeric(embed(g.lam), prec), z, as_complex(tau))
-
-
-def _factor(G, L, z, tau):
-    """`automorphy_factor` from the numeric embeddings G of gamma and L of
-    lambda."""
-    c, d = G[1]
-    j = c * tau + d
-    lt = _apply(L, tau)
-    A = mpmath.zeros(3, 3)
-    A[0, 0] = 1 / j
-    A[1, 1] = 1 / j
-    A[2, 2] = 1 / j ** 2
-    A[0, 2] = (L[0][0] - c * (as_complex(z[0]) + lt[0]) / j) / j
-    A[1, 2] = (L[1][0] - c * (as_complex(z[1]) + lt[1]) / j) / j
-    return A
-
-
-def cocycle_check(g1, g2, z, tau, prec=DEFAULT_PRECISION, tol=None):
-    """a(g1 g2, x) = a(g1, g2 x) * a(g2, x) at x = (z, tau), relative to
-    1 + the norm of the left side: the one identity that a tolerance
-    decides, IDENTITY_TOL where prec bits resolve it (`tolerance_at`).
-    The embeddings of the six elements involved are converted once."""
-    with mp.workprec(prec):
-        tol = to_mpf(tolerance_at(IDENTITY_TOL, prec) if tol is None else tol)
+    import mpmath
+    with mpmath.workprec(prec):
         tau = as_complex(tau)
-        (G1, L1), (G2, L2), (G12, L12) = (
-            (_numeric(embed(g.gamma), prec), _numeric(embed(g.lam), prec))
-            for g in (g1, g2, g1 * g2))
-        left = _factor(G12, L12, z, tau)
-        right = (_factor(G1, L1, *_act(G2, L2, z, tau))
-                 * _factor(G2, L2, z, tau))
-        return mpmath.mnorm(left - right) / (1 + mpmath.mnorm(left)) < tol
+        L = _numeric(embed(g.lam), prec)
+        c, d = _numeric(embed(g.gamma), prec)[1]
+        j = c * tau + d
+        lt = _apply(L, tau)
+        A = mpmath.zeros(3, 3)
+        A[0, 0] = 1 / j
+        A[1, 1] = 1 / j
+        A[2, 2] = 1 / j ** 2
+        A[0, 2] = (L[0][0] - c * (as_complex(z[0]) + lt[0]) / j) / j
+        A[1, 2] = (L[1][0] - c * (as_complex(z[1]) + lt[1]) / j) / j
+        return A
+
+
+def cocycle_check(g1, g2, z, tau, prec=DEFAULT_PRECISION):
+    """a(g1 g2, x) = a(g1, g2 x) * a(g2, x) at x = (z, tau), exactly.
+
+    With embed(gamma) = [[A, B], [C, D]], L = embed(lambda) and
+    j = C tau + D, a(g, x) = (1/j) [[1, 0, w_1], [0, 1, w_2], [0, 0, 1/j]]
+    where j w_k = (L_k0 D - C L_k1) - C z_k (`automorphy_factor`).  For
+    j1' = j(g1) at gamma2(tau), j1' j2 = C1 (A2 tau + B2) + D1 j2, and the
+    identity holds iff j1' j2 = j12 and, for k = 1, 2,
+
+        j2 (j12 w_k(g12)) = j1' j2 (j2 w_k(g2)) + (L1_k0 D1 - C1 L1_k1) j2
+                            - C1 (z_k + L2_k0 tau + L2_k1),
+
+    equalities over Q(sqrt a)(i) without division, decided on the exact
+    values of z and tau (dyadic for an mpc).  prec is not read.
+    """
+    tau = QuadComplex.of(tau)
+    z = [QuadComplex.of(w) for w in z]
+    (G1, L1), (G2, L2), (G12, L12) = ((embed(g.gamma), embed(g.lam))
+                                      for g in (g1, g2, g1 * g2))
+
+    def jw(G, L, k):
+        """j w_k for the embeddings G of gamma and L of lambda."""
+        (_, _), (C, D) = G
+        return (L[k][0] * D - C * L[k][1]) - C * z[k]
+
+    (A2, B2), (C2, D2) = G2
+    (_, _), (C1, D1) = G1
+    j2 = C2 * tau + D2
+    j12 = G12[1][0] * tau + G12[1][1]
+    j1j2 = C1 * (A2 * tau + B2) + D1 * j2
+    return j1j2 == j12 and all(
+        j2 * jw(G12, L12, k) == j1j2 * jw(G2, L2, k)
+        + (L1[k][0] * D1 - C1 * L1[k][1]) * j2
+        - C1 * (z[k] + L2[k][0] * tau + L2[k][1]) for k in (0, 1))
 
 
 def canonical_degree_check(g, z, tau, prec=DEFAULT_PRECISION):
@@ -359,7 +365,7 @@ def canonical_degree_check(g, z, tau, prec=DEFAULT_PRECISION):
     a(g, x) is upper triangular with diagonal (1/j, 1/j, 1/j^2)
     (`automorphy_factor`), so det a = j^-4 wherever j = c tau + d != 0,
     and nrd(gamma) = 1 forces (c, d) != (0, 0): this cannot fail, and the
-    unit test of `_factor`'s triangular shape is what guards the identity.
+    unit test of the factor's triangular shape is what guards the identity.
     z, tau and prec are not read.
     """
     return not all(x.is_zero() for x in embed(g.gamma)[1])
@@ -373,8 +379,13 @@ def random_order_element(order, rng):
     return order.element_from([rng.randint(-3, 3) for _ in range(4)])
 
 
+def random_complex(rng, im=(-2, 2)):
+    """Uniform doubles in [-2, 2] and im, as an exact QuadComplex."""
+    return QuadComplex(Fraction(rng.uniform(-2, 2)), Fraction(rng.uniform(*im)))
+
+
 def random_tau(rng):
-    return mpmath.mpc(rng.uniform(-2, 2), rng.uniform(0.2, 3.0))
+    return random_complex(rng, (0.2, 3.0))
 
 
 def random_group_element(order, units, rng):

@@ -9,20 +9,19 @@ non-splitting, and the single equation tau' f1 = mu_11 f1 + mu_21 f2
 providing the extra section that splits an elliptic curve.
 
 The exact classifier and the report type live in `classify`, which
-needs no mpmath; they are re-exported here.
+needs no mpmath; they are re-exported here.  Only the numeric functions
+import mpmath; the fiber verdict is exact.
 """
 
 import random
-
-import mpmath
-from mpmath import mp
 
 # the exact verdicts and citations, re-exported
 from .classify import (CITE_ELLIPTIC, CITE_ETALE, CITE_FIBER,  # noqa: F401
                        CITE_GENUS, CITE_RAMIFIED, CITE_RATIONAL, CITE_SURFACE,
                        InconsistentData, SplittingReport, classify_candidate)
-from .exactlinalg import DEFAULT_PRECISION, NONZERO_TOL, QuadExt, to_mpf
-from .family import PeriodLattice, as_complex, complex_structure
+from .exactlinalg import (DEFAULT_PRECISION, NONZERO_TOL, QuadComplex,
+                          QuadExt, decimal_str, to_mpf)
+from .family import UpperHalfPoint, _det, as_complex, complex_structure
 from .quaternions import embed
 
 
@@ -47,7 +46,8 @@ class FlatRep:
         The shape makes rho additive in the vector, so the matrix for a
         combination uses the combined vector directly.
         """
-        with mp.workprec(prec):
+        import mpmath
+        with mpmath.workprec(prec):
             v0 = mpmath.mpf(0)
             v1 = mpmath.mpf(0)
             for c, vec in zip(coeffs, self.generator_vectors):
@@ -67,16 +67,16 @@ def fiber_rep(order, tau, prec=DEFAULT_PRECISION):
 
 
 class FiberSection:
-    """f = (f1, f2, a1 z1 + a2 z2 + b), the closed form of fiber sections."""
+    """f = (f1, f2, a1 z1 + a2 z2 + b), the closed form of fiber sections,
+    with integer coefficients; `value` evaluates it in mpmath."""
 
     __slots__ = ("f1", "f2", "a1", "a2", "b")
 
     def __init__(self, f1, f2, a1, a2, b):
-        self.f1, self.f2, self.a1, self.a2, self.b = (
-            mpmath.mpc(f1), mpmath.mpc(f2), mpmath.mpc(a1), mpmath.mpc(a2),
-            mpmath.mpc(b))
+        self.f1, self.f2, self.a1, self.a2, self.b = f1, f2, a1, a2, b
 
     def value(self, z):
+        import mpmath
         z1, z2 = mpmath.mpc(z[0]), mpmath.mpc(z[1])
         return mpmath.matrix([self.f1, self.f2,
                               self.a1 * z1 + self.a2 * z2 + self.b])
@@ -95,36 +95,31 @@ class FiberH0:
         self.precision_used = precision_used
 
 
-def _fiber_system(order, tau, prec):
-    """The lattice and the 4x4 matrix with one row (v1, v2, period1,
-    period2) per generator, v the first column of its embedding."""
-    lattice = PeriodLattice(order, tau, prec)
-    rows = [[N[0][0], N[1][0], *per]
-            for N, per in zip(lattice.numeric, lattice.vectors)]
-    return lattice, mpmath.matrix(rows)
-
-
 def fiber_h0(order, tau, prec=DEFAULT_PRECISION):
-    """h^0 of the restricted cotangent bundle on the fiber at tau.
+    """h^0 of the restricted cotangent bundle on the fiber at tau, exactly.
 
-    The 4x4 system in (f1, f2, a1, a2) has one row
+    The 4x4 system M in (f1, f2, a1, a2) has one row
     (v1, v2, period1, period2) per generator, and h0 = 1 + its nullity.
-    It factors as the stacked column matrix S of the embeddings times a
+    M factors as the stacked column matrix S of the embeddings times a
     unit triangular tau-block, so det M = det S = -4ab det(basis)
     (`OrderLattice.embedding_det`), which is nonzero for every lattice:
     the nullity is 0, h0 = 1, and the only section is the constant one.
-    |det M| is the printed non-splitting witness and |det S| its exact,
-    tau-independent value.
+    det M is taken by cofactors over Q(sqrt a)(i) at the exact tau and
+    certified equal to det S; |det M| is the witness.  prec is recorded.
     """
-    with mp.workprec(prec):
-        _, M = _fiber_system(order, tau, prec)
-        witness = abs(mpmath.det(M))
-        factored = to_mpf(abs(order.embedding_det))
-    return FiberH0(1, witness, factored, [FiberSection(0, 0, 0, 0, 1)], prec)
+    t = QuadComplex.of(UpperHalfPoint(tau).tau)
+    M = [[E[0][0], E[1][0], t * E[0][0] + E[0][1], t * E[1][0] + E[1][1]]
+         for E in order.embedding]
+    det = _det(M)
+    if det != order.embedding_det:
+        raise InconsistentData(f"det M(tau) is not det S = {order.embedding_det}")
+    witness = abs(order.embedding_det)
+    return FiberH0(1, witness, witness, [FiberSection(0, 0, 0, 0, 1)], prec)
 
 
 def curve_rep(mu, tau, tau_prime, prec=DEFAULT_PRECISION):
     """Generators tau' and 1 of the curve lattice, with their vectors."""
+    import mpmath
     M = embed(mu)
     rad = mu.params.a
     one = QuadExt(1, 0, rad)
@@ -140,10 +135,12 @@ class CurveSection:
     __slots__ = ("f1", "f2", "a", "b")
 
     def __init__(self, f1, f2, a, b):
+        import mpmath
         self.f1, self.f2, self.a, self.b = (mpmath.mpc(f1), mpmath.mpc(f2),
                                             mpmath.mpc(a), mpmath.mpc(b))
 
     def value(self, z):
+        import mpmath
         z = mpmath.mpc(z)
         return mpmath.matrix([self.f1, self.f2, self.a * z + self.b])
 
@@ -168,7 +165,8 @@ def curve_h0(point, prec=DEFAULT_PRECISION):
     an eigenvector of the transposed embedding with eigenvalue tau'; the
     eigen residual and dphi on it are the certificate.
     """
-    with mp.workprec(prec):
+    import mpmath
+    with mpmath.workprec(prec):
         M = embed(point.mu)
         m11 = M[0][0].numeric(prec)
         m21 = M[1][0].numeric(prec)
@@ -189,7 +187,8 @@ def dphi_check(section, tau_prime):
 
 def robust_dphi(point, prec=DEFAULT_PRECISION):
     """dphi of the non-constant section at prec bits."""
-    with mp.workprec(prec):
+    import mpmath
+    with mpmath.workprec(prec):
         return dphi_check(curve_h0(point, prec).sections[1], point.tau_prime)
 
 
@@ -199,8 +198,9 @@ def verify_sections(rep, sections, n_points=20, seed=0, prec=DEFAULT_PRECISION):
     Re-verifies membership in the section space directly from the
     functional equation, independently of the solver's reduction.
     """
+    import mpmath
     rng = random.Random(seed)
-    with mp.workprec(prec):
+    with mpmath.workprec(prec):
         worst = mpmath.mpf(0)
         for idx, period in enumerate(rep.periods):
             coeffs = [1 if i == idx else 0 for i in range(len(rep.periods))]
@@ -227,7 +227,8 @@ def elliptic_family_fiber_h0(tau, prec=DEFAULT_PRECISION):
     1 when the determinant exceeds NONZERO_TOL and 2 otherwise; the
     determinant is 1, so h0 is always 1.
     """
-    with mp.workprec(prec):
+    import mpmath
+    with mpmath.workprec(prec):
         t = as_complex(tau)
         if not t.imag > 0:
             raise ValueError("tau must lie in the upper half plane")
@@ -242,8 +243,8 @@ def elliptic_family_fiber_h0(tau, prec=DEFAULT_PRECISION):
 def fiber_splitting_report(order, tau, prec=DEFAULT_PRECISION):
     result = fiber_h0(order, tau, prec)
     verdict = "NonSplit" if result.h0 == 1 else "Split"
-    cert = {"det_witness": mpmath.nstr(result.det_witness, 15),
-            "factored_det": mpmath.nstr(result.factored_det, 15),
+    cert = {"det_witness": decimal_str(result.det_witness, 15),
+            "factored_det": decimal_str(result.factored_det, 15),
             "citation": CITE_FIBER}
     return SplittingReport("Fiber", verdict, h0=result.h0, certificate=cert)
 
@@ -252,12 +253,13 @@ def curve_splitting_report(point, prec=DEFAULT_PRECISION):
     """Split: Im dphi = Im tau' (1 + 1/C) > 0 on the non-constant section,
     as C = m - n sqrt(a) > 0 for the oriented mu of a CM point, which for
     an elliptic mu means m > 0 (`cm.cm_point`)."""
+    import mpmath
     mu = point.mu
     if mu.m <= 0:
         raise ValueError("mu is not oriented: build the point with cm_point")
     result = curve_h0(point, prec)
     s = result.sections[1]
-    with mp.workprec(prec):
+    with mpmath.workprec(prec):
         dphi = dphi_check(s, point.tau_prime)
     cert = {"eigen_residual": mpmath.nstr(result.eigen_residual, 5),
             "citation": CITE_ELLIPTIC,

@@ -17,9 +17,9 @@ over Q(sqrt a) instead of -4ab det(basis), and the Riemann, isogeny and cocycle 
 scratch on every call instead of from the embedding, Gram matrix and
 square roots that the order, the polarization and `QuadExt` keep.
 
-`normalize_isogeny`, `exact_nullspace` and `numeric_nullspace` are
-helpers that the package itself does not call; they live here beside
-their tests.
+`normalize_isogeny`, `exact_nullspace`, `numeric_nullspace`,
+`period_vectors` and `fiber_system_numeric` are helpers that the package
+itself does not call; they live here beside their tests.
 """
 
 import itertools
@@ -34,7 +34,7 @@ from fakeelliptic.exactlinalg import (DEFAULT_PRECISION, _to_ap_matrix,
                                       _zero_like, exact_det, exact_rank,
                                       exact_rref, exact_solve, fraction_sqrt,
                                       numeric_svd, precision_tolerance)
-from fakeelliptic.family import as_complex
+from fakeelliptic.family import PeriodLattice, as_complex
 from fakeelliptic.orders import NotAnOrder, OrderLattice, UnitSample
 from fakeelliptic.quaternions import QuatElement, _factorize, embed, ramified_primes
 from fakeelliptic.splitting import CurveH0, CurveSection
@@ -352,13 +352,33 @@ def numeric_nullspace(m, tol, prec=DEFAULT_PRECISION):
         return basis
 
 
+def period_vectors(lattice):
+    """The generator images embed(g) (tau, 1)^t in C^2 at the lattice's
+    precision."""
+    return [_periods_fresh(g, lattice.tau.tau, lattice.prec)
+            for g in lattice.order.generators()]
+
+
+def fiber_system_numeric(order, tau, prec):
+    """The period lattice at tau and the numeric 4x4 fiber system, one row
+    (v1, v2, period1, period2) per generator, v the first column of its
+    embedding: the matrix whose determinant `splitting.fiber_h0` takes
+    exactly."""
+    lattice = PeriodLattice(order, tau, prec)
+    with mp.workprec(prec):
+        rows = [[_numeric_fresh(E[0][0], prec), _numeric_fresh(E[1][0], prec),
+                 *per] for E, per in zip(order.embedding,
+                                         period_vectors(lattice))]
+        return lattice, mpmath.matrix(rows)
+
+
 def period_rank_svd(lattice, prec=DEFAULT_PRECISION, tol=None):
     """The real-rank-4 condition by an SVD of the real period matrix:
     sigma_min >= tol * sigma_max, with tol = 2^-(prec/2) by default."""
     with mp.workprec(prec):
         if tol is None:
             tol = precision_tolerance(prec)
-        _, S, _ = mpmath.svd_r(real_period_matrix(lattice.vectors))
+        _, S, _ = mpmath.svd_r(real_period_matrix(period_vectors(lattice)))
         smax = max(S[i] for i in range(4))
         return smax != 0 and min(S[i] for i in range(4)) >= tol * smax
 
@@ -501,6 +521,7 @@ def _numeric_fresh(q, prec):
 def _periods_fresh(m, tau, prec):
     E = embed(m)
     with mp.workprec(prec):
+        tau = mpmath.mpc(tau)  # an exact tau is rounded to prec bits
         return (_numeric_fresh(E[0][0], prec) * tau + _numeric_fresh(E[0][1], prec),
                 _numeric_fresh(E[1][0], prec) * tau + _numeric_fresh(E[1][1], prec))
 

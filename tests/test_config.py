@@ -122,19 +122,32 @@ def test_precision_has_a_ceiling(monkeypatch):
         default_config()
 
 
+def _parts(z):
+    return z.real, z.imag
+
+
 def test_parse_complex():
-    assert parse_complex("i") == mpmath.mpc(0, 1)
-    assert parse_complex("0.5+2i") == mpmath.mpc(0.5, 2)
-    assert parse_complex("-0.5") == mpmath.mpc(-0.5, 0)
-    assert parse_complex("2i") == mpmath.mpc(0, 2)
-    assert parse_complex("1, 2") == mpmath.mpc(1, 2)
-    with pytest.raises(ValueError):
-        parse_complex("one plus i")
+    # "a+bi" reads the doubles complex() reads, "re, im" exact decimals
+    assert _parts(parse_complex("i")) == (0, 1)
+    assert _parts(parse_complex("0.5+2i")) == (Fraction(1, 2), 2)
+    assert _parts(parse_complex("-0.5")) == (Fraction(-1, 2), 0)
+    assert _parts(parse_complex("2i")) == (0, 2)
+    assert _parts(parse_complex("0.3+0.1i")) == (Fraction(0.3), Fraction(0.1))
+    assert _parts(parse_complex("1, 2")) == (1, 2)
+    assert _parts(parse_complex("0.3,1e-25")) == (Fraction(3, 10),
+                                                  Fraction(1, 10 ** 25))
+    for text in ("one plus i", "nan+1i", "inf,1", "1,nan", "1e400i", "1,2i"):
+        with pytest.raises(ValueError, match="cannot parse complex value"):
+            parse_complex(text)
 
 
 def test_complex_pair():
     pair = complex_pair(mpmath.mpc(0, 2))
     assert pair == {"re": "0.0", "im": "2.0"}
+    # a double prints as its mpf; a decimal as itself
+    assert complex_pair(parse_complex("0.3+1i")) == {
+        "re": mpmath.nstr(mpmath.mpf(0.3), 20), "im": "1.0"}
+    assert complex_pair(parse_complex("0.3,1")) == {"re": "0.3", "im": "1.0"}
 
 
 def test_polarization_defaults_to_y(max_order):

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from fakeelliptic import exactlinalg
 from fakeelliptic.exactlinalg import (DEFAULT_TOLERANCE, IDENTITY_TOL,
-                                      QuadExt, exact_det, exact_rank,
-                                      exact_solve, fraction_sqrt,
-                                      numeric_svd, precision_tolerance,
-                                      resolution, solve_quadratic, to_mpf,
-                                      tolerance_at)
+                                      QuadComplex, QuadExt, decimal_str,
+                                      exact_det, exact_rank, exact_solve,
+                                      fraction_sqrt, numeric_svd,
+                                      precision_tolerance, resolution,
+                                      solve_quadratic, to_mpf, tolerance_at)
 from fakeelliptic.quaternions import AlgebraParams, QuatElement, embed
 from oracles import (exact_nullspace, laplace_det, numeric_nullspace,
                      rank_by_minors, reference_roots)
@@ -266,3 +267,91 @@ def test_tolerance_at_keeps_what_the_precision_resolves():
             assert (to_mpf(tolerance_at(DEFAULT_TOLERANCE, prec))
                     == precision_tolerance(prec))
 
+
+
+# decimal_str against mpmath.nstr, the oracle: seeded, no example database
+SEEDED = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=300)
+DIGITS = st.sampled_from([5, 10, 15, 20])
+
+
+@SEEDED
+@given(st.floats(allow_nan=False, allow_infinity=False), DIGITS)
+@example(1e200, 5)
+@example(-1e200, 20)
+@example(1e-200, 10)
+@example(-1e-200, 15)
+@example(0.0, 5)
+@example(6.0, 15)
+@example(99999.5, 5)
+@example(0.3, 20)
+@example(2.0 ** -1074, 20)
+def test_decimal_str_of_a_double_matches_mpmath(x, n):
+    assert decimal_str(Fraction(x), n) == mpmath.nstr(mpmath.mpf(x), n)
+
+
+@SEEDED
+@given(st.fractions(max_denominator=10 ** 30), DIGITS)
+@example(Fraction(1, 3), 20)
+@example(Fraction(-2, 7) * 10 ** 40, 10)
+@example(Fraction(123455, 10 ** 6), 5)
+def test_decimal_str_of_a_rational_matches_mpmath(x, n):
+    with mp.workprec(512):
+        assert decimal_str(x, n) == mpmath.nstr(to_mpf(x), n)
+
+
+@SEEDED
+@given(st.fractions(max_denominator=10 ** 6).filter(lambda f: abs(f) < 10 ** 9),
+       st.fractions(max_denominator=10 ** 6).filter(lambda f: abs(f) < 10 ** 9),
+       st.sampled_from([2, 3, 5, 7, 13, 57, Fraction(3, 4)]), DIGITS)
+@example(Fraction(0), Fraction(0), 3, 5)
+@example(Fraction(6), Fraction(0), 3, 10)
+@example(Fraction(-1), Fraction(1, 2), 3, 15)  # -1 + sqrt(3)/2 < 0
+def test_decimal_str_of_a_quadext_matches_mpmath_at_512_bits(u, v, rad, n):
+    q = QuadExt(u, v, rad)
+    assert decimal_str(q, n) == mpmath.nstr(q.numeric(512), n)
+
+
+def _dyadic(rng):
+    return Fraction(rng.randint(-2 ** 12, 2 ** 12), 2 ** rng.randint(0, 8))
+
+
+def test_quadcomplex_matches_python_complex_on_dyadic_values():
+    # 13-bit parts within 8 binary places: complex() is exact on them
+    rng = random.Random(61)
+    for _ in range(200):
+        p, q = (QuadComplex(_dyadic(rng), _dyadic(rng)) for _ in range(2))
+        cp, cq = (complex(float(z.real), float(z.imag)) for z in (p, q))
+        r = _dyadic(rng)
+        for got, want in ((p + q, cp + cq), (p - q, cp - cq), (p * q, cp * cq),
+                          (p + r, cp + float(r)), (r + p, float(r) + cp),
+                          (p - r, cp - float(r)), (p * r, cp * float(r)),
+                          (r * p, float(r) * cp), (-1 * p, -cp)):
+            assert (got.real, got.imag) == (Fraction(want.real),
+                                             Fraction(want.imag))
+        assert p == QuadComplex.of(cp) and p != p + QuadComplex(0, 1)
+        assert QuadComplex(r) == r and QuadComplex(r, 1) != r
+
+
+def test_quadcomplex_over_a_quadratic_field():
+    s = QuadExt(0, 1, 3)  # sqrt(3)
+    z = QuadComplex(1 + s, 2 * s)
+    w = z * z  # (1 + s)^2 - 12 + 2 (1 + s) 2 s i
+    assert w == QuadComplex(QuadExt(-8, 2, 3), QuadExt(12, 4, 3))
+    assert z * s == QuadComplex(s + 3, 6) and s * z == z * s
+    assert (z - z) == 0 and z + QuadExt(1, 0, 3) == QuadComplex(2 + s, 2 * s)
+    assert s + z == z + s and s - z == -(z - s) == QuadComplex(-1, -2 * s)
+    assert 1 + s == QuadComplex(1 + s) and QuadComplex(1 + s) == 1 + s
+
+
+def test_quadcomplex_converts_both_ways():
+    z = QuadComplex.of(mpmath.mpc(0.25, -3))
+    assert (z.real, z.imag) == (Fraction(1, 4), -3)
+    assert QuadComplex.of(0.5 + 2j) == QuadComplex(Fraction(1, 2), 2)
+    with mp.workprec(16):
+        assert mpmath.mpc(QuadComplex(Fraction(1, 3), 1)) == mpmath.mpc(
+            to_mpf(Fraction(1, 3)), 1)
+    assert QuadComplex.of(mpmath.mpc(0.1)) == Fraction(0.1)
+    for bad in (complex("nan"), complex("inf"), mpmath.mpc("nan", 1)):
+        with pytest.raises((ValueError, OverflowError)):
+            QuadComplex.of(bad)

@@ -20,10 +20,10 @@ from fakeelliptic.exactlinalg import (DEFAULT_TOLERANCE, IDENTITY_TOL,
                                       exact_det, to_mpf)
 from fakeelliptic.orders import enumerate_units
 from fakeelliptic.quaternions import QuatElement
-from fakeelliptic.splitting import _fiber_system
 from oracles import (automorphy_factor_fresh, canonical_residual_fresh,
-                     cocycle_residual_fresh, isogeny_deviation_fresh,
-                     laplace_det, numeric_nullspace, period_rank_svd,
+                     cocycle_residual_fresh, fiber_system_numeric,
+                     isogeny_deviation_fresh, laplace_det,
+                     numeric_nullspace, period_rank_svd, period_vectors,
                      real_period_matrix, reduced_discriminant_fraction,
                      riemann_conditions_fresh, riemann_form_by_matrices,
                      stacked_embedding_det)
@@ -77,10 +77,11 @@ def test_exact_rank_condition_matches_svd_oracle(ab, maximal):
         with mp.workprec(prec):
             tol = to_mpf(DEFAULT_TOLERANCE)
             for tau in taus:
-                lattice, M = _fiber_system(order, tau, prec)
+                lattice, M = fiber_system_numeric(order, tau, prec)
                 assert period_rank_svd(lattice, prec)
                 assert numeric_nullspace(M, tol, prec) == []
-                det_p = abs(mpmath.det(real_period_matrix(lattice.vectors)))
+                P = real_period_matrix(period_vectors(lattice))
+                det_p = abs(mpmath.det(P))
                 assert (abs(det_p - disc * lattice.tau.tau.imag ** 2)
                         < mpmath.mpf(2) ** -(prec // 2))
 
@@ -309,27 +310,43 @@ def test_random_order_element_lies_in_order(max_order):
 @pytest.mark.parametrize("ab", [(3, -1), (3, -7), (7, -57), (13, -10)])
 @pytest.mark.parametrize("prec", [64, 128, 256])
 def test_checks_match_fresh_recomputation(ab, prec):
-    # the cocycle converts each embedding once and QuadExt keeps its square
-    # roots; the oracles recompute all of it per call
+    # the cocycle is decided exactly; the oracle recomputes the factors
+    # numerically per call, and its residual stays at rounding level
     cfg = Config(a=ab[0], b=ab[1], precision=prec)
     order = cfg.build_order()
     units = enumerate_units(order, 1)
     rng = random.Random(sum(ab) + prec)
     with mp.workprec(prec):
-        slack = 1 + mpmath.mpf(2) ** (8 - prec)
         for _ in range(2):
-            # the verdict flips exactly at the oracle's residual
             g1 = random_group_element(order, units, rng)
             g2 = random_group_element(order, units, rng)
             tau = random_tau(rng)
             z = (mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)),
                  mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+            assert cocycle_check(g1, g2, z, tau, prec)
             res = cocycle_residual_fresh(g1, g2, z, tau, prec)
-            assert not cocycle_check(g1, g2, z, tau, prec, res)
-            assert cocycle_check(g1, g2, z, tau, prec,
-                                 res * slack if res else slack - 1)
+            assert res < mpmath.mpf(2) ** (8 - prec)
             A = automorphy_factor(g1, z, tau, prec)
             assert A == automorphy_factor_fresh(g1, z, tau, prec)
+
+
+def test_exact_cocycle_detects_a_wrong_group_law(params, max_order,
+                                                 monkeypatch):
+    # rational, non-dyadic z and tau; the identity fails once the
+    # translation part l1 gamma2 of the product is dropped
+    units = enumerate_units(max_order, 1)
+    rng = random.Random(26)
+    z = (family.QuadComplex(Fraction(1, 3), Fraction(1, 5)),
+         family.QuadComplex(Fraction(-1, 2), 2))
+    tau = family.QuadComplex(Fraction(1, 7), Fraction(3, 2))
+    pairs = [(random_group_element(max_order, units, rng),
+              random_group_element(max_order, units, rng)) for _ in range(5)]
+    assert all(cocycle_check(g1, g2, z, tau) for g1, g2 in pairs)
+    assert sum(not g1.lam.is_zero() for g1, _ in pairs) >= 3
+    monkeypatch.setattr(FamilyGroupElement, "__mul__", lambda g, h:
+                        FamilyGroupElement(h.lam, g.gamma * h.gamma))
+    assert not any(cocycle_check(g1, g2, z, tau) for g1, g2 in pairs
+                   if not g1.lam.is_zero())
 
 
 EXACT_ALGEBRAS = [(3, -1), (3, -7), (7, -57), (13, -10), (2, -5)]
@@ -420,7 +437,7 @@ def test_complex_structure_is_right_multiplication_by_k_tau(ab):
                                 + to_mpf(m) * ry
                                 for rx, ry, rxy in zip(*rows)]
                                for rows in zip(*order.right_multiplication[1:])])
-            P = real_period_matrix(lattice.vectors)
+            P = real_period_matrix(period_vectors(lattice))
             assert mpmath.mnorm(R.T - P ** -1 * J_std * P) < mpmath.mpf(2) ** -200
         S = [[family.QuadExt._over(m * vy, l * vx + n * vxy, a)
               for vx, vy, vxy in zip(*rows)] for rows in zip(gx, gy, gxy)]

@@ -1,4 +1,5 @@
-"""The exact commands run without loading mpmath.
+"""The exact commands run without loading mpmath; only `cm enumerate` and
+`curve split` load it.
 
 Each check runs in a fresh interpreter, since the test session itself
 has long imported mpmath.
@@ -23,7 +24,12 @@ EXACT_COMMANDS = (
     ["classify", "--genus", "3", "--in-fiber"],
     ["classify", "--genus", "3", "--degree", "2"],
     ["classify", "--genus", "4", "--degree", "2", "--ramification", "2"],
+    ["fiber", "h0", "--tau", "i"], ["fiber", "h0", "--tau=0.3,1"],
+    ["suite", "riemann", "--trials", "2"], ["suite", "cocycle", "--trials", "2"],
+    ["suite", "isogeny", "--trials", "2"], ["suite", "all", "--trials", "2"],
 )
+NUMERIC_COMMANDS = (["cm", "enumerate", "--height", "1"],
+                    ["curve", "split", "--mu", "0,0,1,0"])
 
 
 def _python(code):
@@ -47,6 +53,18 @@ print("ok")
     assert out.split() == ["ok"]
 
 
+@pytest.mark.parametrize("argv", NUMERIC_COMMANDS)
+def test_numeric_commands_load_mpmath(argv):
+    out = _python(f"""
+import contextlib, io, sys
+from fakeelliptic import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({argv!r}) == 0
+print("mpmath" in sys.modules)
+""")
+    assert out.split() == ["True"]
+
+
 def test_package_loads_numeric_modules_on_first_use():
     out = _python("""
 import sys
@@ -54,10 +72,12 @@ import pytest
 
 import fakeelliptic
 print("mpmath" in sys.modules)
-from fakeelliptic.splitting import fiber_h0
+from fakeelliptic.splitting import fiber_h0, elliptic_family_fiber_h0
 print(fakeelliptic.fiber_h0 is fiber_h0, "mpmath" in sys.modules)
+elliptic_family_fiber_h0(1j)
+print("mpmath" in sys.modules)
 """)
-    assert out.split() == ["False", "True", "True"]
+    assert out.split() == ["False", "True", "False", "True"]
 
 
 def test_every_exported_name_resolves():

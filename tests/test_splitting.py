@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from fakeelliptic import exactlinalg, splitting
+from fakeelliptic import exactlinalg, family, splitting
 from fakeelliptic.cm import CMPoint, cm_point
 from fakeelliptic.family import random_tau
 from fakeelliptic.quaternions import QuatElement, embed
@@ -27,8 +27,8 @@ EPS = mpmath.mpf(10) ** -30
 def test_fiber_h0_at_i(max_order):
     res = fiber_h0(max_order, I, 128)
     assert res.h0 == 1
-    assert abs(res.det_witness - 6) < mpmath.mpf(10) ** -25
-    assert abs(res.factored_det - 6) < mpmath.mpf(10) ** -25
+    assert res.det_witness == 6
+    assert res.factored_det == 6
     assert len(res.sections) == 1  # constants only
 
 
@@ -37,7 +37,7 @@ def test_fiber_witness_tau_independent(max_order):
     for _ in range(8):
         res = fiber_h0(max_order, random_tau(rng), 128)
         assert res.h0 == 1
-        assert abs(res.det_witness - 6) < mpmath.mpf(10) ** -20
+        assert res.det_witness == 6
 
 
 def test_fiber_factored_det_matches_cofactor_oracle(max_order):
@@ -47,6 +47,19 @@ def test_fiber_factored_det_matches_cofactor_oracle(max_order):
         stacked.append([Eg[0][0], Eg[1][0], Eg[0][1], Eg[1][1]])
     det = laplace_det(stacked)
     assert det.v == 0 and abs(det.u) == 6
+
+
+def test_fiber_h0_certifies_det_m_against_det_s(max_order):
+    # any rational tau works, and the exact det M(tau) is compared with
+    # det S: a lattice that claims another det S is refused
+    tau = exactlinalg.QuadComplex(Fraction(1, 3), Fraction(2, 7))
+    assert fiber_h0(max_order, tau).det_witness == 6
+
+    class WrongDet:
+        embedding = max_order.embedding
+        embedding_det = -max_order.embedding_det
+    with pytest.raises(InconsistentData, match="det M"):
+        fiber_h0(WrongDet(), tau)
 
 
 def test_fiber_report(max_order):
@@ -207,17 +220,16 @@ def test_curve_report_needs_an_oriented_point(params):
         curve_splitting_report(CMPoint(-y, pt.tau, -pt.tau_prime), 128)
 
 
-def test_fiber_h0_builds_one_lattice_at_prec(max_order, monkeypatch):
-    lattice = splitting.PeriodLattice
+def test_fiber_h0_builds_no_numeric_lattice(max_order, monkeypatch):
     built = []
-    monkeypatch.setattr(splitting, "PeriodLattice",
-                        lambda *args: built.append(args) or lattice(*args))
+    init = family.PeriodLattice.__init__
+    monkeypatch.setattr(family.PeriodLattice, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
     # the witness 6 lies far below the patched threshold
     monkeypatch.setattr(exactlinalg, "NONZERO_TOL", Fraction(10 ** 6))
     for prec in (64, 128, 256):
-        built.clear()
         res = fiber_h0(max_order, I, prec)
-        assert len(built) == 1
+        assert built == []
         assert res.precision_used == prec
         assert res.h0 == 1
 
