@@ -54,6 +54,11 @@ CITE_ELLIPTIC_FAMILY = ("The fiber of the elliptic modular family also "
                         "with determinant one.")
 
 
+# the largest --height of `units` and `cm enumerate`: their box holds
+# (2h+1)^4 vectors; on (3, -1) `cm enumerate --height 16` takes 3.0 s and
+# 45 MB, `units --height 16` 0.3 s (Python 3.11, 2-vCPU Xeon VM)
+MAX_HEIGHT = 16
+
 # ---------------------------------------------------------------------------
 # command handlers: (args, cfg) -> (results, citations, ok)
 
@@ -121,7 +126,14 @@ def _cmd_order_saturate(args, cfg):
             [CITE_DISC], True)
 
 
+def _check_height(height):
+    if height > MAX_HEIGHT:
+        raise ValueError(f"--height {height} is above {MAX_HEIGHT}: the box "
+                         f"would hold {(2 * height + 1) ** 4:,} vectors")
+
+
 def _cmd_units(args, cfg):
+    _check_height(args.height)
     order = cfg.build_order()
     units = orders.enumerate_units(order, args.height)
     results = {"height": args.height, "count": len(units),
@@ -143,6 +155,7 @@ def _quad_pair(q):
 def _cmd_cm_enumerate(args, cfg):
     import mpmath
     from . import cm as cm_points
+    _check_height(args.height)
     order = cfg.build_order()
     window = None
     if args.window is not None:

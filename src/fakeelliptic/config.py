@@ -9,6 +9,7 @@ not at all, so that the exact commands never load them.
 """
 
 import os
+import re
 from fractions import Fraction
 
 from .exactlinalg import (DEFAULT_PRECISION, DEFAULT_TOLERANCE, QuadComplex,
@@ -60,16 +61,28 @@ def _fraction_list(text, count, line=None):
     return tuple(_fraction(p, line) for p in parts)
 
 
+# the imaginary term of "a+bi" notation, unsigned, as complex() reads it
+_IMAG_TERM = re.compile(r"((?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?)j$")
+
+
 def parse_complex(text):
     """Exact complex scalar from "1+2i", "i", "2i", "-0.5", or "re,im":
-    the doubles `complex()` reads, or the decimals re and im exactly."""
+    the doubles `complex()` reads, or the decimals re and im exactly.
+    A nonzero imaginary term that underflows to the double 0 is refused."""
     s = text.strip().lower().replace(" ", "")
     try:
         if "," in s:
             return QuadComplex(*(Fraction(p) for p in s.split(",", 1)))
-        return QuadComplex.of(complex(s.replace("i", "j")))
+        s = s.replace("i", "j")
+        z = QuadComplex.of(complex(s))
     except (ValueError, OverflowError):
         raise ValueError(f"cannot parse complex value {text!r}") from None
+    term = _IMAG_TERM.search(s)
+    if z.ia == 0 and term and Fraction(term.group(1)) != 0:
+        raise ValueError(f"the imaginary part of {text!r} underflows to 0 as "
+                         "a double; write the value as re,im (as in "
+                         "0.3,1e-400), which reads both decimals exactly")
+    return z
 
 
 def complex_pair(z):

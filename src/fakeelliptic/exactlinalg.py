@@ -2,10 +2,14 @@
 
 Exact scalars are ``fractions.Fraction``, :class:`QuadExt` (u + v*sqrt(a)
 in a real quadratic field) and :class:`QuadComplex` (over Q(sqrt a)(i)).
-Lattice ranks, membership and determinants are decided on integer forms
-(`orders.OrderLattice`); the elimination kernels `exact_rank`,
-`exact_det` and `exact_solve` stay here as references for the tests and
-the benchmark's tracer.
+`QuadExt` and `QuadComplex` hold integer numerators over one common
+denominator, (A + B sqrt(R)) / d with R = num(a) den(a), and take no gcd
+in arithmetic: == cross-multiplies, `sign` reads the numerators, and only
+the rational parts (`QuadExt.u`, `.v`, `QuadComplex.real`, `.imag`), hash
+and the printers reduce.  Lattice ranks, membership and determinants are
+decided on integer forms (`orders.OrderLattice`); the elimination kernels
+`exact_rank`, `exact_det` and `exact_solve` stay here as references for
+the tests and the benchmark's tracer.
 
 Numeric work (CM points, curve sections) runs on mpmath at a
 configurable binary precision, 128 bits by default.  The numeric
@@ -23,8 +27,6 @@ DEFAULT_PRECISION = 128
 
 # the config's default `tolerance`; no verdict reads it
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 20)
-# residual tolerance of the tests' numeric cocycle oracle; no verdict reads it
-IDENTITY_TOL = Fraction(1, 10 ** 12)
 # "nonzero" threshold of the genus-1 comparison `elliptic_family_fiber_h0`
 NONZERO_TOL = Fraction(1, 10 ** 12)
 
@@ -55,12 +57,10 @@ def precision_tolerance(prec):
 
 
 def resolution(prec):
-    """2^-(3 prec/4): the finest residual tolerance prec bits resolve.
+    """2^-(3 prec/4): the finest `tolerance` a config accepts at prec bits.
 
-    The residuals of the lattice and automorphy identities stay below
-    2^20 units in the last place from 16 to 256 bits; a tolerance must
-    keep a quarter of the bits above that unit.  The config's tolerance
-    (1e-20) is resolved from 90 bits on, IDENTITY_TOL from 54.
+    A tolerance keeps a quarter of the bits above the last place; the
+    default 1e-20 is accepted from 90 bits on.  No verdict reads it.
     """
     return Fraction(1, 2 ** (3 * prec // 4))
 
@@ -82,92 +82,158 @@ def fraction_sqrt(r):
     return None
 
 
-class QuadExt:
-    """u + v*sqrt(rad) with u, v rational and rad a fixed nonsquare > 0."""
+def _ratio(x):
+    """(numerator, denominator > 0) of an int, a Fraction or a float, or
+    None for any other type."""
+    if isinstance(x, float):
+        return x.as_integer_ratio()
+    try:
+        return x.numerator, x.denominator
+    except AttributeError:
+        return None
 
-    __slots__ = ("u", "v", "rad")
+
+def _quad(A, B, d, rad, R):
+    """(A + B sqrt(R)) / d over the radicand rad, for integers with d > 0."""
+    q = object.__new__(QuadExt)
+    q.A, q.B, q.d, q.rad, q.R = A, B, d, rad, R
+    return q
+
+
+class QuadExt:
+    """u + v*sqrt(rad) with u, v rational and rad a fixed nonsquare > 0.
+
+    The value is held as (A + B sqrt(R)) / d in integers, with d > 0 and
+    R = num(rad) den(rad), so v = B den(rad) / d.  Arithmetic never takes
+    a gcd: numerators over one denominator add, others cross-multiply.
+    == cross-multiplies and `sign` reads A and B; only `u`, `v`, hash
+    and the printers reduce.
+    """
+
+    __slots__ = ("A", "B", "d", "rad", "R")
 
     def __init__(self, u, v, rad):
         rad = Fraction(rad)
         if rad <= 0 or fraction_sqrt(rad) is not None:
             raise ValueError("radicand must be positive and not a rational square")
-        self.u, self.v, self.rad = Fraction(u), Fraction(v), rad
+        q = QuadExt._over(Fraction(u), Fraction(v), rad)
+        self.A, self.B, self.d, self.rad, self.R = q.A, q.B, q.d, rad, q.R
 
     @classmethod
     def _over(cls, u, v, rad):
-        """u + v*sqrt(rad) for Fractions u, v and a radicand already checked."""
-        q = cls.__new__(cls)
-        q.u, q.v, q.rad = u, v, rad
-        return q
+        """u + v*sqrt(rad) for rationals u, v and a radicand already checked:
+        v sqrt(rad) = (v / den(rad)) sqrt(R), over the lcm of denominators."""
+        ud, vd = u.denominator, v.denominator * rad.denominator
+        d = ud if ud == vd else ud * vd // math.gcd(ud, vd)
+        return _quad(u.numerator * (d // ud), v.numerator * (d // vd), d,
+                     rad, rad.numerator * rad.denominator)
 
-    def _coerce(self, other):
+    @property
+    def u(self):
+        return Fraction(self.A, self.d)
+
+    @property
+    def v(self):
+        return Fraction(self.B * self.rad.denominator, self.d)
+
+    def _check(self, other):
+        if other.rad is not self.rad and other.rad != self.rad:
+            raise ValueError("mixed radicands")
+
+    def _sum(self, other, k):
+        """self + k other for k = 1 or -1."""
         if isinstance(other, QuadExt):
-            if other.rad != self.rad:
-                raise ValueError("mixed radicands")
-            return other
-        return QuadExt._over(Fraction(other), Fraction(0), self.rad)
+            self._check(other)
+            d, e = self.d, other.d
+            if d == e:
+                return _quad(self.A + k * other.A, self.B + k * other.B, d,
+                             self.rad, self.R)
+            return _quad(self.A * e + k * other.A * d,
+                         self.B * e + k * other.B * d, d * e, self.rad, self.R)
+        r = _ratio(other)
+        if r is None:
+            return NotImplemented
+        n, m = r
+        return _quad(self.A * m + k * n * self.d, self.B * m, self.d * m,
+                     self.rad, self.R)
 
     def __add__(self, other):
-        if isinstance(other, QuadComplex):
-            return NotImplemented
-        o = self._coerce(other)
-        return QuadExt._over(self.u + o.u, self.v + o.v, self.rad)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QuadExt._over(-self.u, -self.v, self.rad)
-
     def __sub__(self, other):
-        return self + -other
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -(self - other)
+
+    def __neg__(self):
+        return _quad(-self.A, -self.B, self.d, self.rad, self.R)
 
     def __mul__(self, other):
-        if isinstance(other, QuadComplex):
+        if isinstance(other, QuadExt):
+            self._check(other)
+            A, B, R = self.A, self.B, self.R
+            return _quad(A * other.A + R * B * other.B,
+                         A * other.B + B * other.A, self.d * other.d,
+                         self.rad, R)
+        r = _ratio(other)
+        if r is None:
             return NotImplemented
-        o = self._coerce(other)
-        return QuadExt._over(self.u * o.u + self.rad * self.v * o.v,
-                             self.u * o.v + self.v * o.u, self.rad)
+        n, m = r
+        return _quad(self.A * n, self.B * n, self.d * m, self.rad, self.R)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        nm = self.u * self.u - self.rad * self.v * self.v
+        """d (A - B sqrt(R)) / (A^2 - R B^2)."""
+        A, B, d = self.A, self.B, self.d
+        nm = A * A - self.R * B * B
         if nm == 0:
             raise ZeroDivisionError("zero element of the quadratic field")
-        return QuadExt._over(self.u / nm, -self.v / nm, self.rad)
+        s = 1 if nm > 0 else -1
+        return _quad(s * A * d, -s * B * d, s * nm, self.rad, self.R)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        if isinstance(other, QuadExt):
+            return self * other.inverse()
+        r = _ratio(other)
+        if r is None:
+            return NotImplemented
+        return self * Fraction(r[1], r[0])
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return self.inverse() * other
 
     def conjugate(self):
-        return QuadExt._over(self.u, -self.v, self.rad)
+        return _quad(self.A, -self.B, self.d, self.rad, self.R)
 
     def is_zero(self):
-        return self.u == 0 and self.v == 0
+        return self.A == 0 and self.B == 0
 
     def sign(self):
-        """-1, 0 or 1, exactly: t -> t |t| is increasing, so u + v sqrt(rad)
-        has the sign of u |u| + rad v |v|."""
-        s = self.u * abs(self.u) + self.rad * self.v * abs(self.v)
+        """-1, 0 or 1, exactly: t -> t |t| is increasing and d > 0, so the
+        value has the sign of A |A| + R B |B|."""
+        A, B = self.A, self.B
+        s = A * abs(A) + self.R * B * abs(B)
         return (s > 0) - (s < 0)
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            return self.rad == other.rad and self.u == other.u and self.v == other.v
-        if isinstance(other, QuadComplex):
+            return ((other.rad is self.rad or other.rad == self.rad)
+                    and self.A * other.d == other.A * self.d
+                    and self.B * other.d == other.B * self.d)
+        r = _ratio(other)
+        if r is None:
             return NotImplemented
-        return self.v == 0 and self.u == other
+        return self.B == 0 and self.A * r[1] == r[0] * self.d
 
     def __hash__(self):
         return hash((self.u, self.v, self.rad))
 
     def numeric(self, prec=DEFAULT_PRECISION):
+        """The mpf of u + v sqrt(rad) at prec bits, from the reduced u, v."""
         import mpmath
         with mpmath.workprec(prec):
             return to_mpf(self.u) + to_mpf(self.v) * _sqrt(self.rad, prec)
@@ -184,14 +250,51 @@ def _sqrt(rad, prec):
         return mpmath.sqrt(to_mpf(rad))
 
 
+def _complex(ra, rb, ia, ib, d, rad, R):
+    z = object.__new__(QuadComplex)
+    z.ra, z.rb, z.ia, z.ib, z.d, z.rad, z.R = ra, rb, ia, ib, d, rad, R
+    return z
+
+
+def _lift(x):
+    """x as a QuadComplex: a QuadComplex, a QuadExt or a rational (a float
+    exactly); None for any other type."""
+    if isinstance(x, QuadComplex):
+        return x
+    if isinstance(x, QuadExt):
+        return _complex(x.A, x.B, 0, 0, x.d, x.rad, x.R)
+    r = _ratio(x)
+    return None if r is None else _complex(r[0], 0, 0, 0, r[1], None, 0)
+
+
+def _radicand(x, y):
+    """(rad, R) of a result of x and y; a rational value has rad None."""
+    if x.rad is y.rad or y.rad is None:
+        return x.rad, x.R
+    if x.rad is None or x.rad == y.rad:
+        return y.rad, y.R
+    raise ValueError("mixed radicands")
+
+
 class QuadComplex:
-    """real + i imag, each a Fraction or a QuadExt of one radicand.  With
-    rational parts, `mpmath.mpc(z)` rounds z through the `_mpc_` hook."""
+    """real + i imag, each part rational or in Q(sqrt rad) for one radicand.
 
-    __slots__ = ("real", "imag")
+    Held like `QuadExt`, over one denominator: real = (ra + rb sqrt(R)) / d
+    and imag = (ia + ib sqrt(R)) / d.  With rational parts rad is None,
+    R = 0, and `mpmath.mpc(z)` rounds z through the `_mpc_` hook.
+    """
 
-    def __init__(self, real, imag=Fraction(0)):
-        self.real, self.imag = real, imag
+    __slots__ = ("ra", "rb", "ia", "ib", "d", "rad", "R")
+
+    def __init__(self, real, imag=0):
+        """real + i imag, over the lcm of the parts' denominators."""
+        re, im = (_lift(x) or _lift(Fraction(x)) for x in (real, imag))
+        self.rad, self.R = _radicand(re, im)
+        d, e = re.d, im.d
+        self.d = d if d == e else d * e // math.gcd(d, e)
+        s, t = self.d // d, self.d // e
+        self.ra, self.rb = re.ra * s - im.ia * t, re.rb * s - im.ib * t
+        self.ia, self.ib = re.ia * s + im.ra * t, re.ib * s + im.rb * t
 
     @classmethod
     def of(cls, z):
@@ -202,31 +305,74 @@ class QuadComplex:
         if hasattr(z, "_mpc_"):
             from mpmath.libmp import to_rational
             return cls(*(Fraction(*to_rational(x)) for x in z._mpc_))
-        return cls(Fraction(z.real), Fraction(z.imag))
+        return cls(z.real, z.imag)
+
+    def _part(self, A, B):
+        if self.rad is None:
+            return Fraction(A, self.d)
+        return _quad(A, B, self.d, self.rad, self.R)
+
+    @property
+    def real(self):
+        return self._part(self.ra, self.rb)
+
+    @property
+    def imag(self):
+        return self._part(self.ia, self.ib)
+
+    def _sum(self, other, k):
+        """self + k other for k = 1 or -1."""
+        o = _lift(other)
+        if o is None:
+            return NotImplemented
+        rad, R = _radicand(self, o)
+        d, e = self.d, o.d
+        if d == e:
+            return _complex(self.ra + k * o.ra, self.rb + k * o.rb,
+                            self.ia + k * o.ia, self.ib + k * o.ib, d, rad, R)
+        return _complex(self.ra * e + k * o.ra * d, self.rb * e + k * o.rb * d,
+                        self.ia * e + k * o.ia * d, self.ib * e + k * o.ib * d,
+                        d * e, rad, R)
 
     def __add__(self, other):
-        o = other if isinstance(other, QuadComplex) else QuadComplex(other)
-        return QuadComplex(self.real + o.real, self.imag + o.imag)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QuadComplex(-self.real, -self.imag)
-
     def __sub__(self, other):
-        return self + -other
+        return self._sum(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._sum(other, 1)
+
+    def __neg__(self):
+        return _complex(-self.ra, -self.rb, -self.ia, -self.ib, self.d,
+                        self.rad, self.R)
 
     def __mul__(self, other):
-        if not isinstance(other, QuadComplex):
-            return QuadComplex(self.real * other, self.imag * other)
-        return QuadComplex(self.real * other.real - self.imag * other.imag,
-                           self.real * other.imag + self.imag * other.real)
+        o = _lift(other)
+        if o is None:
+            return NotImplemented
+        rad, R = _radicand(self, o)
+        a, b, c, e = self.ra, self.rb, self.ia, self.ib
+        p, q, r, s = o.ra, o.rb, o.ia, o.ib
+        return _complex(a * p - c * r + R * (b * q - e * s),
+                        a * q + b * p - c * s - e * r,
+                        a * r + c * p + R * (b * s + e * q),
+                        a * s + b * r + c * q + e * p, self.d * o.d, rad, R)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        o = other if isinstance(other, QuadComplex) else QuadComplex(other)
-        return self.real == o.real and self.imag == o.imag
+        o = _lift(other)
+        if o is None:
+            return NotImplemented
+        if (self.rad is not o.rad and self.rad is not None
+                and o.rad is not None and self.rad != o.rad):
+            return False
+        d, e = self.d, o.d
+        return (self.ra * e == o.ra * d and self.rb * e == o.rb * d
+                and self.ia * e == o.ia * d and self.ib * e == o.ib * d)
 
     @property
     def _mpc_(self):
@@ -234,21 +380,18 @@ class QuadComplex:
 
 
 def _floor_scaled(x, k):
-    """floor(x 2^k) for a Fraction or a QuadExt x with v != 0, exactly.
+    """floor(x 2^k), k >= 0, exactly, for a rational or a QuadExt with B != 0.
 
-    With x 2^k = (A + B sqrt(R)) / d in integers (R = num(rad) den(rad)),
-    B sqrt(R) is irrational, so A + B sqrt(R) lies strictly between the
-    integers A + floor(B sqrt(R)) and the next, and the floor of x 2^k is
-    (A + floor(B sqrt(R))) // d, with floor(B sqrt(R)) from math.isqrt.
+    With x = (A + B sqrt(R)) / d, B sqrt(R) is irrational, so A + B sqrt(R)
+    lies strictly between the integers A + floor(B sqrt(R)) and the next,
+    and the floor of x 2^k is (2^k A + floor(2^k B sqrt(R))) // d, the
+    root from math.isqrt.
     """
-    x = x * Fraction(2) ** k
     if not isinstance(x, QuadExt):
-        return math.floor(x)
-    w = x.v / x.rad.denominator  # v sqrt(rad) = w sqrt(R)
-    d = math.lcm(x.u.denominator, w.denominator)
-    A, B = int(x.u * d), int(w * d)
-    root = math.isqrt(B * B * x.rad.numerator * x.rad.denominator)
-    return (A + (root if B > 0 else -root - 1)) // d
+        return (x.numerator << k) // x.denominator
+    A, B = x.A << k, x.B << k
+    root = math.isqrt(B * B * x.R)
+    return (A + (root if B > 0 else -root - 1)) // x.d
 
 
 def decimal_str(x, n):
@@ -258,7 +401,7 @@ def decimal_str(x, n):
     point of (n + 3) log2(10) + 10 significant bits, take its decimal
     floor, round half up at n digits.  So a dyadic x within 2^+-3500
     (a double, an mpf) prints exactly as its mpf does."""
-    if isinstance(x, QuadExt) and x.v == 0:
+    if isinstance(x, QuadExt) and x.B == 0:
         x = x.u
     if x == 0:
         return "0.0"

@@ -12,8 +12,10 @@ decide over Q(sqrt a)(i); only the numeric functions import mpmath.
 from fractions import Fraction
 import math
 
-from .exactlinalg import DEFAULT_PRECISION, QuadComplex, QuadExt, decimal_str
-from .quaternions import QuatElement, embed
+from .exactlinalg import (DEFAULT_PRECISION, QuadComplex, QuadExt, _quad,
+                          decimal_str)
+from .orders import _gram, _integer_form
+from .quaternions import QuatElement, _product, embed
 
 
 def as_complex(tau):
@@ -93,25 +95,46 @@ def riemann_form(rho, m1, m2):
     return (rho * m1 * m2.conj()).trd()
 
 
-def _form_gram(rho, order, scale):
-    """scale * E on the pairs of order basis elements."""
-    gens = order.generators()
-    return [[scale * riemann_form(rho, gi, gj) for gj in gens] for gi in gens]
+def _form_numerators(rho, order):
+    """(c, M): E(g_i, g_j) = c_ij / M in integers, from the integer form.
+
+    Over (1, x', y', x'y') the generators are g_i = B'_i / D and rho is
+    r / den(r) (`orders._integer_form`), so E(g_i, g_j) = trd(rho g_i
+    conj(g_j)) is the trace pairing of r B'_i with B'_j over den(r) D^2.
+    """
+    a, b, D, B = order.form
+    _, _, rd, (r,) = _integer_form(order.params, [rho.coords()])
+    return _gram(a, b, [_product(r, g, a, b) for g in B], B), rd * D * D
 
 
-def _forms(order, gram):
-    """(order, G, (G R(e)^T for e = x, y, xy), det G) for the Gram matrix G."""
-    return order, gram, tuple(
-        [[sum(g * r for g, r in zip(row, col)) for col in R] for row in gram]
-        for R in order.right_multiplication[1:]), _det(gram)
+def _forms(order, c, M, scale):
+    """(order, G, (G R(e)^T for e = x, y, xy), F, det G) for G = scale c / M.
+
+    G is kept as `Fraction`s for the report; the products G R(e)^T are
+    integer matrices over their common denominator F.
+    """
+    num = [[scale.numerator * x for x in row] for row in c]
+    den = scale.denominator * M
+    common = math.gcd(den, *(x for row in num for x in row))
+    num, den = [[x // common for x in row] for row in num], den // common
+    mats, rden = order.right_multiplication
+    products = tuple([[sum(g * r for g, r in zip(row, col)) for col in N]
+                      for row in num] for N in mats[1:])
+    return (order, [[Fraction(x, den) for x in row] for row in num],
+            products, den * rden, Fraction(_det(num), den ** 4))
 
 
 def _det(m):
-    """Determinant by cofactors along the first row (Fraction or QuadExt)."""
+    """Determinant by cofactors along the first row, over any ring."""
     if len(m) == 1:
         return m[0][0]
-    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j, x in enumerate(m[0]))
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    det = None
+    for j, x in enumerate(m[0]):
+        t = x * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        det = t if det is None else det - t if j % 2 else det + t
+    return det
 
 
 class PolarizationData:
@@ -137,10 +160,11 @@ class PolarizationData:
 
     @classmethod
     def with_minimal_scale(cls, rho, order):
-        """Scale = lcm of the denominators of E on the order basis pairs."""
-        form = _form_gram(rho, order, 1)
-        pol = cls(rho, math.lcm(*(v.denominator for row in form for v in row)))
-        pol._forms = _forms(order, [[pol.scale * v for v in row] for row in form])
+        """Scale = lcm of the denominators of E on the order basis pairs:
+        M / gcd(M, c) for E = c / M (`_form_numerators`)."""
+        c, M = _form_numerators(rho, order)
+        pol = cls(rho, M // math.gcd(M, *(x for row in c for x in row)))
+        pol._forms = _forms(order, c, M, pol.scale)
         return pol
 
     def gram(self, order):
@@ -148,9 +172,11 @@ class PolarizationData:
         return self.complex_forms(order)[0]
 
     def complex_forms(self, order):
-        """(G, (G R(x)^T, G R(y)^T, G R(xy)^T), det G) for G = `gram`."""
+        """(G, (G R(x)^T, G R(y)^T, G R(xy)^T), F, det G) for G = `gram`:
+        the products are integer matrices over their denominator F > 0."""
         if self._forms[0] is not order:
-            self._forms = _forms(order, _form_gram(self.rho, order, self.scale))
+            self._forms = _forms(order, *_form_numerators(self.rho, order),
+                                 self.scale)
         return self._forms[1:]
 
 
@@ -160,15 +186,22 @@ def default_rho(params):
 
 
 def _k_tau(tau, params):
-    """Rationals (l, m, n) with k_tau = sqrt(a) (l x + n xy) + m y for
-    the exact value s + i t of tau: embed(k_tau) = K_tau =
+    """Integers (l, m, n, K), K > 0, with k_tau = sqrt(a) (l x + n xy) + m y
+    over K for the exact value s + i t of tau: embed(k_tau) = K_tau =
     [[s, -|tau|^2], [1, -s]] / t has K_tau (tau, 1)^t = i (tau, 1)^t, so
-    right multiplication by k_tau is the complex structure at tau."""
-    a, b = params.a, params.b
+    right multiplication by k_tau is the complex structure at tau.
+
+    That is l = s / (a t), m = (1 - r) / 2t and n = -(1 + r) / 2at for
+    r = |tau|^2 / b; with s = S/e, t = T/e, a = a1/a2, b = b1/b2 and
+    N = S^2 + T^2 they share the denominator K = -2 a1 b1 T e.
+    """
     tau = QuadComplex.of(tau)
-    s, t = tau.real, tau.imag
-    r = (s * s + t * t) / b
-    return s / (a * t), (1 - r) / (2 * t), -(1 + r) / (2 * a * t)
+    S, T, e = tau.ra, tau.ia, tau.d
+    a1, a2 = params.a.numerator, params.a.denominator
+    b1, b2 = params.b.numerator, params.b.denominator
+    N = S * S + T * T
+    return (-2 * S * a2 * e * b1, (N * b2 - e * e * b1) * a1,
+            (N * b2 + e * e * b1) * a2, -2 * a1 * b1 * T * e)
 
 
 def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION):
@@ -182,6 +215,8 @@ def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION):
           minors of S, sign tests in Q(sqrt a), are positive (Sylvester);
           the last is det S = det G nrd(k_tau)^2.
 
+    S is an integer matrix over Z[sqrt(R)] (R = num(a) den(a)) over one
+    denominator, from the integer forms of `_k_tau` and `complex_forms`.
     Returns per-condition verdicts and witnesses; minors print exactly
     rounded to 10 digits, and prec is not read.
     """
@@ -189,7 +224,7 @@ def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION):
     a, b = order.params.a, order.params.b
     report = {"conditions": {}, "all_pass": True}
 
-    values, (gx, gy, gxy), det_g = pol.complex_forms(order)
+    values, (gx, gy, gxy), F, det_g = pol.complex_forms(order)
     bad = [(i, j) for i in range(4) for j in range(4)
            if values[i][j].denominator != 1]
     report["conditions"]["integral"] = {
@@ -199,10 +234,15 @@ def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION):
         "gram": [[str(v) for v in row] for row in values],
     }
 
-    l, m, n = _k_tau(lattice.tau.tau, order.params)
-    S = [[QuadExt._over(m * vy, l * vx + n * vxy, a)
+    l, m, n, K = _k_tau(lattice.tau.tau, order.params)
+    # sqrt(a) = sqrt(R) / den(a)
+    q, R = a.denominator, a.numerator * a.denominator
+    S = [[_quad(q * m * vy, l * vx + n * vxy, K * F * q, a, R)
           for vx, vy, vxy in zip(*rows)] for rows in zip(gx, gy, gxy)]
-    nrd = a * a * (b * n * n - l * l) - b * m * m
+    # nrd(k_tau) = a^2 (b n^2 - l^2) - b m^2 over K^2
+    a1, b1, b2 = a.numerator, b.numerator, b.denominator
+    nrd = Fraction(a1 * a1 * (b1 * n * n - b2 * l * l) - b1 * q * q * m * m,
+                   q * q * b2 * K * K)
     asym = next((S[i][j] - S[j][i] for i in range(4) for j in range(i)
                  if S[i][j] != S[j][i]), 0)
     report["conditions"]["j_compatible"] = {
@@ -243,12 +283,16 @@ def isogeny_lattice_check(gamma, tau, order):
     the lattice at gamma(tau) is (O gamma)_tau / j: the identity holds at
     every tau iff O gamma = O.  R(gamma) = sum of gamma_e R(e)
     (`OrderLattice.right_multiplication`) has det nrd(gamma)^2 = 1, so
-    O gamma = O iff R(gamma) is integral.  Exact.
+    O gamma = O iff R(gamma) is integral: with gamma_e = c_e / e and
+    R(e) = N_e / den in integers, iff e den divides sum of c_e N_e.
     """
     if gamma.nrd() != 1:
         raise ValueError("Moebius action needs det 1 (reduced norm 1)")
-    coords, mats = gamma.coords(), order.right_multiplication
-    return all(sum(c * R[i][k] for c, R in zip(coords, mats)).denominator == 1
+    coords = gamma.coords()
+    e = math.lcm(*(c.denominator for c in coords))
+    cs = [c.numerator * (e // c.denominator) for c in coords]
+    mats, den = order.right_multiplication
+    return all(sum(c * N[i][k] for c, N in zip(cs, mats)) % (e * den) == 0
                for i in range(4) for k in range(4))
 
 
@@ -381,7 +425,7 @@ def random_order_element(order, rng):
 
 def random_complex(rng, im=(-2, 2)):
     """Uniform doubles in [-2, 2] and im, as an exact QuadComplex."""
-    return QuadComplex(Fraction(rng.uniform(-2, 2)), Fraction(rng.uniform(*im)))
+    return QuadComplex(rng.uniform(-2, 2), rng.uniform(*im))
 
 
 def random_tau(rng):

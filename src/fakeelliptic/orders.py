@@ -58,11 +58,28 @@ class OrderLattice:
 
     @functools.cached_property
     def right_multiplication(self):
-        """R(e) for e = 1, x, y, xy: row i of R(e) is `coords_of(g_i e)`,
-        so R(q) = sum of q_e R(e) is right multiplication by q on the basis."""
-        gens = self.generators()
-        return [[self.coords_of(g * QuatElement(self.params, *e)) for g in gens]
-                for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+        """(N, den): R(e) = N_e / den for e = 1, x, y, xy, in integers with
+        den > 0.  Row i of R(e) is `coords_of(g_i e)`, so R(q) = sum of
+        q_e R(e) is right multiplication by q on the basis.
+
+        On the integer form D g_i e = B'_i e' / s_e, for e' = 1, x', y',
+        x'y' and s_e = 1, den(a), den(b), den(a) den(b), so row i of R(e)
+        is (B'_i e') adj(B') / (s_e det(B')), over the common denominator
+        den(a) den(b) det(B') reduced by one gcd.
+        """
+        a, b, _, B = self.form
+        adj, det = self.adjugate
+        ad, bd = self.params.a.denominator, self.params.b.denominator
+        sign = 1 if det > 0 else -1
+        mats = []
+        for e, s in (((1, 0, 0, 0), ad * bd), ((0, 1, 0, 0), bd),
+                     ((0, 0, 1, 0), ad), ((0, 0, 0, 1), 1)):
+            rows = [_product(row, e, a, b) for row in B]
+            mats.append([[sign * s * sum(x * r[c] for x, r in zip(v, adj))
+                          for c in range(4)] for v in rows])
+        den = sign * det * ad * bd
+        g = math.gcd(den, *(x for N in mats for row in N for x in row))
+        return [[[x // g for x in row] for row in N] for N in mats], den // g
 
     @property
     def embedding_det(self):
@@ -137,10 +154,12 @@ def _integer_form(params, basis):
             [[int(x * D) for x in row] for row in rows])
 
 
-def _gram(a, b, B):
-    """D^2 trd(g_i conj(g_j)): the trace pairing on `_integer_form` rows."""
+def _gram(a, b, B, C=None):
+    """D^2 trd(g_i conj(g_j)): the trace pairing on `_integer_form` rows,
+    of the rows of B with those of C (default B)."""
     return [[2 * (u[0] * v[0] - a * u[1] * v[1] - b * u[2] * v[2]
-                  + a * b * u[3] * v[3]) for v in B] for u in B]
+                  + a * b * u[3] * v[3]) for v in (B if C is None else C)]
+            for u in B]
 
 
 def _adjugate(m):

@@ -156,7 +156,7 @@ def embed(q):
     a, b = q.params.a, q.params.b
     k, l, m, n = q.coords()
     # AlgebraParams has checked that a is no rational square
-    return [[QuadExt._over(k, l, a), QuadExt._over(b * m, b * n, a)],
+    return [[QuadExt._over(k, l, a), QuadExt._over(m, n, a) * b],
             [QuadExt._over(m, -n, a), QuadExt._over(k, -l, a)]]
 
 

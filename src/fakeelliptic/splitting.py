@@ -21,7 +21,7 @@ from .classify import (CITE_ELLIPTIC, CITE_ETALE, CITE_FIBER,  # noqa: F401
                        InconsistentData, SplittingReport, classify_candidate)
 from .exactlinalg import (DEFAULT_PRECISION, NONZERO_TOL, QuadComplex,
                           QuadExt, decimal_str, to_mpf)
-from .family import UpperHalfPoint, _det, as_complex, complex_structure
+from .family import UpperHalfPoint, as_complex, complex_structure
 from .quaternions import embed
 
 
@@ -82,6 +82,13 @@ class FiberSection:
                               self.a1 * z1 + self.a2 * z2 + self.b])
 
 
+# the row pairs {i, j} of the real columns 0, 1, their complements {k, l}
+# and the sign (-1)^(i + j + 1) of the Laplace expansion along columns 0, 1
+_COMPLEMENTS = (((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1),
+                ((0, 3), (1, 2), 1), ((1, 2), (0, 3), 1),
+                ((1, 3), (0, 2), -1), ((2, 3), (0, 1), 1))
+
+
 class FiberH0:
     __slots__ = ("h0", "det_witness", "factored_det", "sections",
                  "precision_used")
@@ -104,13 +111,19 @@ def fiber_h0(order, tau, prec=DEFAULT_PRECISION):
     unit triangular tau-block, so det M = det S = -4ab det(basis)
     (`OrderLattice.embedding_det`), which is nonzero for every lattice:
     the nullity is 0, h0 = 1, and the only section is the constant one.
-    det M is taken by cofactors over Q(sqrt a)(i) at the exact tau and
-    certified equal to det S; |det M| is the witness.  prec is recorded.
+    det M is taken over Q(sqrt a)(i) at the exact tau, by a Laplace
+    expansion along the two real columns (six products of 2x2 minors),
+    and certified equal to det S; |det M| is the witness.  prec is
+    recorded.
     """
     t = QuadComplex.of(UpperHalfPoint(tau).tau)
     M = [[E[0][0], E[1][0], t * E[0][0] + E[0][1], t * E[1][0] + E[1][1]]
          for E in order.embedding]
-    det = _det(M)
+    det = 0
+    for (i, j), (k, l), sign in _COMPLEMENTS:
+        real = M[i][0] * M[j][1] - M[j][0] * M[i][1]
+        cplx = M[k][2] * M[l][3] - M[l][2] * M[k][3]
+        det = det + real * cplx if sign > 0 else det - real * cplx
     if det != order.embedding_det:
         raise InconsistentData(f"det M(tau) is not det S = {order.embedding_det}")
     witness = abs(order.embedding_det)

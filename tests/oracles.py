@@ -13,9 +13,11 @@ of the real period matrix instead of the exact embedding determinant,
 the order certificate, discriminant and membership by `Fraction`
 quaternion products and solves instead of divisibility on the integer
 form of the lattice, the stacked embedding determinant by elimination
-over Q(sqrt a) instead of -4ab det(basis), and the Riemann, isogeny and cocycle checks recomputed from
-scratch on every call instead of from the embedding, Gram matrix and
-square roots that the order, the polarization and `QuadExt` keep.
+over Q(sqrt a) instead of -4ab det(basis), the Riemann, isogeny and
+cocycle checks recomputed from scratch on every call instead of from the
+embedding, Gram matrix and square roots that the order, the polarization
+and `QuadExt` keep, and Q(sqrt a) on reduced `Fraction` parts
+(`QuadRef`) instead of integer numerators over a common denominator.
 
 `normalize_isogeny`, `exact_nullspace`, `numeric_nullspace`,
 `period_vectors` and `fiber_system_numeric` are helpers that the package
@@ -38,6 +40,9 @@ from fakeelliptic.family import PeriodLattice, as_complex
 from fakeelliptic.orders import NotAnOrder, OrderLattice, UnitSample
 from fakeelliptic.quaternions import QuatElement, _factorize, embed, ramified_primes
 from fakeelliptic.splitting import CurveH0, CurveSection
+
+# residual tolerance of the numeric cocycle and canonical-degree oracles
+IDENTITY_TOL = Fraction(1, 10 ** 12)
 
 
 def squarefree_part(r):
@@ -95,6 +100,62 @@ def hilbert_solvable(a, b, p):
 def hilbert_solvable_real(a, b):
     """The symbol at the real place: -1 iff both arguments are negative."""
     return -1 if a < 0 and b < 0 else 1
+
+
+class QuadRef:
+    """u + v sqrt(rad) on reduced `Fraction` parts: the reference for the
+    integer kernel `QuadExt`.  The sign compares u^2 with rad v^2 when u
+    and v differ in sign, instead of reading u |u| + rad v |v|."""
+
+    __slots__ = ("u", "v", "rad")
+
+    def __init__(self, u, v, rad):
+        self.u, self.v, self.rad = Fraction(u), Fraction(v), Fraction(rad)
+
+    def _lift(self, other):
+        if isinstance(other, QuadRef):
+            return other
+        return QuadRef(other, 0, self.rad)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return QuadRef(self.u + o.u, self.v + o.v, self.rad)
+
+    def __neg__(self):
+        return QuadRef(-self.u, -self.v, self.rad)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return QuadRef(self.u * o.u + self.rad * self.v * o.v,
+                       self.u * o.v + self.v * o.u, self.rad)
+
+    def inverse(self):
+        nm = self.u * self.u - self.rad * self.v * self.v
+        return QuadRef(self.u / nm, -self.v / nm, self.rad)
+
+    def __eq__(self, other):
+        o = self._lift(other)
+        return (self.u, self.v, self.rad) == (o.u, o.v, o.rad)
+
+    def sign(self):
+        su, sv = ((x > 0) - (x < 0) for x in (self.u, self.v))
+        if su == sv or sv == 0:
+            return su
+        if su == 0:
+            return sv
+        u2, rv2 = self.u * self.u, self.rad * self.v * self.v
+        return su if u2 > rv2 else sv
+
+    def numeric(self, prec):
+        """u + v sqrt(rad) by the steps `QuadExt.numeric` documents."""
+        with mp.workprec(prec):
+            return (mpmath.mpf(self.u.numerator) / self.u.denominator
+                    + mpmath.mpf(self.v.numerator) / self.v.denominator
+                    * mpmath.sqrt(mpmath.mpf(self.rad.numerator)
+                                  / self.rad.denominator))
 
 
 def laplace_det(rows):

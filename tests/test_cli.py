@@ -1,6 +1,8 @@
+import cProfile
 import io
 import json
 import os
+import pstats
 import subprocess
 import sys
 import tomllib
@@ -367,7 +369,7 @@ def test_suites_build_tau_independent_data_once(monkeypatch, capsys):
             return original(*args)
         monkeypatch.setattr(module, name, counted)
 
-    count(family, "riemann_form")
+    count(family, "_form_numerators")
     count(exactlinalg, "exact_det")
     count(orders, "enumerate_units")
     for trials in (1, 4):
@@ -376,15 +378,15 @@ def test_suites_build_tau_independent_data_once(monkeypatch, capsys):
                               str(trials))
         assert code == 0
         assert report["results"]["suites"]["riemann"]["trials"] == trials + 1
-        # one Gram matrix of E (16 pairs) per command; det S is read off
-        # the order's integer form, with no elimination
-        assert counts == {"riemann_form": 16}
+        # one Gram matrix of E per command, from the order's integer form;
+        # det S is read off it, with no elimination
+        assert counts == {"_form_numerators": 1}
         assert counts["exact_det"] == 0
     counts.clear()
     code, report, _ = run(capsys, "suite", "all", "--trials", "2")
     assert code == 0
     # cocycle and isogeny share one enumeration of the height-1 units
-    assert counts == {"riemann_form": 16, "enumerate_units": 1}
+    assert counts == {"_form_numerators": 1, "enumerate_units": 1}
 
 
 def test_exact_commands_convert_nothing_to_mpf(monkeypatch, capsys):
@@ -404,6 +406,21 @@ def test_exact_commands_convert_nothing_to_mpf(monkeypatch, capsys):
         code, _, _ = run(capsys, *argv)
         assert code == 0
     assert calls["numeric"] == 0
+
+
+def test_suites_stay_off_fraction_arithmetic(capsys):
+    # the suites compute on the integer kernel of Q(sqrt a)(i); on
+    # Fraction parts `suite all --trials 10` made 8,148 Fraction products,
+    # and about 700 are left, in the quaternion group law and norms
+    profile = cProfile.Profile()
+    profile.enable()
+    code, _, _ = run(capsys, "suite", "all", "--trials", "10")
+    profile.disable()
+    assert code == 0
+    products = sum(calls for (path, _, name), (_, calls, *_)
+                   in pstats.Stats(profile).stats.items()
+                   if name == "_mul" and path.endswith("fractions.py"))
+    assert 0 < products < 1000
 
 
 @pytest.mark.parametrize("ab,seed", [((7, -57), s) for s in range(5)]
@@ -596,6 +613,37 @@ def test_fiber_h0_rejects_a_non_finite_tau(tau, capsys):
     assert code == 2 and report is None
     assert err.startswith("invalid input: cannot parse complex value")
     assert err.count("\n") == 1
+
+
+def test_fiber_h0_names_an_imaginary_part_that_underflows(capsys):
+    # complex() reads 1e-400 as 0.0; the re,im form keeps it exact
+    code, report, err = run(capsys, "fiber", "h0", "--tau=0.3+1e-400i")
+    assert code == 2 and report is None and err.count("\n") == 1
+    assert "underflows to 0" in err and "re,im" in err
+    code, report, err = run(capsys, "fiber", "h0", "--tau=0.3,1e-400")
+    assert code == 0 and report["results"]["h0"] == 1
+    code, _, err = run(capsys, "fiber", "h0", "--tau=0.3+0i")
+    assert code == 2 and "underflow" not in err
+
+
+@pytest.mark.parametrize("words", [("units",), ("cm", "enumerate")])
+def test_height_above_the_cap_exits_two_before_any_scan(monkeypatch, capsys,
+                                                        words):
+    from fakeelliptic import cm, config
+
+    def scan(*args, **kwargs):
+        raise AssertionError("no order or box may be built")
+    for owner, name in ((config.Config, "build_order"),
+                        (orders, "enumerate_units"),
+                        (cm, "enumerate_cm_points")):
+        monkeypatch.setattr(owner, name, scan)
+    assert cli.MAX_HEIGHT >= 8
+    code, report, err = run(capsys, *words, "--height",
+                            str(cli.MAX_HEIGHT + 1))
+    assert code == 2 and report is None
+    assert err == (f"invalid input: --height {cli.MAX_HEIGHT + 1} is above "
+                   f"{cli.MAX_HEIGHT}: the box would hold "
+                   f"{(2 * cli.MAX_HEIGHT + 3) ** 4:,} vectors\n")
 
 
 def test_non_integer_precision_variable_exits_two(monkeypatch, capsys):

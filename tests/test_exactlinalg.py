@@ -7,15 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from fakeelliptic import exactlinalg
-from fakeelliptic.exactlinalg import (DEFAULT_TOLERANCE, IDENTITY_TOL,
-                                      QuadComplex, QuadExt, decimal_str,
-                                      exact_det, exact_rank, exact_solve,
-                                      fraction_sqrt, numeric_svd,
-                                      precision_tolerance, resolution,
-                                      solve_quadratic, to_mpf, tolerance_at)
+from fakeelliptic.exactlinalg import (DEFAULT_TOLERANCE, QuadComplex,
+                                      QuadExt, decimal_str, exact_det,
+                                      exact_rank, exact_solve, fraction_sqrt,
+                                      numeric_svd, precision_tolerance,
+                                      resolution, solve_quadratic, to_mpf,
+                                      tolerance_at)
 from fakeelliptic.quaternions import AlgebraParams, QuatElement, embed
-from oracles import (exact_nullspace, laplace_det, numeric_nullspace,
-                     rank_by_minors, reference_roots)
+from oracles import (IDENTITY_TOL, QuadRef, exact_nullspace, laplace_det,
+                     numeric_nullspace, rank_by_minors, reference_roots)
 
 
 def frows(vals):
@@ -355,3 +355,111 @@ def test_quadcomplex_converts_both_ways():
     for bad in (complex("nan"), complex("inf"), mpmath.mpc("nan", 1)):
         with pytest.raises((ValueError, OverflowError)):
             QuadComplex.of(bad)
+
+
+# the integer kernel against the reduced-Fraction reference `QuadRef`
+RADICANDS = st.sampled_from([2, 3, 5, 7, 13, 57, Fraction(3, 4),
+                             Fraction(2, 9), Fraction(5, 3)])
+# small rationals, doubles (exact denominators up to 2^1074) and 2^-52 steps
+PARTS = st.one_of(
+    st.fractions(max_denominator=10 ** 6).filter(lambda f: abs(f) < 10 ** 9),
+    st.floats(-4, 4, allow_nan=False).map(Fraction),
+    st.integers(-2 ** 60, 2 ** 60).map(lambda n: Fraction(n, 2 ** 52)))
+KERNEL = settings(SEEDED, max_examples=150)
+
+
+def _unreduced(x):
+    """x with numerators and denominator scaled by 6: the same value."""
+    return x * Fraction(1, 6) * 6
+
+
+def _same(got, want):
+    return (got.u, got.v, got.rad) == (want.u, want.v, want.rad)
+
+
+@KERNEL
+@given(PARTS, PARTS, PARTS, PARTS, PARTS, RADICANDS)
+@example(Fraction(1, 2 ** 52), Fraction(3), Fraction(1, 2 ** 52), Fraction(3),
+         Fraction(5), 3)
+@example(Fraction(7), Fraction(-4), Fraction(0), Fraction(0), Fraction(0), 3)
+@example(Fraction(-1, 3), Fraction(0), Fraction(1, 2), Fraction(1, 7),
+         Fraction(-1, 3), Fraction(3, 4))
+@example(1 + Fraction(1, 2 ** 100), Fraction(0), Fraction(1), Fraction(0),
+         Fraction(1), 2)  # x = r + 2^-100
+def test_quadext_kernel_matches_the_fraction_reference(u1, v1, u2, v2, r, rad):
+    x, y = _unreduced(QuadExt(u1, v1, rad)), QuadExt(u2, v2, rad) * r
+    X, Y = QuadRef(u1, v1, rad), QuadRef(u2, v2, rad) * r
+    R = QuadRef(r, 0, rad)
+    cases = [(x + y, X + Y), (x - y, X - Y), (x * y, X * Y), (-x, -X),
+             (x + r, X + r), (r + x, X + r), (x - r, X - r), (r - x, R - X),
+             (x * r, X * r), (r * x, X * r),
+             (x.conjugate(), QuadRef(u1, -v1, rad))]
+    if not X == 0:
+        cases += [(x.inverse(), X.inverse()), (y / x, Y * X.inverse()),
+                  (r / x, X.inverse() * r)]
+    if r != 0:
+        cases.append((x / r, X * (1 / r)))
+    for got, want in cases:
+        assert _same(got, want) and got.sign() == want.sign()
+    assert (x == y) == (X == Y) and (x == r) == (X == R)
+    assert x == QuadExt(u1, v1, rad) and x != x + QuadExt(0, 1, rad)
+    assert hash(x) == hash((X.u, X.v, X.rad)) == hash(QuadExt(u1, v1, rad))
+    assert x.sign() == X.sign() and x.is_zero() == (X == 0)
+
+
+@KERNEL
+@given(PARTS, PARTS, RADICANDS, DIGITS)
+@example(Fraction(1, 2 ** 52), Fraction(-1, 2 ** 52), 2, 20)
+@example(Fraction(26), Fraction(-15), 3, 15)  # 26 - 15 sqrt 3 = 0.019
+def test_quadext_decimal_str_matches_the_reference_at_512_bits(u, v, rad, n):
+    x = _unreduced(QuadExt(u, v, rad))
+    assert decimal_str(x, n) == mpmath.nstr(QuadRef(u, v, rad).numeric(512), n)
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_quadext_numeric_is_bit_identical_to_the_reduced_formula(prec):
+    # the mpf of u + v sqrt(rad) from the reduced u and v, bit for bit: the
+    # window-edge CM points and the curve digests rest on these bits
+    rng = random.Random(prec)
+    params = AlgebraParams(3, -1)
+    values = [e for mu in (QuatElement(params, 0, 1, 2, 0),
+                           QuatElement(params, Fraction(1, 2), Fraction(1, 2),
+                                       Fraction(3, 2), Fraction(1, 2)))
+              for row in embed(mu) for e in row]
+    for _ in range(40):
+        rad = rng.choice([2, 3, 57, Fraction(3, 4), Fraction(2, 9)])
+        values.append(QuadExt(Fraction(rng.uniform(-9, 9)),
+                              Fraction(rng.randint(-99, 99), 7), rad))
+    for q in values:
+        x = _unreduced(q) * 3 - q * 2
+        assert (x.A, x.d) != (q.A, q.d)
+        ref = QuadRef(q.u, q.v, q.rad).numeric(prec)
+        assert x.numeric(prec)._mpf_ == q.numeric(prec)._mpf_ == ref._mpf_
+
+
+@KERNEL
+@given(st.lists(PARTS, min_size=8, max_size=8), RADICANDS)
+@example([Fraction(1, 3), Fraction(2), 1 + Fraction(1, 2 ** 100), Fraction(0),
+          Fraction(1, 3), Fraction(1), Fraction(2), Fraction(0)], 3)
+def test_quadcomplex_kernel_matches_the_fraction_reference(parts, rad):
+    a, b, c, e, p, q, r, s = parts
+    z = QuadComplex(QuadExt(a, b, rad), QuadExt(c, e, rad))
+    w = _unreduced(QuadComplex(p, q)) + QuadComplex(QuadExt(0, r, rad),
+                                                    QuadExt(0, s, rad))
+    Zr, Zi = QuadRef(a, b, rad), QuadRef(c, e, rad)
+    Wr, Wi = QuadRef(p, r, rad), QuadRef(q, s, rad)
+    for got, (re, im) in ((z + w, (Zr + Wr, Zi + Wi)),
+                          (z - w, (Zr - Wr, Zi - Wi)),
+                          (w - z, (Wr - Zr, Wi - Zi)),
+                          (z * w, (Zr * Wr - Zi * Wi, Zr * Wi + Zi * Wr)),
+                          (z * p, (Zr * p, Zi * p)), (p - z, (-Zr + p, -Zi))):
+        assert _same(got.real, re) and _same(got.imag, im)
+    assert (z == w) == (Zr == Wr and Zi == Wi)
+    assert QuadComplex(z) == z
+    assert QuadComplex(z, w) == z + w * QuadComplex(0, 1)
+    assert z == QuadComplex(Zr.u + QuadExt(0, b, rad), QuadExt(c, e, rad))
+    rational = QuadComplex(p, q)
+    assert rational.rad is None and (rational.real, rational.imag) == (p, q)
+    assert _unreduced(rational) == rational
+    if (float(p), float(q)) == (p, q):
+        assert QuadComplex.of(complex(float(p), float(q))) == rational

@@ -16,17 +16,16 @@ from fakeelliptic.family import (FamilyGroupElement,
                                  random_tau, riemann_conditions_check,
                                  riemann_form)
 from fakeelliptic import AlgebraParams, Config, saturate, standard_order
-from fakeelliptic.exactlinalg import (DEFAULT_TOLERANCE, IDENTITY_TOL,
-                                      exact_det, to_mpf)
+from fakeelliptic.exactlinalg import DEFAULT_TOLERANCE, exact_det, to_mpf
 from fakeelliptic.orders import enumerate_units
 from fakeelliptic.quaternions import QuatElement
-from oracles import (automorphy_factor_fresh, canonical_residual_fresh,
-                     cocycle_residual_fresh, fiber_system_numeric,
-                     isogeny_deviation_fresh, laplace_det,
-                     numeric_nullspace, period_rank_svd, period_vectors,
-                     real_period_matrix, reduced_discriminant_fraction,
-                     riemann_conditions_fresh, riemann_form_by_matrices,
-                     stacked_embedding_det)
+from oracles import (IDENTITY_TOL, automorphy_factor_fresh,
+                     canonical_residual_fresh, cocycle_residual_fresh,
+                     fiber_system_numeric, isogeny_deviation_fresh,
+                     laplace_det, numeric_nullspace, period_rank_svd,
+                     period_vectors, real_period_matrix,
+                     reduced_discriminant_fraction, riemann_conditions_fresh,
+                     riemann_form_by_matrices, stacked_embedding_det)
 
 I = mpmath.mpc(0, 1)
 EPS = mpmath.mpf(10) ** -30
@@ -349,6 +348,48 @@ def test_exact_cocycle_detects_a_wrong_group_law(params, max_order,
                    if not g1.lam.is_zero())
 
 
+def test_exact_cocycle_sees_z_move_by_two_to_the_minus_60(max_order,
+                                                         monkeypatch):
+    # a group law whose product translates by lambda + 2^-60: its point
+    # z + lambda_tau moves by 2^-60 (tau, 1), and the identity fails by
+    # that much, below what a double comparison resolves
+    units = enumerate_units(max_order, 1)
+    rng = random.Random(27)
+    cases = [(random_group_element(max_order, units, rng),
+              random_group_element(max_order, units, rng),
+              (family.random_complex(rng), family.random_complex(rng)),
+              random_tau(rng)) for _ in range(5)]
+    assert all(cocycle_check(*case) for case in cases)
+    law, eps = FamilyGroupElement.__mul__, Fraction(1, 2 ** 60)
+    monkeypatch.setattr(FamilyGroupElement, "__mul__", lambda g, h:
+                        FamilyGroupElement(law(g, h).lam + eps,
+                                           g.gamma * h.gamma))
+    assert not any(cocycle_check(*case) for case in cases)
+
+
+def test_exact_riemann_check_sees_tau_move_by_two_to_the_minus_60(
+        params, max_order, monkeypatch):
+    # k_tau with its xy coordinate read at tau + 2^-60 i: nrd(k_tau) = 1
+    # and the symmetry of S fail by about 2^-60 (2^-120 at |tau| = 1)
+    pol = PolarizationData.with_minimal_scale(default_rho(params), max_order)
+    rng = random.Random(28)
+    taus = [family.QuadComplex(0, 1)] + [random_tau(rng) for _ in range(3)]
+    assert all(riemann_conditions_check(PeriodLattice(max_order, tau), pol)
+               ["all_pass"] for tau in taus)
+    k_tau, step = family._k_tau, family.QuadComplex(0, Fraction(1, 2 ** 60))
+
+    def mixed(tau, params):
+        l, m, _, k = k_tau(tau, params)
+        _, _, n, k_moved = k_tau(tau + step, params)
+        return l * k_moved, m * k_moved, n * k, k * k_moved
+    monkeypatch.setattr(family, "_k_tau", mixed)
+    for tau in taus:
+        report = riemann_conditions_check(PeriodLattice(max_order, tau), pol)
+        cond = report["conditions"]["j_compatible"]
+        assert not cond["pass"] and not report["all_pass"]
+        assert cond["witness"]["residual"] != "0"
+
+
 EXACT_ALGEBRAS = [(3, -1), (3, -7), (7, -57), (13, -10), (2, -5)]
 
 
@@ -417,14 +458,17 @@ def test_complex_structure_is_right_multiplication_by_k_tau(ab):
     cfg = Config(a=ab[0], b=ab[1])
     order = cfg.build_order()
     pol = cfg.polarization(order)
-    _, (gx, gy, gxy), det_g = pol.complex_forms(order)
+    # G R(e)^T and R(e) are integer matrices over the denominators F, den
+    _, (gx, gy, gxy), F, det_g = pol.complex_forms(order)
+    mats, den = order.right_multiplication
     assert det_g == laplace_det(pol.gram(order)) and det_g > 0
     J_std = mpmath.matrix([[0, -1, 0, 0], [1, 0, 0, 0],
                            [0, 0, 0, -1], [0, 0, 1, 0]])
     a, b = order.params.a, order.params.b
     for tau in (I, mpmath.mpc(0.3, 2.5), mpmath.mpc(-1.62, 0.28),
                 mpmath.mpc(-1.7, 0.01)):
-        l, m, n = family._k_tau(tau, order.params)
+        *lmn, k_den = family._k_tau(tau, order.params)
+        l, m, n = (Fraction(v, k_den) for v in lmn)
         # embed(k_tau) = K_tau is rational, with K^2 = -1 and det K = 1
         K = [[a * l, b * (m + a * n)], [m - a * n, -a * l]]
         assert [[sum(K[i][t] * K[t][j] for t in range(2)) for j in range(2)]
@@ -436,10 +480,10 @@ def test_complex_structure_is_right_multiplication_by_k_tau(ab):
             R = mpmath.matrix([[s * (to_mpf(l) * rx + to_mpf(n) * rxy)
                                 + to_mpf(m) * ry
                                 for rx, ry, rxy in zip(*rows)]
-                               for rows in zip(*order.right_multiplication[1:])])
+                               for rows in zip(*mats[1:])]) / den
             P = real_period_matrix(period_vectors(lattice))
             assert mpmath.mnorm(R.T - P ** -1 * J_std * P) < mpmath.mpf(2) ** -200
-        S = [[family.QuadExt._over(m * vy, l * vx + n * vxy, a)
+        S = [[family.QuadExt._over(m * vy / F, (l * vx + n * vxy) / F, a)
               for vx, vy, vxy in zip(*rows)] for rows in zip(gx, gy, gxy)]
         assert family._det(S) == det_g
         report = riemann_conditions_check(lattice, pol, 256)

@@ -220,6 +220,20 @@ def test_element_from_is_the_sum_over_generators(std_order, max_order,
                 assert L.element_from(coords) == want
 
 
+def test_right_multiplication_matches_coords_of(std_order, max_order,
+                                               rational_lattices):
+    # the integer matrices over one denominator against the Fraction
+    # coordinates of g_i e; the rational lattices scale x and y apart
+    for L in [std_order, max_order, *rational_lattices]:
+        mats, den = L.right_multiplication
+        assert den > 0
+        for N, e in zip(mats, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                               (0, 0, 0, 1))):
+            e = QuatElement(L.params, *e)
+            assert [[Fraction(x, den) for x in row] for row in N] == [
+                L.coords_of(g * e) for g in L.generators()]
+
+
 def test_enumerate_units_builds_one_element_per_unit(max_order, monkeypatch):
     # the integer screen proves nrd = 1, so no norm is recomputed, and
     # each unit is built once from the integer form
