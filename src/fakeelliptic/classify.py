@@ -7,6 +7,7 @@ command runs without mpmath; `splitting` attaches the numeric
 certificates to the same reports.
 """
 
+from .config import complex_pair
 from .exactlinalg import ComputationError
 
 
@@ -31,8 +32,7 @@ class SplittingReport:
         out = {"kind": self.kind, "verdict": self.verdict, "h0": self.h0,
                "certificate": dict(self.certificate)}
         if self.dphi_value is not None:
-            import mpmath
-            out["dphi"] = mpmath.nstr(self.dphi_value, 15)
+            out["dphi"] = complex_pair(self.dphi_value)
         return out
 
 

@@ -6,8 +6,9 @@ wall-clock timings.  Exit code 0 means the computation ran; the suite
 commands additionally exit nonzero when an invariant fails.
 
 Only `cm enumerate` and `curve split` load mpmath: their handlers import
-their modules themselves and run at the configured working precision.
-Every other command, `fiber h0` and the suites included, is exact.
+their modules themselves and pass the configured precision to each
+numeric function.  Every other command, `fiber h0` and the suites
+included, is exact and reads no precision.
 """
 
 import argparse
@@ -58,18 +59,12 @@ CITE_ELLIPTIC_FAMILY = ("The fiber of the elliptic modular family also "
 # (2h+1)^4 vectors; on (3, -1) `cm enumerate --height 16` takes 3.0 s and
 # 45 MB, `units --height 16` 0.3 s (Python 3.11, 2-vCPU Xeon VM)
 MAX_HEIGHT = 16
+# the largest `suite --trials`: the Riemann suite holds trials + 1 taus;
+# `suite all --trials 2000` takes 1.9 s and 16 MB on (3, -1) (same VM)
+MAX_TRIALS = 2000
 
 # ---------------------------------------------------------------------------
 # command handlers: (args, cfg) -> (results, citations, ok)
-
-
-def _numeric(handler):
-    """Run a handler under mpmath's working precision cfg.precision."""
-    def run(args, cfg):
-        import mpmath
-        with mpmath.workprec(cfg.precision):
-            return handler(args, cfg)
-    return run
 
 
 def _cmd_algebra_check(args, cfg):
@@ -151,7 +146,6 @@ def _quad_pair(q):
     return [str(q.u), str(q.v)]
 
 
-@_numeric
 def _cmd_cm_enumerate(args, cfg):
     import mpmath
     from . import cm as cm_points
@@ -162,7 +156,8 @@ def _cmd_cm_enumerate(args, cfg):
         parts = args.window.split(",")
         if len(parts) != 4:
             raise ConfigError("--window takes re_min,re_max,im_min,im_max")
-        window = tuple(mpmath.mpf(p) for p in parts)
+        with mpmath.workprec(cfg.precision):
+            window = tuple(mpmath.mpf(p) for p in parts)
         if not (window[0] <= window[1] and window[2] <= window[3]):  # or nan
             raise ValueError("--window needs re_min <= re_max, im_min <= im_max")
     pts = cm_points.enumerate_cm_points(order, args.height, window,
@@ -191,13 +186,12 @@ def _cmd_fiber_h0(args, cfg):
     from . import splitting
     order = cfg.build_order()
     tau = parse_complex(args.tau)
-    report = splitting.fiber_splitting_report(order, tau, cfg.precision)
+    report = splitting.fiber_splitting_report(order, tau)
     results = report.as_dict()
     results["tau"] = complex_pair(tau)
     return results, [splitting.CITE_FIBER], True
 
 
-@_numeric
 def _cmd_curve_split(args, cfg):
     from . import cm as cm_points, splitting
     order = cfg.build_order()
@@ -208,7 +202,6 @@ def _cmd_curve_split(args, cfg):
     pt = cm_points.cm_point(mu, cfg.precision)
     report = splitting.curve_splitting_report(pt, cfg.precision)
     results = report.as_dict()
-    results["dphi"] = complex_pair(report.dphi_value)
     results["mu"] = [str(c) for c in pt.mu.coords()]
     results["tau"] = complex_pair(pt.tau.tau)
     results["tau_prime"] = complex_pair(pt.tau_prime)
@@ -232,8 +225,8 @@ def _suite_riemann(cfg, order, trials, units):
     failures = []
     taus = [QuadComplex(0, 1)] + [family.random_tau(rng) for _ in range(trials)]
     for tau in taus:
-        lattice = family.PeriodLattice(order, tau, cfg.precision)
-        rep = family.riemann_conditions_check(lattice, pol, cfg.precision)
+        lattice = family.PeriodLattice(order, tau)
+        rep = family.riemann_conditions_check(lattice, pol)
         if not rep["all_pass"]:
             failures.append({"tau": complex_pair(tau),
                              "conditions": {k: v["pass"] for k, v in
@@ -252,7 +245,7 @@ def _suite_cocycle(cfg, order, trials, units):
         tau = family.random_tau(rng)
         z = (family.random_complex(rng), family.random_complex(rng))
         # the canonical degree holds by construction (canonical_degree_check)
-        if not family.cocycle_check(g1, g2, z, tau, cfg.precision):
+        if not family.cocycle_check(g1, g2, z, tau):
             failures += 1
     return {"trials": trials, "failures": failures}
 
@@ -277,6 +270,8 @@ _SUITES = {"riemann": (_suite_riemann, CITE_RIEMANN),
 def _cmd_suite(args, cfg):
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials {args.trials} is above {MAX_TRIALS}")
     order = cfg.build_order()
     units = functools.cache(lambda: orders.enumerate_units(order, 1))
     names = list(_SUITES) if args.name == "all" else [args.name]

@@ -12,11 +12,11 @@ decided on integer forms (`orders.OrderLattice`); the elimination kernels
 the tests and the benchmark's tracer.
 
 Numeric work (CM points, curve sections) runs on mpmath at a
-configurable binary precision, 128 bits by default.  The numeric
-policies live here once: the conversions between exact scalars and mpf,
-their decimal form (`decimal_str`) and the default tolerances (no fiber
-or suite verdict needs one).  The numeric functions import mpmath where
-they run, so the exact commands never load it.
+binary precision that each numeric function takes as `prec`, 128 bits
+by default.  The numeric policies live here once: the conversions
+between exact scalars and mpf and their decimal form (`decimal_str`);
+no fiber or suite verdict reads a tolerance.  The numeric functions
+import mpmath where they run, so the exact commands never load it.
 """
 
 from fractions import Fraction
@@ -25,8 +25,6 @@ import math
 
 DEFAULT_PRECISION = 128
 
-# the config's default `tolerance`; no verdict reads it
-DEFAULT_TOLERANCE = Fraction(1, 10 ** 20)
 # "nonzero" threshold of the genus-1 comparison `elliptic_family_fiber_h0`
 NONZERO_TOL = Fraction(1, 10 ** 12)
 
@@ -47,28 +45,9 @@ def to_mpf(x):
     return mpmath.mpf(x)
 
 
-def _half_bits(prec):
-    return Fraction(1, 2 ** ((prec + 1) // 2))
-
-
 def precision_tolerance(prec):
     """2^-(prec/2): a residual that prec-bit arithmetic resolves from zero."""
-    return to_mpf(_half_bits(prec))
-
-
-def resolution(prec):
-    """2^-(3 prec/4): the finest `tolerance` a config accepts at prec bits.
-
-    A tolerance keeps a quarter of the bits above the last place; the
-    default 1e-20 is accepted from 90 bits on.  No verdict reads it.
-    """
-    return Fraction(1, 2 ** (3 * prec // 4))
-
-
-def tolerance_at(tol, prec):
-    """tol where prec bits resolve it, else 2^-(prec/2) (exact): the
-    default tolerance of every residual check at that precision."""
-    return tol if tol >= resolution(prec) else _half_bits(prec)
+    return to_mpf(Fraction(1, 2 ** ((prec + 1) // 2)))
 
 
 def fraction_sqrt(r):

@@ -42,7 +42,8 @@ class UpperHalfPoint:
     def __init__(self, tau, quad=None):
         if not isinstance(tau, QuadComplex):
             tau = as_complex(tau)
-        if not tau.imag > 0:
+        im = tau.imag
+        if not (im.sign() if isinstance(im, QuadExt) else im) > 0:
             raise ValueError("point not in the upper half plane")
         self.tau = tau
         self.quad = quad  # (c2, c1, c0) QuadExt coefficients, or None
@@ -57,10 +58,10 @@ def complex_structure(m, tau, prec=DEFAULT_PRECISION):
     coordinate is its automorphy denominator j = c tau + d."""
     import mpmath
     with mpmath.workprec(prec):
-        return _apply(_numeric(embed(m), prec), as_complex(tau))
+        return _apply(_mpf_matrix(embed(m), prec), as_complex(tau))
 
 
-def _numeric(E, prec):
+def _mpf_matrix(E, prec):
     """A 2x2 matrix over Q(sqrt a) with mpf entries at prec bits."""
     return [[x.numeric(prec) for x in row] for row in E]
 
@@ -82,12 +83,11 @@ class PeriodLattice:
     no check needs the vectors themselves.
     """
 
-    def __init__(self, order, tau, prec=DEFAULT_PRECISION):
+    def __init__(self, order, tau):
         if not isinstance(tau, UpperHalfPoint):
             tau = UpperHalfPoint(tau)
         self.order = order
         self.tau = tau
-        self.prec = prec
 
 
 def riemann_form(rho, m1, m2):
@@ -193,9 +193,12 @@ def _k_tau(tau, params):
 
     That is l = s / (a t), m = (1 - r) / 2t and n = -(1 + r) / 2at for
     r = |tau|^2 / b; with s = S/e, t = T/e, a = a1/a2, b = b1/b2 and
-    N = S^2 + T^2 they share the denominator K = -2 a1 b1 T e.
+    N = S^2 + T^2 they share the denominator K = -2 a1 b1 T e.  A tau
+    with a part outside Q raises ValueError.
     """
     tau = QuadComplex.of(tau)
+    if tau.rb or tau.ib:
+        raise ValueError("k_tau needs a tau with rational parts")
     S, T, e = tau.ra, tau.ia, tau.d
     a1, a2 = params.a.numerator, params.a.denominator
     b1, b2 = params.b.numerator, params.b.denominator
@@ -204,7 +207,7 @@ def _k_tau(tau, params):
             (N * b2 + e * e * b1) * a2, -2 * a1 * b1 * T * e)
 
 
-def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION):
+def riemann_conditions_check(lattice, pol):
     """The three Riemann conditions for scale*E at the lattice's tau, exact.
 
     (i)  scale*E is integral on all pairs of order basis elements;
@@ -218,7 +221,8 @@ def riemann_conditions_check(lattice, pol, prec=DEFAULT_PRECISION):
     S is an integer matrix over Z[sqrt(R)] (R = num(a) den(a)) over one
     denominator, from the integer forms of `_k_tau` and `complex_forms`.
     Returns per-condition verdicts and witnesses; minors print exactly
-    rounded to 10 digits, and prec is not read.
+    rounded to 10 digits.  A tau with a part outside Q, such as an exact
+    CM point, raises ValueError.
     """
     order = lattice.order
     a, b = order.params.a, order.params.b
@@ -333,8 +337,8 @@ class FamilyGroupElement:
         import mpmath
         with mpmath.workprec(prec):
             tau = as_complex(tau)
-            num, j = _apply(_numeric(embed(self.gamma), prec), tau)
-            lt = _apply(_numeric(embed(self.lam), prec), tau)
+            num, j = _apply(_mpf_matrix(embed(self.gamma), prec), tau)
+            lt = _apply(_mpf_matrix(embed(self.lam), prec), tau)
             return (tuple((as_complex(w) + v) / j for w, v in zip(z, lt)),
                     num / j)
 
@@ -354,8 +358,8 @@ def automorphy_factor(g, z, tau, prec=DEFAULT_PRECISION):
     import mpmath
     with mpmath.workprec(prec):
         tau = as_complex(tau)
-        L = _numeric(embed(g.lam), prec)
-        c, d = _numeric(embed(g.gamma), prec)[1]
+        L = _mpf_matrix(embed(g.lam), prec)
+        c, d = _mpf_matrix(embed(g.gamma), prec)[1]
         j = c * tau + d
         lt = _apply(L, tau)
         A = mpmath.zeros(3, 3)
@@ -367,7 +371,7 @@ def automorphy_factor(g, z, tau, prec=DEFAULT_PRECISION):
         return A
 
 
-def cocycle_check(g1, g2, z, tau, prec=DEFAULT_PRECISION):
+def cocycle_check(g1, g2, z, tau):
     """a(g1 g2, x) = a(g1, g2 x) * a(g2, x) at x = (z, tau), exactly.
 
     With embed(gamma) = [[A, B], [C, D]], L = embed(lambda) and
@@ -380,7 +384,7 @@ def cocycle_check(g1, g2, z, tau, prec=DEFAULT_PRECISION):
                             - C1 (z_k + L2_k0 tau + L2_k1),
 
     equalities over Q(sqrt a)(i) without division, decided on the exact
-    values of z and tau (dyadic for an mpc).  prec is not read.
+    values of z and tau (dyadic for an mpc).
     """
     tau = QuadComplex.of(tau)
     z = [QuadComplex.of(w) for w in z]
@@ -403,14 +407,14 @@ def cocycle_check(g1, g2, z, tau, prec=DEFAULT_PRECISION):
         - C1 * (z[k] + L2[k][0] * tau + L2[k][1]) for k in (0, 1))
 
 
-def canonical_degree_check(g, z, tau, prec=DEFAULT_PRECISION):
+def canonical_degree_check(g, z, tau):
     """det a(g, (z, tau)) = (c tau + d)^-4: the canonical bundle identity.
 
     a(g, x) is upper triangular with diagonal (1/j, 1/j, 1/j^2)
     (`automorphy_factor`), so det a = j^-4 wherever j = c tau + d != 0,
     and nrd(gamma) = 1 forces (c, d) != (0, 0): this cannot fail, and the
     unit test of the factor's triangular shape is what guards the identity.
-    z, tau and prec are not read.
+    z and tau are not read.
     """
     return not all(x.is_zero() for x in embed(g.gamma)[1])
 

@@ -113,8 +113,9 @@ def fiber_h0(order, tau, prec=DEFAULT_PRECISION):
     the nullity is 0, h0 = 1, and the only section is the constant one.
     det M is taken over Q(sqrt a)(i) at the exact tau, by a Laplace
     expansion along the two real columns (six products of 2x2 minors),
-    and certified equal to det S; |det M| is the witness.  prec is
-    recorded.
+    and certified equal to det S; |det M| is the witness.  No verdict
+    reads prec: it is only recorded as `precision_used`, which the
+    benchmark's fiber observer compares with it.
     """
     t = QuadComplex.of(UpperHalfPoint(tau).tau)
     M = [[E[0][0], E[1][0], t * E[0][0] + E[0][1], t * E[1][0] + E[1][1]]
@@ -130,7 +131,7 @@ def fiber_h0(order, tau, prec=DEFAULT_PRECISION):
     return FiberH0(1, witness, witness, [FiberSection(0, 0, 0, 0, 1)], prec)
 
 
-def curve_rep(mu, tau, tau_prime, prec=DEFAULT_PRECISION):
+def curve_rep(mu, tau, tau_prime):
     """Generators tau' and 1 of the curve lattice, with their vectors."""
     import mpmath
     M = embed(mu)
@@ -253,8 +254,8 @@ def elliptic_family_fiber_h0(tau, prec=DEFAULT_PRECISION):
 # verdicts
 
 
-def fiber_splitting_report(order, tau, prec=DEFAULT_PRECISION):
-    result = fiber_h0(order, tau, prec)
+def fiber_splitting_report(order, tau):
+    result = fiber_h0(order, tau)
     verdict = "NonSplit" if result.h0 == 1 else "Split"
     cert = {"det_witness": decimal_str(result.det_witness, 15),
             "factored_det": decimal_str(result.factored_det, 15),

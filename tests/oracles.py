@@ -413,10 +413,9 @@ def numeric_nullspace(m, tol, prec=DEFAULT_PRECISION):
         return basis
 
 
-def period_vectors(lattice):
-    """The generator images embed(g) (tau, 1)^t in C^2 at the lattice's
-    precision."""
-    return [_periods_fresh(g, lattice.tau.tau, lattice.prec)
+def period_vectors(lattice, prec):
+    """The generator images embed(g) (tau, 1)^t in C^2 at prec bits."""
+    return [_periods_fresh(g, lattice.tau.tau, prec)
             for g in lattice.order.generators()]
 
 
@@ -425,11 +424,11 @@ def fiber_system_numeric(order, tau, prec):
     (v1, v2, period1, period2) per generator, v the first column of its
     embedding: the matrix whose determinant `splitting.fiber_h0` takes
     exactly."""
-    lattice = PeriodLattice(order, tau, prec)
+    lattice = PeriodLattice(order, tau)
     with mp.workprec(prec):
         rows = [[_numeric_fresh(E[0][0], prec), _numeric_fresh(E[1][0], prec),
                  *per] for E, per in zip(order.embedding,
-                                         period_vectors(lattice))]
+                                         period_vectors(lattice, prec))]
         return lattice, mpmath.matrix(rows)
 
 
@@ -439,7 +438,8 @@ def period_rank_svd(lattice, prec=DEFAULT_PRECISION, tol=None):
     with mp.workprec(prec):
         if tol is None:
             tol = precision_tolerance(prec)
-        _, S, _ = mpmath.svd_r(real_period_matrix(period_vectors(lattice)))
+        _, S, _ = mpmath.svd_r(real_period_matrix(period_vectors(lattice,
+                                                                prec)))
         smax = max(S[i] for i in range(4))
         return smax != 0 and min(S[i] for i in range(4)) >= tol * smax
 

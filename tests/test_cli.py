@@ -1,4 +1,5 @@
 import cProfile
+import inspect
 import io
 import json
 import os
@@ -328,22 +329,29 @@ def test_order_verify_reports_an_explicit_non_order(tmp_path, capsys):
     assert "product (0, 1, 0, 0) * (0, 1, 0, 0) leaves the lattice" in problems
 
 
-def test_suite_at_64_bits_derives_its_tolerance(tmp_path, capsys):
-    # 1e-20 is finer than 64 bits resolve; it made riemann and isogeny fail
+def test_suite_at_64_bits_echoes_the_default_tolerance(tmp_path, capsys):
+    # 1e-20 is finer than 64 bits resolve; it made riemann and isogeny
+    # fail while they compared residuals, and the verdicts are exact now
     cfg = tmp_path / "p64.cfg"
     cfg.write_text("algebra.a = 3\nalgebra.b = -1\nprecision = 64\nseed = 5\n")
     code, report, err = run(capsys, "suite", "all", str(cfg), "--trials", "1")
     assert code == 0, err
     assert report["results"]["pass"] is True
-    assert report["inputs"]["config"]["tolerance"] == "1/4294967296"
+    assert report["inputs"]["config"]["tolerance"] == "1/100000000000000000000"
 
 
-def test_unresolvable_tolerance_exits_two(tmp_path, capsys):
+def test_a_tolerance_finer_than_the_precision_is_echoed(tmp_path, capsys):
     cfg = tmp_path / "p64.cfg"
-    cfg.write_text("precision = 64\ntolerance = 1/100000000000000000000\n")
+    cfg.write_text("precision = 64\ntolerance = 1/10000000000000000000000\n")
+    code, report, err = run(capsys, "suite", "all", str(cfg), "--trials", "1")
+    assert code == 0, err
+    assert report["results"]["pass"] is True
+    assert report["inputs"]["config"]["tolerance"] == \
+        "1/10000000000000000000000"
+    cfg.write_text("tolerance = 0\n")
     code, report, err = run(capsys, "suite", "all", str(cfg), "--trials", "1")
     assert code == 2 and report is None
-    assert "finer than 64-bit arithmetic resolves" in err
+    assert "tolerance must be positive" in err
 
 
 @pytest.mark.parametrize("prec", [16, 32, 48])
@@ -441,6 +449,49 @@ def test_suite_rejects_fewer_than_one_trial(capsys, trials):
     code, report, err = run(capsys, "suite", "all", "--trials", trials)
     assert code == 2 and report is None
     assert f"--trials must be at least 1, got {trials}" in err
+
+
+def test_suite_caps_its_trials(capsys, monkeypatch):
+    code, report, err = run(capsys, "suite", "isogeny", "--trials",
+                            str(cli.MAX_TRIALS))
+    assert code == 0, err
+    assert report["results"]["suites"]["isogeny"]["trials"] == cli.MAX_TRIALS
+    # refused in one line, before the order is built
+    monkeypatch.setattr(fakeelliptic.Config, "build_order",
+                        lambda *args, **kwargs: pytest.fail("order built"))
+    above = cli.MAX_TRIALS + 1
+    code, report, err = run(capsys, "suite", "all", "--trials", str(above))
+    assert code == 2 and report is None
+    assert err == (f"invalid input: --trials {above} is above "
+                   f"{cli.MAX_TRIALS}\n")
+
+
+@pytest.mark.parametrize("argv", [("fiber", "h0", "--tau=0.3,1"),
+                                  ("fiber", "h0", "--tau=0.25+1.5i"),
+                                  ("suite", "all", "--trials", "10")])
+def test_precision_reaches_no_exact_report(tmp_path, capsys, argv):
+    reports = []
+    for prec in (16, 4096):
+        cfg = tmp_path / f"p{prec}.cfg"
+        cfg.write_text(f"precision = {prec}\n")
+        code, report, err = run(capsys, *argv[:2], str(cfg), *argv[2:])
+        assert code == 0, err
+        assert report["inputs"]["config"].pop("precision") == str(prec)
+        del report["timings"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_exact_checks_take_no_precision():
+    from fakeelliptic import family, splitting
+    for fn, params in (
+            (family.PeriodLattice, ["order", "tau"]),
+            (family.riemann_conditions_check, ["lattice", "pol"]),
+            (family.cocycle_check, ["g1", "g2", "z", "tau"]),
+            (family.canonical_degree_check, ["g", "z", "tau"]),
+            (splitting.curve_rep, ["mu", "tau", "tau_prime"]),
+            (splitting.fiber_splitting_report, ["order", "tau"])):
+        assert list(inspect.signature(fn).parameters) == params, fn
 
 
 def test_closed_stdout_exits_quietly():

@@ -5,7 +5,8 @@ import mpmath
 import pytest
 
 from fakeelliptic.config import (Config, ConfigError, DEFAULT_CONFIG_TEXT,
-                                 MAX_PRECISION, PRECISION_ENV, complex_pair,
+                                 DEFAULT_TOLERANCE, MAX_PRECISION,
+                                 PRECISION_ENV, complex_pair,
                                  config_from_dict, default_config,
                                  load_config, parse_complex, parse_config)
 from fakeelliptic.orders import (NotAnOrder, is_order, reduced_discriminant,
@@ -186,20 +187,29 @@ def test_explicit_order_keeps_parameters():
 
 
 @pytest.mark.parametrize("prec,tol", [
-    (128, Fraction(1, 10 ** 20)), (256, Fraction(1, 10 ** 20)),
-    (90, Fraction(1, 10 ** 20)), (89, Fraction(1, 2 ** 45)),
-    (64, Fraction(1, 2 ** 32)), (16, Fraction(1, 2 ** 8))])
+    (128, DEFAULT_TOLERANCE), (256, DEFAULT_TOLERANCE),
+    (90, DEFAULT_TOLERANCE), (89, DEFAULT_TOLERANCE),
+    (64, DEFAULT_TOLERANCE), (16, DEFAULT_TOLERANCE)])
 def test_default_tolerance_follows_the_precision(prec, tol):
+    # no verdict reads the tolerance, so its default is 1/10^20 at every
+    # precision, below 90 bits too (it was 2^-(prec/2) there)
+    assert tol == Fraction(1, 10 ** 20)
     cfg = Config(precision=prec)
     assert cfg.tolerance == tol
     assert parse_config(f"precision = {prec}\n").tolerance == tol
+    assert cfg.as_dict()["tolerance"] == "1/100000000000000000000"
     assert config_from_dict(cfg.as_dict()) == cfg
 
 
-def test_tolerance_finer_than_the_precision_is_rejected():
-    Config(precision=90, tolerance=Fraction(1, 10 ** 20))
-    Config(precision=64, tolerance=Fraction(1, 2 ** 48))
-    with pytest.raises(ConfigError, match="finer than 64-bit"):
-        Config(precision=64, tolerance=Fraction(1, 10 ** 20))
-    with pytest.raises(ConfigError, match="finer than 64-bit"):
-        parse_config("precision = 64\ntolerance = 1/100000000000000000000\n")
+def test_tolerance_finer_than_the_precision_is_accepted():
+    for prec, tol in ((16, Fraction(1, 10 ** 20)), (64, Fraction(1, 10 ** 20)),
+                      (64, Fraction(1, 2 ** 4096))):
+        cfg = Config(precision=prec, tolerance=tol)
+        assert cfg.tolerance == tol
+        assert cfg.as_dict()["tolerance"] == str(tol)
+        assert config_from_dict(cfg.as_dict()) == cfg
+    cfg = parse_config("precision = 64\ntolerance = 1/100000000000000000000\n")
+    assert cfg.tolerance == Fraction(1, 10 ** 20)
+    for text in ("tolerance = 0\n", "tolerance = -1/2\n"):
+        with pytest.raises(ConfigError, match="tolerance must be positive"):
+            parse_config(text)

@@ -7,15 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from fakeelliptic import exactlinalg
-from fakeelliptic.exactlinalg import (DEFAULT_TOLERANCE, QuadComplex,
-                                      QuadExt, decimal_str, exact_det,
-                                      exact_rank, exact_solve, fraction_sqrt,
-                                      numeric_svd, precision_tolerance,
-                                      resolution, solve_quadratic, to_mpf,
-                                      tolerance_at)
+from fakeelliptic.exactlinalg import (QuadComplex, QuadExt, decimal_str,
+                                      exact_det, exact_rank, exact_solve,
+                                      fraction_sqrt, numeric_svd,
+                                      precision_tolerance, solve_quadratic,
+                                      to_mpf)
 from fakeelliptic.quaternions import AlgebraParams, QuatElement, embed
-from oracles import (IDENTITY_TOL, QuadRef, exact_nullspace, laplace_det,
-                     numeric_nullspace, rank_by_minors, reference_roots)
+from oracles import (QuadRef, exact_nullspace, laplace_det, numeric_nullspace,
+                     rank_by_minors, reference_roots)
 
 
 def frows(vals):
@@ -253,19 +252,6 @@ def test_precision_tolerance_halves_the_bits():
     assert precision_tolerance(64) == mpmath.mpf(2) ** -32
     with mp.workprec(64):
         assert mpmath.mpf(10) ** -20 < precision_tolerance(64)
-
-
-def test_tolerance_at_keeps_what_the_precision_resolves():
-    assert resolution(128) == Fraction(1, 2 ** 96)
-    for tol in (DEFAULT_TOLERANCE, IDENTITY_TOL):
-        for prec in (128, 192, 256):
-            assert tolerance_at(tol, prec) is tol
-    assert tolerance_at(IDENTITY_TOL, 54) is IDENTITY_TOL
-    assert tolerance_at(IDENTITY_TOL, 53) == Fraction(1, 2 ** 27)
-    for prec in (16, 33, 64, 89):
-        with mp.workprec(prec):
-            assert (to_mpf(tolerance_at(DEFAULT_TOLERANCE, prec))
-                    == precision_tolerance(prec))
 
 
 

@@ -16,7 +16,8 @@ from fakeelliptic.family import (FamilyGroupElement,
                                  random_tau, riemann_conditions_check,
                                  riemann_form)
 from fakeelliptic import AlgebraParams, Config, saturate, standard_order
-from fakeelliptic.exactlinalg import DEFAULT_TOLERANCE, exact_det, to_mpf
+from fakeelliptic.config import DEFAULT_TOLERANCE
+from fakeelliptic.exactlinalg import exact_det, to_mpf
 from fakeelliptic.orders import enumerate_units
 from fakeelliptic.quaternions import QuatElement
 from oracles import (IDENTITY_TOL, automorphy_factor_fresh,
@@ -39,6 +40,32 @@ def test_upper_half_point_rejects_lower_plane():
         UpperHalfPoint(mpmath.mpc(2, 0))
 
 
+# the CM point (sqrt 3 + i) / 2 of (3, -1), written exactly
+CM_TAU = family.QuadComplex(family.QuadExt(0, Fraction(1, 2), 3),
+                            Fraction(1, 2))
+
+
+def test_upper_half_point_decides_an_exact_cm_tau():
+    assert UpperHalfPoint(CM_TAU).tau == CM_TAU
+    # Im = sqrt 3 / 2 - 1 < 0 and Im = 1 - sqrt 3 / 2 > 0, by sign tests
+    root = family.QuadExt(0, Fraction(1, 2), 3)
+    with pytest.raises(ValueError, match="upper half plane"):
+        UpperHalfPoint(family.QuadComplex(0, root - 1))
+    assert UpperHalfPoint(family.QuadComplex(0, 1 - root)).tau.imag == 1 - root
+
+
+def test_k_tau_refuses_a_tau_with_irrational_parts(params, max_order):
+    # it read only the rational numerators, so (sqrt 3 + i)/2 gave k_tau(i/2)
+    with pytest.raises(ValueError, match="rational parts"):
+        family._k_tau(CM_TAU, params)
+    pol = PolarizationData.with_minimal_scale(default_rho(params), max_order)
+    with pytest.raises(ValueError, match="rational parts"):
+        riemann_conditions_check(PeriodLattice(max_order, CM_TAU), pol)
+    half_i = family.QuadComplex(0, Fraction(1, 2))
+    assert riemann_conditions_check(PeriodLattice(max_order, half_i),
+                                    pol)["all_pass"]
+
+
 def test_complex_structure_pinned(params):
     one = QuatElement(params, 1)
     x = QuatElement(params, 0, 1)
@@ -56,7 +83,7 @@ def test_complex_structure_pinned(params):
 def test_period_lattice_rank_four(max_order):
     rng = random.Random(1)
     for _ in range(20):
-        PeriodLattice(max_order, random_tau(rng), 128)
+        PeriodLattice(max_order, random_tau(rng))
 
 
 @pytest.mark.parametrize("ab", [(3, -1), (3, -7), (2, -5), (7, -57),
@@ -79,7 +106,7 @@ def test_exact_rank_condition_matches_svd_oracle(ab, maximal):
                 lattice, M = fiber_system_numeric(order, tau, prec)
                 assert period_rank_svd(lattice, prec)
                 assert numeric_nullspace(M, tol, prec) == []
-                P = real_period_matrix(period_vectors(lattice))
+                P = real_period_matrix(period_vectors(lattice, prec))
                 det_p = abs(mpmath.det(P))
                 assert (abs(det_p - disc * lattice.tau.tau.imag ** 2)
                         < mpmath.mpf(2) ** -(prec // 2))
@@ -146,8 +173,8 @@ def test_minimal_scale_is_one(params, max_order):
 
 def test_riemann_conditions_pass(params, max_order):
     pol = PolarizationData.with_minimal_scale(default_rho(params), max_order)
-    lattice = PeriodLattice(max_order, mpmath.mpc(0, 1), 128)
-    report = riemann_conditions_check(lattice, pol, 128)
+    lattice = PeriodLattice(max_order, mpmath.mpc(0, 1))
+    report = riemann_conditions_check(lattice, pol)
     assert report["all_pass"]
     conds = report["conditions"]
     assert conds["integral"]["pass"]
@@ -157,14 +184,14 @@ def test_riemann_conditions_pass(params, max_order):
     assert all(mpmath.mpf(v) > 0 for v in minors)
     rng = random.Random(8)
     for _ in range(5):
-        lattice = PeriodLattice(max_order, random_tau(rng), 128)
-        assert riemann_conditions_check(lattice, pol, 128)["all_pass"]
+        lattice = PeriodLattice(max_order, random_tau(rng))
+        assert riemann_conditions_check(lattice, pol)["all_pass"]
 
 
 def test_riemann_integrality_fails_for_small_scale(params, max_order):
     pol = PolarizationData(default_rho(params), Fraction(1, 2))
-    lattice = PeriodLattice(max_order, mpmath.mpc(0, 1), 128)
-    report = riemann_conditions_check(lattice, pol, 128)
+    lattice = PeriodLattice(max_order, mpmath.mpc(0, 1))
+    report = riemann_conditions_check(lattice, pol)
     assert not report["all_pass"]
     cond = report["conditions"]["integral"]
     assert not cond["pass"]
@@ -271,7 +298,7 @@ def test_automorphy_determinant(params, max_order):
         g = random_group_element(max_order, units, rng)
         z = (mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)),
              mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        assert canonical_degree_check(g, z, random_tau(rng), 128)
+        assert canonical_degree_check(g, z, random_tau(rng))
 
 
 def test_cocycle_trivial_cases(params, max_order):
@@ -281,9 +308,9 @@ def test_cocycle_trivial_cases(params, max_order):
     g = random_group_element(max_order, units, rng)
     z = (mpmath.mpc(0.2, 0.3), mpmath.mpc(0.4, -0.1))
     tau = mpmath.mpc(0.5, 1.3)
-    assert cocycle_check(g, e, z, tau, 128)
-    assert cocycle_check(e, g, z, tau, 128)
-    assert cocycle_check(g, g.inverse(), z, tau, 128)
+    assert cocycle_check(g, e, z, tau)
+    assert cocycle_check(e, g, z, tau)
+    assert cocycle_check(g, g.inverse(), z, tau)
 
 
 def test_cocycle_random_pairs(params, max_order):
@@ -295,8 +322,8 @@ def test_cocycle_random_pairs(params, max_order):
         z = (mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)),
              mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)))
         tau = random_tau(rng)
-        assert cocycle_check(g1, g2, z, tau, 128)
-        assert canonical_degree_check(g1, z, tau, 128)
+        assert cocycle_check(g1, g2, z, tau)
+        assert canonical_degree_check(g1, z, tau)
 
 
 def test_random_order_element_lies_in_order(max_order):
@@ -322,7 +349,7 @@ def test_checks_match_fresh_recomputation(ab, prec):
             tau = random_tau(rng)
             z = (mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)),
                  mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)))
-            assert cocycle_check(g1, g2, z, tau, prec)
+            assert cocycle_check(g1, g2, z, tau)
             res = cocycle_residual_fresh(g1, g2, z, tau, prec)
             assert res < mpmath.mpf(2) ** (8 - prec)
             A = automorphy_factor(g1, z, tau, prec)
@@ -419,8 +446,7 @@ def test_exact_riemann_verdicts_match_the_numeric_oracle(ab, prec):
         with mp.workprec(prec):
             tau = mpmath.mpc(tau)  # the check sees tau rounded to prec bits
         for pol in pols:
-            got = riemann_conditions_check(PeriodLattice(order, tau, prec),
-                                           pol, prec)
+            got = riemann_conditions_check(PeriodLattice(order, tau), pol)
             want = riemann_conditions_fresh(order, pol.rho, pol.scale, tau,
                                             256, DEFAULT_TOLERANCE)
             flags = {k: v["pass"] for k, v in got["conditions"].items()}
@@ -474,19 +500,19 @@ def test_complex_structure_is_right_multiplication_by_k_tau(ab):
         assert [[sum(K[i][t] * K[t][j] for t in range(2)) for j in range(2)]
                 for i in range(2)] == [[-1, 0], [0, -1]]
         assert a * a * (b * n * n - l * l) - b * m * m == 1  # nrd(k_tau)
-        lattice = PeriodLattice(order, tau, 256)
+        lattice = PeriodLattice(order, tau)
         with mp.workprec(256):
             s = mpmath.sqrt(to_mpf(a))
             R = mpmath.matrix([[s * (to_mpf(l) * rx + to_mpf(n) * rxy)
                                 + to_mpf(m) * ry
                                 for rx, ry, rxy in zip(*rows)]
                                for rows in zip(*mats[1:])]) / den
-            P = real_period_matrix(period_vectors(lattice))
+            P = real_period_matrix(period_vectors(lattice, 256))
             assert mpmath.mnorm(R.T - P ** -1 * J_std * P) < mpmath.mpf(2) ** -200
         S = [[family.QuadExt._over(m * vy / F, (l * vx + n * vxy) / F, a)
               for vx, vy, vxy in zip(*rows)] for rows in zip(gx, gy, gxy)]
         assert family._det(S) == det_g
-        report = riemann_conditions_check(lattice, pol, 256)
+        report = riemann_conditions_check(lattice, pol)
         minors = report["conditions"]["positive_definite"]["witness"][
             "leading_minors"]
         assert len(minors) == 4 and mpmath.mpf(minors[3]) == det_g
@@ -508,7 +534,7 @@ def test_canonical_degree_rests_on_the_triangular_factor(params, max_order):
                 j = complex_structure(g.gamma, tau, prec)[1]
                 assert [A[1, 0], A[2, 0], A[2, 1], A[0, 1]] == [0, 0, 0, 0]
                 assert A[0, 0] == A[1, 1] == 1 / j and A[2, 2] == 1 / j ** 2
-            assert canonical_degree_check(g, z, tau, prec)
+            assert canonical_degree_check(g, z, tau)
             assert (canonical_residual_fresh(g, z, tau, 256)
                     < to_mpf(IDENTITY_TOL))
 

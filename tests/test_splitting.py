@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -62,8 +63,19 @@ def test_fiber_h0_certifies_det_m_against_det_s(max_order):
         fiber_h0(WrongDet(), tau)
 
 
+def test_fiber_h0_at_an_exact_cm_tau(max_order):
+    # (sqrt 3 + i)/2 is a CM point of (3, -1); det M(tau) is taken over
+    # Q(sqrt 3)(i) and certified equal to det S
+    tau = exactlinalg.QuadComplex(exactlinalg.QuadExt(0, Fraction(1, 2), 3),
+                                  Fraction(1, 2))
+    res = fiber_h0(max_order, tau)
+    assert res.h0 == 1
+    assert res.det_witness == abs(max_order.embedding_det) == 6
+    assert fiber_splitting_report(max_order, tau).verdict == "NonSplit"
+
+
 def test_fiber_report(max_order):
-    report = fiber_splitting_report(max_order, I, 128)
+    report = fiber_splitting_report(max_order, I)
     assert report.kind == "Fiber"
     assert report.verdict == "NonSplit"
     assert report.h0 == 1
@@ -151,7 +163,7 @@ def test_fiber_path_runs_no_svd(max_order, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(mpmath, name, refuse)
     tau = mpmath.mpc(0.3, 2.5)
     assert fiber_h0(max_order, tau, 128).h0 == 1
-    assert fiber_splitting_report(max_order, tau, 128).verdict == "NonSplit"
+    assert fiber_splitting_report(max_order, tau).verdict == "NonSplit"
     assert elliptic_family_fiber_h0(tau, 128) == 1
     assert main(["suite", "riemann", "--trials", "2", str(cfg)]) == 0
     capsys.readouterr()
@@ -167,7 +179,7 @@ def test_section_functional_equation(params, max_order):
     y = QuatElement(params, 0, 0, 1)
     pt = cm_point(y, 128, coords=(0, 0, 1, 0))
     res = curve_h0(pt, 128)
-    rep = curve_rep(pt.mu, pt.tau, pt.tau_prime, 128)
+    rep = curve_rep(pt.mu, pt.tau, pt.tau_prime)
     worst = verify_sections(rep, res.sections, n_points=20, seed=0, prec=128)
     assert worst < mpmath.mpf(10) ** -20
 
@@ -175,7 +187,7 @@ def test_section_functional_equation(params, max_order):
 def test_verify_sections_rejects_wrong_section(params):
     y = QuatElement(params, 0, 0, 1)
     pt = cm_point(y, 128, coords=(0, 0, 1, 0))
-    rep = curve_rep(pt.mu, pt.tau, pt.tau_prime, 128)
+    rep = curve_rep(pt.mu, pt.tau, pt.tau_prime)
     bogus = CurveSection(1, 0.25, -1, 0)
     worst = verify_sections(rep, [bogus], n_points=5, seed=0, prec=128)
     assert worst > mpmath.mpf(10) ** -6
@@ -199,6 +211,17 @@ def test_curve_report(params):
     d = report.as_dict()
     assert d["verdict"] == "Split"
     assert d["h0"] == 2
+    assert d["dphi"] == {"re": "0.0", "im": "2.0"}
+
+
+@pytest.mark.parametrize("coords", ["0,0,1,0", "0,1,2,0", "1,0,1,0",
+                                    "1/2,1/2,3/2,1/2"])
+def test_report_dphi_is_the_cli_dphi(params, max_order, capsys, coords):
+    assert main(["curve", "split", "--mu", coords]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    mu = QuatElement(params, *(Fraction(c) for c in coords.split(",")))
+    report = curve_splitting_report(cm_point(mu, 128), 128)
+    assert report.as_dict()["dphi"] == results["dphi"]
 
 
 def test_curve_verdict_does_not_read_the_threshold(params, monkeypatch):
