@@ -5,10 +5,11 @@ typed results, the mathematical statement each result instantiates, and
 wall-clock timings.  Exit code 0 means the computation ran; the suite
 commands additionally exit nonzero when an invariant fails.
 
-Only `cm enumerate` and `curve split` load mpmath: their handlers import
-their modules themselves and pass the configured precision to each
-numeric function.  Every other command, `fiber h0` and the suites
-included, is exact and reads no precision.
+Only `cm enumerate` and `curve split` compute numerically: their
+handlers import `cm` and `splitting` themselves, after reading their
+options, and pass the configured precision to each numeric function.
+Every other command, `fiber h0` and the suites included, is exact and
+reads no precision.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from . import orders, quaternions
 from .classify import classify_candidate
 from .config import (ConfigError, _fraction_list, complex_pair, default_config,
                      load_config, parse_complex)
-from .exactlinalg import ComputationError, QuadComplex
+from .exactlinalg import ComputationError, QuadComplex, decimal_str
 
 CITE_ALGEBRA = ("A quaternion algebra over Q is a division algebra exactly "
                 "when some place ramifies, and the ramified set is finite of "
@@ -146,20 +147,23 @@ def _quad_pair(q):
     return [str(q.u), str(q.v)]
 
 
+def _four_values(option, text):
+    """The comma-separated values of --window or --mu, read exactly."""
+    try:
+        return _fraction_list(text, 4)
+    except ConfigError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
 def _cmd_cm_enumerate(args, cfg):
-    import mpmath
-    from . import cm as cm_points
     _check_height(args.height)
-    order = cfg.build_order()
     window = None
     if args.window is not None:
-        parts = args.window.split(",")
-        if len(parts) != 4:
-            raise ConfigError("--window takes re_min,re_max,im_min,im_max")
-        with mpmath.workprec(cfg.precision):
-            window = tuple(mpmath.mpf(p) for p in parts)
-        if not (window[0] <= window[1] and window[2] <= window[3]):  # or nan
+        window = _four_values("--window", args.window)
+        if not (window[0] <= window[1] and window[2] <= window[3]):
             raise ValueError("--window needs re_min <= re_max, im_min <= im_max")
+    from . import cm as cm_points
+    order = cfg.build_order()
     pts = cm_points.enumerate_cm_points(order, args.height, window,
                                         cfg.precision)
     entries = []
@@ -178,7 +182,7 @@ def _cmd_cm_enumerate(args, cfg):
         })
     results = {"height": args.height, "count": len(pts), "points": entries}
     if window is not None:
-        results["window"] = [mpmath.nstr(w, 10) for w in window]
+        results["window"] = [decimal_str(w, 10) for w in window]
     return results, [CITE_CM], True
 
 
@@ -193,9 +197,9 @@ def _cmd_fiber_h0(args, cfg):
 
 
 def _cmd_curve_split(args, cfg):
+    coords = _four_values("--mu", args.mu)
     from . import cm as cm_points, splitting
     order = cfg.build_order()
-    coords = _fraction_list(args.mu, 4)
     mu = quaternions.QuatElement(order.params, *coords)
     if not order.contains(mu):
         raise ComputationError("mu does not lie in the configured order")

@@ -12,7 +12,7 @@ import math
 import mpmath
 from mpmath import mp
 
-from .exactlinalg import (ComputationError, DEFAULT_PRECISION,
+from .exactlinalg import (ComputationError, DEFAULT_PRECISION, QuadComplex,
                           precision_tolerance, solve_quadratic)
 from .family import UpperHalfPoint, as_complex, complex_structure
 from .orders import _coords_str
@@ -111,10 +111,12 @@ def cm_point(mu, prec=DEFAULT_PRECISION, coords=None):
 
 
 def in_window(tau, window):
+    """Whether the rounded tau lies in the closed window (re_min, re_max,
+    im_min, im_max) of rationals, compared exactly as a dyadic value."""
     if window is None:
         return True
     re_min, re_max, im_min, im_max = window
-    t = as_complex(tau)
+    t = QuadComplex.of(as_complex(tau))
     return re_min <= t.real <= re_max and im_min <= t.imag <= im_max
 
 

@@ -56,6 +56,14 @@ def _fraction(text, line=None):
                           line) from None
 
 
+def _integer(text, name, line=None):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {text!r}",
+                          line) from None
+
+
 def _fraction_list(text, count, line=None):
     parts = [p for p in text.split(",")]
     if len(parts) != count:
@@ -111,12 +119,8 @@ class Config:
         self.order_basis = order_basis
         self.rho_coords = rho_coords
         if precision is None:
-            precision = os.environ.get(PRECISION_ENV, DEFAULT_PRECISION)
-            try:
-                precision = int(precision)
-            except ValueError:
-                raise ConfigError(f"{PRECISION_ENV} must be an integer, "
-                                  f"got {precision!r}") from None
+            env = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION))
+            precision = _integer(env, PRECISION_ENV)
         if precision < 16:
             raise ConfigError("precision must be at least 16 bits")
         if precision > MAX_PRECISION:
@@ -252,19 +256,11 @@ def parse_config(text):
     if (v := take("polarization.rho")) is not None:
         kwargs["rho_coords"] = _fraction_list(v, 4, lines["polarization.rho"])
     if (v := take("precision")) is not None:
-        try:
-            kwargs["precision"] = int(v)
-        except ValueError:
-            raise ConfigError(f"precision must be an integer, got {v!r}",
-                              lines["precision"]) from None
+        kwargs["precision"] = _integer(v, "precision", lines["precision"])
     if (v := take("tolerance")) is not None:
         kwargs["tolerance"] = _fraction(v, lines["tolerance"])
     if (v := take("seed")) is not None:
-        try:
-            kwargs["seed"] = int(v)
-        except ValueError:
-            raise ConfigError(f"seed must be an integer, got {v!r}",
-                              lines["seed"]) from None
+        kwargs["seed"] = _integer(v, "seed", lines["seed"])
 
     if seen:
         key = next(iter(seen))

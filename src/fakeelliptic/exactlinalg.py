@@ -13,10 +13,11 @@ the tests and the benchmark's tracer.
 
 Numeric work (CM points, curve sections) runs on mpmath at a
 binary precision that each numeric function takes as `prec`, 128 bits
-by default.  The numeric policies live here once: the conversions
-between exact scalars and mpf and their decimal form (`decimal_str`);
-no fiber or suite verdict reads a tolerance.  The numeric functions
-import mpmath where they run, so the exact commands never load it.
+by default.  The numeric policies live here once: one conversion each
+way between exact scalars and mpmath (`to_mpf`, `QuadComplex.of`) and
+their decimal form (`decimal_str`); no fiber or suite verdict reads a
+tolerance.  The numeric functions import mpmath where they run, so the
+exact commands never load it.
 """
 
 from fractions import Fraction
@@ -38,10 +39,13 @@ class NonConvergence(ComputationError):
 
 
 def to_mpf(x):
-    """A Fraction, int or mpf as an mpf at the ambient precision."""
+    """An int, Fraction, QuadExt or mpf as an mpf at the ambient precision:
+    the one conversion of exact values to mpmath."""
     import mpmath
     if isinstance(x, Fraction):
         return mpmath.mpf(x.numerator) / x.denominator
+    if isinstance(x, QuadExt):
+        return x.numeric(mpmath.mp.prec)
     return mpmath.mpf(x)
 
 
@@ -277,14 +281,19 @@ class QuadComplex:
 
     @classmethod
     def of(cls, z):
-        """z itself, or the exact value of an mpc (dyadic), a complex or a
-        real number; a nan or an infinity raises ValueError or OverflowError."""
+        """z itself, or the exact value of an mpc or an mpf (dyadic), a
+        complex or a real number: the one conversion of mpmath and Python
+        numbers to exact values.  A nan or an infinity raises ValueError
+        or OverflowError."""
         if isinstance(z, cls):
             return z
-        if hasattr(z, "_mpc_"):
-            from mpmath.libmp import to_rational
-            return cls(*(Fraction(*to_rational(x)) for x in z._mpc_))
-        return cls(z.real, z.imag)
+        if not (hasattr(z, "_mpc_") or hasattr(z, "_mpf_")):
+            return cls(z.real, z.imag)
+        from mpmath.libmp import to_rational
+        parts = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_,)
+        if any(x[3] < 0 for x in parts):  # bc < 0: a nan or an infinity
+            raise ValueError("not a finite number")
+        return cls(*(Fraction(*to_rational(x)) for x in parts))
 
     def _part(self, A, B):
         if self.rad is None:
@@ -379,7 +388,8 @@ def decimal_str(x, n):
     The steps of mpmath's `to_str` on x itself: truncate to a binary fixed
     point of (n + 3) log2(10) + 10 significant bits, take its decimal
     floor, round half up at n digits.  So a dyadic x within 2^+-3500
-    (a double, an mpf) prints exactly as its mpf does."""
+    (a double, an mpf) prints exactly as its mpf does.  From 2^3500 up, a
+    power of ten comes out of x first, as in `to_str`."""
     if isinstance(x, QuadExt) and x.B == 0:
         x = x.u
     if x == 0:
@@ -389,10 +399,15 @@ def decimal_str(x, n):
     k = 0
     while (f := _floor_scaled(x, k)) == 0:
         k += 64
+    shift = 0
+    if f.bit_length() > 3500:
+        shift = int(f.bit_length() * math.log10(2)) - 100
+        x = x / 10 ** shift
+        f = _floor_scaled(x, 0)
     fixprec = max(int((n + 3) * math.log(10, 2)) + 10 - f.bit_length() + k, 0)
     fixdps = int(fixprec / math.log(10, 2) + 0.5)
     digits = str(_floor_scaled(x, fixprec) * 10 ** fixdps >> fixprec)
-    exponent = len(digits) - fixdps - 1
+    exponent = len(digits) - fixdps - 1 + shift
     head = str(int(digits[:n]) + (digits[n:n + 1] >= "5"))
     if len(head) > len(digits[:n]):  # 99..9 rounded up to 100..0
         head, exponent = head[:-1], exponent + 1
@@ -482,6 +497,20 @@ def exact_det(rows):
     return det
 
 
+def cofactor_det(m):
+    """Determinant by cofactors along the first row, without division, so
+    over any ring: integers, Q(sqrt a), Q(sqrt a)(i)."""
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    det = None
+    for j, x in enumerate(m[0]):
+        t = x * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        det = t if det is None else det - t if j % 2 else det + t
+    return det
+
+
 def exact_solve(rows, rhs):
     """Solve A x = rhs exactly; None if inconsistent or underdetermined."""
     n = len(rows)
@@ -542,8 +571,7 @@ def solve_quadratic(c2, c1, c0, prec=DEFAULT_PRECISION):
     """
     import mpmath
     with mpmath.workprec(prec):
-        A, B, C = (c.numeric(prec) if isinstance(c, QuadExt) else to_mpf(c)
-                   for c in (c2, c1, c0))
+        A, B, C = (to_mpf(c) for c in (c2, c1, c0))
         if A == 0:
             raise ZeroDivisionError("leading coefficient is zero")
         disc = B * B - 4 * A * C

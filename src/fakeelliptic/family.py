@@ -13,7 +13,7 @@ from fractions import Fraction
 import math
 
 from .exactlinalg import (DEFAULT_PRECISION, QuadComplex, QuadExt, _quad,
-                          decimal_str)
+                          cofactor_det as _det, decimal_str, to_mpf)
 from .orders import _gram, _integer_form
 from .quaternions import QuatElement, _product, embed
 
@@ -58,12 +58,12 @@ def complex_structure(m, tau, prec=DEFAULT_PRECISION):
     coordinate is its automorphy denominator j = c tau + d."""
     import mpmath
     with mpmath.workprec(prec):
-        return _apply(_mpf_matrix(embed(m), prec), as_complex(tau))
+        return _apply(_mpf_matrix(embed(m)), as_complex(tau))
 
 
-def _mpf_matrix(E, prec):
-    """A 2x2 matrix over Q(sqrt a) with mpf entries at prec bits."""
-    return [[x.numeric(prec) for x in row] for row in E]
+def _mpf_matrix(E):
+    """A 2x2 matrix over Q(sqrt a) as mpfs at the ambient precision."""
+    return [[to_mpf(x) for x in row] for row in E]
 
 
 def _apply(N, tau):
@@ -122,19 +122,6 @@ def _forms(order, c, M, scale):
                       for row in num] for N in mats[1:])
     return (order, [[Fraction(x, den) for x in row] for row in num],
             products, den * rden, Fraction(_det(num), den ** 4))
-
-
-def _det(m):
-    """Determinant by cofactors along the first row, over any ring."""
-    if len(m) == 1:
-        return m[0][0]
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    det = None
-    for j, x in enumerate(m[0]):
-        t = x * _det([row[:j] + row[j + 1:] for row in m[1:]])
-        det = t if det is None else det - t if j % 2 else det + t
-    return det
 
 
 class PolarizationData:
@@ -337,8 +324,8 @@ class FamilyGroupElement:
         import mpmath
         with mpmath.workprec(prec):
             tau = as_complex(tau)
-            num, j = _apply(_mpf_matrix(embed(self.gamma), prec), tau)
-            lt = _apply(_mpf_matrix(embed(self.lam), prec), tau)
+            num, j = _apply(_mpf_matrix(embed(self.gamma)), tau)
+            lt = _apply(_mpf_matrix(embed(self.lam)), tau)
             return (tuple((as_complex(w) + v) / j for w, v in zip(z, lt)),
                     num / j)
 
@@ -358,8 +345,8 @@ def automorphy_factor(g, z, tau, prec=DEFAULT_PRECISION):
     import mpmath
     with mpmath.workprec(prec):
         tau = as_complex(tau)
-        L = _mpf_matrix(embed(g.lam), prec)
-        c, d = _mpf_matrix(embed(g.gamma), prec)[1]
+        L = _mpf_matrix(embed(g.lam))
+        c, d = _mpf_matrix(embed(g.gamma))[1]
         j = c * tau + d
         lt = _apply(L, tau)
         A = mpmath.zeros(3, 3)

@@ -98,6 +98,29 @@ def test_cm_enumerate(capsys):
         assert err.startswith("invalid input: --window")
 
 
+@pytest.mark.parametrize("prec", ["16", "128"])
+def test_cm_window_is_read_exactly(monkeypatch, capsys, prec):
+    # the edges are decimals, echoed as written at every precision
+    monkeypatch.setenv("FAKEELLIPTIC_PRECISION", prec)
+    code, report, _ = run(capsys, "cm", "enumerate", "--height", "2",
+                          "--window=-1.5,1.5,0.3,2")
+    assert code == 0
+    assert report["results"]["window"] == ["-1.5", "1.5", "0.3", "2.0"]
+    code, report, _ = run(capsys, "cm", "enumerate", "--height", "1",
+                          "--window=-1e5000,1e5000,1e-5000,2")
+    assert code == 0 and report["results"]["count"] == 3
+    assert report["results"]["window"] == ["-1.0e+5000", "1.0e+5000",
+                                           "1.0e-5000", "2.0"]
+    for window in ("0,1,1", "0,1,inf,2", "0,1,1/0,2"):
+        code, report, err = run(capsys, "cm", "enumerate", "--height", "1",
+                                f"--window={window}")
+        assert code == 2 and report is None
+        assert err.startswith("invalid input: --window: expected")
+    code, report, err = run(capsys, "curve", "split", "--mu=0,0,1")
+    assert code == 2 and report is None
+    assert err == "invalid input: --mu: expected 4 comma-separated values\n"
+
+
 def test_fiber_h0(capsys):
     code, report, _ = run(capsys, "fiber", "h0", "--tau", "i")
     assert code == 0

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -209,8 +210,9 @@ def test_enumerate_skips_scalars(max_order):
 
 def test_enumerate_window(max_order):
     all_pts = enumerate_cm_points(max_order, 1, prec=128)
-    boxed = enumerate_cm_points(max_order, 1, window=(-0.5, 0.5, 0.5, 1.5),
-                                prec=128)
+    half = Fraction(1, 2)
+    boxed = enumerate_cm_points(max_order, 1, prec=128,
+                                window=(-half, half, half, 3 * half))
     assert {p.quad_key() for p in boxed} <= {p.quad_key() for p in all_pts}
     assert any(abs(p.tau.tau - I) < EPS for p in boxed)
     assert enumerate_cm_points(max_order, 1, window=(5, 6, 5, 6), prec=128) == []
@@ -222,6 +224,15 @@ def test_in_window_is_closed():
     assert in_window(mpmath.mpc(1, 1), (1, 2, 1, 2))
     assert not in_window(mpmath.mpc(0.99, 1), (1, 2, 1, 2))
     assert in_window(mpmath.mpc(1, 1), None)
+
+
+def test_in_window_compares_the_rounded_tau_exactly():
+    # the double 0.3 lies below the edge 3/10, an mpc of exactly 1/2 on it
+    tenths = (Fraction(-1), Fraction(1), Fraction(3, 10), Fraction(1))
+    assert not in_window(mpmath.mpc(0, 0.3), tenths)
+    assert in_window(mpmath.mpc(0, 0.5), (-1, 1, Fraction(1, 2), 1))
+    assert in_window(mpmath.mpc(0, 1.0000000000000002), (0, 0, 1, 2))
+    assert not in_window(mpmath.mpc(0, 1.0000000000000002), (0, 0, 0, 1))
 
 
 def test_conjugation_consistency(params, max_order):
@@ -271,7 +282,7 @@ def _point_fields(pt):
 # the window edges Re = 0, Im = 1/2 and Im = 1 pass through CM points of
 # (3, -1), such as i and (sqrt 3 + i) / 2
 ORACLE_CASES = [((3, -1), h, w) for h in (1, 2, 3)
-                for w in (None, (0, 1.5, 0.5, 1))]
+                for w in (None, (0, Fraction(3, 2), Fraction(1, 2), 1))]
 ORACLE_CASES += [(ab, h, None) for ab in ((3, -7), (2, -5), (7, -57), (13, -10))
                  for h in (1, 2)]
 # one larger scan: 2401 box elements and 23 points, about 1 s with the oracle
@@ -287,8 +298,6 @@ def _case_id(case):
                          ids=[_case_id(c) for c in ORACLE_CASES])
 def test_enumerate_matches_bruteforce(ab, height, window):
     order = saturate(standard_order(AlgebraParams(*ab)))
-    if window is not None:
-        window = tuple(mpmath.mpf(w) for w in window)
     got = enumerate_cm_points(order, height, window, 128)
     want = enumerate_cm_points_bruteforce(order, height, window, 128)
     assert [_point_fields(p) for p in got] == [_point_fields(p) for p in want]

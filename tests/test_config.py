@@ -149,6 +149,7 @@ def test_complex_pair():
     assert complex_pair(parse_complex("0.3+1i")) == {
         "re": mpmath.nstr(mpmath.mpf(0.3), 20), "im": "1.0"}
     assert complex_pair(parse_complex("0.3,1")) == {"re": "0.3", "im": "1.0"}
+    assert complex_pair(mpmath.mpf("0.5")) == {"re": "0.5", "im": "0.0"}
 
 
 def test_polarization_defaults_to_y(max_order):

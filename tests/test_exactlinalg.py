@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from fakeelliptic import exactlinalg
-from fakeelliptic.exactlinalg import (QuadComplex, QuadExt, decimal_str,
-                                      exact_det, exact_rank, exact_solve,
+from fakeelliptic.exactlinalg import (QuadComplex, QuadExt, cofactor_det,
+                                      decimal_str, exact_det, exact_rank,
+                                      exact_solve,
                                       fraction_sqrt, numeric_svd,
                                       precision_tolerance, solve_quadratic,
                                       to_mpf)
@@ -286,6 +287,13 @@ def test_decimal_str_of_a_rational_matches_mpmath(x, n):
         assert decimal_str(x, n) == mpmath.nstr(to_mpf(x), n)
 
 
+@pytest.mark.parametrize("text", ["1e5000", "-1.5e5000", "9.99999999999e5000",
+                                  "1e-5000", "2.5e100000"])
+def test_decimal_str_beyond_2_to_the_3500_matches_mpmath(text):
+    # a power of ten comes out first: no int prints beyond Python's limit
+    assert decimal_str(Fraction(text), 10) == mpmath.nstr(mpmath.mpf(text), 10)
+
+
 @SEEDED
 @given(st.fractions(max_denominator=10 ** 6).filter(lambda f: abs(f) < 10 ** 9),
        st.fractions(max_denominator=10 ** 6).filter(lambda f: abs(f) < 10 ** 9),
@@ -341,6 +349,50 @@ def test_quadcomplex_converts_both_ways():
     for bad in (complex("nan"), complex("inf"), mpmath.mpc("nan", 1)):
         with pytest.raises((ValueError, OverflowError)):
             QuadComplex.of(bad)
+
+
+def test_quadcomplex_of_takes_an_mpf():
+    assert QuadComplex.of(mpmath.mpf("0.5")) == Fraction(1, 2)
+    assert QuadComplex.of(mpmath.mpf(0)) == 0
+    with mp.workprec(16):
+        third = QuadComplex.of(to_mpf(Fraction(1, 3)))
+    assert third.imag == 0 and third.real == Fraction(43691, 2 ** 17)
+    # mpmath reads an infinity's tuple as the rational 0
+    for bad in (mpmath.mpf("inf"), mpmath.mpf("-inf"), mpmath.mpf("nan"),
+                mpmath.mpc("inf", 1), mpmath.mpc(1, "-inf")):
+        with pytest.raises(ValueError, match="not a finite number"):
+            QuadComplex.of(bad)
+
+
+@pytest.mark.parametrize("prec", [16, 128, 256])
+def test_to_mpf_rounds_a_quadext_as_numeric_does(prec):
+    values = [QuadExt(0, Fraction(1, 2), 3), QuadExt(Fraction(-7, 3), 5, 57),
+              QuadExt(1, Fraction(2, 7), Fraction(3, 4))]
+    with mp.workprec(prec):
+        for q in values:
+            assert to_mpf(q)._mpf_ == q.numeric(prec)._mpf_
+
+
+def test_exact_cm_point_rounds_through_mpc():
+    # (sqrt 3 + i)/2 with a QuadExt real part, through the _mpc_ hook
+    tau = QuadComplex(QuadExt(0, Fraction(1, 2), 3), Fraction(1, 2))
+    with mp.workprec(160):
+        z = mpmath.mpc(tau)
+        assert z.real == mpmath.sqrt(3) / 2 and z.imag == mpmath.mpf(0.5)
+        assert (z.real._mpf_, z.imag._mpf_) == tau._mpc_
+        back = QuadComplex.of(z)
+        assert back.imag == Fraction(1, 2) and to_mpf(back.real) == z.real
+
+
+def test_cofactor_det_matches_elimination():
+    rng = random.Random(18)
+    s = QuadExt(0, 1, 3)
+    for n in (1, 2, 3, 4):
+        for _ in range(20):
+            ints = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            assert cofactor_det(ints) == exact_det(frows(ints))
+            quad = [[x + rng.randint(-2, 2) * s for x in row] for row in ints]
+            assert cofactor_det(quad) == exact_det(quad)
 
 
 # the integer kernel against the reduced-Fraction reference `QuadRef`

@@ -8,7 +8,7 @@ from mpmath import mp
 from fakeelliptic import family
 from fakeelliptic.family import (FamilyGroupElement,
                                  PeriodLattice, PolarizationData,
-                                 UpperHalfPoint, automorphy_factor,
+                                 UpperHalfPoint, as_complex, automorphy_factor,
                                  canonical_degree_check, cocycle_check,
                                  complex_structure, default_rho,
                                  isogeny_lattice_check, moebius_act,
@@ -52,6 +52,16 @@ def test_upper_half_point_decides_an_exact_cm_tau():
     with pytest.raises(ValueError, match="upper half plane"):
         UpperHalfPoint(family.QuadComplex(0, root - 1))
     assert UpperHalfPoint(family.QuadComplex(0, 1 - root)).tau.imag == 1 - root
+
+
+def test_an_exact_cm_tau_rounds_to_an_mpc():
+    # the QuadExt real part reaches mpmath through to_mpf
+    with mp.workprec(160):
+        want = mpmath.mpc(mpmath.sqrt(3) / 2, 0.5)
+        assert mpmath.mpc(CM_TAU) == as_complex(CM_TAU) == want
+        assert as_complex(UpperHalfPoint(CM_TAU)) == want
+    assert repr(UpperHalfPoint(CM_TAU)) == (
+        "UpperHalfPoint((0.866025403784 + 0.5j))")
 
 
 def test_k_tau_refuses_a_tau_with_irrational_parts(params, max_order):

@@ -65,6 +65,20 @@ print("mpmath" in sys.modules)
     assert out.split() == ["True"]
 
 
+def test_a_bad_window_or_mu_exits_before_loading_mpmath():
+    out = _python("""
+import contextlib, io, sys
+from fakeelliptic import cli
+argvs = [["cm", "enumerate", "--height", "1", "--window=" + window]
+         for window in ("1,0,0,1", "0,1,1,0.5", "nan,1,0,1", "0,1")]
+for argv in argvs + [["curve", "split", "--mu=0,0,1"]]:
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 2, argv
+print("mpmath" in sys.modules)
+""")
+    assert out.split() == ["False"]
+
+
 def test_package_loads_numeric_modules_on_first_use():
     out = _python("""
 import sys

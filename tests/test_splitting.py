@@ -72,6 +72,13 @@ def test_fiber_h0_at_an_exact_cm_tau(max_order):
     assert res.h0 == 1
     assert res.det_witness == abs(max_order.embedding_det) == 6
     assert fiber_splitting_report(max_order, tau).verdict == "NonSplit"
+    # the periods round the exact tau at the given precision
+    rep = fiber_rep(max_order, tau, 160)
+    with mp.workprec(160):
+        t = mpmath.mpc(mpmath.sqrt(3) / 2, 0.5)
+        assert rep.periods == [family.complex_structure(g, t, 160)
+                               for g in max_order.generators()]
+    assert verify_sections(rep, res.sections, n_points=5, prec=160) < 1e-20
 
 
 def test_fiber_report(max_order):
