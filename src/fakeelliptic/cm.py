@@ -83,11 +83,6 @@ class CMPoint:
         self.char_poly = (mu.trd(), mu.nrd() if nrd is None else nrd)
         self.coords = coords
 
-    def quad_key(self):
-        """Monic exact quadratic of tau over Q(sqrt a): the dedup key."""
-        c2, c1, c0 = self.tau.quad
-        return (c1 / c2, c0 / c2)
-
     def __repr__(self):
         return (f"CMPoint(mu={_coords_str(self.mu.coords())}, "
                 f"tau={mpmath.nstr(self.tau.tau, 10)}, "

@@ -3,12 +3,14 @@
 Rationals are written as strings ("3", "-1", "3/2") so that exactness
 survives serialization; complex values entering through the command line
 use "re+im i" notation, parse to exact values and serialize to {re, im}
-pairs of decimal strings.  Unknown keys and malformed values fail with
-the line number.  `family` is imported only where it is used, and mpmath
-not at all, so that the exact commands never load them.
+pairs of decimal strings.  Every exact value is read by `_fraction`,
+which refuses a decimal exponent beyond MAX_EXPONENT.  The working
+precision comes only from the `precision` key, 128 bits by default.
+Unknown keys and malformed values fail with the line number.  `family`
+is imported only where it is used, and mpmath not at all, so that the
+exact commands never load them.
 """
 
-import os
 import re
 from fractions import Fraction
 
@@ -16,10 +18,13 @@ from .exactlinalg import DEFAULT_PRECISION, QuadComplex, decimal_str
 from .orders import NotAnOrder, OrderLattice, is_order, saturate, standard_order
 from .quaternions import AlgebraParams, QuatElement
 
-PRECISION_ENV = "FAKEELLIPTIC_PRECISION"
 # bits, read only by `cm enumerate` and `curve split`: on (3, -1) the 60
 # CM points at height 4 take 0.09 s at 4096 bits and 5.6 s at 65536
 MAX_PRECISION = 4096
+# the largest decimal exponent read; on a 2-vCPU VM, Fraction("1e10000")
+# takes 0.3 ms and Fraction("1e1000000") 0.6 s
+MAX_EXPONENT = 10000
+_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)$", re.IGNORECASE)
 # the default `tolerance`, echoed in every report; no verdict reads it
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 20)
 
@@ -30,8 +35,8 @@ algebra.b = -1
 order = saturate-from-standard
 # rho = y, the default polarization direction
 polarization.rho = 0, 0, 1, 0
-# precision defaults to 128 bits, or the FAKEELLIPTIC_PRECISION variable;
-# tolerance to 1/100000000000000000000 (echoed; no verdict reads it)
+# precision defaults to 128 bits and tolerance to
+# 1/100000000000000000000 (echoed; no verdict reads it)
 seed = 0
 """
 
@@ -49,10 +54,18 @@ class ConfigError(Exception):
 
 
 def _fraction(text, line=None):
+    """The exact rational of a decimal or "p/q" text, the one reader of
+    every exact value typed by a user; a decimal exponent beyond
+    MAX_EXPONENT is refused before `Fraction` builds its power of ten."""
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        exp = _EXPONENT.search(text)
+        if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
+            raise ConfigError(f"the exponent of {text!r} lies beyond "
+                              f"+-{MAX_EXPONENT}", line)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"expected an exact rational, got {text.strip()!r}",
+        raise ConfigError(f"expected an exact rational, got {text!r}",
                           line) from None
 
 
@@ -82,13 +95,17 @@ def parse_complex(text):
     s = text.strip().lower().replace(" ", "")
     try:
         if "," in s:
-            return QuadComplex(*(Fraction(p) for p in s.split(",", 1)))
+            return QuadComplex(*(_fraction(p) for p in s.split(",", 1)))
         s = s.replace("i", "j")
         z = QuadComplex.of(complex(s))
+        term = _IMAG_TERM.search(s)
+        underflow = z.ia == 0 and term and _fraction(term.group(1)) != 0
+    except ConfigError as exc:
+        raise ValueError(f"cannot parse complex value {text!r}: "
+                         f"{exc}") from None
     except (ValueError, OverflowError):
         raise ValueError(f"cannot parse complex value {text!r}") from None
-    term = _IMAG_TERM.search(s)
-    if z.ia == 0 and term and Fraction(term.group(1)) != 0:
+    if underflow:
         raise ValueError(f"the imaginary part of {text!r} underflows to 0 as "
                          "a double; write the value as re,im (as in "
                          "0.3,1e-400), which reads both decimals exactly")
@@ -108,7 +125,8 @@ class Config:
 
     def __init__(self, a=Fraction(3), b=Fraction(-1),
                  order_mode="saturate-from-standard", order_basis=None,
-                 rho_coords=None, precision=None, tolerance=None, seed=0):
+                 rho_coords=None, precision=DEFAULT_PRECISION, tolerance=None,
+                 seed=0):
         self.a = Fraction(a)
         self.b = Fraction(b)
         if order_mode not in _ORDER_MODES:
@@ -118,9 +136,6 @@ class Config:
         self.order_mode = order_mode
         self.order_basis = order_basis
         self.rho_coords = rho_coords
-        if precision is None:
-            env = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION))
-            precision = _integer(env, PRECISION_ENV)
         if precision < 16:
             raise ConfigError("precision must be at least 16 bits")
         if precision > MAX_PRECISION:

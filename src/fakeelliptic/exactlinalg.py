@@ -533,10 +533,13 @@ def exact_solve(rows, rhs):
 
 
 def _to_ap_matrix(rows):
+    """rows as an mpmath matrix: exact reals through `to_mpf`, anything
+    else (an mpc, a complex, a `QuadComplex`) through `mpmath.mpc`."""
     import mpmath
     if isinstance(rows, mpmath.matrix):
         return rows.copy()
-    return mpmath.matrix([[mpmath.mpmathify(x) for x in r] for r in rows])
+    return mpmath.matrix([[to_mpf(x) if isinstance(x, (int, Fraction, QuadExt))
+                           else mpmath.mpc(x) for x in r] for r in rows])
 
 
 def numeric_svd(m, prec=DEFAULT_PRECISION):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import math
 
 from .exactlinalg import (DEFAULT_PRECISION, QuadComplex, QuadExt, _quad,
-                          cofactor_det as _det, decimal_str, to_mpf)
+                          cofactor_det, decimal_str, to_mpf)
 from .orders import _gram, _integer_form
 from .quaternions import QuatElement, _product, embed
 
@@ -121,7 +121,7 @@ def _forms(order, c, M, scale):
     products = tuple([[sum(g * r for g, r in zip(row, col)) for col in N]
                       for row in num] for N in mats[1:])
     return (order, [[Fraction(x, den) for x in row] for row in num],
-            products, den * rden, Fraction(_det(num), den ** 4))
+            products, den * rden, Fraction(cofactor_det(num), den ** 4))
 
 
 class PolarizationData:
@@ -241,7 +241,7 @@ def riemann_conditions_check(lattice, pol):
         "witness": {"residual": str(nrd - 1)},
     }
 
-    minors = [_det([row[:k] for row in S[:k]]) for k in (1, 2, 3)]
+    minors = [cofactor_det([row[:k] for row in S[:k]]) for k in (1, 2, 3)]
     minors.append(QuadExt._over(det_g * nrd * nrd, Fraction(0), a))
     report["conditions"]["positive_definite"] = {
         "pass": asym == 0 and all(d.sign() > 0 for d in minors),

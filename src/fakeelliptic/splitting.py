@@ -30,52 +30,45 @@ class FlatRep:
     """Unipotent lattice representation rho(gen) = [[id, 0], [-v^t, 1]].
 
     generator_vectors holds one exact vector per generator (entries in
-    Q(sqrt a)); periods holds the corresponding lattice periods (pairs in
-    C^2 for a fiber, scalars for a curve).
+    Q(sqrt a)); periods holds the corresponding lattice periods, n-tuples
+    in C^n (n = 2 on a fiber, n = 1 on an elliptic curve).
     """
 
-    __slots__ = ("kind", "generator_vectors", "periods")
+    __slots__ = ("generator_vectors", "periods")
 
-    def __init__(self, kind, generator_vectors, periods):
-        self.kind = kind
+    def __init__(self, generator_vectors, periods):
         self.generator_vectors = generator_vectors
         self.periods = periods
 
-    def rho(self, coeffs, prec=DEFAULT_PRECISION):
-        """Numeric rho of the integer combination sum coeffs[i]*gen[i].
-
-        The shape makes rho additive in the vector, so the matrix for a
-        combination uses the combined vector directly.
-        """
+    def rho(self, i, prec=DEFAULT_PRECISION):
+        """Numeric rho of generator i."""
         import mpmath
         with mpmath.workprec(prec):
             R = mpmath.eye(3)
-            for c, vec in zip(coeffs, self.generator_vectors):
-                R[2, 0] -= c * to_mpf(vec[0])
-                R[2, 1] -= c * to_mpf(vec[1])
+            R[2, 0], R[2, 1] = (-to_mpf(v) for v in self.generator_vectors[i])
             return R
 
 
 def fiber_rep(order, tau, prec=DEFAULT_PRECISION):
     """One vector per order generator: the first column of its embedding."""
-    return FlatRep("fiber", [(E[0][0], E[1][0]) for E in order.embedding],
+    return FlatRep([(E[0][0], E[1][0]) for E in order.embedding],
                    [complex_structure(g, tau, prec) for g in order.generators()])
 
 
-class FiberSection:
-    """f = (f1, f2, a1 z1 + a2 z2 + b), the closed form of fiber sections,
-    with integer coefficients; `value` evaluates it in mpmath."""
+class Section:
+    """f = (f1, f2, sum a_i z_i + b) on C^n, the closed form of the flat
+    sections on a fiber (n = 2) and on an elliptic curve (n = 1).  The
+    fields are kept as given; `value` evaluates f in mpmath."""
 
-    __slots__ = ("f1", "f2", "a1", "a2", "b")
+    __slots__ = ("f1", "f2", "a", "b")
 
-    def __init__(self, f1, f2, a1, a2, b):
-        self.f1, self.f2, self.a1, self.a2, self.b = f1, f2, a1, a2, b
+    def __init__(self, f1, f2, a, b):
+        self.f1, self.f2, self.a, self.b = f1, f2, a, b
 
     def value(self, z):
         import mpmath
-        z1, z2 = mpmath.mpc(z[0]), mpmath.mpc(z[1])
-        return mpmath.matrix([self.f1, self.f2,
-                              self.a1 * z1 + self.a2 * z2 + self.b])
+        linear = sum(ai * zi for ai, zi in zip(self.a, z))
+        return mpmath.matrix([self.f1, self.f2, linear + self.b])
 
 
 class FiberH0:
@@ -111,35 +104,15 @@ def fiber_h0(order, tau, prec=DEFAULT_PRECISION):
     if cofactor_det(M) != order.embedding_det:
         raise InconsistentData(f"det M(tau) is not det S = {order.embedding_det}")
     witness = abs(order.embedding_det)
-    return FiberH0(1, witness, witness, [FiberSection(0, 0, 0, 0, 1)], prec)
+    return FiberH0(1, witness, witness, [Section(0, 0, (0, 0), 1)], prec)
 
 
 def curve_rep(mu, tau, tau_prime):
     """Generators tau' and 1 of the curve lattice, with their vectors."""
-    import mpmath
     M = embed(mu)
     rad = mu.params.a
-    one = QuadExt(1, 0, rad)
-    zero = QuadExt(0, 0, rad)
-    return FlatRep("curve",
-                   [(M[0][0], M[1][0]), (one, zero)],
-                   [as_complex(tau_prime), mpmath.mpc(1)])
-
-
-class CurveSection:
-    """f = (f1, f2, a z + b) on the covering line of the elliptic curve."""
-
-    __slots__ = ("f1", "f2", "a", "b")
-
-    def __init__(self, f1, f2, a, b):
-        import mpmath
-        self.f1, self.f2, self.a, self.b = (mpmath.mpc(f1), mpmath.mpc(f2),
-                                            mpmath.mpc(a), mpmath.mpc(b))
-
-    def value(self, z):
-        import mpmath
-        z = mpmath.mpc(z)
-        return mpmath.matrix([self.f1, self.f2, self.a * z + self.b])
+    vectors = [(M[0][0], M[1][0]), (QuadExt(1, 0, rad), QuadExt(0, 0, rad))]
+    return FlatRep(vectors, [(as_complex(tau_prime),), (1,)])
 
 
 class CurveH0:
@@ -168,7 +141,7 @@ def curve_h0(point, prec=DEFAULT_PRECISION):
         tprime = as_complex(point.tau_prime)
         f1 = mpmath.mpc(1)
         f2 = (tprime - m11) / m21
-        sections = [CurveSection(0, 0, 0, 1), CurveSection(f1, f2, -f1, 0)]
+        sections = [Section(0, 0, (0,), 1), Section(f1, f2, (-f1,), 0)]
         vec = mpmath.matrix([f1, f2])
         Mt = mpmath.matrix([[m11, m21], [m12, m22]])
         return CurveH0(2, sections, mpmath.norm(Mt * vec - tprime * vec))
@@ -196,17 +169,12 @@ def verify_sections(rep, sections, n_points=20, seed=0, prec=DEFAULT_PRECISION):
     rng = random.Random(seed)
     with mpmath.workprec(prec):
         worst = mpmath.mpf(0)
-        for idx, period in enumerate(rep.periods):
-            coeffs = [1 if i == idx else 0 for i in range(len(rep.periods))]
-            R = rep.rho(coeffs, prec)
+        for i, period in enumerate(rep.periods):
+            R = rep.rho(i, prec)
             for _ in range(n_points):
-                if rep.kind == "fiber":
-                    z = (mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                         mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)))
-                    zs = (z[0] + period[0], z[1] + period[1])
-                else:
-                    z = mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                    zs = z + period
+                z = [mpmath.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                     for _ in period]
+                zs = [zi + p for zi, p in zip(z, period)]
                 for s in sections:
                     worst = max(worst, mpmath.norm(s.value(zs) - R * s.value(z)))
         return worst
@@ -259,6 +227,6 @@ def curve_splitting_report(point, prec=DEFAULT_PRECISION):
             "citation": CITE_ELLIPTIC,
             "section": {"f1": mpmath.nstr(s.f1, 15),
                         "f2": mpmath.nstr(s.f2, 15),
-                        "a": mpmath.nstr(s.a, 15)}}
+                        "a": mpmath.nstr(s.a[0], 15)}}
     return SplittingReport("EllipticInFiber", "Split", h0=result.h0,
                            certificate=cert, dphi_value=dphi)

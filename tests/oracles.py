@@ -31,7 +31,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from fakeelliptic.cm import cm_point, in_window, is_elliptic
+from fakeelliptic.cm import (cm_point, fixed_point_quadratic, in_window,
+                             is_elliptic)
 from fakeelliptic.exactlinalg import (DEFAULT_PRECISION, _to_ap_matrix,
                                       _zero_like, exact_det, exact_rank,
                                       exact_rref, exact_solve, fraction_sqrt,
@@ -39,7 +40,7 @@ from fakeelliptic.exactlinalg import (DEFAULT_PRECISION, _to_ap_matrix,
 from fakeelliptic.family import PeriodLattice, as_complex
 from fakeelliptic.orders import NotAnOrder, OrderLattice, UnitSample
 from fakeelliptic.quaternions import QuatElement, _factorize, embed, ramified_primes
-from fakeelliptic.splitting import CurveH0, CurveSection
+from fakeelliptic.splitting import CurveH0, Section
 
 # residual tolerance of the numeric cocycle and canonical-degree oracles
 IDENTITY_TOL = Fraction(1, 10 ** 12)
@@ -365,6 +366,13 @@ def congruence_filter_bruteforce(units, N, L):
     return kept
 
 
+def quad_key(mu):
+    """The monic exact quadratic (c1/c2, c0/c2) over Q(sqrt a) of the
+    fixed point of mu, which identifies its CM point."""
+    c2, c1, c0 = fixed_point_quadratic(mu)
+    return c1 / c2, c0 / c2
+
+
 def enumerate_cm_points_bruteforce(order, height, window=None,
                                    prec=DEFAULT_PRECISION):
     """All CM points of elliptic elements with coordinates in [-height, height]^4.
@@ -388,7 +396,7 @@ def enumerate_cm_points_bruteforce(order, height, window=None,
         pt = cm_point(mu, prec, coords=coeffs)
         if not in_window(pt.tau, window):
             continue
-        key = pt.quad_key()
+        key = quad_key(pt.mu)
         rank = (sum(c * c for c in pt.coords), pt.coords)
         if key not in found or rank < found[key][0]:
             found[key] = (rank, pt)
@@ -460,12 +468,12 @@ def curve_h0_svd(point, prec=DEFAULT_PRECISION, tol=None):
         system = mpmath.matrix([[m11 - tprime, m21]])
         null = numeric_nullspace(system, tolv, prec)
         h0 = 1 + len(null)
-        sections = [CurveSection(0, 0, 0, 1)]
+        sections = [Section(0, 0, (0,), 1)]
         residual = mpmath.mpf(0)
         for _ in null:
             f1 = mpmath.mpc(1)
             f2 = (tprime - m11) / m21
-            sections.append(CurveSection(f1, f2, -f1, 0))
+            sections.append(Section(f1, f2, (-f1,), 0))
             vec = mpmath.matrix([f1, f2])
             Mt = mpmath.matrix([[m11, m21],
                                 [M[0][1].numeric(prec), M[1][1].numeric(prec)]])

@@ -6,6 +6,7 @@ import os
 import pstats
 import subprocess
 import sys
+import time
 import tomllib
 from collections import Counter
 from pathlib import Path
@@ -99,15 +100,16 @@ def test_cm_enumerate(capsys):
 
 
 @pytest.mark.parametrize("prec", ["16", "128"])
-def test_cm_window_is_read_exactly(monkeypatch, capsys, prec):
+def test_cm_window_is_read_exactly(tmp_path, capsys, prec):
     # the edges are decimals, echoed as written at every precision
-    monkeypatch.setenv("FAKEELLIPTIC_PRECISION", prec)
+    cfg = tmp_path / "prec.cfg"
+    cfg.write_text(f"precision = {prec}\n")
     code, report, _ = run(capsys, "cm", "enumerate", "--height", "2",
-                          "--window=-1.5,1.5,0.3,2")
+                          "--window=-1.5,1.5,0.3,2", str(cfg))
     assert code == 0
     assert report["results"]["window"] == ["-1.5", "1.5", "0.3", "2.0"]
     code, report, _ = run(capsys, "cm", "enumerate", "--height", "1",
-                          "--window=-1e5000,1e5000,1e-5000,2")
+                          "--window=-1e5000,1e5000,1e-5000,2", str(cfg))
     assert code == 0 and report["results"]["count"] == 3
     assert report["results"]["window"] == ["-1.0e+5000", "1.0e+5000",
                                            "1.0e-5000", "2.0"]
@@ -133,10 +135,11 @@ def test_fiber_h0(capsys):
 
 @pytest.mark.parametrize("prec", ["64", "128", "256"])
 @pytest.mark.parametrize("tau", ["0.3+1e-25i", "0.3+1e-200i"])
-def test_fiber_h0_near_the_real_axis(monkeypatch, capsys, prec, tau):
+def test_fiber_h0_near_the_real_axis(tmp_path, capsys, prec, tau):
     # the rank condition is exact, so no Im tau > 0 is too small for it
-    monkeypatch.setenv("FAKEELLIPTIC_PRECISION", prec)
-    code, report, err = run(capsys, "fiber", "h0", "--tau=" + tau)
+    cfg = tmp_path / "prec.cfg"
+    cfg.write_text(f"precision = {prec}\n")
+    code, report, err = run(capsys, "fiber", "h0", "--tau=" + tau, str(cfg))
     assert code == 0, err
     r = report["results"]
     assert r["h0"] == 1
@@ -250,19 +253,13 @@ def test_unwritable_out_exits_two(tmp_path, capsys, target):
     assert err == f"invalid input: cannot write --out {out}: {reason}\n"
 
 
-def test_precision_above_the_ceiling_exits_two(monkeypatch, capsys):
+def test_precision_above_the_ceiling_exits_two(tmp_path, capsys):
     # rejected while the config is read, before any computation starts
-    monkeypatch.setenv("FAKEELLIPTIC_PRECISION", "20000000")
-    code, report, err = run(capsys, "fiber", "h0", "--tau=i")
+    cfg = tmp_path / "prec.cfg"
+    cfg.write_text("precision = 20000000\n")
+    code, report, err = run(capsys, "fiber", "h0", "--tau=i", str(cfg))
     assert code == 2 and report is None
     assert err == "config error: precision must be at most 4096 bits\n"
-
-
-def test_env_precision_reaches_report(monkeypatch, capsys):
-    monkeypatch.setenv("FAKEELLIPTIC_PRECISION", "192")
-    code, report, _ = run(capsys, "algebra", "check")
-    assert code == 0
-    assert report["inputs"]["config"]["precision"] == "192"
 
 
 def test_order_commands_certify_each_lattice_once(tmp_path, capsys,
@@ -720,12 +717,37 @@ def test_height_above_the_cap_exits_two_before_any_scan(monkeypatch, capsys,
                    f"{(2 * cli.MAX_HEIGHT + 3) ** 4:,} vectors\n")
 
 
-def test_non_integer_precision_variable_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("FAKEELLIPTIC_PRECISION", "abc")
-    code, report, err = run(capsys, "classify")
+def test_non_integer_precision_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "prec.cfg"
+    cfg.write_text("seed = 1\nprecision = abc\n")
+    code, report, err = run(capsys, "classify", str(cfg))
     assert code == 2 and report is None
-    assert err == ("config error: FAKEELLIPTIC_PRECISION must be an "
-                   "integer, got 'abc'\n")
+    assert err == ("config error: line 2: precision must be an integer, "
+                   "got 'abc'\n")
+
+
+@pytest.mark.parametrize("argv,config,err", [
+    (["fiber", "h0", "--tau=0,1e1000000"], None,
+     "invalid input: cannot parse complex value '0,1e1000000': the exponent "
+     "of '1e1000000' lies beyond +-10000\n"),
+    (["cm", "enumerate", "--height", "1", "--window=0,1,0,1e1000000"], None,
+     "invalid input: --window: the exponent of '1e1000000' lies beyond "
+     "+-10000\n"),
+    (["algebra", "check"], "algebra.a = 1e1000000\n",
+     "config error: line 1: the exponent of '1e1000000' lies beyond "
+     "+-10000\n"),
+])
+def test_a_decimal_exponent_beyond_the_bound_exits_two(tmp_path, capsys,
+                                                       argv, config, err):
+    # unbounded, Fraction("1e1000000") alone takes 0.6 s to build
+    if config is not None:
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(config)
+        argv = argv + [str(cfg)]
+    start = time.perf_counter()
+    code, report, got = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and report is None and got == err
 
 
 def test_full_stdout_exits_one_with_one_line(monkeypatch, capsys):

@@ -5,8 +5,8 @@ import mpmath
 import pytest
 
 from fakeelliptic.config import (Config, ConfigError, DEFAULT_CONFIG_TEXT,
-                                 DEFAULT_TOLERANCE, MAX_PRECISION,
-                                 PRECISION_ENV, complex_pair,
+                                 DEFAULT_TOLERANCE, MAX_EXPONENT,
+                                 MAX_PRECISION, _fraction, complex_pair,
                                  config_from_dict, default_config,
                                  load_config, parse_complex, parse_config)
 from fakeelliptic.orders import (NotAnOrder, is_order, reduced_discriminant,
@@ -14,8 +14,7 @@ from fakeelliptic.orders import (NotAnOrder, is_order, reduced_discriminant,
 from fakeelliptic.quaternions import AlgebraParams, ramified_primes
 
 
-def test_default_config(monkeypatch):
-    monkeypatch.delenv(PRECISION_ENV, raising=False)
+def test_default_config():
     cfg = default_config()
     assert cfg.a == 3 and cfg.b == -1
     assert cfg.order_mode == "saturate-from-standard"
@@ -102,25 +101,33 @@ def test_validation_in_constructor():
             Config(**kwargs).algebra()
 
 
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv(PRECISION_ENV, "256")
-    assert default_config().precision == 256
-    # an explicit precision line wins over the environment
-    assert parse_config("precision = 64\n").precision == 64
-    monkeypatch.delenv(PRECISION_ENV)
-    assert default_config().precision == 128
+def test_every_exact_reader_bounds_the_exponent():
+    # Fraction("1e1000000") takes 0.6 s to build its power of ten, so
+    # exponents beyond MAX_EXPONENT are refused before it is built
+    assert MAX_EXPONENT == 10000
+    assert _fraction("1e10000") == 10 ** 10000
+    assert _fraction(" 1E-10_000 ") == Fraction(1, 10 ** 10000)
+    for text in ("1e10001", "-2.5E-1_000_000"):
+        with pytest.raises(ConfigError, match="lies beyond"):
+            _fraction(text)
+    for text in ("0,1e10001", "1e-20000,1", "0.3+1e-20000i"):
+        with pytest.raises(ValueError, match="cannot parse complex value "
+                           ".* lies beyond"):
+            parse_complex(text)
+    for line in ("algebra.b = -1e20000", "order.basis.1 = 1, 0, 0, 1e20000",
+                 "polarization.rho = 0, 0, 1e20000, 0",
+                 "tolerance = 1e-20000"):
+        with pytest.raises(ConfigError, match="line 2: the exponent"):
+            parse_config("seed = 1\n" + line + "\n")
 
 
-def test_precision_has_a_ceiling(monkeypatch):
+def test_precision_has_a_ceiling():
     assert Config(precision=MAX_PRECISION).precision == 4096
     for build in (lambda: Config(precision=MAX_PRECISION + 1),
                   lambda: parse_config("precision = 20000000\n")):
         with pytest.raises(ConfigError,
                            match="precision must be at most 4096 bits"):
             build()
-    monkeypatch.setenv(PRECISION_ENV, "20000000")
-    with pytest.raises(ConfigError, match="at most 4096 bits"):
-        default_config()
 
 
 def _parts(z):

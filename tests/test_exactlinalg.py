@@ -162,6 +162,21 @@ def test_numeric_svd_reconstructs():
         assert all(sigma[i] >= sigma[i + 1] for i in range(len(sigma) - 1))
 
 
+def test_numeric_svd_rounds_exact_entries_through_the_conversion_home():
+    # a QuadExt entry goes through to_mpf, a QuadComplex one through mpc
+    with mp.workprec(128):
+        eps = mpmath.mpf(2) ** -120
+        sigma, _ = numeric_svd([[QuadExt(1, 1, 3), 0], [0, 1]], 128)
+        want, _ = numeric_svd(mpmath.matrix([[1 + mpmath.sqrt(3), 0],
+                                             [0, 1]]), 128)
+        assert len(sigma) == 2
+        assert max(abs(s - w) for s, w in zip(sigma, want)) < eps
+        # |sqrt 3 + i| = 2
+        sigma, _ = numeric_svd([[QuadComplex(QuadExt(0, 1, 3), 1), 0],
+                                [0, Fraction(1, 2)]], 128)
+        assert abs(sigma[0] - 2) < eps and abs(sigma[1] - 0.5) < eps
+
+
 def test_numeric_nullspace_identity_empty():
     with mp.workprec(128):
         assert numeric_nullspace(mpmath.eye(3), mpmath.mpf(10) ** -20, 128) == []

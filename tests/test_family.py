@@ -521,7 +521,7 @@ def test_complex_structure_is_right_multiplication_by_k_tau(ab):
             assert mpmath.mnorm(R.T - P ** -1 * J_std * P) < mpmath.mpf(2) ** -200
         S = [[family.QuadExt._over(m * vy / F, (l * vx + n * vxy) / F, a)
               for vx, vy, vxy in zip(*rows)] for rows in zip(gx, gy, gxy)]
-        assert family._det(S) == det_g
+        assert family.cofactor_det(S) == det_g
         report = riemann_conditions_check(lattice, pol)
         minors = report["conditions"]["positive_definite"]["witness"][
             "leading_minors"]

@@ -10,7 +10,7 @@ from fakeelliptic import exactlinalg, family, splitting
 from fakeelliptic.cm import CMPoint, cm_point
 from fakeelliptic.family import random_tau
 from fakeelliptic.quaternions import QuatElement, embed
-from fakeelliptic.splitting import (CurveSection, InconsistentData,
+from fakeelliptic.splitting import (FlatRep, InconsistentData, Section,
                                     classify_candidate, curve_h0, curve_rep,
                                     curve_splitting_report, dphi_check,
                                     elliptic_family_fiber_h0, fiber_h0,
@@ -100,7 +100,7 @@ def test_curve_h0_pinned_y(params, max_order):
     s = res.sections[1]
     assert abs(s.f1 - 1) < EPS
     assert abs(s.f2 - I) < EPS
-    assert abs(s.a + 1) < EPS  # linear part -f1 * z
+    assert abs(s.a[0] + 1) < EPS  # linear part -f1 * z
     assert abs(dphi_check(s, pt.tau_prime) - 2 * I) < EPS
 
 
@@ -195,9 +195,26 @@ def test_verify_sections_rejects_wrong_section(params):
     y = QuatElement(params, 0, 0, 1)
     pt = cm_point(y, 128, coords=(0, 0, 1, 0))
     rep = curve_rep(pt.mu, pt.tau, pt.tau_prime)
-    bogus = CurveSection(1, 0.25, -1, 0)
+    bogus = Section(1, 0.25, (-1,), 0)
     worst = verify_sections(rep, [bogus], n_points=5, seed=0, prec=128)
     assert worst > mpmath.mpf(10) ** -6
+
+
+def test_fibers_and_curves_share_one_section_model(params, max_order):
+    # Section(f1, f2, a, b) is f = (f1, f2, sum a_i z_i + b) on C^n, with
+    # n = 2 on a fiber and n = 1 on a curve; every period is an n-tuple
+    assert list(Section(1, 2, (1, 10), 5).value((2, 3))) == [1, 2, 37]
+    res = fiber_h0(max_order, I, 128)
+    assert [(s.f1, s.f2, s.a, s.b)
+            for s in res.sections] == [(0, 0, (0, 0), 1)]
+    assert all(len(p) == 2 for p in fiber_rep(max_order, I, 128).periods)
+    pt = cm_point(QuatElement(params, 0, 0, 1), 128)
+    assert [len(s.a) for s in curve_h0(pt, 128).sections] == [1, 1]
+    rep = curve_rep(pt.mu, pt.tau, pt.tau_prime)
+    assert FlatRep.__slots__ == ("generator_vectors", "periods")
+    assert rep.periods == [(pt.tau_prime,), (1,)]
+    # rho(i) is rho of generator i: for the generator 1, v = (1, 0)
+    assert rep.rho(1) == mpmath.matrix([[1, 0, 0], [0, 1, 0], [-1, 0, 1]])
 
 
 def test_fiber_sections_verify(max_order):
