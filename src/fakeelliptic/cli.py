@@ -147,10 +147,10 @@ def _quad_pair(q):
     return [str(q.u), str(q.v)]
 
 
-def _four_values(option, text):
+def _four_values(option, text, printed=False):
     """The comma-separated values of --window or --mu, read exactly."""
     try:
-        return _fraction_list(text, 4)
+        return _fraction_list(text, 4, printed=printed)
     except ConfigError as exc:
         raise ValueError(f"{option}: {exc}") from None
 
@@ -197,7 +197,7 @@ def _cmd_fiber_h0(args, cfg):
 
 
 def _cmd_curve_split(args, cfg):
-    coords = _four_values("--mu", args.mu)
+    coords = _four_values("--mu", args.mu, printed=True)
     from . import cm as cm_points, splitting
     order = cfg.build_order()
     mu = quaternions.QuatElement(order.params, *coords)

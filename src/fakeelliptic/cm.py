@@ -95,12 +95,13 @@ def cm_point(mu, prec=DEFAULT_PRECISION, coords=None):
     mu and -mu have the same fixed point with conjugate eigenvalues, and
     Im tau' = C Im tau, so the sign with C = m - n sqrt(a) > 0 is kept.
     For elliptic mu that is the sign with m > 0: with a > 0 > b,
-    -b m^2 > a l^2 - a b n^2 >= -a b n^2 forces m^2 > a n^2.
+    -b m^2 > a l^2 - a b n^2 >= -a b n^2 forces m^2 > a n^2.  A mu that
+    is not elliptic keeps its sign, so NotElliptic names the mu given.
     """
-    if mu.m <= 0:
+    nrd = mu.nrd()  # = nrd(-mu)
+    if mu.m <= 0 and is_elliptic(mu, nrd):
         mu = -mu
         coords = tuple(-c for c in coords) if coords is not None else None
-    nrd = mu.nrd()
     tau = fixed_point(mu, prec, nrd)
     return CMPoint(mu, tau, eigenvalue_tau_prime(mu, tau, prec), coords, nrd)
 

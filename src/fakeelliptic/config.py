@@ -4,8 +4,10 @@ Rationals are written as strings ("3", "-1", "3/2") so that exactness
 survives serialization; complex values entering through the command line
 use "re+im i" notation, parse to exact values and serialize to {re, im}
 pairs of decimal strings.  Every exact value is read by `_fraction`,
-which refuses a decimal exponent beyond MAX_EXPONENT.  The working
-precision comes only from the `precision` key, 128 bits by default.
+which refuses a decimal exponent beyond MAX_EXPONENT, and refuses a
+config rational or `--mu` coordinate, which reports echo as a fraction,
+beyond MAX_DIGITS digits.  The working precision comes only from the
+`precision` key, 128 bits by default.
 Unknown keys and malformed values fail with the line number.  `family`
 is imported only where it is used, and mpmath not at all, so that the
 exact commands never load them.
@@ -25,6 +27,9 @@ MAX_PRECISION = 4096
 # takes 0.3 ms and Fraction("1e1000000") 0.6 s
 MAX_EXPONENT = 10000
 _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)$", re.IGNORECASE)
+# the most digits in a numerator or denominator that a report echoes with
+# `str`: Python's default int-to-str limit
+MAX_DIGITS = 4300
 # the default `tolerance`, echoed in every report; no verdict reads it
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 20)
 
@@ -53,20 +58,26 @@ class ConfigError(Exception):
         self.line = line
 
 
-def _fraction(text, line=None):
+def _fraction(text, line=None, printed=False):
     """The exact rational of a decimal or "p/q" text, the one reader of
     every exact value typed by a user; a decimal exponent beyond
-    MAX_EXPONENT is refused before `Fraction` builds its power of ten."""
+    MAX_EXPONENT is refused before `Fraction` builds its power of ten.
+    A value the report echoes with `str` (printed) is refused beyond
+    MAX_DIGITS digits in its numerator or denominator."""
     text = text.strip()
     try:
         exp = _EXPONENT.search(text)
         if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
             raise ConfigError(f"the exponent of {text!r} lies beyond "
                               f"+-{MAX_EXPONENT}", line)
-        return Fraction(text)
+        x = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"expected an exact rational, got {text!r}",
                           line) from None
+    if printed and max(abs(x.numerator), x.denominator) >= 10 ** MAX_DIGITS:
+        raise ConfigError(f"a numerator or denominator has more than "
+                          f"{MAX_DIGITS} digits", line)
+    return x
 
 
 def _integer(text, name, line=None):
@@ -77,11 +88,11 @@ def _integer(text, name, line=None):
                           line) from None
 
 
-def _fraction_list(text, count, line=None):
+def _fraction_list(text, count, line=None, printed=False):
     parts = [p for p in text.split(",")]
     if len(parts) != count:
         raise ConfigError(f"expected {count} comma-separated values", line)
-    return tuple(_fraction(p, line) for p in parts)
+    return tuple(_fraction(p, line, printed) for p in parts)
 
 
 # the imaginary term of "a+bi" notation, unsigned, as complex() reads it
@@ -239,15 +250,15 @@ def parse_config(text):
 
     kwargs = {}
     if (v := take("algebra.a")) is not None:
-        kwargs["a"] = _fraction(v, lines["algebra.a"])
+        kwargs["a"] = _fraction(v, lines["algebra.a"], printed=True)
     if (v := take("algebra.b")) is not None:
-        kwargs["b"] = _fraction(v, lines["algebra.b"])
+        kwargs["b"] = _fraction(v, lines["algebra.b"], printed=True)
 
     basis_rows = {}
     for i in (1, 2, 3, 4):
         key = f"order.basis.{i}"
         if (v := take(key)) is not None:
-            basis_rows[i] = _fraction_list(v, 4, lines[key])
+            basis_rows[i] = _fraction_list(v, 4, lines[key], printed=True)
     mode = take("order")
     if basis_rows:
         if sorted(basis_rows) != [1, 2, 3, 4]:
@@ -269,11 +280,12 @@ def parse_config(text):
         kwargs["order_mode"] = mode
 
     if (v := take("polarization.rho")) is not None:
-        kwargs["rho_coords"] = _fraction_list(v, 4, lines["polarization.rho"])
+        kwargs["rho_coords"] = _fraction_list(v, 4, lines["polarization.rho"],
+                                             printed=True)
     if (v := take("precision")) is not None:
         kwargs["precision"] = _integer(v, "precision", lines["precision"])
     if (v := take("tolerance")) is not None:
-        kwargs["tolerance"] = _fraction(v, lines["tolerance"])
+        kwargs["tolerance"] = _fraction(v, lines["tolerance"], printed=True)
     if (v := take("seed")) is not None:
         kwargs["seed"] = _integer(v, "seed", lines["seed"])
 

@@ -1,15 +1,16 @@
 """Exact and high-precision linear algebra kernel.
 
-Exact scalars are ``fractions.Fraction``, :class:`QuadExt` (u + v*sqrt(a)
-in a real quadratic field) and :class:`QuadComplex` (over Q(sqrt a)(i)).
-`QuadExt` and `QuadComplex` hold integer numerators over one common
-denominator, (A + B sqrt(R)) / d with R = num(a) den(a), and take no gcd
-in arithmetic: == cross-multiplies, `sign` reads the numerators, and only
-the rational parts (`QuadExt.u`, `.v`, `QuadComplex.real`, `.imag`), hash
-and the printers reduce.  Lattice ranks, membership and determinants are
-decided on integer forms (`orders.OrderLattice`); the elimination kernels
-`exact_rank`, `exact_det` and `exact_solve` stay here as references for
-the tests and the benchmark's tracer.
+Exact scalars are ``fractions.Fraction`` and the one kernel of
+Q(sqrt a)(i), :class:`QuadComplex`: integer numerators over one common
+denominator, (ra + rb sqrt(R)) / d + i (ia + ib sqrt(R)) / d with
+R = num(a) den(a), and no gcd in arithmetic: == cross-multiplies, and only
+the rational parts, hash and the printers reduce.  :class:`QuadExt`
+(u + v*sqrt(a) in a real quadratic field) is its real case, ia = ib = 0:
+it inherits the ring operations, any real result with a radicand is one,
+and it adds division and the exact `sign`.  Lattice ranks, membership
+and determinants are decided on integer forms (`orders.OrderLattice`);
+the elimination kernels `exact_rank`, `exact_det` and `exact_solve` stay
+here as references for the tests and the benchmark's tracer.
 
 Numeric work (CM points, curve sections) runs on mpmath at a
 binary precision that each numeric function takes as `prec`, 128 bits
@@ -76,176 +77,25 @@ def _ratio(x):
         return None
 
 
-def _quad(A, B, d, rad, R):
-    """(A + B sqrt(R)) / d over the radicand rad, for integers with d > 0."""
-    q = object.__new__(QuadExt)
-    q.A, q.B, q.d, q.rad, q.R = A, B, d, rad, R
-    return q
-
-
-class QuadExt:
-    """u + v*sqrt(rad) with u, v rational and rad a fixed nonsquare > 0.
-
-    The value is held as (A + B sqrt(R)) / d in integers, with d > 0 and
-    R = num(rad) den(rad), so v = B den(rad) / d.  Arithmetic never takes
-    a gcd: numerators over one denominator add, others cross-multiply.
-    == cross-multiplies and `sign` reads A and B; only `u`, `v`, hash
-    and the printers reduce.
-    """
-
-    __slots__ = ("A", "B", "d", "rad", "R")
-
-    def __init__(self, u, v, rad):
-        rad = Fraction(rad)
-        if rad <= 0 or fraction_sqrt(rad) is not None:
-            raise ValueError("radicand must be positive and not a rational square")
-        q = QuadExt._over(Fraction(u), Fraction(v), rad)
-        self.A, self.B, self.d, self.rad, self.R = q.A, q.B, q.d, rad, q.R
-
-    @classmethod
-    def _over(cls, u, v, rad):
-        """u + v*sqrt(rad) for rationals u, v and a radicand already checked:
-        v sqrt(rad) = (v / den(rad)) sqrt(R), over the lcm of denominators."""
-        ud, vd = u.denominator, v.denominator * rad.denominator
-        d = ud if ud == vd else ud * vd // math.gcd(ud, vd)
-        return _quad(u.numerator * (d // ud), v.numerator * (d // vd), d,
-                     rad, rad.numerator * rad.denominator)
-
-    @property
-    def u(self):
-        return Fraction(self.A, self.d)
-
-    @property
-    def v(self):
-        return Fraction(self.B * self.rad.denominator, self.d)
-
-    def _check(self, other):
-        if other.rad is not self.rad and other.rad != self.rad:
-            raise ValueError("mixed radicands")
-
-    def _sum(self, other, k):
-        """self + k other for k = 1 or -1."""
-        if isinstance(other, QuadExt):
-            self._check(other)
-            d, e = self.d, other.d
-            if d == e:
-                return _quad(self.A + k * other.A, self.B + k * other.B, d,
-                             self.rad, self.R)
-            return _quad(self.A * e + k * other.A * d,
-                         self.B * e + k * other.B * d, d * e, self.rad, self.R)
-        r = _ratio(other)
-        if r is None:
-            return NotImplemented
-        n, m = r
-        return _quad(self.A * m + k * n * self.d, self.B * m, self.d * m,
-                     self.rad, self.R)
-
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __neg__(self):
-        return _quad(-self.A, -self.B, self.d, self.rad, self.R)
-
-    def __mul__(self, other):
-        if isinstance(other, QuadExt):
-            self._check(other)
-            A, B, R = self.A, self.B, self.R
-            return _quad(A * other.A + R * B * other.B,
-                         A * other.B + B * other.A, self.d * other.d,
-                         self.rad, R)
-        r = _ratio(other)
-        if r is None:
-            return NotImplemented
-        n, m = r
-        return _quad(self.A * n, self.B * n, self.d * m, self.rad, self.R)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        """d (A - B sqrt(R)) / (A^2 - R B^2)."""
-        A, B, d = self.A, self.B, self.d
-        nm = A * A - self.R * B * B
-        if nm == 0:
-            raise ZeroDivisionError("zero element of the quadratic field")
-        s = 1 if nm > 0 else -1
-        return _quad(s * A * d, -s * B * d, s * nm, self.rad, self.R)
-
-    def __truediv__(self, other):
-        if isinstance(other, QuadExt):
-            return self * other.inverse()
-        r = _ratio(other)
-        if r is None:
-            return NotImplemented
-        return self * Fraction(r[1], r[0])
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def conjugate(self):
-        return _quad(self.A, -self.B, self.d, self.rad, self.R)
-
-    def is_zero(self):
-        return self.A == 0 and self.B == 0
-
-    def sign(self):
-        """-1, 0 or 1, exactly: t -> t |t| is increasing and d > 0, so the
-        value has the sign of A |A| + R B |B|."""
-        A, B = self.A, self.B
-        s = A * abs(A) + self.R * B * abs(B)
-        return (s > 0) - (s < 0)
-
-    def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            return ((other.rad is self.rad or other.rad == self.rad)
-                    and self.A * other.d == other.A * self.d
-                    and self.B * other.d == other.B * self.d)
-        r = _ratio(other)
-        if r is None:
-            return NotImplemented
-        return self.B == 0 and self.A * r[1] == r[0] * self.d
-
-    def __hash__(self):
-        return hash((self.u, self.v, self.rad))
-
-    def numeric(self, prec=DEFAULT_PRECISION):
-        """The mpf of u + v sqrt(rad) at prec bits, from the reduced u, v."""
-        import mpmath
-        with mpmath.workprec(prec):
-            return to_mpf(self.u) + to_mpf(self.v) * _sqrt(self.rad, prec)
-
-    def __repr__(self):
-        return f"({self.u} + {self.v}*sqrt({self.rad}))"
-
-
-@functools.lru_cache(maxsize=64)
-def _sqrt(rad, prec):
-    """sqrt(rad) as an mpf at prec bits, computed once per pair."""
-    import mpmath
-    with mpmath.workprec(prec):
-        return mpmath.sqrt(to_mpf(rad))
-
-
 def _complex(ra, rb, ia, ib, d, rad, R):
-    z = object.__new__(QuadComplex)
+    """(ra + rb sqrt(R)) / d + i (ia + ib sqrt(R)) / d, for integers with
+    d > 0: a `QuadExt` when the value is real and has a radicand."""
+    real = rad is not None and ia == 0 and ib == 0
+    z = object.__new__(QuadExt if real else QuadComplex)
     z.ra, z.rb, z.ia, z.ib, z.d, z.rad, z.R = ra, rb, ia, ib, d, rad, R
     return z
 
 
+def _quad(A, B, d, rad, R):
+    """(A + B sqrt(R)) / d over the radicand rad, for integers with d > 0."""
+    return _complex(A, B, 0, 0, d, rad, R)
+
+
 def _lift(x):
-    """x as a QuadComplex: a QuadComplex, a QuadExt or a rational (a float
-    exactly); None for any other type."""
+    """x as a QuadComplex: a QuadComplex (a QuadExt among them) or a
+    rational (a float exactly); None for any other type."""
     if isinstance(x, QuadComplex):
         return x
-    if isinstance(x, QuadExt):
-        return _complex(x.A, x.B, 0, 0, x.d, x.rad, x.R)
     r = _ratio(x)
     return None if r is None else _complex(r[0], 0, 0, 0, r[1], None, 0)
 
@@ -262,9 +112,11 @@ def _radicand(x, y):
 class QuadComplex:
     """real + i imag, each part rational or in Q(sqrt rad) for one radicand.
 
-    Held like `QuadExt`, over one denominator: real = (ra + rb sqrt(R)) / d
-    and imag = (ia + ib sqrt(R)) / d.  With rational parts rad is None,
-    R = 0, and `mpmath.mpc(z)` rounds z through the `_mpc_` hook.
+    Held as real = (ra + rb sqrt(R)) / d and imag = (ia + ib sqrt(R)) / d
+    with R = num(rad) den(rad); numerators over one denominator add,
+    others cross-multiply.  A real result with a radicand is a `QuadExt`.
+    With rational parts rad is None, R = 0, and `mpmath.mpc(z)` rounds z
+    through the `_mpc_` hook.
     """
 
     __slots__ = ("ra", "rb", "ia", "ib", "d", "rad", "R")
@@ -279,21 +131,21 @@ class QuadComplex:
         self.ra, self.rb = re.ra * s - im.ia * t, re.rb * s - im.ib * t
         self.ia, self.ib = re.ia * s + im.ra * t, re.ib * s + im.rb * t
 
-    @classmethod
-    def of(cls, z):
+    @staticmethod
+    def of(z):
         """z itself, or the exact value of an mpc or an mpf (dyadic), a
         complex or a real number: the one conversion of mpmath and Python
         numbers to exact values.  A nan or an infinity raises ValueError
         or OverflowError."""
-        if isinstance(z, cls):
+        if isinstance(z, QuadComplex):
             return z
         if not (hasattr(z, "_mpc_") or hasattr(z, "_mpf_")):
-            return cls(z.real, z.imag)
+            return QuadComplex(z.real, z.imag)
         from mpmath.libmp import to_rational
         parts = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_,)
         if any(x[3] < 0 for x in parts):  # bc < 0: a nan or an infinity
             raise ValueError("not a finite number")
-        return cls(*(Fraction(*to_rational(x)) for x in parts))
+        return QuadComplex(*(Fraction(*to_rational(x)) for x in parts))
 
     def _part(self, A, B):
         if self.rad is None:
@@ -367,17 +219,109 @@ class QuadComplex:
         return (to_mpf(self.real)._mpf_, to_mpf(self.imag)._mpf_)
 
 
-def _floor_scaled(x, k):
-    """floor(x 2^k), k >= 0, exactly, for a rational or a QuadExt with B != 0.
+class QuadExt(QuadComplex):
+    """u + v*sqrt(rad) with u, v rational and rad a fixed nonsquare > 0.
 
-    With x = (A + B sqrt(R)) / d, B sqrt(R) is irrational, so A + B sqrt(R)
-    lies strictly between the integers A + floor(B sqrt(R)) and the next,
-    and the floor of x 2^k is (2^k A + floor(2^k B sqrt(R))) // d, the
-    root from math.isqrt.
+    The real case of `QuadComplex`, (ra + rb sqrt(R)) / d with ia = ib = 0,
+    so v = rb den(rad) / d; it adds what is real only: inverse, division,
+    the Galois conjugate, `sign` (read from ra and rb), hash and `numeric`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, u, v, rad):
+        rad = Fraction(rad)
+        if rad <= 0 or fraction_sqrt(rad) is not None:
+            raise ValueError("radicand must be positive and not a rational square")
+        q = QuadExt._over(Fraction(u), Fraction(v), rad)
+        self.ra, self.rb, self.ia, self.ib = q.ra, q.rb, 0, 0
+        self.d, self.rad, self.R = q.d, rad, q.R
+
+    @staticmethod
+    def _over(u, v, rad):
+        """u + v*sqrt(rad) for rationals u, v and a radicand already checked:
+        v sqrt(rad) = (v / den(rad)) sqrt(R), over the lcm of denominators."""
+        ud, vd = u.denominator, v.denominator * rad.denominator
+        d = ud if ud == vd else ud * vd // math.gcd(ud, vd)
+        return _quad(u.numerator * (d // ud), v.numerator * (d // vd), d,
+                     rad, rad.numerator * rad.denominator)
+
+    @property
+    def u(self):
+        return Fraction(self.ra, self.d)
+
+    @property
+    def v(self):
+        return Fraction(self.rb * self.rad.denominator, self.d)
+
+    def inverse(self):
+        """d (ra - rb sqrt(R)) / (ra^2 - R rb^2)."""
+        A, B, d = self.ra, self.rb, self.d
+        nm = A * A - self.R * B * B
+        if nm == 0:
+            raise ZeroDivisionError("zero element of the quadratic field")
+        s = 1 if nm > 0 else -1
+        return _quad(s * A * d, -s * B * d, s * nm, self.rad, self.R)
+
+    def __truediv__(self, other):
+        if isinstance(other, QuadExt):
+            return self * other.inverse()
+        r = _ratio(other)
+        if r is None:
+            return NotImplemented
+        return self * Fraction(r[1], r[0])
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def conjugate(self):
+        return _quad(self.ra, -self.rb, self.d, self.rad, self.R)
+
+    def is_zero(self):
+        return self.ra == 0 and self.rb == 0
+
+    def sign(self):
+        """-1, 0 or 1, exactly: t -> t |t| is increasing and d > 0, so the
+        value has the sign of ra |ra| + R rb |rb|."""
+        A, B = self.ra, self.rb
+        s = A * abs(A) + self.R * B * abs(B)
+        return (s > 0) - (s < 0)
+
+    def __hash__(self):
+        """A rational value (v = 0) hashes as its u, which it equals."""
+        if self.rb == 0:
+            return hash(self.u)
+        return hash((self.u, self.v, self.rad))
+
+    def numeric(self, prec=DEFAULT_PRECISION):
+        """The mpf of u + v sqrt(rad) at prec bits, from the reduced u, v."""
+        import mpmath
+        with mpmath.workprec(prec):
+            return to_mpf(self.u) + to_mpf(self.v) * _sqrt(self.rad, prec)
+
+    def __repr__(self):
+        return f"({self.u} + {self.v}*sqrt({self.rad}))"
+
+
+@functools.lru_cache(maxsize=64)
+def _sqrt(rad, prec):
+    """sqrt(rad) as an mpf at prec bits, computed once per pair."""
+    import mpmath
+    with mpmath.workprec(prec):
+        return mpmath.sqrt(to_mpf(rad))
+
+
+def _floor_scaled(x, k):
+    """floor(x 2^k), k >= 0, exactly, for a rational or a QuadExt with rb != 0.
+
+    With x = (ra + rb sqrt(R)) / d, rb sqrt(R) is irrational, so
+    ra + rb sqrt(R) lies strictly between the integers ra + floor(rb sqrt(R))
+    and the next, and the floor of x 2^k is (2^k ra + floor(2^k rb sqrt(R)))
+    // d, the root from math.isqrt.
     """
     if not isinstance(x, QuadExt):
         return (x.numerator << k) // x.denominator
-    A, B = x.A << k, x.B << k
+    A, B = x.ra << k, x.rb << k
     root = math.isqrt(B * B * x.R)
     return (A + (root if B > 0 else -root - 1)) // x.d
 
@@ -390,7 +334,7 @@ def decimal_str(x, n):
     floor, round half up at n digits.  So a dyadic x within 2^+-3500
     (a double, an mpf) prints exactly as its mpf does.  From 2^3500 up, a
     power of ten comes out of x first, as in `to_str`."""
-    if isinstance(x, QuadExt) and x.B == 0:
+    if isinstance(x, QuadExt) and x.rb == 0:
         x = x.u
     if x == 0:
         return "0.0"

@@ -560,7 +560,9 @@ def test_child_exit_codes_carry_their_messages(tmp_path):
     assert proc.stderr == b"config error: line 1: unknown key 'frobnicate'\n"
     proc = _child("curve", "split", "--mu=1,0,0,0")
     assert (proc.returncode, proc.stdout) == (1, b"")
-    assert proc.stderr.startswith(b"computation error: NotElliptic: ")
+    assert proc.stderr == (b"computation error: NotElliptic: QuatElement(1, "
+                           b"0, 0, 0) has no fixed point in the upper half "
+                           b"plane\n")
 
 
 def test_console_script_ends_through_run():
@@ -747,6 +749,38 @@ def test_a_decimal_exponent_beyond_the_bound_exits_two(tmp_path, capsys,
     start = time.perf_counter()
     code, report, got = run(capsys, *argv)
     assert time.perf_counter() - start < 1
+    assert code == 2 and report is None and got == err
+
+
+def _basis_with_huge_row(i):
+    rows = ["1, 0, 0, 0", "0, 1, 0, 0", "0, 0, 1, 0", "0, 0, 0, 1"]
+    rows[i - 1] = "1e5000, 0, 0, 0"
+    return "".join(f"order.basis.{j} = {r}\n" for j, r in enumerate(rows, 1))
+
+
+_DIGITS = "a numerator or denominator has more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("argv,config,err", [
+    (["classify"], "tolerance = 1e-5000\n", "config error: line 1: " + _DIGITS),
+    (["classify"], "algebra.a = 1e10000\n", "config error: line 1: " + _DIGITS),
+    *[(["order", "verify"], _basis_with_huge_row(i),
+       f"config error: line {i}: " + _DIGITS) for i in (1, 2, 3, 4)],
+    (["suite", "riemann", "--trials", "1"],
+     "polarization.rho = 0, 0, 1e5000, 0\n", "config error: line 1: " + _DIGITS),
+    (["curve", "split", "--mu=1e5000,0,1,0"], None,
+     "invalid input: --mu: " + _DIGITS),
+], ids=["tolerance", "algebra.a", "order.basis.1", "order.basis.2",
+        "order.basis.3", "order.basis.4", "polarization.rho", "mu"])
+def test_a_value_too_long_to_echo_exits_two(tmp_path, capsys, argv, config,
+                                            err):
+    # reports echo these values with str(), which Python refuses for an int
+    # beyond 4300 digits
+    if config is not None:
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(config)
+        argv = argv + [str(cfg)]
+    code, report, got = run(capsys, *argv)
     assert code == 2 and report is None and got == err
 
 

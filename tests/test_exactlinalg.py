@@ -7,12 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from fakeelliptic import exactlinalg
+from fakeelliptic.config import complex_pair
 from fakeelliptic.exactlinalg import (QuadComplex, QuadExt, cofactor_det,
                                       decimal_str, exact_det, exact_rank,
                                       exact_solve,
                                       fraction_sqrt, numeric_svd,
                                       precision_tolerance, solve_quadratic,
                                       to_mpf)
+from fakeelliptic.family import UpperHalfPoint
 from fakeelliptic.quaternions import AlgebraParams, QuatElement, embed
 from oracles import (QuadRef, exact_nullspace, laplace_det, numeric_nullspace,
                      rank_by_minors, reference_roots)
@@ -353,6 +355,26 @@ def test_quadcomplex_over_a_quadratic_field():
     assert 1 + s == QuadComplex(1 + s) and QuadComplex(1 + s) == 1 + s
 
 
+def test_quadext_is_the_real_case_of_quadcomplex():
+    assert issubclass(QuadExt, QuadComplex)
+    inherited = {"_sum", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__neg__", "__mul__", "__rmul__", "__eq__"}
+    assert not inherited & set(vars(QuadExt)) and "numeric" in vars(QuadExt)
+    # a real product of complex values with a radicand is a QuadExt
+    s = QuadExt(0, 1, 3)
+    six = QuadComplex(s, s) * QuadComplex(s, -s)
+    assert type(six) is QuadExt and six == 6 and six.sign() == 1
+    assert type(QuadComplex(2, 1) * QuadComplex(2, -1)) is QuadComplex
+    # a value with v = 0 hashes as the rational it equals
+    assert QuadExt(2, 0, 3) == 2 and len({QuadExt(2, 0, 3), Fraction(2)}) == 1
+    # the complex consumers take a QuadExt as a real complex value
+    x = QuadExt(1, 1, 3)
+    assert complex_pair(x) == {"re": "2.7320508075688772935", "im": "0.0"}
+    assert mpmath.mpc(x).real == to_mpf(x) and mpmath.mpc(x).imag == 0
+    with pytest.raises(ValueError, match="upper half plane"):
+        UpperHalfPoint(x)
+
+
 def test_quadcomplex_converts_both_ways():
     z = QuadComplex.of(mpmath.mpc(0.25, -3))
     assert (z.real, z.imag) == (Fraction(1, 4), -3)
@@ -453,10 +475,12 @@ def test_quadext_kernel_matches_the_fraction_reference(u1, v1, u2, v2, r, rad):
     if r != 0:
         cases.append((x / r, X * (1 / r)))
     for got, want in cases:
+        assert type(got) is QuadExt
         assert _same(got, want) and got.sign() == want.sign()
     assert (x == y) == (X == Y) and (x == r) == (X == R)
     assert x == QuadExt(u1, v1, rad) and x != x + QuadExt(0, 1, rad)
-    assert hash(x) == hash((X.u, X.v, X.rad)) == hash(QuadExt(u1, v1, rad))
+    want = hash(X.u) if X.v == 0 else hash((X.u, X.v, X.rad))
+    assert hash(x) == want == hash(QuadExt(u1, v1, rad))
     assert x.sign() == X.sign() and x.is_zero() == (X == 0)
 
 
@@ -485,7 +509,7 @@ def test_quadext_numeric_is_bit_identical_to_the_reduced_formula(prec):
                               Fraction(rng.randint(-99, 99), 7), rad))
     for q in values:
         x = _unreduced(q) * 3 - q * 2
-        assert (x.A, x.d) != (q.A, q.d)
+        assert (x.ra, x.d) != (q.ra, q.d)
         ref = QuadRef(q.u, q.v, q.rad).numeric(prec)
         assert x.numeric(prec)._mpf_ == q.numeric(prec)._mpf_ == ref._mpf_
 
