@@ -406,23 +406,19 @@ def _emit(report, out_path):
         sys.stdout.flush()
 
 
+# parsed fields not echoed under `inputs` (the config is echoed whole)
+_NOT_INPUTS = {"group", "action", "handler", "command", "config", "out"}
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else default_config()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    inputs = {"config": cfg.as_dict()}
-    for key in ("height", "congruence", "window", "tau", "mu", "genus",
-                "in_fiber", "degree", "ramification", "gc", "name", "trials"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            inputs[key] = getattr(args, key)
-
-    start = time.perf_counter()
-    try:
+        inputs = {"config": cfg.as_dict()}
+        inputs.update((k, v) for k, v in vars(args).items()
+                      if v is not None and k not in _NOT_INPUTS)
+        start = time.perf_counter()
         results, citations, ok = args.handler(args, cfg)
         elapsed = time.perf_counter() - start
         report = {"schema": 1, "command": args.command, "inputs": inputs,

@@ -4,10 +4,10 @@ Rationals are written as strings ("3", "-1", "3/2") so that exactness
 survives serialization; complex values entering through the command line
 use "re+im i" notation, parse to exact values and serialize to {re, im}
 pairs of decimal strings.  Every exact value is read by `_fraction`,
-which refuses a decimal exponent beyond MAX_EXPONENT, and refuses a
-config rational or `--mu` coordinate, which reports echo as a fraction,
-beyond MAX_DIGITS digits.  The working precision comes only from the
-`precision` key, 128 bits by default.
+which refuses a decimal exponent beyond MAX_EXPONENT; `_echoable`, which
+`_fraction` and `Config(...)` call, refuses a config rational or `--mu`
+coordinate (echoed as a fraction) beyond MAX_DIGITS digits.  The working
+precision comes only from the `precision` key, 128 bits by default.
 Unknown keys and malformed values fail with the line number.  `family`
 is imported only where it is used, and mpmath not at all, so that the
 exact commands never load them.
@@ -30,6 +30,7 @@ _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)$", re.IGNORECASE)
 # the most digits in a numerator or denominator that a report echoes with
 # `str`: Python's default int-to-str limit
 MAX_DIGITS = 4300
+_DIGITS_BOUND = 10 ** MAX_DIGITS
 # the default `tolerance`, echoed in every report; no verdict reads it
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 20)
 
@@ -74,7 +75,12 @@ def _fraction(text, line=None, printed=False):
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"expected an exact rational, got {text!r}",
                           line) from None
-    if printed and max(abs(x.numerator), x.denominator) >= 10 ** MAX_DIGITS:
+    return _echoable(x, line) if printed else x
+
+
+def _echoable(x, line=None):
+    """x, refused beyond MAX_DIGITS digits in numerator or denominator."""
+    if max(abs(x.numerator), x.denominator) >= _DIGITS_BOUND:
         raise ConfigError(f"a numerator or denominator has more than "
                           f"{MAX_DIGITS} digits", line)
     return x
@@ -138,13 +144,16 @@ class Config:
                  order_mode="saturate-from-standard", order_basis=None,
                  rho_coords=None, precision=DEFAULT_PRECISION, tolerance=None,
                  seed=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = _echoable(Fraction(a))
+        self.b = _echoable(Fraction(b))
         if order_mode not in _ORDER_MODES:
             raise ConfigError(f"order must be one of {_ORDER_MODES}")
         if order_mode == "explicit" and order_basis is None:
             raise ConfigError("explicit order needs the four basis rows")
         self.order_mode = order_mode
+        for row in (*(order_basis or ()), rho_coords or ()):
+            for c in row:
+                _echoable(Fraction(c))
         self.order_basis = order_basis
         self.rho_coords = rho_coords
         if precision < 16:
@@ -152,8 +161,8 @@ class Config:
         if precision > MAX_PRECISION:
             raise ConfigError(f"precision must be at most {MAX_PRECISION} bits")
         self.precision = precision
-        self.tolerance = Fraction(DEFAULT_TOLERANCE if tolerance is None
-                                  else tolerance)
+        tolerance = DEFAULT_TOLERANCE if tolerance is None else tolerance
+        self.tolerance = _echoable(Fraction(tolerance))
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
         self.seed = int(seed)

@@ -86,11 +86,6 @@ def _complex(ra, rb, ia, ib, d, rad, R):
     return z
 
 
-def _quad(A, B, d, rad, R):
-    """(A + B sqrt(R)) / d over the radicand rad, for integers with d > 0."""
-    return _complex(A, B, 0, 0, d, rad, R)
-
-
 def _lift(x):
     """x as a QuadComplex: a QuadComplex (a QuadExt among them) or a
     rational (a float exactly); None for any other type."""
@@ -101,11 +96,13 @@ def _lift(x):
 
 
 def _radicand(x, y):
-    """(rad, R) of a result of x and y; a rational value has rad None."""
+    """(rad, R) of a result of x and y; a rational meets any radicand."""
     if x.rad is y.rad or y.rad is None:
         return x.rad, x.R
-    if x.rad is None or x.rad == y.rad:
+    if x.rad is None or x.rad == y.rad or x.rb == x.ib == 0:
         return y.rad, y.R
+    if y.rb == y.ib == 0:
+        return x.rad, x.R
     raise ValueError("mixed radicands")
 
 
@@ -150,7 +147,7 @@ class QuadComplex:
     def _part(self, A, B):
         if self.rad is None:
             return Fraction(A, self.d)
-        return _quad(A, B, self.d, self.rad, self.R)
+        return _complex(A, B, 0, 0, self.d, self.rad, self.R)
 
     @property
     def real(self):
@@ -207,8 +204,9 @@ class QuadComplex:
         o = _lift(other)
         if o is None:
             return NotImplemented
-        if (self.rad is not o.rad and self.rad is not None
-                and o.rad is not None and self.rad != o.rad):
+        try:
+            _radicand(self, o)
+        except ValueError:
             return False
         d, e = self.d, o.d
         return (self.ra * e == o.ra * d and self.rb * e == o.rb * d
@@ -243,8 +241,8 @@ class QuadExt(QuadComplex):
         v sqrt(rad) = (v / den(rad)) sqrt(R), over the lcm of denominators."""
         ud, vd = u.denominator, v.denominator * rad.denominator
         d = ud if ud == vd else ud * vd // math.gcd(ud, vd)
-        return _quad(u.numerator * (d // ud), v.numerator * (d // vd), d,
-                     rad, rad.numerator * rad.denominator)
+        return _complex(u.numerator * (d // ud), v.numerator * (d // vd), 0,
+                        0, d, rad, rad.numerator * rad.denominator)
 
     @property
     def u(self):
@@ -261,7 +259,7 @@ class QuadExt(QuadComplex):
         if nm == 0:
             raise ZeroDivisionError("zero element of the quadratic field")
         s = 1 if nm > 0 else -1
-        return _quad(s * A * d, -s * B * d, s * nm, self.rad, self.R)
+        return _complex(s * A * d, -s * B * d, 0, 0, s * nm, self.rad, self.R)
 
     def __truediv__(self, other):
         if isinstance(other, QuadExt):
@@ -275,7 +273,7 @@ class QuadExt(QuadComplex):
         return self.inverse() * other
 
     def conjugate(self):
-        return _quad(self.ra, -self.rb, self.d, self.rad, self.R)
+        return _complex(self.ra, -self.rb, 0, 0, self.d, self.rad, self.R)
 
     def is_zero(self):
         return self.ra == 0 and self.rb == 0
@@ -312,18 +310,18 @@ def _sqrt(rad, prec):
 
 
 def _floor_scaled(x, k):
-    """floor(x 2^k), k >= 0, exactly, for a rational or a QuadExt with rb != 0.
+    """floor(x 2^k), k >= 0, exactly, for a rational or a QuadExt.
 
-    With x = (ra + rb sqrt(R)) / d, rb sqrt(R) is irrational, so
+    With x = (ra + rb sqrt(R)) / d and rb != 0, rb sqrt(R) is irrational, so
     ra + rb sqrt(R) lies strictly between the integers ra + floor(rb sqrt(R))
     and the next, and the floor of x 2^k is (2^k ra + floor(2^k rb sqrt(R)))
-    // d, the root from math.isqrt.
+    // d, the root from math.isqrt; rb = 0 gives root 0.
     """
     if not isinstance(x, QuadExt):
         return (x.numerator << k) // x.denominator
     A, B = x.ra << k, x.rb << k
     root = math.isqrt(B * B * x.R)
-    return (A + (root if B > 0 else -root - 1)) // x.d
+    return (A + (root if B >= 0 else -root - 1)) // x.d
 
 
 def decimal_str(x, n):
@@ -334,8 +332,6 @@ def decimal_str(x, n):
     floor, round half up at n digits.  So a dyadic x within 2^+-3500
     (a double, an mpf) prints exactly as its mpf does.  From 2^3500 up, a
     power of ten comes out of x first, as in `to_str`."""
-    if isinstance(x, QuadExt) and x.rb == 0:
-        x = x.u
     if x == 0:
         return "0.0"
     negative = (x.sign() if isinstance(x, QuadExt) else x) < 0

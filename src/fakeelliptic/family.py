@@ -12,7 +12,7 @@ decide over Q(sqrt a)(i); only the numeric functions import mpmath.
 from fractions import Fraction
 import math
 
-from .exactlinalg import (DEFAULT_PRECISION, QuadComplex, QuadExt, _quad,
+from .exactlinalg import (DEFAULT_PRECISION, QuadComplex, QuadExt, _complex,
                           cofactor_det, decimal_str, to_mpf)
 from .orders import _gram, _integer_form
 from .quaternions import QuatElement, _product, embed
@@ -228,7 +228,7 @@ def riemann_conditions_check(lattice, pol):
     l, m, n, K = _k_tau(lattice.tau.tau, order.params)
     # sqrt(a) = sqrt(R) / den(a)
     q, R = a.denominator, a.numerator * a.denominator
-    S = [[_quad(q * m * vy, l * vx + n * vxy, K * F * q, a, R)
+    S = [[_complex(q * m * vy, l * vx + n * vxy, 0, 0, K * F * q, a, R)
           for vx, vy, vxy in zip(*rows)] for rows in zip(gx, gy, gxy)]
     # nrd(k_tau) = a^2 (b n^2 - l^2) - b m^2 over K^2
     a1, b1, b2 = a.numerator, b.numerator, b.denominator

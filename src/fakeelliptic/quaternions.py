@@ -261,7 +261,7 @@ def _legendre(u, p):
 
 
 def _val_unit(n, p):
-    """(v_p(n), unit) for a nonzero integer n."""
+    """(v_p(n), unit) for a nonzero integer n; the unit keeps n's sign."""
     v = 0
     while n % p == 0:
         n //= p
@@ -284,21 +284,15 @@ def hilbert_symbol(a, b, p):
     if p == INFINITE_PLACE:
         return -1 if (sa < 0 and sb < 0) else 1
     p = int(p)
+    alpha, u = _val_unit(sa, p)
+    beta, v = _val_unit(sb, p)
     if p == 2:
-        alpha, u = _val_unit(abs(sa), 2)
-        beta, v = _val_unit(abs(sb), 2)
-        u = u if sa > 0 else -u
-        v = v if sb > 0 else -v
         eps_u = ((u - 1) // 2) % 2
         eps_v = ((v - 1) // 2) % 2
         om_u = ((u * u - 1) // 8) % 2
         om_v = ((v * v - 1) // 8) % 2
         e = eps_u * eps_v + alpha * om_v + beta * om_u
         return -1 if e % 2 else 1
-    alpha, u = _val_unit(abs(sa), p)
-    beta, v = _val_unit(abs(sb), p)
-    u = u if sa > 0 else -u
-    v = v if sb > 0 else -v
     e = alpha * beta * ((p - 1) // 2)
     s = (-1) ** (e % 2)
     if beta % 2:

@@ -191,9 +191,7 @@ def elliptic_family_fiber_h0(tau, prec=DEFAULT_PRECISION):
     """
     import mpmath
     with mpmath.workprec(prec):
-        t = as_complex(tau)
-        if not t.imag > 0:
-            raise ValueError("tau must lie in the upper half plane")
+        t = as_complex(UpperHalfPoint(tau))
         det = mpmath.det(mpmath.matrix([[1, t], [0, 1]]))
         return 1 if abs(det) > to_mpf(NONZERO_TOL) else 2
 

@@ -16,6 +16,7 @@ import pytest
 import fakeelliptic
 from fakeelliptic import cli, exactlinalg, orders
 from fakeelliptic.cli import main
+from fakeelliptic.config import default_config
 
 SRC = os.pathsep.join(filter(None, [
     str(Path(fakeelliptic.__file__).resolve().parents[1]),
@@ -782,6 +783,32 @@ def test_a_value_too_long_to_echo_exits_two(tmp_path, capsys, argv, config,
         argv = argv + [str(cfg)]
     code, report, got = run(capsys, *argv)
     assert code == 2 and report is None and got == err
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["algebra", "check"], {}),
+    (["order", "disc"], {}),
+    (["units", "--height", "1", "--congruence", "2"],
+     {"height": 1, "congruence": 2}),
+    (["cm", "enumerate", "--height", "1", "--window=-1,1,0.5,2"],
+     {"height": 1, "window": "-1,1,0.5,2"}),
+    (["fiber", "h0", "--tau", "i"], {"tau": "i"}),
+    (["curve", "split", "--mu", "0,0,1,0"], {"mu": "0,0,1,0"}),
+    (["classify"],
+     {"in_fiber": False, "degree": 0, "ramification": 0, "gc": 2}),
+    (["classify", "--genus", "3", "--degree", "2"],
+     {"genus": 3, "in_fiber": False, "degree": 2, "ramification": 0,
+      "gc": 2}),
+    (["suite", "riemann", "--trials", "1"], {"name": "riemann", "trials": 1}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_inputs_echo_each_given_option_and_the_config(tmp_path, capsys,
+                                                      argv, want):
+    # --out, the config path and the dispatch fields are not inputs
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    inputs = json.loads(out.read_text())["inputs"]
+    assert inputs.pop("config") == default_config().as_dict()
+    assert inputs == want
 
 
 def test_full_stdout_exits_one_with_one_line(monkeypatch, capsys):

@@ -221,6 +221,21 @@ def test_enumerate_window(max_order):
         enumerate_cm_points(max_order, 0, prec=128)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: in_window tests the rounded tau, and Im tau = 1/2 "
+    "computes as 0.5 - 2.9e-39, below the closed edge"))
+def test_enumerate_window_keeps_the_cm_points_on_its_edge(max_order):
+    half = Fraction(1, 2)
+    below = {p.coords: p for p in enumerate_cm_points(
+        max_order, 2, (-3 * half, 3 * half, Fraction(49, 100), 2))}
+    with mp.workprec(128):
+        for coords, sign in (((0, 1, 2, 0), 1), ((0, -1, 2, 0), -1)):
+            tau = (sign * mpmath.sqrt(3) + I) / 2
+            assert abs(below[coords].tau.tau - tau) < EPS
+    edge = enumerate_cm_points(max_order, 2, (-3 * half, 3 * half, half, 2))
+    assert {(0, 1, 2, 0), (0, -1, 2, 0)} <= {p.coords for p in edge}
+
+
 def test_in_window_is_closed():
     assert in_window(mpmath.mpc(1, 1), (1, 2, 1, 2))
     assert not in_window(mpmath.mpc(0.99, 1), (1, 2, 1, 2))

@@ -121,6 +121,31 @@ def test_every_exact_reader_bounds_the_exponent():
             parse_config("seed = 1\n" + line + "\n")
 
 
+_HUGE = Fraction(1, 10 ** 5000)
+_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"a": 1 / _HUGE},
+    {"b": -_HUGE},
+    {"tolerance": _HUGE},
+    {"order_mode": "explicit",
+     "order_basis": (_ROWS[0], _ROWS[1], (0, 0, _HUGE, 0), _ROWS[3])},
+    {"rho_coords": (0, 0, 1 / _HUGE, 0)},
+], ids=["a", "b", "tolerance", "order_basis", "rho_coords"])
+def test_config_refuses_a_value_too_long_to_echo(kwargs):
+    # the bound parse_config applies holds for a Config built directly
+    with pytest.raises(ConfigError,
+                       match="^a numerator or denominator has more than "
+                             "4300 digits$"):
+        Config(**kwargs)
+
+
+def test_config_takes_a_value_just_short_of_the_bound():
+    cfg = Config(tolerance=Fraction(1, 10 ** 4299), rho_coords=(0, 0, 1, 0))
+    assert parse_config(cfg.dumps()) == cfg
+
+
 def test_precision_has_a_ceiling():
     assert Config(precision=MAX_PRECISION).precision == 4096
     for build in (lambda: Config(precision=MAX_PRECISION + 1),

@@ -54,6 +54,20 @@ def test_quadext_validation():
         QuadExt(0, 0, 3).inverse()
 
 
+def test_a_rational_meets_any_radicand():
+    # 2 over sqrt 3 and 2 over sqrt 5 are both the rational 2
+    assert QuadExt(2, 0, 3) == QuadExt(2, 0, 5) == 2
+    assert QuadExt(2, 0, 3) + QuadExt(2, 0, 5) == 4
+    assert QuadExt(2, 0, 3) * QuadExt(1, 1, 5) == QuadExt(2, 2, 5)
+    assert QuadExt(1, 1, 5) + QuadExt(2, 0, 3) == QuadExt(3, 1, 5)
+    assert QuadComplex(QuadExt(1, 0, 3), 1) - QuadExt(1, 1, 5) \
+        == QuadComplex(QuadExt(0, -1, 5), 1)
+    assert QuadExt(1, 1, 3) != QuadExt(1, 1, 5)
+    assert QuadExt(1, 0, 3) != QuadExt(1, 1, 5)
+    with pytest.raises(ValueError, match="mixed radicands"):
+        QuadExt(1, 1, 3) + QuadExt(1, 1, 5)
+
+
 def test_quadext_sign_matches_the_numeric_value():
     rng = random.Random(3)
     assert QuadExt(0, 0, 3).sign() == 0
@@ -321,6 +335,26 @@ def test_decimal_str_beyond_2_to_the_3500_matches_mpmath(text):
 def test_decimal_str_of_a_quadext_matches_mpmath_at_512_bits(u, v, rad, n):
     q = QuadExt(u, v, rad)
     assert decimal_str(q, n) == mpmath.nstr(q.numeric(512), n)
+
+
+@pytest.mark.parametrize("n", [1, 5, 15, 20])
+def test_decimal_str_of_a_rational_quadext_matches_its_fraction(n):
+    # rb = 0 and ra / d unreduced, as arithmetic leaves them; +-2^-j, with
+    # 5^j of n + 1 digits, is a tie at n digits that a floor one too low
+    # rounds down
+    rng = random.Random(n)
+    j = next(j for j in range(100) if len(str(5 ** j)) == n + 1)
+    ties = [(6, 1), (1, 2 ** j), (-1, 2 ** j)]
+    for i in range(300):
+        k = rng.choice([1, 2, 3, 10, 2 ** 70])
+        num, den = ties[i] if i < len(ties) else (
+            rng.randint(-10 ** rng.randint(0, 30), 10 ** rng.randint(0, 30)),
+            rng.randint(1, 10 ** rng.randint(0, 30)))
+        rad = Fraction(rng.choice([2, 3, 5, 57, Fraction(3, 4)]))
+        q = exactlinalg._complex(k * num, 0, 0, 0, k * den, rad,
+                                 rad.numerator * rad.denominator)
+        assert isinstance(q, QuadExt) and q.rb == 0
+        assert decimal_str(q, n) == decimal_str(Fraction(num, den), n)
 
 
 def _dyadic(rng):

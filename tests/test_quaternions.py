@@ -141,6 +141,16 @@ def test_hilbert_cancelling_denominators():
         assert hilbert_symbol(a, b, p) == hilbert_solvable(a, b, p)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_hilbert_keeps_the_sign_of_each_unit(p):
+    # negative arguments, and multiples of p and of its square, on both sides
+    rng = random.Random(21)
+    values = [n for n in range(-36, 37) if n != 0]
+    for _ in range(150):
+        a, b = rng.choice(values), rng.choice(values)
+        assert hilbert_symbol(a, b, p) == hilbert_solvable(a, b, p), (a, b)
+
+
 def test_hilbert_matches_solubility_oracle():
     rng = random.Random(7)
     pairs = 0

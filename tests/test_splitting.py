@@ -286,7 +286,7 @@ def test_elliptic_family_fiber_h0():
     assert elliptic_family_fiber_h0(I, 128) == 1
     for _ in range(10):
         assert elliptic_family_fiber_h0(random_tau(rng), 128) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^point not in the upper half plane$"):
         elliptic_family_fiber_h0(mpmath.mpc(0, -1), 128)
 
 
