@@ -13,7 +13,6 @@ exactly the etale multisections do.
 
 import importlib
 
-from .classify import InconsistentData, SplittingReport, classify_candidate
 from .config import (Config, ConfigError, default_config, load_config,
                      parse_config)
 from .exactlinalg import ComputationError, DEFAULT_PRECISION, QuadExt
@@ -24,7 +23,7 @@ from .quaternions import (AlgebraParams, AlgebraSplit, QuatElement, embed,
                           hilbert_symbol, is_indefinite_division,
                           ramified_primes)
 
-# the modules beyond the exact core are imported on first use (cm loads mpmath)
+# loaded on first use, to keep the package import short; cm loads mpmath
 _NUMERIC = {
     "cm": ("CMPoint", "NotElliptic", "cm_point", "enumerate_cm_points",
            "fixed_point", "fixed_point_quadratic"),
@@ -32,7 +31,8 @@ _NUMERIC = {
                "UpperHalfPoint", "automorphy_factor", "cocycle_check",
                "default_rho", "moebius_act", "riemann_conditions_check",
                "riemann_form"),
-    "splitting": ("curve_h0", "dphi_check", "elliptic_family_fiber_h0",
+    "splitting": ("InconsistentData", "SplittingReport", "classify_candidate",
+                  "curve_h0", "dphi_check", "elliptic_family_fiber_h0",
                   "fiber_h0", "verify_sections"),
 }
 _LAZY = {name: module for module, names in _NUMERIC.items() for name in names}

@@ -21,7 +21,6 @@ import sys
 import time
 
 from . import orders, quaternions
-from .classify import classify_candidate
 from .config import (ConfigError, _fraction_list, complex_pair, default_config,
                      load_config, parse_complex)
 from .exactlinalg import ComputationError, QuadComplex, decimal_str
@@ -51,9 +50,6 @@ CITE_COCYCLE = ("The factor of automorphy satisfies the cocycle identity "
 CITE_ISOGENY = ("For a norm-one unit gamma, the period lattice at "
                 "gamma(tau) is (c tau + d)^-1 times the lattice at tau, so "
                 "the fibers over equivalent points are isomorphic.")
-CITE_ELLIPTIC_FAMILY = ("The fiber of the elliptic modular family also "
-                        "never splits, by the same two-generator system "
-                        "with determinant one.")
 
 
 # the largest --height of `units` and `cm enumerate`: their box holds
@@ -213,6 +209,7 @@ def _cmd_curve_split(args, cfg):
 
 
 def _cmd_classify(args, cfg):
+    from .splitting import classify_candidate
     report = classify_candidate(args.genus, args.in_fiber, args.degree,
                                 args.ramification, args.gc)
     return report.as_dict(), [report.certificate.get("citation", "")], True
@@ -277,7 +274,14 @@ def _cmd_suite(args, cfg):
     if args.trials > MAX_TRIALS:
         raise ValueError(f"--trials {args.trials} is above {MAX_TRIALS}")
     order = cfg.build_order()
-    units = functools.cache(lambda: orders.enumerate_units(order, 1))
+
+    @functools.cache
+    def units():
+        if found := orders.enumerate_units(order, 1):
+            return found
+        raise ComputationError("the box [-1, 1]^4 of basis coordinates "
+                               "holds no norm-one unit")
+
     names = list(_SUITES) if args.name == "all" else [args.name]
     results = {"suites": {}}
     citations = []

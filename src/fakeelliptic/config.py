@@ -8,9 +8,9 @@ which refuses a decimal exponent beyond MAX_EXPONENT; `_echoable`, which
 `_fraction` and `Config(...)` call, refuses a config rational or `--mu`
 coordinate (echoed as a fraction) beyond MAX_DIGITS digits.  The working
 precision comes only from the `precision` key, 128 bits by default.
-Unknown keys and malformed values fail with the line number.  `family`
-is imported only where it is used, and mpmath not at all, so that the
-exact commands never load them.
+Unknown keys, malformed values and values out of range fail with the
+line number.  `family` is imported only where it is used, and mpmath not
+at all, so that the exact commands never load them.
 """
 
 import re
@@ -87,11 +87,28 @@ def _echoable(x, line=None):
 
 
 def _integer(text, name, line=None):
+    if sum(c.isdigit() for c in text) > MAX_DIGITS:  # int() refuses it too
+        raise ConfigError(f"{name} has more than {MAX_DIGITS} digits", line)
     try:
         return int(text)
     except ValueError:
         raise ConfigError(f"{name} must be an integer, got {text!r}",
                           line) from None
+
+
+def _precision(bits, line=None):
+    if bits < 16:
+        raise ConfigError("precision must be at least 16 bits", line)
+    if bits > MAX_PRECISION:
+        raise ConfigError(f"precision must be at most {MAX_PRECISION} bits",
+                          line)
+    return bits
+
+
+def _tolerance(x, line=None):
+    if x <= 0:
+        raise ConfigError("tolerance must be positive", line)
+    return x
 
 
 def _fraction_list(text, count, line=None, printed=False):
@@ -156,15 +173,9 @@ class Config:
                 _echoable(Fraction(c))
         self.order_basis = order_basis
         self.rho_coords = rho_coords
-        if precision < 16:
-            raise ConfigError("precision must be at least 16 bits")
-        if precision > MAX_PRECISION:
-            raise ConfigError(f"precision must be at most {MAX_PRECISION} bits")
-        self.precision = precision
+        self.precision = _precision(precision)
         tolerance = DEFAULT_TOLERANCE if tolerance is None else tolerance
-        self.tolerance = _echoable(Fraction(tolerance))
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+        self.tolerance = _tolerance(_echoable(Fraction(tolerance)))
         self.seed = int(seed)
 
     # -- certified object builders
@@ -292,9 +303,11 @@ def parse_config(text):
         kwargs["rho_coords"] = _fraction_list(v, 4, lines["polarization.rho"],
                                              printed=True)
     if (v := take("precision")) is not None:
-        kwargs["precision"] = _integer(v, "precision", lines["precision"])
+        line = lines["precision"]
+        kwargs["precision"] = _precision(_integer(v, "precision", line), line)
     if (v := take("tolerance")) is not None:
-        kwargs["tolerance"] = _fraction(v, lines["tolerance"], printed=True)
+        line = lines["tolerance"]
+        kwargs["tolerance"] = _tolerance(_fraction(v, line, printed=True), line)
     if (v := take("seed")) is not None:
         kwargs["seed"] = _integer(v, "seed", lines["seed"])
 
@@ -302,11 +315,6 @@ def parse_config(text):
         key = next(iter(seen))
         raise ConfigError(f"unknown key {key!r}", lines[key])
     return Config(**kwargs)
-
-
-def config_from_dict(d):
-    """Inverse of Config.as_dict."""
-    return parse_config("".join(f"{k} = {v}\n" for k, v in d.items()))
 
 
 def load_config(path):

@@ -8,22 +8,24 @@ systems: the 4x4 fiber system whose nonzero determinant certifies
 non-splitting, and the single equation tau' f1 = mu_11 f1 + mu_21 f2
 providing the extra section that splits an elliptic curve.
 
-The exact classifier and the report type live in `classify`, which
-needs no mpmath; they are re-exported here.  Only the numeric functions
-import mpmath; the fiber verdict is exact.
+The classifier here settles any candidate submanifold by the case rules,
+with exact Riemann-Hurwitz bookkeeping.  Only the numeric functions
+import mpmath; the fiber verdict and the classifier are exact.
 """
 
 import random
 
-# the exact verdicts and citations, re-exported
-from .classify import (CITE_ELLIPTIC, CITE_ETALE, CITE_FIBER,  # noqa: F401
-                       CITE_GENUS, CITE_RAMIFIED, CITE_RATIONAL, CITE_SURFACE,
-                       InconsistentData, SplittingReport, classify_candidate)
-from .exactlinalg import (DEFAULT_PRECISION, NONZERO_TOL, QuadComplex,
-                          QuadExt, cofactor_det, decimal_str, to_mpf)
+from .config import complex_pair
+from .exactlinalg import (DEFAULT_PRECISION, NONZERO_TOL, ComputationError,
+                          QuadComplex, QuadExt, cofactor_det, decimal_str,
+                          to_mpf)
 from .family import (UpperHalfPoint, _mpf_matrix, as_complex,
                      complex_structure)
 from .quaternions import embed
+
+
+class InconsistentData(ComputationError):
+    pass
 
 
 class FlatRep:
@@ -198,6 +200,94 @@ def elliptic_family_fiber_h0(tau, prec=DEFAULT_PRECISION):
 
 # ---------------------------------------------------------------------------
 # verdicts
+
+
+class SplittingReport:
+    """Verdict plus the certificate that backs it."""
+
+    __slots__ = ("kind", "verdict", "h0", "certificate", "dphi_value")
+
+    def __init__(self, kind, verdict, h0=None, certificate=None,
+                 dphi_value=None):
+        self.kind = kind
+        self.verdict = verdict
+        self.h0 = h0
+        self.certificate = certificate if certificate is not None else {}
+        self.dphi_value = dphi_value
+
+    def as_dict(self):
+        out = {"kind": self.kind, "verdict": self.verdict, "h0": self.h0,
+               "certificate": dict(self.certificate)}
+        if self.dphi_value is not None:
+            out["dphi"] = complex_pair(self.dphi_value)
+        return out
+
+
+CITE_FIBER = ("A fiber never splits: the four lattice equations in "
+              "(f1, f2, a1, a2) have nonzero determinant, so the only flat "
+              "sections are the constant normal ones.")
+CITE_SURFACE = ("A surface that is neither a fiber nor the whole space "
+                "cannot split off its conormal direction: the candidates "
+                "are ball quotients, which are hyperbolic, or tori, which "
+                "admit no surjection onto a curve of genus at least two.")
+CITE_ELLIPTIC = ("An elliptic curve in a fiber splits: the restricted "
+                 "cotangent bundle has a two-dimensional space of flat "
+                 "sections and the differential is surjective on them.")
+CITE_ETALE = ("An etale multisection splits: the projection to the base "
+              "is unramified, so its differential splits off the pulled "
+              "back canonical direction.")
+CITE_RATIONAL = "The total space contains no rational curve."
+CITE_GENUS = ("A curve contained in a fiber splits only if its canonical "
+              "bundle has degree zero, forcing genus one.")
+CITE_RAMIFIED = ("A ramified multisection cannot split: the canonical "
+                 "degree comparison forces the ramification divisor to "
+                 "vanish.")
+
+
+def classify_candidate(genus, in_fiber, degree_over_C=0, ramification_degree=0,
+                       g_C=2):
+    """Splitting verdict for a candidate submanifold, by the case rules.
+
+    genus is None for a surface candidate (a fiber when in_fiber is set),
+    or the genus of a curve candidate.  Curves not contained in fibers
+    are multisections of degree degree_over_C with total ramification
+    ramification_degree; the Riemann-Hurwitz identity
+    2g - 2 = d (2 g_C - 2) + r is enforced exactly.
+    """
+    if g_C < 2:
+        raise InconsistentData("the base curve has genus at least 2")
+    if genus is None:
+        if in_fiber:
+            return SplittingReport("Fiber", "NonSplit", h0=1,
+                                   certificate={"citation": CITE_FIBER})
+        return SplittingReport("Other", "NonSplit",
+                               certificate={"citation": CITE_SURFACE})
+    if genus < 0:
+        raise InconsistentData("genus must be nonnegative")
+    if genus == 0:
+        return SplittingReport("Other", "NonSplit",
+                               certificate={"citation": CITE_RATIONAL})
+    if in_fiber:
+        if degree_over_C != 0 or ramification_degree != 0:
+            raise InconsistentData("a curve in a fiber does not cover the base")
+        if genus == 1:
+            return SplittingReport("EllipticInFiber", "Split", h0=2,
+                                   certificate={"citation": CITE_ELLIPTIC})
+        return SplittingReport("Other", "NonSplit",
+                               certificate={"citation": CITE_GENUS})
+    if degree_over_C < 1:
+        raise InconsistentData("a multisection covers the base with positive degree")
+    if ramification_degree < 0:
+        raise InconsistentData("ramification degree must be nonnegative")
+    expected = degree_over_C * (2 * g_C - 2) + ramification_degree
+    if 2 * genus - 2 != expected:
+        raise InconsistentData(
+            f"2g-2 = {2 * genus - 2} but the covering data give {expected}")
+    if ramification_degree == 0:
+        return SplittingReport("EtaleMultisection", "Split",
+                               certificate={"citation": CITE_ETALE})
+    return SplittingReport("Other", "NonSplit",
+                           certificate={"citation": CITE_RAMIFIED})
 
 
 def fiber_splitting_report(order, tau):

@@ -7,7 +7,6 @@ import pstats
 import subprocess
 import sys
 import time
-import tomllib
 from collections import Counter
 from pathlib import Path
 
@@ -260,7 +259,8 @@ def test_precision_above_the_ceiling_exits_two(tmp_path, capsys):
     cfg.write_text("precision = 20000000\n")
     code, report, err = run(capsys, "fiber", "h0", "--tau=i", str(cfg))
     assert code == 2 and report is None
-    assert err == "config error: precision must be at most 4096 bits\n"
+    assert err == ("config error: line 1: precision must be at most 4096 "
+                   "bits\n")
 
 
 def test_order_commands_certify_each_lattice_once(tmp_path, capsys,
@@ -323,6 +323,32 @@ def test_non_order_message_is_readable(tmp_path, capsys):
     assert "generator (0, 1, 0, 0) is not integral" in err
     assert "product (0, 1, 0, 0) * (0, 1, 0, 0) leaves the lattice" in err
     assert "Fraction(" not in err
+
+
+# an order of (3, -1) (reduced discriminant 12) with no norm-one unit in
+# the height-1 box of its basis coordinates
+UNITLESS_BOX_CONFIG = ("algebra.a = 3\nalgebra.b = -1\norder = explicit\n"
+                       "order.basis.1 = 19, 3, -6, 0\n"
+                       "order.basis.2 = 3, 1, -3, 0\n"
+                       "order.basis.3 = 3, 0, 1, 0\n"
+                       "order.basis.4 = 0, 3, -9, 1\n")
+
+
+@pytest.mark.parametrize("name", ["cocycle", "isogeny", "all"])
+def test_suite_without_a_height_one_unit_exits_one(tmp_path, capsys, name):
+    cfg = tmp_path / "explicit.cfg"
+    cfg.write_text(UNITLESS_BOX_CONFIG)
+    code, report, err = run(capsys, "order", "disc", str(cfg))
+    assert code == 0, err
+    assert report["results"]["reduced_discriminant"] == "12"
+    code, report, err = run(capsys, "suite", name, "--trials", "2", str(cfg))
+    assert code == 1 and report is None
+    assert err == ("computation error: ComputationError: the box [-1, 1]^4 "
+                   "of basis coordinates holds no norm-one unit\n")
+    # the Riemann suite draws no unit
+    code, report, err = run(capsys, "suite", "riemann", "--trials", "2",
+                            str(cfg))
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -567,6 +593,7 @@ def test_child_exit_codes_carry_their_messages(tmp_path):
 
 
 def test_console_script_ends_through_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     root = Path(__file__).resolve().parents[1]
     with open(root / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
@@ -727,6 +754,22 @@ def test_non_integer_precision_key_exits_two(tmp_path, capsys):
     assert code == 2 and report is None
     assert err == ("config error: line 2: precision must be an integer, "
                    "got 'abc'\n")
+
+
+@pytest.mark.parametrize("config,err", [
+    ("precision = 8\n", "line 1: precision must be at least 16 bits"),
+    ("tolerance = 0\n", "line 1: tolerance must be positive"),
+    ("tolerance = -1/2\n", "line 1: tolerance must be positive"),
+    ("precision = 128\nseed = 1" + "0" * 5000 + "\n",
+     "line 2: seed has more than 4300 digits"),
+], ids=["precision", "tolerance-zero", "tolerance-negative", "seed-digits"])
+def test_every_config_value_error_names_its_line(tmp_path, capsys, config,
+                                                 err):
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text(config)
+    code, report, got = run(capsys, "classify", str(cfg))
+    assert code == 2 and report is None
+    assert got == f"config error: {err}\n"
 
 
 @pytest.mark.parametrize("argv,config,err", [

@@ -6,9 +6,9 @@ import pytest
 
 from fakeelliptic.config import (Config, ConfigError, DEFAULT_CONFIG_TEXT,
                                  DEFAULT_TOLERANCE, MAX_EXPONENT,
-                                 MAX_PRECISION, _fraction, complex_pair,
-                                 config_from_dict, default_config,
-                                 load_config, parse_complex, parse_config)
+                                 MAX_DIGITS, MAX_PRECISION, _fraction,
+                                 complex_pair, default_config, load_config,
+                                 parse_complex, parse_config)
 from fakeelliptic.orders import (NotAnOrder, is_order, reduced_discriminant,
                                  standard_order)
 from fakeelliptic.quaternions import AlgebraParams, ramified_primes
@@ -27,7 +27,6 @@ def test_default_config():
 def test_round_trip():
     cfg = default_config()
     assert parse_config(cfg.dumps()) == cfg
-    assert config_from_dict(cfg.as_dict()) == cfg
 
 
 def test_parse_errors_carry_line_numbers():
@@ -84,9 +83,11 @@ def test_explicit_basis_is_certified():
 
 
 def test_validation_in_constructor():
-    with pytest.raises(ConfigError, match="precision"):
+    # the range rules parse_config applies with the key's line
+    with pytest.raises(ConfigError,
+                       match="^precision must be at least 16 bits$"):
         Config(precision=8)
-    with pytest.raises(ConfigError, match="tolerance"):
+    with pytest.raises(ConfigError, match="^tolerance must be positive$"):
         Config(tolerance=0)
     with pytest.raises(ConfigError, match="one of"):
         Config(order_mode="other")
@@ -144,6 +145,19 @@ def test_config_refuses_a_value_too_long_to_echo(kwargs):
 def test_config_takes_a_value_just_short_of_the_bound():
     cfg = Config(tolerance=Fraction(1, 10 ** 4299), rho_coords=(0, 0, 1, 0))
     assert parse_config(cfg.dumps()) == cfg
+
+
+@pytest.mark.parametrize("key", ["seed", "precision"])
+def test_an_integer_beyond_the_digit_bound_is_not_echoed(key):
+    # int() refuses it for its length; the message names the key, not text
+    for digits in ("1" + "0" * MAX_DIGITS, "-" + "9" * 5000,
+                   "0" * (MAX_DIGITS + 1)):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"{key} = {digits}\n")
+        assert str(exc.value) == (f"line 1: {key} has more than "
+                                  f"{MAX_DIGITS} digits")
+    assert parse_config("seed = " + "9" * MAX_DIGITS + "\n").seed == \
+        10 ** MAX_DIGITS - 1
 
 
 def test_precision_has_a_ceiling():
@@ -231,7 +245,7 @@ def test_default_tolerance_follows_the_precision(prec, tol):
     assert cfg.tolerance == tol
     assert parse_config(f"precision = {prec}\n").tolerance == tol
     assert cfg.as_dict()["tolerance"] == "1/100000000000000000000"
-    assert config_from_dict(cfg.as_dict()) == cfg
+    assert parse_config(cfg.dumps()) == cfg
 
 
 def test_tolerance_finer_than_the_precision_is_accepted():
@@ -240,7 +254,7 @@ def test_tolerance_finer_than_the_precision_is_accepted():
         cfg = Config(precision=prec, tolerance=tol)
         assert cfg.tolerance == tol
         assert cfg.as_dict()["tolerance"] == str(tol)
-        assert config_from_dict(cfg.as_dict()) == cfg
+        assert parse_config(cfg.dumps()) == cfg
     cfg = parse_config("precision = 64\ntolerance = 1/100000000000000000000\n")
     assert cfg.tolerance == Fraction(1, 10 ** 20)
     for text in ("tolerance = 0\n", "tolerance = -1/2\n"):

@@ -85,13 +85,16 @@ import sys
 import pytest
 
 import fakeelliptic
-print("mpmath" in sys.modules)
-from fakeelliptic.splitting import fiber_h0, elliptic_family_fiber_h0
-print(fakeelliptic.fiber_h0 is fiber_h0, "mpmath" in sys.modules)
+print("mpmath" in sys.modules, "fakeelliptic.splitting" in sys.modules)
+from fakeelliptic import classify_candidate as exported
+from fakeelliptic.splitting import (classify_candidate, fiber_h0,
+                                    elliptic_family_fiber_h0)
+print(fakeelliptic.fiber_h0 is fiber_h0, exported is classify_candidate,
+      "mpmath" in sys.modules)
 elliptic_family_fiber_h0(1j)
 print("mpmath" in sys.modules)
 """)
-    assert out.split() == ["False", "True", "False", "True"]
+    assert out.split() == ["False", "False", "True", "True", "False", "True"]
 
 
 def test_every_exported_name_resolves():
