@@ -1,7 +1,7 @@
 """CM points: fixed points of elliptic elements of the order.
 
-An element mu is elliptic when it is projectively nontrivial, nrd(mu) > 0
-and trd(mu)^2 < 4 nrd(mu); it then fixes a unique tau in the upper half
+An element mu is elliptic when trd(mu)^2 < 4 nrd(mu)
+(`quaternions.is_elliptic`); it then fixes a unique tau in the upper half
 plane, and mu_tau = tau' * (tau, 1)^t for the eigenvalue tau' = C tau + D.
 The fiber over such a tau is isogenous to a product of elliptic curves.
 """
@@ -16,7 +16,7 @@ from .exactlinalg import (ComputationError, DEFAULT_PRECISION, QuadComplex,
                           precision_tolerance, solve_quadratic)
 from .family import UpperHalfPoint, as_complex, complex_structure
 from .orders import _coords_str
-from .quaternions import embed
+from .quaternions import embed, is_elliptic
 
 
 class NotElliptic(ComputationError):
@@ -25,16 +25,6 @@ class NotElliptic(ComputationError):
 
 class EigenMismatch(ComputationError):
     pass
-
-
-def is_elliptic(mu, nrd=None):
-    """nrd, where given, is nrd(mu), computed once by the caller."""
-    if mu.is_zero():
-        raise ValueError("mu must be nonzero")
-    if mu.is_scalar():
-        return False
-    nrd = mu.nrd() if nrd is None else nrd
-    return nrd > 0 and mu.trd() ** 2 < 4 * nrd
 
 
 def fixed_point_quadratic(mu):

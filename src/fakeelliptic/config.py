@@ -31,6 +31,8 @@ _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)$", re.IGNORECASE)
 # `str`: Python's default int-to-str limit
 MAX_DIGITS = 4300
 _DIGITS_BOUND = 10 ** MAX_DIGITS
+# the most characters of a user's text that an error message echoes
+MAX_ECHO = 32
 # the default `tolerance`, echoed in every report; no verdict reads it
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 20)
 
@@ -59,6 +61,13 @@ class ConfigError(Exception):
         self.line = line
 
 
+def _shown(text):
+    """repr(text) for an error message: beyond MAX_ECHO, a prefix and length."""
+    if len(text) <= MAX_ECHO:
+        return repr(text)
+    return f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
+
+
 def _fraction(text, line=None, printed=False):
     """The exact rational of a decimal or "p/q" text, the one reader of
     every exact value typed by a user; a decimal exponent beyond
@@ -69,11 +78,11 @@ def _fraction(text, line=None, printed=False):
     try:
         exp = _EXPONENT.search(text)
         if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
-            raise ConfigError(f"the exponent of {text!r} lies beyond "
+            raise ConfigError(f"the exponent of {_shown(text)} lies beyond "
                               f"+-{MAX_EXPONENT}", line)
         x = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"expected an exact rational, got {text!r}",
+        raise ConfigError(f"expected an exact rational, got {_shown(text)}",
                           line) from None
     return _echoable(x, line) if printed else x
 
@@ -92,7 +101,7 @@ def _integer(text, name, line=None):
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {text!r}",
+        raise ConfigError(f"{name} must be an integer, got {_shown(text)}",
                           line) from None
 
 
@@ -109,6 +118,14 @@ def _tolerance(x, line=None):
     if x <= 0:
         raise ConfigError("tolerance must be positive", line)
     return x
+
+
+def _order_mode(mode, basis, line=None):
+    if mode not in _ORDER_MODES:
+        raise ConfigError(f"order must be one of {_ORDER_MODES}", line)
+    if mode == "explicit" and basis is None:
+        raise ConfigError("explicit order needs the four basis rows", line)
+    return mode
 
 
 def _fraction_list(text, count, line=None, printed=False):
@@ -135,13 +152,14 @@ def parse_complex(text):
         term = _IMAG_TERM.search(s)
         underflow = z.ia == 0 and term and _fraction(term.group(1)) != 0
     except ConfigError as exc:
-        raise ValueError(f"cannot parse complex value {text!r}: "
+        raise ValueError(f"cannot parse complex value {_shown(text)}: "
                          f"{exc}") from None
     except (ValueError, OverflowError):
-        raise ValueError(f"cannot parse complex value {text!r}") from None
+        raise ValueError(
+            f"cannot parse complex value {_shown(text)}") from None
     if underflow:
-        raise ValueError(f"the imaginary part of {text!r} underflows to 0 as "
-                         "a double; write the value as re,im (as in "
+        raise ValueError(f"the imaginary part of {_shown(text)} underflows to "
+                         "0 as a double; write the value as re,im (as in "
                          "0.3,1e-400), which reads both decimals exactly")
     return z
 
@@ -163,11 +181,7 @@ class Config:
                  seed=0):
         self.a = _echoable(Fraction(a))
         self.b = _echoable(Fraction(b))
-        if order_mode not in _ORDER_MODES:
-            raise ConfigError(f"order must be one of {_ORDER_MODES}")
-        if order_mode == "explicit" and order_basis is None:
-            raise ConfigError("explicit order needs the four basis rows")
-        self.order_mode = order_mode
+        self.order_mode = _order_mode(order_mode, order_basis)
         for row in (*(order_basis or ()), rho_coords or ()):
             for c in row:
                 _echoable(Fraction(c))
@@ -261,7 +275,7 @@ def parse_config(text):
         key = key.strip()
         value = value.strip()
         if key in seen:
-            raise ConfigError(f"duplicate key {key!r}", lineno)
+            raise ConfigError(f"duplicate key {_shown(key)}", lineno)
         seen[key] = value
         lines[key] = lineno
 
@@ -291,13 +305,7 @@ def parse_config(text):
         kwargs["order_mode"] = "explicit"
         kwargs["order_basis"] = tuple(basis_rows[i] for i in (1, 2, 3, 4))
     elif mode is not None:
-        if mode not in _ORDER_MODES:
-            raise ConfigError(f"order must be one of {_ORDER_MODES}",
-                              lines["order"])
-        if mode == "explicit":
-            raise ConfigError("explicit order needs the four basis rows",
-                              lines["order"])
-        kwargs["order_mode"] = mode
+        kwargs["order_mode"] = _order_mode(mode, None, lines["order"])
 
     if (v := take("polarization.rho")) is not None:
         kwargs["rho_coords"] = _fraction_list(v, 4, lines["polarization.rho"],
@@ -313,7 +321,7 @@ def parse_config(text):
 
     if seen:
         key = next(iter(seen))
-        raise ConfigError(f"unknown key {key!r}", lines[key])
+        raise ConfigError(f"unknown key {_shown(key)}", lines[key])
     return Config(**kwargs)
 
 

@@ -257,13 +257,17 @@ def riemann_conditions_check(lattice, pol):
 # Moebius action and isogenies
 
 
+def _norm_one(gamma):
+    if gamma.nrd() != 1:
+        raise ValueError("gamma must have reduced norm 1")
+    return gamma
+
+
 def moebius_act(gamma, tau, prec=DEFAULT_PRECISION):
     """(a tau + b)/(c tau + d) for the embedded matrix of a norm-1 unit."""
     import mpmath
-    if gamma.nrd() != 1:
-        raise ValueError("Moebius action needs det 1 (reduced norm 1)")
     with mpmath.workprec(prec):
-        num, den = complex_structure(gamma, tau, prec)
+        num, den = complex_structure(_norm_one(gamma), tau, prec)
         return num / den
 
 
@@ -277,9 +281,7 @@ def isogeny_lattice_check(gamma, tau, order):
     O gamma = O iff R(gamma) is integral: with gamma_e = c_e / e and
     R(e) = N_e / den in integers, iff e den divides sum of c_e N_e.
     """
-    if gamma.nrd() != 1:
-        raise ValueError("Moebius action needs det 1 (reduced norm 1)")
-    coords = gamma.coords()
+    coords = _norm_one(gamma).coords()
     e = math.lcm(*(c.denominator for c in coords))
     cs = [c.numerator * (e // c.denominator) for c in coords]
     mats, den = order.right_multiplication
@@ -302,10 +304,8 @@ class FamilyGroupElement:
     __slots__ = ("lam", "gamma")
 
     def __init__(self, lam, gamma):
-        if gamma.nrd() != 1:
-            raise ValueError("gamma must have reduced norm 1")
         self.lam = lam
-        self.gamma = gamma
+        self.gamma = _norm_one(gamma)
 
     @classmethod
     def identity(cls, params):
@@ -324,8 +324,8 @@ class FamilyGroupElement:
         import mpmath
         with mpmath.workprec(prec):
             tau = as_complex(tau)
-            num, j = _apply(_mpf_matrix(embed(self.gamma)), tau)
-            lt = _apply(_mpf_matrix(embed(self.lam)), tau)
+            num, j = complex_structure(self.gamma, tau, prec)
+            lt = complex_structure(self.lam, tau, prec)
             return (tuple((as_complex(w) + v) / j for w, v in zip(z, lt)),
                     num / j)
 

@@ -14,7 +14,7 @@ import math
 
 from .exactlinalg import ComputationError
 from .quaternions import (AlgebraSplit, QuatElement, _factorize, _product,
-                          embed, ramified_primes)
+                          embed, is_elliptic, ramified_primes)
 
 
 class NotAnOrder(ComputationError):
@@ -163,7 +163,10 @@ def _gram(a, b, B, C=None):
 
 
 def _adjugate(m):
-    """(adj(m), det(m)) of a 4x4 integer matrix, by 3x3 cofactors."""
+    """(adj(m), det(m)) of a 4x4 integer matrix, by 3x3 cofactors written
+    out: with `exactlinalg.cofactor_det` a call takes 122 us against 51,
+    and saturating the standard order of (7, -57) 3.5 ms against 3.0
+    (Python 3.11 on a 2-vCPU VM)."""
     def cofactor(i, j):
         (p, q, r), (s, t, u), (v, w, z) = [
             [x for c, x in enumerate(row) if c != j]
@@ -311,14 +314,14 @@ def _adjoin_coset(L, q, disc):
 
 
 class UnitSample:
-    """An element of nrd 1 (proved by the caller), elliptic when trd^2 < 4."""
+    """An element of nrd 1 (proved by the caller), elliptic or not."""
 
     __slots__ = ("element", "is_elliptic", "coords")
 
     def __init__(self, element, coords):
         self.element = element
         self.coords = tuple(coords)
-        self.is_elliptic = element.trd() ** 2 < 4
+        self.is_elliptic = is_elliptic(element, 1)
 
     def __repr__(self):
         return f"UnitSample({self.element!r}, elliptic={self.is_elliptic})"

@@ -136,6 +136,14 @@ class QuatElement:
         return f"QuatElement({self.k}, {self.l}, {self.m}, {self.n})"
 
 
+def is_elliptic(mu, nrd=None):
+    """trd(mu)^2 < 4 nrd(mu), so mu is no scalar (trd^2 = 4 nrd) and
+    nrd(mu) > 0; nrd, where given, is nrd(mu), computed by the caller."""
+    if mu.is_zero():
+        raise ValueError("mu must be nonzero")
+    return mu.trd() ** 2 < 4 * (mu.nrd() if nrd is None else nrd)
+
+
 def _product(u, v, a, b):
     """The multiplication table: coordinates of u v over (1, x, y, xy)
     for x^2 = a and y^2 = b, on rational or integer coordinates."""

@@ -74,14 +74,11 @@ class Section:
 
 
 class FiberH0:
-    __slots__ = ("h0", "det_witness", "factored_det", "sections",
-                 "precision_used")
+    __slots__ = ("h0", "det_witness", "sections", "precision_used")
 
-    def __init__(self, h0, det_witness, factored_det, sections,
-                 precision_used):
+    def __init__(self, h0, det_witness, sections, precision_used):
         self.h0 = h0
         self.det_witness = det_witness
-        self.factored_det = factored_det
         self.sections = sections
         self.precision_used = precision_used
 
@@ -105,8 +102,8 @@ def fiber_h0(order, tau, prec=DEFAULT_PRECISION):
          for E in order.embedding]
     if cofactor_det(M) != order.embedding_det:
         raise InconsistentData(f"det M(tau) is not det S = {order.embedding_det}")
-    witness = abs(order.embedding_det)
-    return FiberH0(1, witness, witness, [Section(0, 0, (0, 0), 1)], prec)
+    return FiberH0(1, abs(order.embedding_det), [Section(0, 0, (0, 0), 1)],
+                   prec)
 
 
 def curve_rep(mu, tau, tau_prime):
@@ -293,8 +290,8 @@ def classify_candidate(genus, in_fiber, degree_over_C=0, ramification_degree=0,
 def fiber_splitting_report(order, tau):
     result = fiber_h0(order, tau)
     verdict = "NonSplit" if result.h0 == 1 else "Split"
-    cert = {"det_witness": decimal_str(result.det_witness, 15),
-            "factored_det": decimal_str(result.factored_det, 15),
+    witness = decimal_str(result.det_witness, 15)  # det M = det S
+    cert = {"det_witness": witness, "factored_det": witness,
             "citation": CITE_FIBER}
     return SplittingReport("Fiber", verdict, h0=result.h0, certificate=cert)
 

@@ -796,6 +796,31 @@ def test_a_decimal_exponent_beyond_the_bound_exits_two(tmp_path, capsys,
     assert code == 2 and report is None and got == err
 
 
+_LONG_NUMBER = "1" * 5000 + "x"
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["algebra", "check"], "seed = " + "x" * 10000 + "\n"),
+    (["algebra", "check"], "k" * 10000 + " = 1\n"),
+    (["algebra", "check"], ("k" * 10000 + " = 1\n") * 2),
+    (["algebra", "check"], "algebra.a = " + _LONG_NUMBER + "\n"),
+    (["fiber", "h0", "--tau=" + _LONG_NUMBER], None),
+    (["cm", "enumerate", "--height", "1", "--window=" + _LONG_NUMBER + ",1,0,1"],
+     None),
+    (["curve", "split", "--mu=" + _LONG_NUMBER + ",0,1,0"], None),
+], ids=["seed", "unknown-key", "duplicate-key", "algebra-a", "tau", "window",
+        "mu"])
+def test_malformed_long_text_is_echoed_as_a_short_prefix(tmp_path, capsys,
+                                                         argv, config):
+    if config is not None:
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(config)
+        argv = argv + [str(cfg)]
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report is None
+    assert err.count("\n") == 1 and len(err) < 200, err[:300]
+
+
 def _basis_with_huge_row(i):
     rows = ["1, 0, 0, 0", "0, 1, 0, 0", "0, 0, 1, 0", "0, 0, 0, 1"]
     rows[i - 1] = "1e5000, 0, 0, 0"

@@ -5,7 +5,9 @@ Each check runs in a fresh interpreter, since the test session itself
 has long imported mpmath.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,3 +105,49 @@ def test_every_exported_name_resolves():
     assert fakeelliptic.family.__name__ == "fakeelliptic.family"
     with pytest.raises(AttributeError, match="no_such_name"):
         fakeelliptic.no_such_name
+
+
+def _scoped_nodes(tree):
+    """(node, name of its innermost enclosing function or None)."""
+    stack = [(tree, None)]
+    while stack:
+        node, scope = stack.pop()
+        yield node, scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
+def _run_at_import(statements):
+    """The statements that run when their module is imported: all but the
+    bodies of functions."""
+    for node in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            for field in ("body", "orelse", "handlers", "finalbody"):
+                yield from _run_at_import(getattr(node, field, ()))
+
+
+def test_conversion_and_import_rules_hold_in_the_source():
+    # `.numeric(` is called only by `exactlinalg.to_mpf`, the one way from
+    # an exact value to an mpf, and only `cm` imports mpmath at module
+    # level: the other modules import it in their numeric functions
+    numeric_calls, mpmath_imports = [], []
+    for path in sorted(Path(SRC, "fakeelliptic").glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        for node in _run_at_import(tree.body):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(n and n.split(".")[0] == "mpmath" for n in names):
+                mpmath_imports.append(path.stem)
+        if not re.search(r"numeric\s*\(", text):
+            continue  # no call to walk for
+        for node, scope in _scoped_nodes(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "numeric"):
+                numeric_calls.append((path.stem, scope))
+    assert numeric_calls == [("exactlinalg", "to_mpf")]
+    assert sorted(set(mpmath_imports)) == ["cm"]

@@ -29,7 +29,6 @@ def test_fiber_h0_at_i(max_order):
     res = fiber_h0(max_order, I, 128)
     assert res.h0 == 1
     assert res.det_witness == 6
-    assert res.factored_det == 6
     assert len(res.sections) == 1  # constants only
 
 

@@ -3,9 +3,12 @@
 The sample is a fixed draw of SAMPLE_SIZE of the 2,290 indefinite
 division algebras (a, b) with 2 <= a <= 60 and -60 <= b <= -1, each
 built as the config builds it (squarefree presentation, saturated
-standard order).  The whole module takes about 2 s on a 2-vCPU VM
-(Python 3.11, pure-Python mpmath): the CM curves about half of it, the
-suites and the draw a quarter each.
+standard order).  Eight of them are rebuilt from non-squarefree and
+rational presentations, and the CM curves are checked at 16 and 128 bits
+and at one precision per algebra drawn from 16-256 bits.  The whole
+module takes about 3 s on a 2-vCPU VM (Python 3.11, pure-Python mpmath):
+the CM curves more than half of it, the suites and the draw a sixth
+each.
 """
 
 import contextlib
@@ -75,13 +78,41 @@ def test_fiber_h0_is_one_with_the_discriminant_as_witness(sample):
             assert res.h0 == 1 and res.det_witness == math.prod(ram), (a, b)
 
 
+def _cm_curves_split(order, prec, label):
+    for pt in enumerate_cm_points(order, 2, prec=prec):
+        report = curve_splitting_report(pt, prec)
+        assert report.verdict == "Split" and report.h0 == 2, label
+        assert report.dphi_value.imag > 0, (label, pt)
+
+
+def test_other_presentations_give_the_same_algebra(sample):
+    # a s^2, b t^2 and a / u^2 name the algebra (a, b) too: the config
+    # reduces them to the squarefree presentation before saturating
+    rng = random.Random(SEED)
+    tau = QuadComplex(Fraction(3, 10), Fraction(7, 5))
+    for a, b in rng.sample(sorted(sample), 8):
+        ram, order = sample[a, b]
+        witness = fiber_h0(order, tau).det_witness
+        s, t, u = (rng.choice((2, 3, 5, 6)) for _ in range(3))
+        for a2, b2 in ((a * s * s, b * t * t), (Fraction(a, u * u), b),
+                       (Fraction(a * s * s, u * u), Fraction(b, t * t))):
+            assert ramified_primes(AlgebraParams(a2, b2)) == ram, (a2, b2)
+            other = Config(a=a2, b=b2).build_order()
+            assert reduced_discriminant(other) == math.prod(ram), (a2, b2)
+            assert fiber_h0(other, tau).det_witness == witness, (a2, b2)
+
+
 @pytest.mark.parametrize("prec", [16, 128])
 def test_every_cm_curve_at_height_two_splits(sample, prec):
     for (a, b), (_, order) in sample.items():
-        for pt in enumerate_cm_points(order, 2, prec=prec):
-            report = curve_splitting_report(pt, prec)
-            assert report.verdict == "Split" and report.h0 == 2, (a, b)
-            assert report.dphi_value.imag > 0, (a, b, pt)
+        _cm_curves_split(order, prec, (a, b))
+
+
+def test_every_cm_curve_splits_at_a_drawn_precision(sample):
+    rng = random.Random(SEED)
+    for (a, b), (_, order) in sample.items():
+        prec = rng.randint(16, 256)
+        _cm_curves_split(order, prec, (a, b, prec))
 
 
 def test_all_suites_pass(sample, tmp_path):
