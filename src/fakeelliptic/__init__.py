@@ -23,7 +23,7 @@ from .quaternions import (AlgebraParams, AlgebraSplit, QuatElement, embed,
                           hilbert_symbol, is_indefinite_division,
                           ramified_primes)
 
-# loaded on first use, to keep the package import short; cm loads mpmath
+# loaded on first use, to keep the package import short
 _NUMERIC = {
     "cm": ("CMPoint", "NotElliptic", "cm_point", "enumerate_cm_points",
            "fixed_point", "fixed_point_quadratic"),

@@ -96,23 +96,24 @@ def _cmd_order_disc(args, cfg):
 
 
 def _cmd_order_maximal(args, cfg):
-    order = cfg.build_order()
-    target = orders.maximal_discriminant(order.params)
-    disc = orders.reduced_discriminant(order)
+    # refuse a split algebra first: saturating its order may not end
+    target = orders.maximal_discriminant(cfg.algebra())
+    disc = orders.reduced_discriminant(cfg.build_order())
     return ({"maximal": disc == target, "reduced_discriminant": str(disc),
              "target": str(target)}, [CITE_DISC], True)
 
 
 def _cmd_order_saturate(args, cfg):
     params = cfg.algebra()
+    # refuse a split algebra first: the search may not end on it
+    target = orders.maximal_discriminant(params)
     if cfg.order_mode == "explicit":
         start = cfg.build_order()
     else:
         start = orders.standard_order(params)
     disc_before = orders.reduced_discriminant(start)
-    result = orders.saturate(start)
     # saturate returns only a lattice it certified at disc = prod(ram)
-    target = orders.maximal_discriminant(params)
+    result = orders.saturate(start)
     return ({"disc_before": str(disc_before), "disc_after": str(target),
              "maximal": True, "basis": _basis_strings(result)},
             [CITE_DISC], True)

@@ -9,9 +9,6 @@ The fiber over such a tau is isogenous to a product of elliptic curves.
 import itertools
 import math
 
-import mpmath
-from mpmath import mp
-
 from .exactlinalg import (ComputationError, DEFAULT_PRECISION, QuadComplex,
                           precision_tolerance, solve_quadratic)
 from .family import UpperHalfPoint, as_complex, complex_structure
@@ -51,7 +48,8 @@ def eigenvalue_tau_prime(mu, tau, prec=DEFAULT_PRECISION):
     A tau + B = tau' tau, is verified relative to 1 + |tau'|, at the
     tolerance 2^-(prec/2) that the working precision resolves.
     """
-    with mp.workprec(prec):
+    import mpmath
+    with mpmath.workprec(prec):
         t = as_complex(tau)
         v1, tprime = complex_structure(mu, t, prec)
         r1 = v1 - tprime * t
@@ -74,6 +72,7 @@ class CMPoint:
         self.coords = coords
 
     def __repr__(self):
+        import mpmath
         return (f"CMPoint(mu={_coords_str(self.mu.coords())}, "
                 f"tau={mpmath.nstr(self.tau.tau, 10)}, "
                 f"tau_prime={mpmath.nstr(self.tau_prime, 10)})")

@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .exactlinalg import DEFAULT_PRECISION, QuadComplex, decimal_str
-from .orders import NotAnOrder, OrderLattice, is_order, saturate, standard_order
+from .orders import OrderLattice, certified, saturate, standard_order
 from .quaternions import AlgebraParams, QuatElement
 
 # bits, read only by `cm enumerate` and `curve split`: on (3, -1) the 60
@@ -221,11 +221,7 @@ class Config:
         if self.order_mode == "saturate-from-standard":
             return saturate(standard_order(params))
         order = OrderLattice(params, [list(row) for row in self.order_basis])
-        if certify:
-            ok, problems = is_order(order)
-            if not ok:
-                raise NotAnOrder("; ".join(problems))
-        return order
+        return certified(order) if certify else order
 
     def polarization(self, order):
         from .family import PolarizationData, default_rho

@@ -154,12 +154,9 @@ class PolarizationData:
         pol._forms = _forms(order, c, M, pol.scale)
         return pol
 
-    def gram(self, order):
-        """scale * E on the pairs of order basis elements (exact)."""
-        return self.complex_forms(order)[0]
-
     def complex_forms(self, order):
-        """(G, (G R(x)^T, G R(y)^T, G R(xy)^T), F, det G) for G = `gram`:
+        """(G, (G R(x)^T, G R(y)^T, G R(xy)^T), F, det G) for the Gram
+        matrix G of scale * E on the pairs of order basis elements (exact):
         the products are integer matrices over their denominator F > 0."""
         if self._forms[0] is not order:
             self._forms = _forms(order, *_form_numerators(self.rho, order),

@@ -203,6 +203,14 @@ def is_order(L):
     return not problems, problems
 
 
+def certified(L):
+    """L once `is_order` passes; otherwise NotAnOrder lists its problems."""
+    ok, problems = is_order(L)
+    if not ok:
+        raise NotAnOrder("; ".join(problems))
+    return L
+
+
 def reduced_discriminant(L):
     """sqrt|det| of the Gram matrix trd(e_i * conj(e_j)) over the basis.
 
@@ -210,10 +218,7 @@ def reduced_discriminant(L):
     is (4 a b det B)^2 and the root is |`embedding_det`|.  It is an
     integer once `is_order` passes, since the Gram matrix of an order is.
     """
-    ok, problems = is_order(L)
-    if not ok:
-        raise NotAnOrder("; ".join(problems))
-    return int(abs(L.embedding_det))
+    return int(abs(certified(L).embedding_det))
 
 
 def maximal_discriminant(params):

@@ -249,9 +249,7 @@ def _rho(n):
 
 @functools.lru_cache(maxsize=128)
 def _squarefree(r):
-    """Squarefree integer with the same square class as the rational r."""
-    if r == 0:
-        return 0
+    """Squarefree integer in the square class of the nonzero rational r."""
     sign = -1 if r < 0 else 1
     out = 1
     # |r| and num * den share a square class; num and den are coprime

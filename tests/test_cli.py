@@ -296,6 +296,42 @@ def test_order_commands_reject_split_algebra(tmp_path, capsys, action):
     assert "AlgebraSplit" in err
 
 
+@pytest.mark.parametrize("action", ["saturate", "maximal"])
+@pytest.mark.parametrize("order", ["", "order = explicit\n"
+                                   "order.basis.1 = 1, 0, 0, 0\n"
+                                   "order.basis.2 = 0, 1/2, 0, 0\n"
+                                   "order.basis.3 = 0, 0, 1, 0\n"
+                                   "order.basis.4 = 0, 0, 0, 1\n"],
+                         ids=["standard", "explicit-non-order"])
+def test_order_commands_refuse_a_split_algebra_before_the_search(
+        tmp_path, capsys, action, order):
+    # saturating the standard order of (10009, -1) runs for more than 10 s;
+    # the split algebra is refused first, even ahead of a non-order basis
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text("algebra.a = 10009\nalgebra.b = -1\n" + order)
+    start = time.perf_counter()
+    code, report, err = run(capsys, "order", action, str(cfg))
+    assert time.perf_counter() - start < 2
+    assert code == 1 and report is None
+    assert err == ("computation error: AlgebraSplit: the algebra is split; "
+                   "the family needs a division algebra\n")
+
+
+@pytest.mark.parametrize("ab, before", [((3, -1), "12"), ((12, -9), "432")])
+def test_order_saturate_from_an_explicit_order(tmp_path, capsys, ab, before):
+    # the identity rows: Z<1, x, y, xy>, saturated in the given presentation
+    cfg = tmp_path / "explicit.cfg"
+    cfg.write_text(f"algebra.a = {ab[0]}\nalgebra.b = {ab[1]}\n"
+                   "order = explicit\n"
+                   "order.basis.1 = 1, 0, 0, 0\norder.basis.2 = 0, 1, 0, 0\n"
+                   "order.basis.3 = 0, 0, 1, 0\norder.basis.4 = 0, 0, 0, 1\n")
+    code, report, err = run(capsys, "order", "saturate", str(cfg))
+    assert code == 0, err
+    results = report["results"]
+    assert (results["disc_before"], results["disc_after"]) == (before, "6")
+    assert results["maximal"] is True
+
+
 def test_low_precision_cm_and_curve_commands(tmp_path, capsys):
     # the eigenvector check follows the precision: 64 bits cannot resolve 1e-20
     cfg = tmp_path / "p64.cfg"
@@ -353,7 +389,8 @@ def test_suite_without_a_height_one_unit_exits_one(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("argv", [
     ("units", "--height", "1"), ("cm", "enumerate", "--height", "1"),
-    ("fiber", "h0", "--tau", "i"), ("curve", "split", "--mu=0,0,1,0")])
+    ("fiber", "h0", "--tau", "i"), ("curve", "split", "--mu=0,0,1,0"),
+    ("order", "saturate"), ("order", "maximal")])
 def test_every_command_certifies_an_explicit_basis(tmp_path, capsys, argv):
     cfg = tmp_path / "explicit.cfg"
     cfg.write_text(NON_ORDER_CONFIG)
@@ -543,13 +580,13 @@ def test_exact_checks_take_no_precision():
 
 def test_closed_stdout_exits_quietly():
     # the reader is gone before the report is written
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "fakeelliptic.cli", "cm", "enumerate",
-         "--height", "2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=SRC))
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    with subprocess.Popen(
+            [sys.executable, "-m", "fakeelliptic.cli", "cm", "enumerate",
+             "--height", "2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC)) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     assert err == b""
 
 

@@ -99,6 +99,18 @@ print("mpmath" in sys.modules)
     assert out.split() == ["False", "False", "True", "True", "False", "True"]
 
 
+def test_cm_loads_mpmath_at_its_first_numeric_call():
+    out = _python("""
+import sys
+from fakeelliptic import AlgebraParams, cm_point, standard_order
+from fakeelliptic.cm import enumerate_cm_points
+print("mpmath" in sys.modules)
+enumerate_cm_points(standard_order(AlgebraParams(3, -1)), 1)
+print("mpmath" in sys.modules)
+""")
+    assert out.split() == ["False", "True"]
+
+
 def test_every_exported_name_resolves():
     for name in fakeelliptic.__all__:
         assert getattr(fakeelliptic, name) is not None, name
@@ -130,8 +142,8 @@ def _run_at_import(statements):
 
 def test_conversion_and_import_rules_hold_in_the_source():
     # `.numeric(` is called only by `exactlinalg.to_mpf`, the one way from
-    # an exact value to an mpf, and only `cm` imports mpmath at module
-    # level: the other modules import it in their numeric functions
+    # an exact value to an mpf, and no module imports mpmath at module
+    # level: each imports it in its numeric functions
     numeric_calls, mpmath_imports = [], []
     for path in sorted(Path(SRC, "fakeelliptic").glob("*.py")):
         text = path.read_text()
@@ -150,4 +162,4 @@ def test_conversion_and_import_rules_hold_in_the_source():
                     and node.func.attr == "numeric"):
                 numeric_calls.append((path.stem, scope))
     assert numeric_calls == [("exactlinalg", "to_mpf")]
-    assert sorted(set(mpmath_imports)) == ["cm"]
+    assert mpmath_imports == []

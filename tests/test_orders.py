@@ -267,7 +267,10 @@ def test_enumerate_units_matches_bruteforce(params, std_order, max_order,
     # denominators
     halves = OrderLattice(params, [[Fraction(1, 2), 0, 0, 0], [0, 1, 0, 0],
                                    [0, 0, Fraction(1, 2), 0], [0, 0, 0, 1]])
-    cases = [(std_order, 2), (max_order, 3), (halves, 2)]
+    # a lattice without 1, whose units (such as y) no filter keeps
+    no_one = OrderLattice(params, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                   [0, 0, 0, 1]])
+    cases = [(std_order, 2), (max_order, 3), (halves, 2), (no_one, 2)]
     cases += [(L, 2) for L in rational_lattices]
     cases += [(saturate(standard_order(AlgebraParams(a, b))), 2)
               for a, b in ((3, -7), (2, -5), (7, -57), (13, -10))]
