@@ -13,18 +13,19 @@ exactly the etale multisections do.
 
 import importlib
 
-from .config import (Config, ConfigError, default_config, load_config,
-                     parse_config)
-from .exactlinalg import ComputationError, DEFAULT_PRECISION, QuadExt
-from .orders import (NotAnOrder, OrderLattice, SearchExhausted,
-                     enumerate_units, is_maximal, is_order,
-                     reduced_discriminant, saturate, standard_order)
-from .quaternions import (AlgebraParams, AlgebraSplit, QuatElement, embed,
-                          hilbert_symbol, is_indefinite_division,
-                          ramified_primes)
-
-# loaded on first use, to keep the package import short
-_NUMERIC = {
+# the public names under the module that defines each; `__getattr__` loads
+# a module, or a name's module, on first use and binds nothing here, so a
+# bare import loads no module and each function keeps one binding
+_EXPORTS = {
+    "config": ("Config", "ConfigError", "default_config", "load_config",
+               "parse_config"),
+    "exactlinalg": ("ComputationError", "DEFAULT_PRECISION", "QuadExt"),
+    "orders": ("NotAnOrder", "OrderLattice", "SearchExhausted",
+               "enumerate_units", "is_maximal", "is_order",
+               "reduced_discriminant", "saturate", "standard_order"),
+    "quaternions": ("AlgebraParams", "AlgebraSplit", "QuatElement", "embed",
+                    "hilbert_symbol", "is_indefinite_division",
+                    "ramified_primes"),
     "cm": ("CMPoint", "NotElliptic", "cm_point", "enumerate_cm_points",
            "fixed_point", "fixed_point_quadratic"),
     "family": ("FamilyGroupElement", "PeriodLattice", "PolarizationData",
@@ -35,31 +36,16 @@ _NUMERIC = {
                   "curve_h0", "dphi_check", "elliptic_family_fiber_h0",
                   "fiber_h0", "verify_sections"),
 }
-_LAZY = {name: module for module, names in _NUMERIC.items() for name in names}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name):
-    if name in _NUMERIC:
+    if name in _EXPORTS:
         return importlib.import_module(f".{name}", __name__)
-    if name in _LAZY:
-        return getattr(__getattr__(_LAZY[name]), name)
+    if name in _HOME:
+        return getattr(__getattr__(_HOME[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgebraParams", "AlgebraSplit", "CMPoint", "ComputationError", "Config",
-    "ConfigError", "DEFAULT_PRECISION", "FamilyGroupElement",
-    "InconsistentData", "NotAnOrder", "NotElliptic", "OrderLattice",
-    "PeriodLattice", "PolarizationData", "QuadExt", "QuatElement",
-    "SearchExhausted", "SplittingReport", "UpperHalfPoint",
-    "automorphy_factor", "classify_candidate", "cm_point", "cocycle_check",
-    "curve_h0", "default_config", "default_rho", "dphi_check", "embed",
-    "elliptic_family_fiber_h0", "enumerate_cm_points", "enumerate_units",
-    "fiber_h0", "fixed_point", "fixed_point_quadratic", "hilbert_symbol",
-    "is_indefinite_division", "is_maximal", "is_order", "load_config",
-    "moebius_act", "parse_config", "ramified_primes",
-    "reduced_discriminant", "riemann_conditions_check", "riemann_form",
-    "saturate", "standard_order", "verify_sections",
-]
+__all__ = sorted(_HOME)

@@ -96,7 +96,8 @@ def _cmd_order_disc(args, cfg):
 
 
 def _cmd_order_maximal(args, cfg):
-    # refuse a split algebra first: saturating its order may not end
+    # a split algebra is refused ahead of an explicit basis that is not an
+    # order: AlgebraSplit before NotAnOrder
     target = orders.maximal_discriminant(cfg.algebra())
     disc = orders.reduced_discriminant(cfg.build_order())
     return ({"maximal": disc == target, "reduced_discriminant": str(disc),

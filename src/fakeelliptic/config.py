@@ -13,11 +13,13 @@ line number.  `family` is imported only where it is used, and mpmath not
 at all, so that the exact commands never load them.
 """
 
+import operator
 import re
 from fractions import Fraction
 
 from .exactlinalg import DEFAULT_PRECISION, QuadComplex, decimal_str
-from .orders import OrderLattice, certified, saturate, standard_order
+from .orders import (OrderLattice, certified, maximal_discriminant, saturate,
+                     standard_order)
 from .quaternions import AlgebraParams, QuatElement
 
 # bits, read only by `cm enumerate` and `curve split`: on (3, -1) the 60
@@ -95,14 +97,18 @@ def _echoable(x, line=None):
     return x
 
 
-def _integer(text, name, line=None):
-    if sum(c.isdigit() for c in text) > MAX_DIGITS:  # int() refuses it too
+def _integer(value, name, line=None):
+    """An int, or the text of a decimal integer; a float or Fraction is
+    refused, not truncated."""
+    text = isinstance(value, str)
+    if text and sum(c.isdigit() for c in value) > MAX_DIGITS:
+        # int() refuses it too
         raise ConfigError(f"{name} has more than {MAX_DIGITS} digits", line)
     try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {_shown(text)}",
-                          line) from None
+        return int(value) if text else int(operator.index(value))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got "
+                          f"{_shown(str(value))}", line) from None
 
 
 def _precision(bits, line=None):
@@ -187,10 +193,10 @@ class Config:
                 _echoable(Fraction(c))
         self.order_basis = order_basis
         self.rho_coords = rho_coords
-        self.precision = _precision(precision)
+        self.precision = _precision(_integer(precision, "precision"))
         tolerance = DEFAULT_TOLERANCE if tolerance is None else tolerance
         self.tolerance = _tolerance(_echoable(Fraction(tolerance)))
-        self.seed = int(seed)
+        self.seed = _integer(seed, "seed")
 
     # -- certified object builders
 
@@ -219,6 +225,8 @@ class Config:
         """
         params = self.algebra()
         if self.order_mode == "saturate-from-standard":
+            # refuse a split algebra first: its saturation may not end
+            maximal_discriminant(params)
             return saturate(standard_order(params))
         order = OrderLattice(params, [list(row) for row in self.order_basis])
         return certified(order) if certify else order

@@ -296,13 +296,25 @@ def test_order_commands_reject_split_algebra(tmp_path, capsys, action):
     assert "AlgebraSplit" in err
 
 
-@pytest.mark.parametrize("action", ["saturate", "maximal"])
-@pytest.mark.parametrize("order", ["", "order = explicit\n"
-                                   "order.basis.1 = 1, 0, 0, 0\n"
-                                   "order.basis.2 = 0, 1/2, 0, 0\n"
-                                   "order.basis.3 = 0, 0, 1, 0\n"
-                                   "order.basis.4 = 0, 0, 0, 1\n"],
-                         ids=["standard", "explicit-non-order"])
+# every command that saturates the configured order
+SATURATING = {
+    "saturate": ["order", "saturate"], "maximal": ["order", "maximal"],
+    "disc": ["order", "disc"], "verify": ["order", "verify"],
+    "units": ["units", "--height", "1"],
+    "cm": ["cm", "enumerate", "--height", "1"],
+    "fiber": ["fiber", "h0", "--tau", "i"],
+    "curve": ["curve", "split", "--mu", "0,0,1,0"],
+    "suite": ["suite", "all", "--trials", "2"],
+}
+NON_ORDER = ("order = explicit\n"
+             "order.basis.1 = 1, 0, 0, 0\norder.basis.2 = 0, 1/2, 0, 0\n"
+             "order.basis.3 = 0, 0, 1, 0\norder.basis.4 = 0, 0, 0, 1\n")
+
+
+@pytest.mark.parametrize("order, action", [
+    *(pytest.param("", a, id=f"standard-{a}") for a in SATURATING),
+    *(pytest.param(NON_ORDER, a, id=f"explicit-non-order-{a}")
+      for a in ("saturate", "maximal"))])
 def test_order_commands_refuse_a_split_algebra_before_the_search(
         tmp_path, capsys, action, order):
     # saturating the standard order of (10009, -1) runs for more than 10 s;
@@ -310,7 +322,7 @@ def test_order_commands_refuse_a_split_algebra_before_the_search(
     cfg = tmp_path / "split.cfg"
     cfg.write_text("algebra.a = 10009\nalgebra.b = -1\n" + order)
     start = time.perf_counter()
-    code, report, err = run(capsys, "order", action, str(cfg))
+    code, report, err = run(capsys, *SATURATING[action], str(cfg))
     assert time.perf_counter() - start < 2
     assert code == 1 and report is None
     assert err == ("computation error: AlgebraSplit: the algebra is split; "

@@ -10,8 +10,9 @@ from fakeelliptic.config import (Config, ConfigError, DEFAULT_CONFIG_TEXT,
                                  complex_pair, default_config, load_config,
                                  parse_complex, parse_config)
 from fakeelliptic.orders import (NotAnOrder, is_order, reduced_discriminant,
-                                 standard_order)
-from fakeelliptic.quaternions import AlgebraParams, ramified_primes
+                                 saturate, standard_order)
+from fakeelliptic.quaternions import (AlgebraParams, AlgebraSplit,
+                                      ramified_primes)
 
 
 def test_default_config():
@@ -27,6 +28,9 @@ def test_default_config():
 def test_round_trip():
     cfg = default_config()
     assert parse_config(cfg.dumps()) == cfg
+    cfg = Config(precision=200, seed=-7)
+    assert parse_config(cfg.dumps()) == cfg
+    assert {"precision = 200", "seed = -7"} <= set(cfg.dumps().splitlines())
 
 
 def test_parse_errors_carry_line_numbers():
@@ -160,6 +164,19 @@ def test_an_integer_beyond_the_digit_bound_is_not_echoed(key):
         10 ** MAX_DIGITS - 1
 
 
+@pytest.mark.parametrize("key, value", [("precision", 100.5), ("seed", 1.5),
+                                        ("seed", Fraction(3, 2))])
+def test_a_non_integer_precision_or_seed_is_refused(key, value):
+    # not truncated, and refused as the text of a config file is
+    message = f"{key} must be an integer, got '{value}'"
+    with pytest.raises(ConfigError) as exc:
+        Config(**{key: value})
+    assert str(exc.value) == message
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"{key} = {value}\n")
+    assert str(exc.value) == "line 1: " + message
+
+
 def test_precision_has_a_ceiling():
     assert Config(precision=MAX_PRECISION).precision == 4096
     for build in (lambda: Config(precision=MAX_PRECISION + 1),
@@ -217,12 +234,19 @@ def test_load_config_missing_file(tmp_path):
                                  (Fraction(3, 2), -1)])
 def test_standard_order_of_non_squarefree_parameters(a, b):
     # 9 | a or b used to end in SearchExhausted, a = 3/2 in NotAnOrder; the
-    # squarefree representatives give the same algebra
+    # squarefree representatives give the same algebra; (2, -9) and (18, -7)
+    # are the split algebras (2, -1) and (2, -7), which the config refuses,
+    # while the library still saturates them
     cfg = Config(a=a, b=b)
     params = cfg.algebra()
     assert (params.a.denominator, params.b.denominator) == (1, 1)
     assert ramified_primes(params) == ramified_primes(AlgebraParams(a, b))
-    order = cfg.build_order()
+    if ramified_primes(params):
+        order = cfg.build_order()
+    else:
+        with pytest.raises(AlgebraSplit):
+            cfg.build_order()
+        order = saturate(standard_order(params))
     assert reduced_discriminant(order) == math.prod(ramified_primes(params))
     assert cfg.as_dict()["algebra.a"] == str(Fraction(a))
 

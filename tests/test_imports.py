@@ -6,6 +6,7 @@ has long imported mpmath.
 """
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -86,8 +87,14 @@ def test_package_loads_numeric_modules_on_first_use():
 import sys
 import pytest
 
+def loaded():
+    return {m.split(".")[1] for m in sys.modules
+            if m.startswith("fakeelliptic.")}
+
 import fakeelliptic
-print("mpmath" in sys.modules, "fakeelliptic.splitting" in sys.modules)
+print(loaded() == set(), "mpmath" in sys.modules)
+from fakeelliptic import saturate
+print("orders" in loaded() and not {"cm", "family", "splitting"} & loaded())
 from fakeelliptic import classify_candidate as exported
 from fakeelliptic.splitting import (classify_candidate, fiber_h0,
                                     elliptic_family_fiber_h0)
@@ -96,7 +103,8 @@ print(fakeelliptic.fiber_h0 is fiber_h0, exported is classify_candidate,
 elliptic_family_fiber_h0(1j)
 print("mpmath" in sys.modules)
 """)
-    assert out.split() == ["False", "False", "True", "True", "False", "True"]
+    assert out.split() == ["True", "False", "True", "True", "True", "False",
+                           "True"]
 
 
 def test_cm_loads_mpmath_at_its_first_numeric_call():
@@ -112,8 +120,14 @@ print("mpmath" in sys.modules)
 
 
 def test_every_exported_name_resolves():
+    # each class or function is exported from the module that defines it,
+    # never from a module that re-exports it
     for name in fakeelliptic.__all__:
-        assert getattr(fakeelliptic, name) is not None, name
+        value = getattr(fakeelliptic, name)
+        assert value is not None, name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            home = fakeelliptic._HOME[name]
+            assert value.__module__ == f"fakeelliptic.{home}", name
     assert fakeelliptic.family.__name__ == "fakeelliptic.family"
     with pytest.raises(AttributeError, match="no_such_name"):
         fakeelliptic.no_such_name
