@@ -26,8 +26,7 @@ _EXPORTS = {
     "quaternions": ("AlgebraParams", "AlgebraSplit", "QuatElement", "embed",
                     "hilbert_symbol", "is_indefinite_division",
                     "ramified_primes"),
-    "cm": ("CMPoint", "NotElliptic", "cm_point", "enumerate_cm_points",
-           "fixed_point", "fixed_point_quadratic"),
+    "cm": ("CMPoint", "NotElliptic", "cm_point", "enumerate_cm_points"),
     "family": ("FamilyGroupElement", "PeriodLattice", "PolarizationData",
                "UpperHalfPoint", "automorphy_factor", "cocycle_check",
                "default_rho", "moebius_act", "riemann_conditions_check",

@@ -166,7 +166,7 @@ def _cmd_cm_enumerate(args, cfg):
                                         cfg.precision)
     entries = []
     for pt in pts:
-        c2, c1, c0 = pt.tau.quad
+        c2, c1, c0 = pt.quad
         entries.append({
             "coords": list(pt.coords),
             "mu": [str(c) for c in pt.mu.coords()],

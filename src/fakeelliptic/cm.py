@@ -11,7 +11,7 @@ import math
 
 from .exactlinalg import (ComputationError, DEFAULT_PRECISION, QuadComplex,
                           precision_tolerance, solve_quadratic)
-from .family import UpperHalfPoint, as_complex, complex_structure
+from .family import UpperHalfPoint, _mpf_matrix, as_complex
 from .orders import _coords_str
 from .quaternions import embed, is_elliptic
 
@@ -24,52 +24,20 @@ class EigenMismatch(ComputationError):
     pass
 
 
-def fixed_point_quadratic(mu):
-    """Exact coefficients (c2, c1, c0) of C T^2 + (D - A) T - B over Q(sqrt a)."""
-    M = embed(mu)
-    return M[1][0], M[1][1] - M[0][0], -M[0][1]
-
-
-def fixed_point(mu, prec=DEFAULT_PRECISION, nrd=None):
-    """The unique fixed point of mu in the upper half plane."""
-    if not is_elliptic(mu, nrd):
-        raise NotElliptic(f"{mu!r} has no fixed point in the upper half plane")
-    c2, c1, c0 = fixed_point_quadratic(mu)
-    # c2 = m - n*sqrt(a) is nonzero: otherwise mu is triangular with real
-    # eigenvalues, contradicting trd^2 < 4 nrd
-    r1, _ = solve_quadratic(c2, c1, c0, prec)
-    return UpperHalfPoint(r1, quad=(c2, c1, c0))
-
-
-def eigenvalue_tau_prime(mu, tau, prec=DEFAULT_PRECISION):
-    """tau' with mu_tau = tau' * (tau, 1)^t, i.e. tau' = C tau + D.
-
-    The second coordinate holds by the definition of tau'; the first,
-    A tau + B = tau' tau, is verified relative to 1 + |tau'|, at the
-    tolerance 2^-(prec/2) that the working precision resolves.
-    """
-    import mpmath
-    with mpmath.workprec(prec):
-        t = as_complex(tau)
-        v1, tprime = complex_structure(mu, t, prec)
-        r1 = v1 - tprime * t
-        if abs(r1) > precision_tolerance(prec) * (1 + abs(tprime)):
-            raise EigenMismatch(f"residual {mpmath.nstr(abs(r1), 5)}")
-        return tprime
-
-
 class CMPoint:
-    """mu, its fixed point (with exact quadratic), and the eigenvalue tau'."""
+    """mu, its fixed point, the eigenvalue tau', and the exact quadratic
+    (C, D - A, -B) of tau over Q(sqrt a)."""
 
-    __slots__ = ("mu", "tau", "tau_prime", "char_poly", "coords")
+    __slots__ = ("mu", "tau", "tau_prime", "char_poly", "coords", "quad")
 
-    def __init__(self, mu, tau, tau_prime, coords=None, nrd=None):
+    def __init__(self, mu, tau, tau_prime, coords=None, nrd=None, quad=None):
         self.mu = mu
         self.tau = tau
         self.tau_prime = tau_prime
         # tau' is a root of T^2 - trd(mu) T + nrd(mu)
         self.char_poly = (mu.trd(), mu.nrd() if nrd is None else nrd)
         self.coords = coords
+        self.quad = quad
 
     def __repr__(self):
         import mpmath
@@ -79,20 +47,35 @@ class CMPoint:
 
 
 def cm_point(mu, prec=DEFAULT_PRECISION, coords=None):
-    """Build the CM point of mu, normalizing the sign so Im(tau') > 0.
+    """The CM point of an elliptic mu, with the sign that puts tau' = C tau + D
+    in the upper half plane.
 
     mu and -mu have the same fixed point with conjugate eigenvalues, and
     Im tau' = C Im tau, so the sign with C = m - n sqrt(a) > 0 is kept.
     For elliptic mu that is the sign with m > 0: with a > 0 > b,
-    -b m^2 > a l^2 - a b n^2 >= -a b n^2 forces m^2 > a n^2.  A mu that
-    is not elliptic keeps its sign, so NotElliptic names the mu given.
+    -b m^2 > a l^2 - a b n^2 >= -a b n^2 forces m^2 > a n^2.  C is then
+    nonzero, so tau is the upper root of C T^2 + (D - A) T - B, and
+    A tau + B = tau' tau is verified relative to 1 + |tau'|, at the
+    tolerance 2^-(prec/2) that the working precision resolves.
     """
+    import mpmath
     nrd = mu.nrd()  # = nrd(-mu)
-    if mu.m <= 0 and is_elliptic(mu, nrd):
+    if not is_elliptic(mu, nrd):
+        raise NotElliptic(f"{mu!r} has no fixed point in the upper half plane")
+    if mu.m <= 0:
         mu = -mu
         coords = tuple(-c for c in coords) if coords is not None else None
-    tau = fixed_point(mu, prec, nrd)
-    return CMPoint(mu, tau, eigenvalue_tau_prime(mu, tau, prec), coords, nrd)
+    E = embed(mu)
+    quad = (E[1][0], E[1][1] - E[0][0], -E[0][1])
+    with mpmath.workprec(prec):
+        (A, B), (C, D) = _mpf_matrix(E)
+        # D - A is rounded once from the exact difference, not from D and A
+        tau, _ = solve_quadratic(C, quad[1], -B, prec)
+        tau_prime = C * tau + D
+        r1 = A * tau + B - tau_prime * tau
+        if abs(r1) > precision_tolerance(prec) * (1 + abs(tau_prime)):
+            raise EigenMismatch(f"residual {mpmath.nstr(abs(r1), 5)}")
+    return CMPoint(mu, UpperHalfPoint(tau), tau_prime, coords, nrd, quad)
 
 
 def in_window(tau, window):
@@ -122,8 +105,9 @@ def enumerate_cm_points(order, height, window=None, prec=DEFAULT_PRECISION):
     -4 nrd(mu0) < 0, i.e. -a' L^2 - b' M^2 + a' b' N^2 > 0; and Im tau'
     has the sign of C = m - n sqrt a, which for elliptic mu is that of M
     (`cm_point`).
-    The loop (partial sums over c0, c1, c2, then c3) keeps the minimal
-    (sum c^2, c) per oriented primitive (L, M, N), and `cm_point` runs
+    The loop (partial sums over c0, c1, c2, then c3) skips the elements
+    that are not elliptic (scalars among them) or have M <= 0, and keeps
+    the minimal (sum c^2, c) per primitive (L, M, N), so `cm_point` runs
     once per elliptic class, on the minimum of the orientation with C > 0.
     """
     if height < 1:
@@ -139,20 +123,16 @@ def enumerate_cm_points(order, height, window=None, prec=DEFAULT_PRECISION):
         s0 = c0 * c0 + c1 * c1 + c2 * c2
         for c3 in box:
             L, M, N = L0 + c3 * l3, M0 + c3 * m3, N0 + c3 * n3
+            if M <= 0 or a * (b * N * N - L * L) - b * M * M <= 0:
+                continue
             g = math.gcd(L, M, N)
-            if g == 0:
-                continue  # scalar
             key = (L // g, M // g, N // g)
             # c runs in lexicographic order: on a tie the first c is least
             norm, old = s0 + c3 * c3, best.get(key)
             if old is None or norm < old[0]:
                 best[key] = (norm, (c0, c1, c2, c3))
     pts = []
-    for (L, M, N), (_, coords) in best.items():
-        if a * (b * N * N - L * L) - b * M * M <= 0:
-            continue  # not elliptic
-        if M <= 0:
-            continue  # the class is visited from its other orientation
+    for _, coords in best.values():
         pt = cm_point(order.element_from(coords), prec, coords)
         if in_window(pt.tau, window):
             pts.append(pt)

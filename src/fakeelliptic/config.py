@@ -98,17 +98,20 @@ def _echoable(x, line=None):
 
 
 def _integer(value, name, line=None):
-    """An int, or the text of a decimal integer; a float or Fraction is
-    refused, not truncated."""
+    """An int, or the text of a decimal integer, of at most MAX_DIGITS
+    digits; a float or Fraction is refused, not truncated."""
     text = isinstance(value, str)
-    if text and sum(c.isdigit() for c in value) > MAX_DIGITS:
-        # int() refuses it too
+    # int() refuses such text too, so its digits are counted first
+    long = text and sum(c.isdigit() for c in value) > MAX_DIGITS
+    if not long:
+        try:
+            value = int(value) if text else int(operator.index(value))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name} must be an integer, got "
+                              f"{_shown(str(value))}", line) from None
+    if long or abs(value) >= _DIGITS_BOUND:
         raise ConfigError(f"{name} has more than {MAX_DIGITS} digits", line)
-    try:
-        return int(value) if text else int(operator.index(value))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got "
-                          f"{_shown(str(value))}", line) from None
+    return value
 
 
 def _precision(bits, line=None):

@@ -507,7 +507,8 @@ def numeric_svd(m, prec=DEFAULT_PRECISION):
 
 
 def solve_quadratic(c2, c1, c0, prec=DEFAULT_PRECISION):
-    """Both roots of c2*T^2 + c1*T + c0 (QuadExt or Fraction coefficients).
+    """Both roots of c2*T^2 + c1*T + c0, for exact coefficients (int,
+    Fraction or QuadExt) or mpfs, each converted by `to_mpf`.
 
     Deterministic order: larger imaginary part first, ties broken by
     larger real part.

@@ -34,19 +34,18 @@ def as_complex(tau):
 
 
 class UpperHalfPoint:
-    """A point tau with Im > 0, optionally carrying its exact quadratic;
-    a `QuadComplex` tau stays exact, any other becomes an mpc."""
+    """A point tau with Im > 0; a `QuadComplex` tau stays exact, any other
+    becomes an mpc."""
 
-    __slots__ = ("tau", "quad")
+    __slots__ = ("tau",)
 
-    def __init__(self, tau, quad=None):
+    def __init__(self, tau):
         if not isinstance(tau, QuadComplex):
             tau = as_complex(tau)
         im = tau.imag
         if not (im.sign() if isinstance(im, QuadExt) else im) > 0:
             raise ValueError("point not in the upper half plane")
         self.tau = tau
-        self.quad = quad  # (c2, c1, c0) QuadExt coefficients, or None
 
     def __repr__(self):
         import mpmath

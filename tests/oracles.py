@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths under test: determinants
 by cofactor expansion instead of elimination, Hilbert symbols by brute-force
 solubility instead of the Legendre-symbol formulas, unit counts by symbolic
 2x2 determinants instead of the norm form, quadratic roots by the explicit
-formula instead of the library solver, saturation by the plain
+formula instead of the library solver, the fixed-point quadratic of a CM
+point from its coordinates instead of the embedding and its root by
+`mpmath.polyroots`, saturation by the plain
 q^4 coset search instead of the integer-screened one, units and CM
 points by building every box element as a `QuatElement` instead of
 scanning integer forms, the curve section space by an SVD nullspace
@@ -31,8 +33,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from fakeelliptic.cm import (cm_point, fixed_point_quadratic, in_window,
-                             is_elliptic)
+from fakeelliptic.cm import cm_point, in_window, is_elliptic
 from fakeelliptic.exactlinalg import (DEFAULT_PRECISION, _to_ap_matrix,
                                       _zero_like, exact_det, exact_rank,
                                       exact_rref, exact_solve, fraction_sqrt,
@@ -366,11 +367,36 @@ def congruence_filter_bruteforce(units, N, L):
     return kept
 
 
+def fixed_point_quadratic(mu):
+    """(C, D - A, -B) over Q(sqrt a) for the embedding [[A, B], [C, D]] of
+    mu = k + l x + m y + n xy, written out from its coordinates:
+    C = m - n sqrt a, D - A = -2 l sqrt a and -B = -b (m + n sqrt a)."""
+    a, b = mu.params.a, mu.params.b
+    _, l, m, n = mu.coords()
+    return QuadRef(m, -n, a), QuadRef(0, -2 * l, a), QuadRef(-b * m, -b * n, a)
+
+
 def quad_key(mu):
     """The monic exact quadratic (c1/c2, c0/c2) over Q(sqrt a) of the
-    fixed point of mu, which identifies its CM point."""
+    fixed point of mu, as (u, v) pairs; it identifies the CM point."""
     c2, c1, c0 = fixed_point_quadratic(mu)
-    return c1 / c2, c0 / c2
+    inv = c2.inverse()
+    return tuple((c.u, c.v) for c in (c1 * inv, c0 * inv))
+
+
+def fixed_point_ref(mu, prec=128):
+    """(tau, tau') for elliptic mu: tau the upper root of the exact
+    fixed-point quadratic by `mpmath.polyroots`, and tau' = C tau + D from
+    freshly converted C = m - n sqrt a and D = k - l sqrt a, all at
+    prec + 64 bits."""
+    k, l, m, n = mu.coords()
+    a, work = mu.params.a, prec + 64
+    with mp.workprec(work):
+        coeffs = [_numeric_fresh(c, work) for c in fixed_point_quadratic(mu)]
+        tau = max(mpmath.polyroots(coeffs), key=lambda r: mpmath.im(r))
+        C, D = (_numeric_fresh(QuadRef(u, v, a), work)
+                for u, v in ((m, -n), (k, -l)))
+        return tau, C * tau + D
 
 
 def enumerate_cm_points_bruteforce(order, height, window=None,

@@ -164,6 +164,17 @@ def test_an_integer_beyond_the_digit_bound_is_not_echoed(key):
         10 ** MAX_DIGITS - 1
 
 
+def test_an_int_seed_beyond_the_digit_bound_is_refused():
+    # as the same seed is refused as text, so dumps() never meets an int
+    # that str() refuses
+    for seed in (10 ** MAX_DIGITS, -10 ** MAX_DIGITS):
+        with pytest.raises(ConfigError) as exc:
+            Config(seed=seed)
+        assert str(exc.value) == f"seed has more than {MAX_DIGITS} digits"
+    cfg = Config(seed=10 ** (MAX_DIGITS - 1))  # MAX_DIGITS digits
+    assert parse_config(cfg.dumps()) == cfg
+
+
 @pytest.mark.parametrize("key, value", [("precision", 100.5), ("seed", 1.5),
                                         ("seed", Fraction(3, 2))])
 def test_a_non_integer_precision_or_seed_is_refused(key, value):

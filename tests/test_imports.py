@@ -177,3 +177,12 @@ def test_conversion_and_import_rules_hold_in_the_source():
                 numeric_calls.append((path.stem, scope))
     assert numeric_calls == [("exactlinalg", "to_mpf")]
     assert mpmath_imports == []
+
+
+def test_the_source_parses_at_the_python_floor():
+    # pyproject.toml declares requires-python >= 3.10
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                      Path(SRC).parent.joinpath("pyproject.toml").read_text())
+    assert floor.groups() == ("3", "10")
+    for path in sorted(Path(SRC, "fakeelliptic").glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
