@@ -21,8 +21,8 @@ import sys
 import time
 
 from . import orders, quaternions
-from .config import (ConfigError, _fraction_list, complex_pair, default_config,
-                     load_config, parse_complex)
+from .config import (ConfigError, _echoable, _fraction_list, complex_pair,
+                     default_config, load_config, parse_complex)
 from .exactlinalg import ComputationError, QuadComplex, decimal_str
 
 CITE_ALGEBRA = ("A quaternion algebra over Q is a division algebra exactly "
@@ -148,7 +148,8 @@ def _quad_pair(q):
 def _four_values(option, text, printed=False):
     """The comma-separated values of --window or --mu, read exactly."""
     try:
-        return _fraction_list(text, 4, printed=printed)
+        values = _fraction_list(text, 4)
+        return tuple(map(_echoable, values)) if printed else values
     except ConfigError as exc:
         raise ValueError(f"{option}: {exc}") from None
 

@@ -3,14 +3,14 @@
 Rationals are written as strings ("3", "-1", "3/2") so that exactness
 survives serialization; complex values entering through the command line
 use "re+im i" notation, parse to exact values and serialize to {re, im}
-pairs of decimal strings.  Every exact value is read by `_fraction`,
-which refuses a decimal exponent beyond MAX_EXPONENT; `_echoable`, which
-`_fraction` and `Config(...)` call, refuses a config rational or `--mu`
-coordinate (echoed as a fraction) beyond MAX_DIGITS digits.  The working
-precision comes only from the `precision` key, 128 bits by default.
-Unknown keys, malformed values and values out of range fail with the
-line number.  `family` is imported only where it is used, and mpmath not
-at all, so that the exact commands never load them.
+pairs of decimal strings.  `Config(...)` reads and checks each value, its
+text too, once: every exact value through `_fraction`, which refuses a
+decimal exponent beyond MAX_EXPONENT, and every config rational or `--mu`
+coordinate (echoed as a fraction) through `_echoable`, which refuses one
+beyond MAX_DIGITS digits.  `parse_config` reads the `key = value` lines,
+checks the keys and adds its line to each error.  `family` is imported
+only where it is used, and mpmath not at all, so that the exact commands
+never load them.
 """
 
 import operator
@@ -51,16 +51,21 @@ seed = 0
 """
 
 _ORDER_MODES = ("saturate-from-standard", "explicit")
+# the `Config` argument of each config key but `order` and `order.basis.i`
+_ARGUMENTS = {"algebra.a": "a", "algebra.b": "b",
+              "polarization.rho": "rho_coords", "precision": "precision",
+              "tolerance": "tolerance", "seed": "seed"}
 
 
 class ConfigError(Exception):
-    """Malformed configuration, located by line number where possible."""
+    """Malformed configuration, located by config key or line number."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, key=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.key = key
 
 
 def _shown(text):
@@ -70,36 +75,35 @@ def _shown(text):
     return f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
 
 
-def _fraction(text, line=None, printed=False):
-    """The exact rational of a decimal or "p/q" text, the one reader of
-    every exact value typed by a user; a decimal exponent beyond
-    MAX_EXPONENT is refused before `Fraction` builds its power of ten.
-    A value the report echoes with `str` (printed) is refused beyond
-    MAX_DIGITS digits in its numerator or denominator."""
-    text = text.strip()
+def _fraction(value):
+    """The exact rational of a number or of a decimal or "p/q" text, the one
+    reader of every exact value given by a user; a decimal exponent beyond
+    MAX_EXPONENT is refused before `Fraction` builds its power of ten."""
+    if not isinstance(value, str):
+        return Fraction(value)
+    text = value.strip()
     try:
         exp = _EXPONENT.search(text)
         if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
             raise ConfigError(f"the exponent of {_shown(text)} lies beyond "
-                              f"+-{MAX_EXPONENT}", line)
-        x = Fraction(text)
+                              f"+-{MAX_EXPONENT}")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"expected an exact rational, got {_shown(text)}",
-                          line) from None
-    return _echoable(x, line) if printed else x
+        raise ConfigError(f"expected an exact rational, got {_shown(text)}"
+                          ) from None
 
 
-def _echoable(x, line=None):
+def _echoable(x):
     """x, refused beyond MAX_DIGITS digits in numerator or denominator."""
     if max(abs(x.numerator), x.denominator) >= _DIGITS_BOUND:
         raise ConfigError(f"a numerator or denominator has more than "
-                          f"{MAX_DIGITS} digits", line)
+                          f"{MAX_DIGITS} digits")
     return x
 
 
-def _integer(value, name, line=None):
-    """An int, or the text of a decimal integer, of at most MAX_DIGITS
-    digits; a float or Fraction is refused, not truncated."""
+def _integer(value, name):
+    """The int of config key `name`, or of its decimal text, of at most
+    MAX_DIGITS digits; a float or Fraction is refused, not truncated."""
     text = isinstance(value, str)
     # int() refuses such text too, so its digits are counted first
     long = text and sum(c.isdigit() for c in value) > MAX_DIGITS
@@ -108,40 +112,31 @@ def _integer(value, name, line=None):
             value = int(value) if text else int(operator.index(value))
         except (TypeError, ValueError):
             raise ConfigError(f"{name} must be an integer, got "
-                              f"{_shown(str(value))}", line) from None
+                              f"{_shown(str(value))}", key=name) from None
     if long or abs(value) >= _DIGITS_BOUND:
-        raise ConfigError(f"{name} has more than {MAX_DIGITS} digits", line)
+        raise ConfigError(f"{name} has more than {MAX_DIGITS} digits",
+                          key=name)
     return value
 
 
-def _precision(bits, line=None):
-    if bits < 16:
-        raise ConfigError("precision must be at least 16 bits", line)
-    if bits > MAX_PRECISION:
-        raise ConfigError(f"precision must be at most {MAX_PRECISION} bits",
-                          line)
-    return bits
-
-
-def _tolerance(x, line=None):
-    if x <= 0:
-        raise ConfigError("tolerance must be positive", line)
-    return x
-
-
-def _order_mode(mode, basis, line=None):
-    if mode not in _ORDER_MODES:
-        raise ConfigError(f"order must be one of {_ORDER_MODES}", line)
-    if mode == "explicit" and basis is None:
-        raise ConfigError("explicit order needs the four basis rows", line)
-    return mode
-
-
-def _fraction_list(text, count, line=None, printed=False):
-    parts = [p for p in text.split(",")]
+def _fraction_list(value, count):
+    """count exact rationals, from a sequence or comma-separated text."""
+    parts = value.split(",") if isinstance(value, str) else tuple(value)
     if len(parts) != count:
-        raise ConfigError(f"expected {count} comma-separated values", line)
-    return tuple(_fraction(p, line, printed) for p in parts)
+        raise ConfigError(f"expected {count} comma-separated values")
+    return tuple(map(_fraction, parts))
+
+
+def _exact(key, value, count=None):
+    """The config rational of a value or its text, or `count` of them; each
+    is echoed, so bounded by `_echoable`.  A ConfigError names the key."""
+    try:
+        if count is None:
+            return _echoable(_fraction(value))
+        return tuple(map(_echoable, _fraction_list(value, count)))
+    except ConfigError as exc:
+        exc.key = key
+        raise
 
 
 # the imaginary term of "a+bi" notation, unsigned, as complex() reads it
@@ -181,25 +176,44 @@ def complex_pair(z):
 
 
 class Config:
-    __slots__ = ("a", "b", "order_mode", "order_basis", "rho_coords",
-                 "precision", "tolerance", "seed")
+    """A run configuration.  Each argument is a value or its config text,
+    read and checked here once; a ConfigError names the argument's key."""
+    __slots__ = ("a", "b", "order_basis", "rho_coords", "precision",
+                 "tolerance", "seed")
 
-    def __init__(self, a=Fraction(3), b=Fraction(-1),
-                 order_mode="saturate-from-standard", order_basis=None,
+    def __init__(self, a=Fraction(3), b=Fraction(-1), order_basis=None,
                  rho_coords=None, precision=DEFAULT_PRECISION, tolerance=None,
                  seed=0):
-        self.a = _echoable(Fraction(a))
-        self.b = _echoable(Fraction(b))
-        self.order_mode = _order_mode(order_mode, order_basis)
-        for row in (*(order_basis or ()), rho_coords or ()):
-            for c in row:
-                _echoable(Fraction(c))
+        self.a = _exact("algebra.a", a)
+        self.b = _exact("algebra.b", b)
+        if order_basis is not None:
+            # every row given is read before the missing ones are named
+            rows = [row if row is None else _exact(f"order.basis.{i}", row, 4)
+                    for i, row in enumerate(order_basis, start=1)]
+            missing = [i for i in (1, 2, 3, 4)
+                       if i > len(rows) or rows[i - 1] is None]
+            if missing:
+                raise ConfigError(f"order.basis rows missing: {missing}")
+            order_basis = tuple(rows)
         self.order_basis = order_basis
+        if rho_coords is not None:
+            rho_coords = _exact("polarization.rho", rho_coords, 4)
         self.rho_coords = rho_coords
-        self.precision = _precision(_integer(precision, "precision"))
-        tolerance = DEFAULT_TOLERANCE if tolerance is None else tolerance
-        self.tolerance = _tolerance(_echoable(Fraction(tolerance)))
+        self.precision = bits = _integer(precision, "precision")
+        if not 16 <= bits <= MAX_PRECISION:
+            bound = "at least 16" if bits < 16 else f"at most {MAX_PRECISION}"
+            raise ConfigError(f"precision must be {bound} bits",
+                              key="precision")
+        self.tolerance = _exact("tolerance", DEFAULT_TOLERANCE
+                                if tolerance is None else tolerance)
+        if self.tolerance <= 0:
+            raise ConfigError("tolerance must be positive", key="tolerance")
         self.seed = _integer(seed, "seed")
+
+    @property
+    def order_mode(self):
+        """"explicit" exactly when `order_basis` is given."""
+        return _ORDER_MODES[self.order_basis is not None]
 
     # -- certified object builders
 
@@ -270,66 +284,39 @@ class Config:
 
 def parse_config(text):
     """Parse key-value configuration text; errors carry the line number."""
-    seen = {}
-    lines = {}
+    seen, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value'", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if key in seen:
             raise ConfigError(f"duplicate key {_shown(key)}", lineno)
         seen[key] = value
         lines[key] = lineno
 
-    def take(key, default=None):
-        return seen.pop(key, default)
-
-    kwargs = {}
-    if (v := take("algebra.a")) is not None:
-        kwargs["a"] = _fraction(v, lines["algebra.a"], printed=True)
-    if (v := take("algebra.b")) is not None:
-        kwargs["b"] = _fraction(v, lines["algebra.b"], printed=True)
-
-    basis_rows = {}
-    for i in (1, 2, 3, 4):
-        key = f"order.basis.{i}"
-        if (v := take(key)) is not None:
-            basis_rows[i] = _fraction_list(v, 4, lines[key], printed=True)
-    mode = take("order")
-    if basis_rows:
-        if sorted(basis_rows) != [1, 2, 3, 4]:
-            missing = [i for i in (1, 2, 3, 4) if i not in basis_rows]
-            raise ConfigError(f"order.basis rows missing: {missing}")
-        if mode not in (None, "explicit"):
-            raise ConfigError(
-                "order.basis rows require order = explicit",
-                lines.get("order"))
-        kwargs["order_mode"] = "explicit"
-        kwargs["order_basis"] = tuple(basis_rows[i] for i in (1, 2, 3, 4))
-    elif mode is not None:
-        kwargs["order_mode"] = _order_mode(mode, None, lines["order"])
-
-    if (v := take("polarization.rho")) is not None:
-        kwargs["rho_coords"] = _fraction_list(v, 4, lines["polarization.rho"],
-                                             printed=True)
-    if (v := take("precision")) is not None:
-        line = lines["precision"]
-        kwargs["precision"] = _precision(_integer(v, "precision", line), line)
-    if (v := take("tolerance")) is not None:
-        line = lines["tolerance"]
-        kwargs["tolerance"] = _tolerance(_fraction(v, line, printed=True), line)
-    if (v := take("seed")) is not None:
-        kwargs["seed"] = _integer(v, "seed", lines["seed"])
-
+    kwargs = {arg: seen.pop(key) for key, arg in _ARGUMENTS.items()
+              if key in seen}
+    rows = [seen.pop(f"order.basis.{i}", None) for i in (1, 2, 3, 4)]
+    if rows != [None] * 4:
+        kwargs["order_basis"] = rows
+    try:
+        cfg = Config(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), lines.get(exc.key), exc.key) from None
+    mode, line = seen.pop("order", cfg.order_mode), lines.get("order")
+    if cfg.order_basis is not None and mode != "explicit":
+        raise ConfigError("order.basis rows require order = explicit", line)
+    if mode not in _ORDER_MODES:
+        raise ConfigError(f"order must be one of {_ORDER_MODES}", line)
+    if mode != cfg.order_mode:
+        raise ConfigError("explicit order needs the four basis rows", line)
     if seen:
         key = next(iter(seen))
         raise ConfigError(f"unknown key {_shown(key)}", lines[key])
-    return Config(**kwargs)
+    return cfg
 
 
 def load_config(path):
@@ -338,6 +325,8 @@ def load_config(path):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text") from None
     return parse_config(text)
 
 

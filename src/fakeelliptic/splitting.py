@@ -252,7 +252,8 @@ def classify_candidate(genus, in_fiber, degree_over_C=0, ramification_degree=0,
     2g - 2 = d (2 g_C - 2) + r is enforced exactly.
     """
     if g_C < 2:
-        raise InconsistentData("the base curve has genus at least 2")
+        raise InconsistentData(
+            f"the base curve must have genus at least 2, got {g_C}")
     if genus is None:
         if in_fiber:
             return SplittingReport("Fiber", "NonSplit", h0=1,

@@ -811,7 +811,23 @@ def test_non_integer_precision_key_exits_two(tmp_path, capsys):
     ("tolerance = -1/2\n", "line 1: tolerance must be positive"),
     ("precision = 128\nseed = 1" + "0" * 5000 + "\n",
      "line 2: seed has more than 4300 digits"),
-], ids=["precision", "tolerance-zero", "tolerance-negative", "seed-digits"])
+    # each key once, on line 2 after a comment line
+    *[("# a comment\n" + line, "line 2: " + err) for line, err in [
+        ("algebra.a = 3x\n", "expected an exact rational, got '3x'"),
+        ("algebra.b = 1/0\n", "expected an exact rational, got '1/0'"),
+        ("order = biggest\n",
+         "order must be one of ('saturate-from-standard', 'explicit')"),
+        ("order.basis.3 = 0, 0, 1\norder.basis.1 = 1, 0, 0, 0\n"
+         "order.basis.2 = 0, 1, 0, 0\norder.basis.4 = 0, 0, 0, 1\n",
+         "expected 4 comma-separated values"),
+        ("polarization.rho = 0, 0, y, 0\n",
+         "expected an exact rational, got 'y'"),
+        ("precision = 8\n", "precision must be at least 16 bits"),
+        ("tolerance = -1\n", "tolerance must be positive"),
+        ("seed = 1.5\n", "seed must be an integer, got '1.5'")]],
+], ids=["precision", "tolerance-zero", "tolerance-negative", "seed-digits",
+        "key-algebra.a", "key-algebra.b", "key-order", "key-order.basis.3",
+        "key-polarization.rho", "key-precision", "key-tolerance", "key-seed"])
 def test_every_config_value_error_names_its_line(tmp_path, capsys, config,
                                                  err):
     cfg = tmp_path / "range.cfg"

@@ -1,9 +1,11 @@
+import inspect
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from fakeelliptic import config
 from fakeelliptic.config import (Config, ConfigError, DEFAULT_CONFIG_TEXT,
                                  DEFAULT_TOLERANCE, MAX_EXPONENT,
                                  MAX_DIGITS, MAX_PRECISION, _fraction,
@@ -31,6 +33,16 @@ def test_round_trip():
     cfg = Config(precision=200, seed=-7)
     assert parse_config(cfg.dumps()) == cfg
     assert {"precision = 200", "seed = -7"} <= set(cfg.dumps().splitlines())
+    # the order mode follows from the basis rows, so an explicit order
+    # dumps text that parses back to it
+    rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    for cfg in (Config(a=3, b=-1, order_basis=rows),
+                Config(a=3, b=-1, order_basis=rows,
+                       rho_coords=(0, Fraction(1, 2), 1, 0))):
+        assert cfg.order_mode == "explicit"
+        assert "order = explicit" in cfg.dumps().splitlines()
+        assert parse_config(cfg.dumps()) == cfg
+        assert parse_config(cfg.dumps()).build_order() == cfg.build_order()
 
 
 def test_parse_errors_carry_line_numbers():
@@ -77,8 +89,7 @@ def test_explicit_order_builds():
 def test_explicit_basis_is_certified():
     # over a = 3/2 the standard rows span no order: nrd(x) = -3/2
     rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    cfg = Config(a=Fraction(3, 2), b=-1, order_mode="explicit",
-                 order_basis=rows)
+    cfg = Config(a=Fraction(3, 2), b=-1, order_basis=rows)
     with pytest.raises(NotAnOrder, match=r"generator \(0, 1, 0, 0\) is not"):
         cfg.build_order()
     lattice = cfg.build_order(certify=False)
@@ -93,8 +104,6 @@ def test_validation_in_constructor():
         Config(precision=8)
     with pytest.raises(ConfigError, match="^tolerance must be positive$"):
         Config(tolerance=0)
-    with pytest.raises(ConfigError, match="one of"):
-        Config(order_mode="other")
     # a square a only fails when the algebra is built
     cfg = Config(a=4)
     with pytest.raises(ConfigError, match="square"):
@@ -124,6 +133,11 @@ def test_every_exact_reader_bounds_the_exponent():
                  "tolerance = 1e-20000"):
         with pytest.raises(ConfigError, match="line 2: the exponent"):
             parse_config("seed = 1\n" + line + "\n")
+    # Config reads text values with the same reader; Fraction("1e3000000")
+    # alone would take seconds
+    for kwargs in ({"tolerance": "1e3000000"}, {"a": "1e20000"}):
+        with pytest.raises(ConfigError, match="lies beyond"):
+            Config(**kwargs)
 
 
 _HUGE = Fraction(1, 10 ** 5000)
@@ -134,8 +148,7 @@ _ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     {"a": 1 / _HUGE},
     {"b": -_HUGE},
     {"tolerance": _HUGE},
-    {"order_mode": "explicit",
-     "order_basis": (_ROWS[0], _ROWS[1], (0, 0, _HUGE, 0), _ROWS[3])},
+    {"order_basis": (_ROWS[0], _ROWS[1], (0, 0, _HUGE, 0), _ROWS[3])},
     {"rho_coords": (0, 0, 1 / _HUGE, 0)},
 ], ids=["a", "b", "tolerance", "order_basis", "rho_coords"])
 def test_config_refuses_a_value_too_long_to_echo(kwargs):
@@ -144,6 +157,23 @@ def test_config_refuses_a_value_too_long_to_echo(kwargs):
                        match="^a numerator or denominator has more than "
                              "4300 digits$"):
         Config(**kwargs)
+
+
+def test_config_dumps_exactly_the_keys_parse_config_reads():
+    # a new field goes into Config, as_dict and parse_config together
+    params = inspect.signature(Config).parameters
+    assert "order_mode" not in params
+    assert set(params) == set(Config.__slots__) == {
+        *config._ARGUMENTS.values(), "order_basis"}
+    cfg = Config(a=2, b=-5, order_basis=_ROWS, rho_coords=(0, 1, 0, 0),
+                 precision=64, tolerance=Fraction(1, 7), seed=3)
+    default = Config()
+    assert all(getattr(cfg, f) != getattr(default, f) for f in params)
+    assert set(cfg.as_dict()) == {*config._ARGUMENTS, "order",
+                                  *(f"order.basis.{i}" for i in range(1, 5))}
+    assert parse_config(cfg.dumps()) == cfg
+    with pytest.raises(ConfigError, match="line 1: unknown key 'order_mode'"):
+        parse_config("order_mode = explicit\n")
 
 
 def test_config_takes_a_value_just_short_of_the_bound():
@@ -241,6 +271,14 @@ def test_load_config_missing_file(tmp_path):
     assert load_config(p) == default_config()
 
 
+def test_load_config_names_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_bytes(b"\xff\xfe" + DEFAULT_CONFIG_TEXT.encode())
+    with pytest.raises(ConfigError) as exc:
+        load_config(p)
+    assert str(exc.value) == f"cannot read {p}: not UTF-8 text"
+
+
 @pytest.mark.parametrize("a,b", [(2, -9), (5, -18), (18, -7),
                                  (Fraction(3, 2), -1)])
 def test_standard_order_of_non_squarefree_parameters(a, b):
@@ -264,7 +302,7 @@ def test_standard_order_of_non_squarefree_parameters(a, b):
 
 def test_explicit_order_keeps_parameters():
     rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    cfg = Config(a=12, b=-9, order_mode="explicit", order_basis=rows)
+    cfg = Config(a=12, b=-9, order_basis=rows)
     assert cfg.algebra() == AlgebraParams(12, -9)
 
 

@@ -325,6 +325,18 @@ def test_classify_ramified_multisection():
     assert report.verdict == "NonSplit"
 
 
+def test_classify_names_the_base_genus_it_refuses(capsys):
+    with pytest.raises(InconsistentData,
+                       match="^the base curve must have genus at least 2, "
+                             "got 1$"):
+        classify_candidate(3, in_fiber=False, degree_over_C=1, g_C=1)
+    assert main(["classify", "--gc", "1", "--genus", "3",
+                 "--degree", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "computation error: InconsistentData: the base curve must have "
+        "genus at least 2, got 1\n")
+
+
 def test_classify_rejects_inconsistent_data():
     with pytest.raises(InconsistentData):
         classify_candidate(2, in_fiber=False, degree_over_C=2, g_C=2)
