@@ -10,15 +10,19 @@ handlers import `cm` and `splitting` themselves, after reading their
 options, and pass the configured precision to each numeric function.
 Every other command, `fiber h0` and the suites included, is exact and
 reads no precision.
+
+`main` reads argv, and writes help and usage errors, from one table of
+commands and options, `_COMMANDS`; no command loads argparse, gettext or
+locale.
 """
 
-import argparse
 import functools
 import json
 import os
 import random
 import sys
 import time
+import types
 
 from . import orders, quaternions
 from .config import (ConfigError, _echoable, _fraction_list, complex_pair,
@@ -303,100 +307,160 @@ def _cmd_suite(args, cfg):
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# the command table, its parser and dispatch
+
+# flag -> (kind, default, required, help); kind int, str, or bool for a flag
+# that takes no value
+_OPTIONS = {
+    "--height": (int, None, True, "half-width of the coordinate box"),
+    "--congruence": (int, None, False, "keep units congruent to 1 modulo N"),
+    "--window": (str, None, False,
+                 "re_min,re_max,im_min,im_max rectangle filter"),
+    "--tau": (str, None, True, 'upper half plane point, e.g. "i" or "0.5+2i"'),
+    "--mu": (str, None, True,
+             'order element "k,l,m,n" in (1,x,y,xy) coordinates'),
+    "--genus": (int, None, False, "curve genus; omit for a surface candidate"),
+    "--in-fiber": (bool, False, False, "the curve lies in one fiber"),
+    "--degree": (int, 0, False, "degree over the base curve"),
+    "--ramification": (int, 0, False,
+                       "total ramification degree over the base"),
+    "--gc": (int, 2, False, "genus of the base curve"),
+    "--trials": (int, 20, False, "random trials per suite"),
+    "--out": (str, None, False,
+              "write the JSON report to this file instead of stdout"),
+    "--help": (bool, False, False, "show this help (-h too)"),
+}
+_ABOUT = {(): "Modular families of fake elliptic curves: orders, CM points, "
+              "and splitting certificates.",
+          ("algebra",): "local invariants of (a, b / Q)",
+          ("order",): "order certification and saturation",
+          ("cm",): "CM points of elliptic order elements",
+          ("fiber",): "section space on a fiber",
+          ("curve",): "elliptic curves in fibers",
+          ("suite",): "randomized property suites"}
 
 
-def _add_common(p):
-    p.add_argument("config", nargs="?", default=None,
-                   help="configuration file (defaults to the built-in "
-                        "(3,-1) example)")
-    p.add_argument("--out", default=None,
-                   help="write the JSON report to this file instead of stdout")
+def _leaf(handler, help_, *flags, **fixed):
+    """A command: its handler, help, options and the attributes it fixes."""
+    return handler, help_, (*flags, "--out", "--help"), fixed
 
 
-def build_parser(argv=None):
-    """The argument parser.  Given argv, only the group that argv[0] names
-    gets its subcommands and options; the root lists every group either
-    way, so help and usage errors read as on the whole tree."""
-    parser = argparse.ArgumentParser(
-        prog="fakeelliptic",
-        description="Modular families of fake elliptic curves: orders, "
-                    "CM points, and splitting certificates.")
-    sub = parser.add_subparsers(dest="group", required=True)
+# command words -> _leaf; every command also takes one optional config path
+_COMMANDS = {
+    ("algebra", "check"): _leaf(_cmd_algebra_check,
+                                "ramified primes and division test"),
+    ("order", "verify"): _leaf(_cmd_order_verify, "check the order axioms"),
+    ("order", "disc"): _leaf(_cmd_order_disc, "reduced discriminant"),
+    ("order", "maximal"): _leaf(_cmd_order_maximal,
+                                "compare disc to the ramified product"),
+    ("order", "saturate"): _leaf(_cmd_order_saturate,
+                                 "grow to a maximal order"),
+    ("units",): _leaf(_cmd_units, "norm-one units in a coordinate box",
+                      "--height", "--congruence"),
+    ("cm", "enumerate"): _leaf(_cmd_cm_enumerate, "all CM points up to a "
+                               "height", "--height", "--window"),
+    ("fiber", "h0"): _leaf(_cmd_fiber_h0, "h^0 of the restricted cotangent "
+                           "bundle", "--tau"),
+    ("curve", "split"): _leaf(_cmd_curve_split, "splitting certificate for "
+                              "the curve of mu", "--mu"),
+    ("classify",): _leaf(_cmd_classify, "verdict for a candidate "
+                         "submanifold", "--genus", "--in-fiber", "--degree",
+                         "--ramification", "--gc"),
+    **{("suite", name): _leaf(_cmd_suite, f"property suite: {name}",
+                              "--trials", name=name)
+       for name in (*_SUITES, "all")},
+}
 
-    def group(name, help_):
-        p = sub.add_parser(name, help=help_)
-        return p if argv is None or list(argv[:1]) == [name] else None
 
-    if algebra := group("algebra", "local invariants of (a, b / Q)"):
-        asub = algebra.add_subparsers(dest="action", required=True)
-        p = asub.add_parser("check", help="ramified primes and division test")
-        p.set_defaults(handler=_cmd_algebra_check, command="algebra check")
-        _add_common(p)
+class _Usage(Exception):
+    """A bad command line: (the words read so far, the error)."""
 
-    if order := group("order", "order certification and saturation"):
-        osub = order.add_subparsers(dest="action", required=True)
-        for name, handler, help_ in (
-                ("verify", _cmd_order_verify, "check the order axioms"),
-                ("disc", _cmd_order_disc, "reduced discriminant"),
-                ("maximal", _cmd_order_maximal, "compare disc to the ramified product"),
-                ("saturate", _cmd_order_saturate, "grow to a maximal order")):
-            p = osub.add_parser(name, help=help_)
-            p.set_defaults(handler=handler, command=f"order {name}")
-            _add_common(p)
 
-    if p := group("units", "norm-one units in a coordinate box"):
-        p.add_argument("--height", type=int, required=True)
-        p.add_argument("--congruence", type=int, default=None,
-                       help="keep units congruent to 1 modulo N")
-        p.set_defaults(handler=_cmd_units, command="units")
-        _add_common(p)
+def _below(words):
+    """The commands and groups one word below the group `words`."""
+    return list(dict.fromkeys(c[:len(words) + 1] for c in _COMMANDS
+                              if c[:len(words)] == words))
 
-    if cm := group("cm", "CM points of elliptic order elements"):
-        csub = cm.add_subparsers(dest="action", required=True)
-        p = csub.add_parser("enumerate", help="all CM points up to a height")
-        p.add_argument("--height", type=int, required=True)
-        p.add_argument("--window", default=None,
-                       help="re_min,re_max,im_min,im_max rectangle filter")
-        p.set_defaults(handler=_cmd_cm_enumerate, command="cm enumerate")
-        _add_common(p)
 
-    if fiber := group("fiber", "section space on a fiber"):
-        fsub = fiber.add_subparsers(dest="action", required=True)
-        p = fsub.add_parser("h0", help="h^0 of the restricted cotangent bundle")
-        p.add_argument("--tau", required=True, help='upper half plane point, e.g. "i" or "0.5+2i"')
-        p.set_defaults(handler=_cmd_fiber_h0, command="fiber h0")
-        _add_common(p)
+def _flag(words, name, flags):
+    """The one flag that `name` (-h for --help) spells or begins, or None."""
+    name = "--help" if name == "-h" else name
+    found = [f for f in flags if name[2:] and f.startswith(name)]
+    if len(found) > 1:
+        raise _Usage(words, f"ambiguous option {name}: {', '.join(found)}")
+    return found[0] if found else None
 
-    if curve := group("curve", "elliptic curves in fibers"):
-        cusub = curve.add_subparsers(dest="action", required=True)
-        p = cusub.add_parser("split", help="splitting certificate for the curve of mu")
-        p.add_argument("--mu", required=True,
-                       help='order element "k,l,m,n" in (1,x,y,xy) coordinates')
-        p.set_defaults(handler=_cmd_curve_split, command="curve split")
-        _add_common(p)
 
-    if p := group("classify", "verdict for a candidate submanifold"):
-        p.add_argument("--genus", type=int, default=None,
-                       help="curve genus; omit for a surface candidate")
-        p.add_argument("--in-fiber", action="store_true", dest="in_fiber")
-        p.add_argument("--degree", type=int, default=0,
-                       help="degree over the base curve")
-        p.add_argument("--ramification", type=int, default=0,
-                       help="total ramification degree over the base")
-        p.add_argument("--gc", type=int, default=2, help="genus of the base curve")
-        p.set_defaults(handler=_cmd_classify, command="classify")
-        _add_common(p)
+def _parse(argv):
+    """argv read against _COMMANDS: (words, handler, args), where handler is
+    None when -h or --help asks for the help of `words`.  The command words
+    come first, then the options and the config path in any order.  The
+    value of an option is its `=` part or else the next token, whatever it
+    starts with; each token after `--` is a path."""
+    words, tokens = (), iter(argv)
+    while words not in _COMMANDS:
+        tok = next(tokens, None)
+        if _flag(words, tok or "", ("--help",)):
+            return words, None, None
+        if words + (tok,) not in _below(words):
+            raise _Usage(words, "a command is required" if tok is None
+                         else f"{tok!r} is not a command")
+        words += (tok,)
+    handler, _, flags, fixed = _COMMANDS[words]
+    values = {f: _OPTIONS[f][1] for f in flags if f != "--help"}
+    paths, unknown = [], []
+    for tok in tokens:
+        if tok == "--":
+            paths += tokens
+            break
+        name, eq, value = tok.partition("=")
+        if (flag := _flag(words, name, flags)) is None:
+            # a token starting with "-" names an option; "-" alone is a path
+            if tok.startswith("-") and tok != "-":
+                unknown.append(tok)
+            else:
+                paths.append(tok)
+            continue
+        kind = _OPTIONS[flag][0]
+        if kind is bool and eq:
+            raise _Usage(words, f"{flag} takes no value")
+        if flag == "--help":
+            return words, None, None
+        if kind is not bool and not eq:
+            if (value := next(tokens, None)) is None:
+                raise _Usage(words, f"{flag} expects a value")
+        try:
+            values[flag] = True if kind is bool else kind(value)
+        except ValueError:
+            raise _Usage(words, f"{flag}: invalid {kind.__name__} value "
+                         f"{value!r}") from None
+    if missing := [f for f in flags if _OPTIONS[f][2] and values[f] is None]:
+        raise _Usage(words, "required: " + ", ".join(missing))
+    if unknown or paths[1:]:
+        raise _Usage(words, "unrecognized arguments: "
+                     + " ".join(unknown + paths[1:]))
+    return words, handler, types.SimpleNamespace(
+        **{f[2:].replace("-", "_"): v for f, v in values.items()},
+        **fixed, config=(paths or [None])[0])
 
-    if suite := group("suite", "randomized property suites"):
-        ssub = suite.add_subparsers(dest="action", required=True)
-        for name in (*_SUITES, "all"):
-            p = ssub.add_parser(name, help=f"property suite: {name}")
-            p.add_argument("--trials", type=int, default=20)
-            p.set_defaults(handler=_cmd_suite, command=f"suite {name}", name=name)
-            _add_common(p)
 
-    return parser
+def _help(words):
+    """The usage line of `words`, its help, and each command or option below
+    it with its help."""
+    entry = _COMMANDS.get(words)
+    if entry:
+        rows = [(f if _OPTIONS[f][0] is bool else f"{f} {f[2:].upper()}",
+                 _OPTIONS[f][3] + " (required)" * _OPTIONS[f][2])
+                for f in entry[2]] + [("config", "configuration file "
+                                       "(defaults to the (3,-1) example)")]
+    else:
+        rows = [(w[-1], _ABOUT.get(w) or _COMMANDS[w][1])
+                for w in _below(words)]
+    usage = ("[options] [config]" if entry else
+             "{" + ",".join(r[0] for r in rows) + "} ...")
+    return [" ".join(("usage: fakeelliptic", *words, usage)), "",
+            entry[1] if entry else _ABOUT[words], ""] + [
+        f"  {a:<28} {b}" for a, b in rows]
 
 
 def _emit(report, out_path):
@@ -413,22 +477,28 @@ def _emit(report, out_path):
         sys.stdout.flush()
 
 
-# parsed fields not echoed under `inputs` (the config is echoed whole)
-_NOT_INPUTS = {"group", "action", "handler", "command", "config", "out"}
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    try:
+        words, handler, args = _parse(argv)
+    except _Usage as exc:
+        print(f"{_help(exc.args[0])[0]}\nerror: {exc.args[1]}",
+              file=sys.stderr)
+        return 2
+    if handler is None:
+        print("\n".join(_help(words)))
+        return 0
     try:
         cfg = load_config(args.config) if args.config else default_config()
         inputs = {"config": cfg.as_dict()}
+        # each option but --out in table order, then a suite's name;
+        # None is left out
         inputs.update((k, v) for k, v in vars(args).items()
-                      if v is not None and k not in _NOT_INPUTS)
+                      if v is not None and k not in ("config", "out"))
         start = time.perf_counter()
-        results, citations, ok = args.handler(args, cfg)
+        results, citations, ok = handler(args, cfg)
         elapsed = time.perf_counter() - start
-        report = {"schema": 1, "command": args.command, "inputs": inputs,
+        report = {"schema": 1, "command": " ".join(words), "inputs": inputs,
                   "results": results, "citations": citations,
                   "timings": {"seconds": round(elapsed, 6)}}
         _emit(report, args.out)
@@ -456,8 +526,8 @@ def main(argv=None):
 def run():
     """Entry point: `main()`, flush, then exit without interpreter teardown.
 
-    An exception escaping `main` (argparse's SystemExit too) exits the
-    normal way, so its message prints; a failed final flush never exits 0.
+    An exception escaping `main` exits the normal way, so its traceback
+    prints; a failed final flush never exits 0.
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):

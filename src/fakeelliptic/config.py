@@ -190,6 +190,9 @@ class Config:
             # every row given is read before the missing ones are named
             rows = [row if row is None else _exact(f"order.basis.{i}", row, 4)
                     for i, row in enumerate(order_basis, start=1)]
+            if len(rows) > 4:
+                raise ConfigError(f"a basis has four rows, got {len(rows)}",
+                                  key="order.basis.5")
             missing = [i for i in (1, 2, 3, 4)
                        if i > len(rows) or rows[i - 1] is None]
             if missing:

@@ -721,39 +721,101 @@ def test_parameter_beyond_the_factoring_bound_exits_two(tmp_path, capsys):
     assert f"cannot factor {2 ** 64 + 1}: integers above 2^64" in err
 
 
-def _subparsers(parser):
-    """name -> parser of the subcommands of parser, or {} for a leaf."""
-    if parser._subparsers is None:
-        return {}
-    return dict(parser._subparsers._group_actions[0].choices)
+@pytest.mark.parametrize("argv,code", [
+    ([], 2), (["nosuch"], 2), (["order"], 2),
+    (["order", "disc", "--bogus"], 2), (["units"], 2),
+    (["suite", "all", "--trials", "x"], 2), (["--help"], 0),
+    (["cm", "--help"], 0), (["--he"], 0),
+    (["order", "disc", "--bogus", "-h"], 0)])
+def test_a_bad_command_line_prints_usage_and_help_exits_zero(argv, code,
+                                                             capsys):
+    # an unknown option is refused only after the whole line is read, so
+    # a later -h still prints help
+    assert main(argv) == code
+    out = capsys.readouterr()
+    if code:
+        assert out.out == ""
+        usage, error = out.err.splitlines()
+        assert usage.startswith("usage: fakeelliptic")
+        assert error.startswith("error: ")
+    else:
+        assert out.err == "" and out.out.startswith("usage: fakeelliptic")
 
 
-def test_lazy_parser_reads_as_the_whole_tree():
-    full = cli.build_parser()
-    assert cli.build_parser([]).format_help() == full.format_help()
-    for name, group in _subparsers(full).items():
-        lazy = _subparsers(cli.build_parser([name, "--out", "x"]))[name]
-        assert lazy.format_help() == group.format_help(), name
-        leaves = _subparsers(group)
-        assert leaves.keys() == _subparsers(lazy).keys(), name
-        for leaf, parser in leaves.items():
-            assert (_subparsers(lazy)[leaf].format_help()
-                    == parser.format_help()), (name, leaf)
+def _help_names(capsys, *argv):
+    """The first column of the rows that `argv` prints as help."""
+    assert main(list(argv)) == 0
+    text = capsys.readouterr().out
+    rows = text.split("\n\n", 2)[2].splitlines()
+    return [row.split()[0] for row in rows]
 
 
-@pytest.mark.parametrize("argv", [[], ["nosuch"], ["order"],
-                                  ["order", "disc", "--bogus"],
-                                  ["units"], ["suite", "all", "--trials", "x"],
-                                  ["--help"], ["cm", "--help"]])
-def test_lazy_parser_fails_as_the_whole_tree(argv, capsys):
-    outcomes = []
-    for parser in (cli.build_parser(), cli.build_parser(argv)):
-        with pytest.raises(SystemExit) as info:
-            parser.parse_args(argv)
-        out = capsys.readouterr()
-        outcomes.append((info.value.code, out.out, out.err))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] in (0, 2)
+def test_help_lists_the_commands_and_options_of_the_table(capsys):
+    words = list(cli._COMMANDS)
+    assert _help_names(capsys, "-h") == list(dict.fromkeys(
+        w[0] for w in words))
+    assert _help_names(capsys, "suite", "--help") == [
+        "riemann", "cocycle", "isogeny", "all"]
+    assert _help_names(capsys, "order", "-h") == [
+        "verify", "disc", "maximal", "saturate"]
+    for leaf in words:
+        flags = list(cli._COMMANDS[leaf][2])
+        assert _help_names(capsys, *leaf, "-h") == flags + ["config"]
+        assert flags[-2:] == ["--out", "--help"]
+    # anywhere among the options, and as a unique prefix of --help
+    assert main(["classify", "--genus", "3", "--hel"]) == 0
+    out = capsys.readouterr().out
+    assert "--ramification RAMIFICATION" in out and "  --in-fiber " in out
+
+
+def _report(capsys, *argv):
+    code, report, err = run(capsys, *argv)
+    assert code == 0, err
+    del report["timings"]
+    return report
+
+
+def test_every_spelling_of_an_option_gives_the_same_report(tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algebra.a = 3\nalgebra.b = -1\nseed = 5\n")
+    path = str(cfg)
+    want = _report(capsys, "units", "--height", "2", path)
+    for argv in (["units", "--height=2", path], ["units", "--hei", "2", path],
+                 ["units", "--heig=2", path], ["units", path, "--height", "2"],
+                 ["units", "--height", "2", "--", path]):
+        assert _report(capsys, *argv) == want, argv
+    assert want["inputs"]["height"] == 2
+    assert want["inputs"]["config"]["seed"] == "5"
+    want = _report(capsys, "classify", "--genus", "1", "--in-fiber")
+    assert _report(capsys, "classify", "--in-f", "--gen=1") == want
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["units", "--he", "1"], "ambiguous option --he: --height, --help"),
+    (["classify", "--g", "1"], "ambiguous option --g: --genus, --gc"),
+    (["fiber", "h0"], "required: --tau"),
+    (["units", "--height", "x"], "--height: invalid int value 'x'"),
+    (["units", "--height"], "--height expects a value"),
+    (["classify", "--in-fiber=yes"], "--in-fiber takes no value"),
+    (["order", "disc", "a.cfg", "b.cfg"], "unrecognized arguments: b.cfg"),
+])
+def test_a_misused_option_exits_two(argv, error, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    usage, line = out.err.splitlines()
+    assert usage.startswith("usage: fakeelliptic ") and out.out == ""
+    assert line == "error: " + error
+
+
+def test_the_token_after_an_option_is_its_value(capsys):
+    want = _report(capsys, "fiber", "h0", "--tau=-0.5+i")
+    assert _report(capsys, "fiber", "h0", "--tau", "-0.5+i") == want
+    assert want["results"]["tau"]["re"].startswith("-0.5")
+    # after `--`, a token that starts with a minus sign is the config path
+    code, report, err = run(capsys, "order", "disc", "--", "-no.cfg")
+    assert code == 2 and report is None
+    assert err.startswith("config error: cannot read -no.cfg")
 
 
 @pytest.mark.parametrize("tau", ["nan+1i", "1+nani", "inf,1", "0.5,nan",

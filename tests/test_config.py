@@ -97,6 +97,21 @@ def test_explicit_basis_is_certified():
     assert not is_order(lattice)[0]
 
 
+def test_a_fifth_basis_row_is_refused():
+    # dumps() would write order.basis.5, which parse_config refuses
+    rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(ConfigError, match="^a basis has four rows, got 5$"
+                       ) as exc:
+        Config(a=3, b=-1, order_basis=rows + ((1, 1, 1, 1),))
+    assert exc.value.key == "order.basis.5"
+    # each given row is read first
+    for bad in ((0, 0, "x", 0), (0, 0, 0)):
+        with pytest.raises(ConfigError) as exc:
+            Config(a=3, b=-1, order_basis=rows + (bad,))
+        assert exc.value.key == "order.basis.5"
+        assert "four rows" not in str(exc.value)
+
+
 def test_validation_in_constructor():
     # the range rules parse_config applies with the key's line
     with pytest.raises(ConfigError,

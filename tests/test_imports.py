@@ -1,5 +1,5 @@
 """The exact commands run without loading mpmath; only `cm enumerate` and
-`curve split` load it.
+`curve split` load it.  No command loads argparse, gettext or locale.
 
 Each check runs in a fresh interpreter, since the test session itself
 has long imported mpmath.
@@ -43,13 +43,26 @@ def _python(code):
     return proc.stdout
 
 
-def test_exact_commands_never_load_mpmath():
-    out = _python(f"""
+# imports the package and cli, then defines run(argv): cli.main(argv) must
+# exit 0 without loading argparse, nor gettext and locale, which argparse's
+# import and message lookups load
+_RUN = """
 import contextlib, io, sys
 from fakeelliptic import cli
-for argv in {EXACT_COMMANDS!r}:
+loaded = set(sys.modules)
+
+def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
+    assert "argparse" not in sys.modules, argv
+    assert not {"gettext", "locale"} & (set(sys.modules) - loaded), argv
+"""
+
+
+def test_exact_commands_never_load_mpmath():
+    out = _python(_RUN + f"""
+for argv in {EXACT_COMMANDS!r}:
+    run(argv)
     assert "mpmath" not in sys.modules, argv
 print("ok")
 """)
@@ -58,11 +71,8 @@ print("ok")
 
 @pytest.mark.parametrize("argv", NUMERIC_COMMANDS)
 def test_numeric_commands_load_mpmath(argv):
-    out = _python(f"""
-import contextlib, io, sys
-from fakeelliptic import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main({argv!r}) == 0
+    out = _python(_RUN + f"""
+run({argv!r})
 print("mpmath" in sys.modules)
 """)
     assert out.split() == ["True"]
