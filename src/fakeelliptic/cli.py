@@ -3,7 +3,9 @@
 Every command emits one JSON report (schema 1) with the echoed inputs,
 typed results, the mathematical statement each result instantiates, and
 wall-clock timings.  Exit code 0 means the computation ran; the suite
-commands additionally exit nonzero when an invariant fails.
+commands additionally exit nonzero when an invariant fails.  `_dumps`
+writes the report as `json.dumps(report, indent=2)` would, byte for
+byte, so no command loads json.
 
 Only `cm enumerate` and `curve split` compute numerically: their
 handlers import `cm` and `splitting` themselves, after reading their
@@ -17,7 +19,6 @@ locale.
 """
 
 import functools
-import json
 import os
 import random
 import sys
@@ -463,8 +464,54 @@ def _help(words):
         f"  {a:<28} {b}" for a, b in rows]
 
 
+# the two-character escapes of json.dumps, and its spelling of the values
+# whose repr differs: None, the bools and the floats that are not finite
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r",
+            "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+_NAMES = {"None": "null", "True": "true", "False": "false", "nan": "NaN",
+          "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _escape(c):
+    """json's escape of c: a short one, or \\uXXXX for each UTF-16 code
+    unit of c (a surrogate pair beyond the BMP)."""
+    units = c.encode("utf-16-be", "surrogatepass").hex(" ", 2)
+    return _ESCAPES.get(c) or "\\u" + units.replace(" ", "\\u")
+
+
+def _string(s):
+    """s as json.dumps writes it: quoted, in ASCII."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(c if " " <= c <= "~" and c not in _ESCAPES
+                         else _escape(c) for c in s) + '"'
+
+
+def _dumps(value, indent="\n"):
+    """The text json.dumps(value, indent=2) writes for a report value: a dict
+    with str keys, a list or tuple, str, int, float, bool or None; `indent`
+    is the line break and indentation of the enclosing container."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None or isinstance(value, (int, float)):
+        text = repr(value)
+        return _NAMES.get(text, text)
+    inner = indent + "  "
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        items = [f"{_string(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_dumps(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"not a report value: {value!r:.60}")
+    if not items:
+        return brackets
+    return brackets[0] + inner + f",{inner}".join(items) + indent + brackets[1]
+
+
 def _emit(report, out_path):
-    text = json.dumps(report, indent=2)
+    text = _dumps(report)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:

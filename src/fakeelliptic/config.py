@@ -28,7 +28,8 @@ MAX_PRECISION = 4096
 # the largest decimal exponent read; on a 2-vCPU VM, Fraction("1e10000")
 # takes 0.3 ms and Fraction("1e1000000") 0.6 s
 MAX_EXPONENT = 10000
-_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)$", re.IGNORECASE)
+# compiled by `re` at its first use, like _IMAG_TERM, not at import
+_EXPONENT = r"e([-+]?\d[\d_]*)$"
 # the most digits in a numerator or denominator that a report echoes with
 # `str`: Python's default int-to-str limit
 MAX_DIGITS = 4300
@@ -83,7 +84,8 @@ def _fraction(value):
         return Fraction(value)
     text = value.strip()
     try:
-        exp = _EXPONENT.search(text)
+        exp = ("e" in text or "E" in text) and re.search(
+            _EXPONENT, text, re.IGNORECASE)
         if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
             raise ConfigError(f"the exponent of {_shown(text)} lies beyond "
                               f"+-{MAX_EXPONENT}")
@@ -140,7 +142,7 @@ def _exact(key, value, count=None):
 
 
 # the imaginary term of "a+bi" notation, unsigned, as complex() reads it
-_IMAG_TERM = re.compile(r"((?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?)j$")
+_IMAG_TERM = r"((?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?)j$"
 
 
 def parse_complex(text):
@@ -153,7 +155,7 @@ def parse_complex(text):
             return QuadComplex(*(_fraction(p) for p in s.split(",", 1)))
         s = s.replace("i", "j")
         z = QuadComplex.of(complex(s))
-        term = _IMAG_TERM.search(s)
+        term = re.search(_IMAG_TERM, s)
         underflow = z.ia == 0 and term and _fraction(term.group(1)) != 0
     except ConfigError as exc:
         raise ValueError(f"cannot parse complex value {_shown(text)}: "

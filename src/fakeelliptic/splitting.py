@@ -249,19 +249,23 @@ def classify_candidate(genus, in_fiber, degree_over_C=0, ramification_degree=0,
     or the genus of a curve candidate.  Curves not contained in fibers
     are multisections of degree degree_over_C with total ramification
     ramification_degree; the Riemann-Hurwitz identity
-    2g - 2 = d (2 g_C - 2) + r is enforced exactly.
+    2g - 2 = d (2 g_C - 2) + r is enforced exactly.  An argument outside
+    its range (genus or a degree below 0, g_C below 2) raises ValueError;
+    a combination no candidate has raises InconsistentData.
     """
     if g_C < 2:
-        raise InconsistentData(
+        raise ValueError(
             f"the base curve must have genus at least 2, got {g_C}")
+    for name, value in (("genus", genus), ("degree_over_C", degree_over_C),
+                        ("ramification_degree", ramification_degree)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     if genus is None:
         if in_fiber:
             return SplittingReport("Fiber", "NonSplit", h0=1,
                                    certificate={"citation": CITE_FIBER})
         return SplittingReport("Other", "NonSplit",
                                certificate={"citation": CITE_SURFACE})
-    if genus < 0:
-        raise InconsistentData("genus must be nonnegative")
     if genus == 0:
         return SplittingReport("Other", "NonSplit",
                                certificate={"citation": CITE_RATIONAL})
@@ -275,8 +279,6 @@ def classify_candidate(genus, in_fiber, degree_over_C=0, ramification_degree=0,
                                certificate={"citation": CITE_GENUS})
     if degree_over_C < 1:
         raise InconsistentData("a multisection covers the base with positive degree")
-    if ramification_degree < 0:
-        raise InconsistentData("ramification degree must be nonnegative")
     expected = degree_over_C * (2 * g_C - 2) + ramification_degree
     if 2 * genus - 2 != expected:
         raise InconsistentData(

@@ -7,7 +7,9 @@ import pstats
 import subprocess
 import sys
 import time
+import types
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -1014,3 +1016,38 @@ def test_full_stdout_exits_one_with_one_line(monkeypatch, capsys):
     assert main(["classify"]) == 1
     assert capsys.readouterr().err == (
         "cannot write the report: No space left on device\n")
+
+
+@pytest.mark.parametrize("value", [
+    '"', "\\", "\x00", "\x1f", "\x7f", "é", "\U0001d11e", "\udcff",
+    "a\nb\tc\rd\be\f", "", "plain text", "caf\xe9 \U0001f600 \udcff \"x\"",
+    {}, [], {"a": {}}, [[]], {"a": [{}, []], "b": {"c": []}},
+    -0.0, 1e300, 10 ** 30, float("nan"), float("inf"), float("-inf"),
+    [True, 1, False, 0, None], (1, (2, "t")), {"k": [1.5, {"z": None}]},
+], ids=repr)
+def test_the_report_writer_writes_what_json_writes(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), {1: "a"}, {"a": {1, 2}}, b"x", [object()]], ids=repr)
+def test_the_report_writer_refuses_any_other_type(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+def test_a_non_ascii_option_is_echoed_as_json_writes_it(tmp_path,
+                                                         monkeypatch, capsys):
+    # Fraction reads Arabic-Indic digits; the report escapes them
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+        perf_counter=lambda: 0.0))
+    argv = ["cm", "enumerate", "--height", "1", "--window=١,٢,٠,٣"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert report["inputs"]["window"] == "١,٢,٠,٣"
+    assert '"window": "\\u0661,\\u0662,\\u0660,\\u0663"' in text
+    assert text == json.dumps(report, indent=2) + "\n"
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == text

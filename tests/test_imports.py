@@ -1,5 +1,6 @@
 """The exact commands run without loading mpmath; only `cm enumerate` and
-`curve split` load it.  No command loads argparse, gettext or locale.
+`curve split` load it.  No command loads argparse, gettext, locale or
+json, and no module compiles a regex at import.
 
 Each check runs in a fresh interpreter, since the test session itself
 has long imported mpmath.
@@ -45,7 +46,7 @@ def _python(code):
 
 # imports the package and cli, then defines run(argv): cli.main(argv) must
 # exit 0 without loading argparse, nor gettext and locale, which argparse's
-# import and message lookups load
+# import and message lookups load, nor json: cli writes the report itself
 _RUN = """
 import contextlib, io, sys
 from fakeelliptic import cli
@@ -56,6 +57,7 @@ def run(argv):
         assert cli.main(argv) == 0, argv
     assert "argparse" not in sys.modules, argv
     assert not {"gettext", "locale"} & (set(sys.modules) - loaded), argv
+    assert not {"json", "_json"} & set(sys.modules), argv
 """
 
 
@@ -167,8 +169,9 @@ def _run_at_import(statements):
 def test_conversion_and_import_rules_hold_in_the_source():
     # `.numeric(` is called only by `exactlinalg.to_mpf`, the one way from
     # an exact value to an mpf, and no module imports mpmath at module
-    # level: each imports it in its numeric functions
-    numeric_calls, mpmath_imports = [], []
+    # level: each imports it in its numeric functions; nor does any compile
+    # a regex at import, which every command would pay for
+    numeric_calls, mpmath_imports, compiles = [], [], []
     for path in sorted(Path(SRC, "fakeelliptic").glob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
@@ -178,6 +181,12 @@ def test_conversion_and_import_rules_hold_in_the_source():
                      [node.module] if isinstance(node, ast.ImportFrom) else [])
             if any(n and n.split(".")[0] == "mpmath" for n in names):
                 mpmath_imports.append(path.stem)
+            # the expressions of the statement, not the statements it holds
+            compiles += [path.stem for child in ast.iter_child_nodes(node)
+                         if not isinstance(child, ast.stmt)
+                         for call in ast.walk(child)
+                         if isinstance(call, ast.Call)
+                         and ast.unparse(call.func) == "re.compile"]
         if not re.search(r"numeric\s*\(", text):
             continue  # no call to walk for
         for node, scope in _scoped_nodes(tree):
@@ -187,6 +196,7 @@ def test_conversion_and_import_rules_hold_in_the_source():
                 numeric_calls.append((path.stem, scope))
     assert numeric_calls == [("exactlinalg", "to_mpf")]
     assert mpmath_imports == []
+    assert compiles == []
 
 
 def test_the_source_parses_at_the_python_floor():

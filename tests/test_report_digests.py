@@ -2,9 +2,10 @@
 
 Each command of `perfbench/workloads.universe()` runs in process through
 `cli.main`, and `checks.digest` of its report (everything but `timings`)
-is compared with `perfbench/expected_digests.json`.  The benchmark's
-sources are exec'd instead of imported, so nothing is written beside
-them; the configs go to a temporary directory.
+is compared with `perfbench/expected_digests.json`; its text must be what
+`json.dumps(report, indent=2)` writes.  The benchmark's sources are
+exec'd instead of imported, so nothing is written beside them; the
+configs go to a temporary directory.
 """
 
 import contextlib
@@ -36,7 +37,7 @@ def test_every_report_matches_its_recorded_digest(tmp_path, monkeypatch):
     expected = checks.load_digests()
     commands = workloads.universe()
     assert sorted(c.key for c in commands) == sorted(expected)
-    moved = []
+    moved, rewritten = [], []
     for cmd in commands:
         path = tmp_path / f"{workloads.config_name(cmd.config)}.cfg"
         if not path.exists():
@@ -44,7 +45,13 @@ def test_every_report_matches_its_recorded_digest(tmp_path, monkeypatch):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(cmd.argv(str(path)))
-        got = checks.digest(json.loads(out.getvalue())) if code == 0 else code
+        text = out.getvalue()
+        report = json.loads(text) if code == 0 else None
+        got = checks.digest(report) if code == 0 else code
         if got != expected[cmd.key]:
             moved.append(cmd.key)
+        # the text itself, not only its digest, is what json would write
+        if code == 0 and text != json.dumps(report, indent=2) + "\n":
+            rewritten.append(cmd.key)
     assert moved == []
+    assert rewritten == []

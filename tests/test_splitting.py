@@ -326,15 +326,14 @@ def test_classify_ramified_multisection():
 
 
 def test_classify_names_the_base_genus_it_refuses(capsys):
-    with pytest.raises(InconsistentData,
+    with pytest.raises(ValueError,
                        match="^the base curve must have genus at least 2, "
                              "got 1$"):
         classify_candidate(3, in_fiber=False, degree_over_C=1, g_C=1)
     assert main(["classify", "--gc", "1", "--genus", "3",
-                 "--degree", "1"]) == 1
+                 "--degree", "1"]) == 2
     assert capsys.readouterr().err == (
-        "computation error: InconsistentData: the base curve must have "
-        "genus at least 2, got 1\n")
+        "invalid input: the base curve must have genus at least 2, got 1\n")
 
 
 def test_classify_rejects_inconsistent_data():
@@ -344,10 +343,29 @@ def test_classify_rejects_inconsistent_data():
         classify_candidate(1, in_fiber=True, degree_over_C=2, g_C=2)
     with pytest.raises(InconsistentData):
         classify_candidate(3, in_fiber=False, degree_over_C=0, g_C=2)
-    with pytest.raises(InconsistentData):
-        classify_candidate(3, in_fiber=False, degree_over_C=2,
-                           ramification_degree=-1, g_C=2)
-    with pytest.raises(InconsistentData):
-        classify_candidate(2, in_fiber=False, degree_over_C=1, g_C=1)
-    with pytest.raises(InconsistentData):
-        classify_candidate(-1, in_fiber=False)
+
+
+@pytest.mark.parametrize("args,error", [
+    ((3, False, 2, -1, 2), "ramification_degree must be nonnegative, got -1"),
+    ((2, False, 1, 0, 1), "the base curve must have genus at least 2, got 1"),
+    ((-1, False, 0, 0, 2), "genus must be nonnegative, got -1"),
+    ((None, False, -1, 0, 2), "degree_over_C must be nonnegative, got -1"),
+    ((0, True, 0, -2, 2), "ramification_degree must be nonnegative, got -2"),
+])
+def test_classify_refuses_an_argument_out_of_range(args, error):
+    # a ValueError, which the command line reports as bad input
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        classify_candidate(*args)
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["--genus", "-5"], "genus must be nonnegative, got -5"),
+    (["--gc", "0", "--genus", "3", "--degree", "2"],
+     "the base curve must have genus at least 2, got 0"),
+    (["--genus", "3", "--degree", "-2"],
+     "degree_over_C must be nonnegative, got -2"),
+])
+def test_classify_exits_two_on_an_option_out_of_range(argv, error, capsys):
+    assert main(["classify", *argv]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"invalid input: {error}\n")
