@@ -19,7 +19,8 @@ import importlib
 _EXPORTS = {
     "config": ("Config", "ConfigError", "default_config", "load_config",
                "parse_config"),
-    "exactlinalg": ("ComputationError", "DEFAULT_PRECISION", "QuadExt"),
+    "exactlinalg": ("ComputationError", "DEFAULT_PRECISION", "QuadExt",
+                    "UpperHalfPoint"),
     "orders": ("NotAnOrder", "OrderLattice", "SearchExhausted",
                "enumerate_units", "is_maximal", "is_order",
                "reduced_discriminant", "saturate", "standard_order"),
@@ -28,9 +29,8 @@ _EXPORTS = {
                     "ramified_primes"),
     "cm": ("CMPoint", "NotElliptic", "cm_point", "enumerate_cm_points"),
     "family": ("FamilyGroupElement", "PeriodLattice", "PolarizationData",
-               "UpperHalfPoint", "automorphy_factor", "cocycle_check",
-               "default_rho", "moebius_act", "riemann_conditions_check",
-               "riemann_form"),
+               "automorphy_factor", "cocycle_check", "default_rho",
+               "moebius_act", "riemann_conditions_check", "riemann_form"),
     "splitting": ("InconsistentData", "SplittingReport", "classify_candidate",
                   "curve_h0", "dphi_check", "elliptic_family_fiber_h0",
                   "fiber_h0", "verify_sections"),

@@ -26,9 +26,10 @@ import time
 import types
 
 from . import orders, quaternions
-from .config import (ConfigError, _echoable, _fraction_list, complex_pair,
-                     default_config, load_config, parse_complex)
-from .exactlinalg import ComputationError, QuadComplex, decimal_str
+from .config import (ConfigError, _echoable, _fraction_list, default_config,
+                     load_config, parse_complex)
+from .exactlinalg import (ComputationError, QuadComplex, complex_pair,
+                          decimal_str)
 
 CITE_ALGEBRA = ("A quaternion algebra over Q is a division algebra exactly "
                 "when some place ramifies, and the ramified set is finite of "
@@ -57,9 +58,11 @@ CITE_ISOGENY = ("For a norm-one unit gamma, the period lattice at "
                 "the fibers over equivalent points are isomorphic.")
 
 
-# the largest --height of `units` and `cm enumerate`: their box holds
-# (2h+1)^4 vectors; on (3, -1) `cm enumerate --height 16` takes 3.0 s and
-# 45 MB, `units --height 16` 0.3 s (Python 3.11, 2-vCPU Xeon VM)
+# the largest --height of `units` and `cm enumerate`, whose box holds
+# (2h+1)^4 vectors: at height 16 `units` takes 0.3 s and `cm enumerate`
+# 3.0 s and 45 MB on (3, -1); on (13, -38), the slowest benchmark algebra
+# (12,163 points, a 9.1 MB report, 116 MB), its child takes 6.6-8.1 s at
+# 128 bits and 25-30 s at 4096 (Python 3.11, 2-vCPU Xeon VM)
 MAX_HEIGHT = 16
 # the largest `suite --trials`: the Riemann suite holds trials + 1 taus;
 # `suite all --trials 2000` takes 1.9 s and 16 MB on (3, -1) (same VM)

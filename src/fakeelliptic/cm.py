@@ -2,16 +2,17 @@
 
 An element mu is elliptic when trd(mu)^2 < 4 nrd(mu)
 (`quaternions.is_elliptic`); it then fixes a unique tau in the upper half
-plane, and mu_tau = tau' * (tau, 1)^t for the eigenvalue tau' = C tau + D.
-The fiber over such a tau is isogenous to a product of elliptic curves.
+plane (an `exactlinalg.UpperHalfPoint`; `cm` loads no `family`), and
+mu_tau = tau' * (tau, 1)^t for the eigenvalue tau' = C tau + D.  The
+fiber over such a tau is isogenous to a product of elliptic curves.
 """
 
 import itertools
 import math
 
 from .exactlinalg import (ComputationError, DEFAULT_PRECISION, QuadComplex,
+                          UpperHalfPoint, _mpf_matrix, as_complex,
                           precision_tolerance, solve_quadratic)
-from .family import UpperHalfPoint, _mpf_matrix, as_complex
 from .orders import _coords_str
 from .quaternions import embed, is_elliptic
 

@@ -2,22 +2,21 @@
 
 Rationals are written as strings ("3", "-1", "3/2") so that exactness
 survives serialization; complex values entering through the command line
-use "re+im i" notation, parse to exact values and serialize to {re, im}
-pairs of decimal strings.  `Config(...)` reads and checks each value, its
-text too, once: every exact value through `_fraction`, which refuses a
-decimal exponent beyond MAX_EXPONENT, and every config rational or `--mu`
-coordinate (echoed as a fraction) through `_echoable`, which refuses one
-beyond MAX_DIGITS digits.  `parse_config` reads the `key = value` lines,
-checks the keys and adds its line to each error.  `family` is imported
-only where it is used, and mpmath not at all, so that the exact commands
-never load them.
+use "re+im i" notation and parse to exact values.  `Config(...)` reads
+and checks each value, its text too, once: every exact value through
+`_fraction`, which refuses a decimal exponent beyond MAX_EXPONENT, and
+every config rational or `--mu` coordinate (echoed as a fraction) through
+`_echoable`, which refuses one beyond MAX_DIGITS digits.  `parse_config`
+reads the `key = value` lines, checks the keys and adds its line to each
+error.  Only `Config.polarization` imports `family`, and nothing here
+imports mpmath, so that the exact commands never load them.
 """
 
 import operator
 import re
 from fractions import Fraction
 
-from .exactlinalg import DEFAULT_PRECISION, QuadComplex, decimal_str
+from .exactlinalg import DEFAULT_PRECISION, QuadComplex
 from .orders import (OrderLattice, certified, maximal_discriminant, saturate,
                      standard_order)
 from .quaternions import AlgebraParams, QuatElement
@@ -170,13 +169,6 @@ def parse_complex(text):
     return z
 
 
-def complex_pair(z):
-    """{re, im} pair of 20-digit decimal strings, the report form of
-    complex values (exact, or an mpc printed as `mpmath.nstr` does)."""
-    z = QuadComplex.of(z)
-    return {"re": decimal_str(z.real, 20), "im": decimal_str(z.imag, 20)}
-
-
 class Config:
     """A run configuration.  Each argument is a value or its config text,
     read and checked here once; a ConfigError names the argument's key."""
@@ -255,11 +247,8 @@ class Config:
 
     def polarization(self, order):
         from .family import PolarizationData, default_rho
-        params = order.params
-        if self.rho_coords is None:
-            rho = default_rho(params)
-        else:
-            rho = QuatElement(params, *self.rho_coords)
+        rho = (default_rho(order.params) if self.rho_coords is None
+               else QuatElement(order.params, *self.rho_coords))
         return PolarizationData.with_minimal_scale(rho, order)
 
     # -- serialization

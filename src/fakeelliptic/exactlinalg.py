@@ -15,8 +15,9 @@ here as references for the tests and the benchmark's tracer.
 Numeric work (CM points, curve sections) runs on mpmath at a
 binary precision that each numeric function takes as `prec`, 128 bits
 by default.  The numeric policies live here once: one conversion each
-way between exact scalars and mpmath (`to_mpf`, `QuadComplex.of`) and
-their decimal form (`decimal_str`); no fiber or suite verdict reads a
+way between exact scalars and mpmath (`to_mpf`, `QuadComplex.of`), the
+decimal form (`decimal_str`, `complex_pair`), and the upper half plane
+(`UpperHalfPoint`, `as_complex`); no fiber or suite verdict reads a
 tolerance.  The numeric functions import mpmath where they run, so the
 exact commands never load it.
 """
@@ -360,6 +361,13 @@ def decimal_str(x, n):
     return "-" * negative + text + ("0" if text.endswith(".") else "") + exp
 
 
+def complex_pair(z):
+    """{re, im} pair of 20-digit decimal strings, the report form of
+    complex values (exact, or an mpc printed as `mpmath.nstr` does)."""
+    z = QuadComplex.of(z)
+    return {"re": decimal_str(z.real, 20), "im": decimal_str(z.imag, 20)}
+
+
 def _zero_like(x):
     if isinstance(x, QuadExt):
         return QuadExt._over(Fraction(0), Fraction(0), x.rad)
@@ -480,6 +488,45 @@ def _to_ap_matrix(rows):
         return rows.copy()
     return mpmath.matrix([[to_mpf(x) if isinstance(x, (int, Fraction, QuadExt))
                            else mpmath.mpc(x) for x in r] for r in rows])
+
+
+def as_complex(tau):
+    """tau as an mpc without re-rounding values that already are one.
+
+    mpmath constructors round to the ambient precision even for existing
+    mpmath numbers, so conversions must skip them to keep high-precision
+    inputs intact outside workprec blocks.  An exact tau is rounded.
+    """
+    import mpmath
+    if isinstance(tau, UpperHalfPoint):
+        tau = tau.tau
+    if isinstance(tau, mpmath.mpc):
+        return tau
+    return mpmath.mpc(tau)
+
+
+class UpperHalfPoint:
+    """A point tau with Im > 0; a `QuadComplex` tau stays exact, any other
+    becomes an mpc."""
+
+    __slots__ = ("tau",)
+
+    def __init__(self, tau):
+        if not isinstance(tau, QuadComplex):
+            tau = as_complex(tau)
+        im = tau.imag
+        if not (im.sign() if isinstance(im, QuadExt) else im) > 0:
+            raise ValueError("point not in the upper half plane")
+        self.tau = tau
+
+    def __repr__(self):
+        import mpmath
+        return f"UpperHalfPoint({mpmath.nstr(as_complex(self.tau), 12)})"
+
+
+def _mpf_matrix(E):
+    """A 2x2 matrix over Q(sqrt a) as mpfs at the ambient precision."""
+    return [[to_mpf(x) for x in row] for row in E]
 
 
 def numeric_svd(m, prec=DEFAULT_PRECISION):

@@ -6,50 +6,18 @@ structure, the polarization form E(m1, m2) = trd(rho * m1 * conj(m2)) and
 its Riemann conditions, the Moebius action of norm-1 units together with
 the lattice isogeny identity, and the 3x3 factor of automorphy of the
 total space, with its cocycle and determinant identities.  The checks
-decide over Q(sqrt a)(i); only the numeric functions import mpmath.
+decide over Q(sqrt a)(i); only the numeric functions import mpmath, and
+of the commands only the suites load this module.
 """
 
 from fractions import Fraction
 import math
 
-from .exactlinalg import (DEFAULT_PRECISION, QuadComplex, QuadExt, _complex,
-                          cofactor_det, decimal_str, to_mpf)
+from .exactlinalg import (DEFAULT_PRECISION, QuadComplex, QuadExt,
+                          UpperHalfPoint, _complex, _mpf_matrix, as_complex,
+                          cofactor_det, decimal_str)
 from .orders import _gram, _integer_form
 from .quaternions import QuatElement, _product, embed
-
-
-def as_complex(tau):
-    """tau as an mpc without re-rounding values that already are one.
-
-    mpmath constructors round to the ambient precision even for existing
-    mpmath numbers, so conversions must skip them to keep high-precision
-    inputs intact outside workprec blocks.  An exact tau is rounded.
-    """
-    import mpmath
-    if isinstance(tau, UpperHalfPoint):
-        tau = tau.tau
-    if isinstance(tau, mpmath.mpc):
-        return tau
-    return mpmath.mpc(tau)
-
-
-class UpperHalfPoint:
-    """A point tau with Im > 0; a `QuadComplex` tau stays exact, any other
-    becomes an mpc."""
-
-    __slots__ = ("tau",)
-
-    def __init__(self, tau):
-        if not isinstance(tau, QuadComplex):
-            tau = as_complex(tau)
-        im = tau.imag
-        if not (im.sign() if isinstance(im, QuadExt) else im) > 0:
-            raise ValueError("point not in the upper half plane")
-        self.tau = tau
-
-    def __repr__(self):
-        import mpmath
-        return f"UpperHalfPoint({mpmath.nstr(as_complex(self.tau), 12)})"
 
 
 def complex_structure(m, tau, prec=DEFAULT_PRECISION):
@@ -58,11 +26,6 @@ def complex_structure(m, tau, prec=DEFAULT_PRECISION):
     import mpmath
     with mpmath.workprec(prec):
         return _apply(_mpf_matrix(embed(m)), as_complex(tau))
-
-
-def _mpf_matrix(E):
-    """A 2x2 matrix over Q(sqrt a) as mpfs at the ambient precision."""
-    return [[to_mpf(x) for x in row] for row in E]
 
 
 def _apply(N, tau):
@@ -147,7 +110,11 @@ class PolarizationData:
     @classmethod
     def with_minimal_scale(cls, rho, order):
         """Scale = lcm of the denominators of E on the order basis pairs:
-        M / gcd(M, c) for E = c / M (`_form_numerators`)."""
+        M / gcd(M, c) for E = c / M (`_form_numerators`), the least
+        *integer* multiple of E that is integral.  It only scales up, so G
+        can keep a common factor: for rho = y on the saturated orders, G
+        has elementary divisors 5, 5, 10, 10 on (2, -5) and 7, 7, 21, 21 on
+        (3, -7) at scale 1; on (3, -1) it is primitive, at scale 1."""
         c, M = _form_numerators(rho, order)
         pol = cls(rho, M // math.gcd(M, *(x for row in c for x in row)))
         pol._forms = _forms(order, c, M, pol.scale)

@@ -112,9 +112,6 @@ class QuatElement:
     def is_zero(self):
         return self.coords() == (0, 0, 0, 0)
 
-    def is_scalar(self):
-        return self.l == 0 and self.m == 0 and self.n == 0
-
     def conj(self):
         return QuatElement(self.params, self.k, -self.l, -self.m, -self.n)
 

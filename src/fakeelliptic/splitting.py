@@ -10,17 +10,16 @@ providing the extra section that splits an elliptic curve.
 
 The classifier here settles any candidate submanifold by the case rules,
 with exact Riemann-Hurwitz bookkeeping.  Only the numeric functions
-import mpmath; the fiber verdict and the classifier are exact.
+import mpmath, and only `fiber_rep` imports `family`; the fiber verdict
+and the classifier are exact.
 """
 
 import random
 
-from .config import complex_pair
 from .exactlinalg import (DEFAULT_PRECISION, NONZERO_TOL, ComputationError,
-                          QuadComplex, QuadExt, cofactor_det, decimal_str,
+                          QuadComplex, QuadExt, UpperHalfPoint, _mpf_matrix,
+                          as_complex, cofactor_det, complex_pair, decimal_str,
                           to_mpf)
-from .family import (UpperHalfPoint, _mpf_matrix, as_complex,
-                     complex_structure)
 from .quaternions import embed
 
 
@@ -39,8 +38,7 @@ class FlatRep:
     __slots__ = ("generator_vectors", "periods")
 
     def __init__(self, generator_vectors, periods):
-        self.generator_vectors = generator_vectors
-        self.periods = periods
+        self.generator_vectors, self.periods = generator_vectors, periods
 
     def rho(self, i, prec=DEFAULT_PRECISION):
         """Numeric rho of generator i."""
@@ -53,6 +51,7 @@ class FlatRep:
 
 def fiber_rep(order, tau, prec=DEFAULT_PRECISION):
     """One vector per order generator: the first column of its embedding."""
+    from .family import complex_structure
     return FlatRep([(E[0][0], E[1][0]) for E in order.embedding],
                    [complex_structure(g, tau, prec) for g in order.generators()])
 
@@ -77,10 +76,8 @@ class FiberH0:
     __slots__ = ("h0", "det_witness", "sections", "precision_used")
 
     def __init__(self, h0, det_witness, sections, precision_used):
-        self.h0 = h0
-        self.det_witness = det_witness
-        self.sections = sections
-        self.precision_used = precision_used
+        self.h0, self.det_witness = h0, det_witness
+        self.sections, self.precision_used = sections, precision_used
 
 
 def fiber_h0(order, tau, prec=DEFAULT_PRECISION):
@@ -118,8 +115,7 @@ class CurveH0:
     __slots__ = ("h0", "sections", "eigen_residual")
 
     def __init__(self, h0, sections, eigen_residual):
-        self.h0 = h0
-        self.sections = sections
+        self.h0, self.sections = h0, sections
         self.eigen_residual = eigen_residual
 
 

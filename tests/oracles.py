@@ -415,7 +415,7 @@ def enumerate_cm_points_bruteforce(order, height, window=None,
         mu = QuatElement(order.params, 0)
         for c, g in zip(coeffs, gens):
             mu = mu + g * c
-        if mu.is_zero() or mu.is_scalar():
+        if mu.is_zero():
             continue
         if not is_elliptic(mu):
             continue

@@ -9,8 +9,9 @@ from fakeelliptic import config
 from fakeelliptic.config import (Config, ConfigError, DEFAULT_CONFIG_TEXT,
                                  DEFAULT_TOLERANCE, MAX_EXPONENT,
                                  MAX_DIGITS, MAX_PRECISION, _fraction,
-                                 complex_pair, default_config, load_config,
-                                 parse_complex, parse_config)
+                                 default_config, load_config, parse_complex,
+                                 parse_config)
+from fakeelliptic.exactlinalg import complex_pair
 from fakeelliptic.orders import (NotAnOrder, is_order, reduced_discriminant,
                                  saturate, standard_order)
 from fakeelliptic.quaternions import (AlgebraParams, AlgebraSplit,

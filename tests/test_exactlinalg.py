@@ -7,14 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from fakeelliptic import exactlinalg
-from fakeelliptic.config import complex_pair
-from fakeelliptic.exactlinalg import (QuadComplex, QuadExt, cofactor_det,
-                                      decimal_str, exact_det, exact_rank,
-                                      exact_solve,
+from fakeelliptic.exactlinalg import (QuadComplex, QuadExt, UpperHalfPoint,
+                                      cofactor_det, complex_pair, decimal_str,
+                                      exact_det, exact_rank, exact_solve,
                                       fraction_sqrt, numeric_svd,
                                       precision_tolerance, solve_quadratic,
                                       to_mpf)
-from fakeelliptic.family import UpperHalfPoint
 from fakeelliptic.quaternions import AlgebraParams, QuatElement, embed
 from oracles import (QuadRef, exact_nullspace, laplace_det, numeric_nullspace,
                      rank_by_minors, reference_roots)

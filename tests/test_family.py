@@ -8,7 +8,7 @@ from mpmath import mp
 from fakeelliptic import family
 from fakeelliptic.family import (FamilyGroupElement,
                                  PeriodLattice, PolarizationData,
-                                 UpperHalfPoint, as_complex, automorphy_factor,
+                                 automorphy_factor,
                                  canonical_degree_check, cocycle_check,
                                  complex_structure, default_rho,
                                  isogeny_lattice_check, moebius_act,
@@ -17,7 +17,8 @@ from fakeelliptic.family import (FamilyGroupElement,
                                  riemann_form)
 from fakeelliptic import AlgebraParams, Config, saturate, standard_order
 from fakeelliptic.config import DEFAULT_TOLERANCE
-from fakeelliptic.exactlinalg import exact_det, to_mpf
+from fakeelliptic.exactlinalg import (UpperHalfPoint, as_complex, exact_det,
+                                      to_mpf)
 from fakeelliptic.orders import enumerate_units
 from fakeelliptic.quaternions import QuatElement
 from oracles import (IDENTITY_TOL, automorphy_factor_fresh,

@@ -1,6 +1,7 @@
 """The exact commands run without loading mpmath; only `cm enumerate` and
 `curve split` load it.  No command loads argparse, gettext, locale or
-json, and no module compiles a regex at import.
+json, only the suites load `family`, and no module compiles a regex at
+import.  The package modules import each other in layers.
 
 Each check runs in a fresh interpreter, since the test session itself
 has long imported mpmath.
@@ -29,6 +30,8 @@ EXACT_COMMANDS = (
     ["classify", "--genus", "3", "--degree", "2"],
     ["classify", "--genus", "4", "--degree", "2", "--ramification", "2"],
     ["fiber", "h0", "--tau", "i"], ["fiber", "h0", "--tau=0.3,1"],
+    # the suites come last: they load `family`, which no command before
+    # them may load
     ["suite", "riemann", "--trials", "2"], ["suite", "cocycle", "--trials", "2"],
     ["suite", "isogeny", "--trials", "2"], ["suite", "all", "--trials", "2"],
 )
@@ -46,7 +49,8 @@ def _python(code):
 
 # imports the package and cli, then defines run(argv): cli.main(argv) must
 # exit 0 without loading argparse, nor gettext and locale, which argparse's
-# import and message lookups load, nor json: cli writes the report itself
+# import and message lookups load, nor json: cli writes the report itself;
+# only a suite may load `family`, and `classify` loads no `cm` either
 _RUN = """
 import contextlib, io, sys
 from fakeelliptic import cli
@@ -58,6 +62,10 @@ def run(argv):
     assert "argparse" not in sys.modules, argv
     assert not {"gettext", "locale"} & (set(sys.modules) - loaded), argv
     assert not {"json", "_json"} & set(sys.modules), argv
+    if argv[0] != "suite":
+        assert "fakeelliptic.family" not in sys.modules, argv
+    if argv[0] == "classify":
+        assert "fakeelliptic.cm" not in sys.modules, argv
 """
 
 
@@ -197,6 +205,40 @@ def test_conversion_and_import_rules_hold_in_the_source():
     assert numeric_calls == [("exactlinalg", "to_mpf")]
     assert mpmath_imports == []
     assert compiles == []
+
+
+# module -> the package modules it may import at module level: each layer
+# imports only the layers below it, so `family` is loaded only by the
+# suites and the functions that import it where they run
+_LAYERS = {
+    "__init__": set(),
+    "exactlinalg": set(),
+    "quaternions": {"exactlinalg"},
+    "orders": {"exactlinalg", "quaternions"},
+    **dict.fromkeys(("family", "cm", "splitting"),
+                    {"exactlinalg", "quaternions", "orders"}),
+    "config": {"exactlinalg", "orders", "quaternions"},
+    "cli": {"config", "exactlinalg", "orders", "quaternions"},
+}
+
+
+def _package_imports(tree):
+    """The package modules that `from . import m` and `from .m import x`
+    statements run at import time name."""
+    found = set()
+    for node in _run_at_import(tree.body):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module} if node.module
+                      else {a.name for a in node.names})
+    return found
+
+
+def test_modules_import_each_other_in_layers():
+    edges = {path.stem: _package_imports(ast.parse(path.read_text()))
+             for path in Path(SRC, "fakeelliptic").glob("*.py")}
+    assert set(edges) == set(_LAYERS)
+    stray = {m: e - _LAYERS[m] for m, e in edges.items()}
+    assert {m: e for m, e in stray.items() if e} == {}
 
 
 def test_the_source_parses_at_the_python_floor():
