@@ -9,8 +9,9 @@ the rational parts, hash and the printers reduce.  :class:`QuadExt`
 it inherits the ring operations, any real result with a radicand is one,
 and it adds division and the exact `sign`.  Lattice ranks, membership
 and determinants are decided on integer forms (`orders.OrderLattice`);
-the elimination kernels `exact_rank`, `exact_det` and `exact_solve` stay
-here as references for the tests and the benchmark's tracer.
+`exact_rank`, `exact_det` and `exact_solve`, references for the tests and
+the benchmark's tracer, read `exact_rref`, the one elimination, which
+also returns the product of its pivots, signed by its row swaps.
 
 Numeric work (CM points, curve sections) runs on mpmath at a
 binary precision that each numeric function takes as `prec`, 128 bits
@@ -368,46 +369,25 @@ def complex_pair(z):
     return {"re": decimal_str(z.real, 20), "im": decimal_str(z.imag, 20)}
 
 
-def _zero_like(x):
-    if isinstance(x, QuadExt):
-        return QuadExt._over(Fraction(0), Fraction(0), x.rad)
-    return Fraction(0)
-
-
-def _is_zero(x):
-    if isinstance(x, QuadExt):
-        return x.is_zero()
-    return x == 0
-
-
 def exact_rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
+    """Reduced row echelon form, the one elimination here: (rows, pivot
+    columns, the product of the pivots negated once per row swap)."""
     m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not _is_zero(m[i][c]):
-                pr = i
-                break
+    pivots, det = [], Fraction(1)
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
+        if pr != r:
+            m[r], m[pr], det = m[pr], m[r], -det
         inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not _is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        det, m[r] = det * inv, [x / inv for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and (f := row[c]) != 0:
+                m[i] = [a - f * b for a, b in zip(row, m[r])]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    return m, pivots, det
 
 
 def exact_rank(rows):
@@ -415,34 +395,13 @@ def exact_rank(rows):
 
 
 def exact_det(rows):
+    """det from the pivots of `exact_rref`: 1 for the empty matrix, a zero
+    of the entries' type for a singular one."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    m = [list(r) for r in rows]
-    det = None
-    sign = 1
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not _is_zero(m[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return _zero_like(m[0][0])
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        piv = m[c][c]
-        det = piv if det is None else det * piv
-        for i in range(c + 1, n):
-            if not _is_zero(m[i][c]):
-                f = m[i][c] / piv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    if sign < 0:
-        det = -det
-    return det
+    _, pivots, det = exact_rref(rows)
+    return det if len(pivots) == n else 0 * rows[0][0]
 
 
 def cofactor_det(m):
@@ -460,20 +419,13 @@ def cofactor_det(m):
 
 
 def exact_solve(rows, rhs):
-    """Solve A x = rhs exactly; None if inconsistent or underdetermined."""
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = exact_rref(aug)
+    """Solve A x = rhs exactly: the last column of the reduced rows once each
+    column of A, and no other, holds a pivot; None otherwise."""
     ncols = len(rows[0])
-    if ncols in pivots:  # pivot in the rhs column
+    rref, pivots, _ = exact_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots != list(range(ncols)):
         return None
-    if len(pivots) < ncols:
-        return None
-    zero = _zero_like(rows[0][0])
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][ncols]
-    return x
+    return [row[ncols] for row in rref[:ncols]]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ from .quaternions import (AlgebraSplit, QuatElement, _factorize, _product,
                           embed, is_elliptic, ramified_primes)
 
 
+# the largest gap prime that `saturate` searches.  On (3,-p), whose gap 2p
+# holds p, the search grows like p^2: as `order saturate` children,
+# (3,-1093) takes 5.1-5.9 s and (3,-1489), the largest such p below the
+# bound, 8.6-12.8 s; (3,-11953) would take ten minutes (Python 3.11, Xeon)
+MAX_GAP_PRIME = 1500
+
+
 class NotAnOrder(ComputationError):
     pass
 
@@ -252,10 +259,14 @@ def saturate(L):
     `Config.algebra()` builds them).  In other presentations of the same
     algebra, such as (5, -18) for (5, -2), this one-coset-at-a-time
     search can stop short of a maximal order and raise SearchExhausted.
-    Each pass divides disc by a prime, so the loop ends.
+    Each pass divides disc by a prime, so the loop ends.  A gap prime
+    above MAX_GAP_PRIME raises SearchExhausted before any search.
     """
     disc = reduced_discriminant(L)
     target = math.prod(ramified_primes(L.params))
+    if (q := max(_factorize(disc // target), default=0)) > MAX_GAP_PRIME:
+        raise SearchExhausted(f"the gap prime {q} is above {MAX_GAP_PRIME}, "
+                              "the largest the coset search takes", L)
     current = L
     while disc != target:
         for q in sorted(_factorize(disc // target)):

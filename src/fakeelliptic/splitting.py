@@ -112,11 +112,11 @@ def curve_rep(mu, tau, tau_prime):
 
 
 class CurveH0:
-    __slots__ = ("h0", "sections", "eigen_residual")
+    __slots__ = ("h0", "sections", "eigen_residual", "dphi")
 
-    def __init__(self, h0, sections, eigen_residual):
+    def __init__(self, h0, sections, eigen_residual, dphi):
         self.h0, self.sections = h0, sections
-        self.eigen_residual = eigen_residual
+        self.eigen_residual, self.dphi = eigen_residual, dphi
 
 
 def curve_h0(point, prec=DEFAULT_PRECISION):
@@ -128,7 +128,7 @@ def curve_h0(point, prec=DEFAULT_PRECISION):
     elliptic mu, so the solutions form a line: h0 = 2, spanned by the
     constant section and f1 = 1, f2 = (tau' - mu_11) / mu_21.  That f is
     an eigenvector of the transposed embedding with eigenvalue tau'; the
-    eigen residual and dphi on it are the certificate.
+    eigen residual and dphi on it (`dphi_check`) are the certificate.
     """
     import mpmath
     with mpmath.workprec(prec):
@@ -139,7 +139,8 @@ def curve_h0(point, prec=DEFAULT_PRECISION):
         sections = [Section(0, 0, (0,), 1), Section(f1, f2, (-f1,), 0)]
         vec = mpmath.matrix([f1, f2])
         Mt = mpmath.matrix([[m11, m21], [m12, m22]])
-        return CurveH0(2, sections, mpmath.norm(Mt * vec - tprime * vec))
+        return CurveH0(2, sections, mpmath.norm(Mt * vec - tprime * vec),
+                       dphi_check(sections[1], tprime))
 
 
 def dphi_check(section, tau_prime):
@@ -149,9 +150,7 @@ def dphi_check(section, tau_prime):
 
 def robust_dphi(point, prec=DEFAULT_PRECISION):
     """dphi of the non-constant section at prec bits."""
-    import mpmath
-    with mpmath.workprec(prec):
-        return dphi_check(curve_h0(point, prec).sections[1], point.tau_prime)
+    return curve_h0(point, prec).dphi
 
 
 def verify_sections(rep, sections, n_points=20, seed=0, prec=DEFAULT_PRECISION):
@@ -305,12 +304,10 @@ def curve_splitting_report(point, prec=DEFAULT_PRECISION):
         raise ValueError("mu is not oriented: build the point with cm_point")
     result = curve_h0(point, prec)
     s = result.sections[1]
-    with mpmath.workprec(prec):
-        dphi = dphi_check(s, point.tau_prime)
     cert = {"eigen_residual": mpmath.nstr(result.eigen_residual, 5),
             "citation": CITE_ELLIPTIC,
             "section": {"f1": mpmath.nstr(s.f1, 15),
                         "f2": mpmath.nstr(s.f2, 15),
                         "a": mpmath.nstr(s.a[0], 15)}}
     return SplittingReport("EllipticInFiber", "Split", h0=result.h0,
-                           certificate=cert, dphi_value=dphi)
+                           certificate=cert, dphi_value=result.dphi)

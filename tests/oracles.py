@@ -35,9 +35,9 @@ from mpmath import mp
 
 from fakeelliptic.cm import cm_point, in_window, is_elliptic
 from fakeelliptic.exactlinalg import (DEFAULT_PRECISION, _to_ap_matrix,
-                                      _zero_like, exact_det, exact_rank,
-                                      exact_rref, exact_solve, fraction_sqrt,
-                                      numeric_svd, precision_tolerance)
+                                      exact_det, exact_rank, exact_rref,
+                                      exact_solve, fraction_sqrt, numeric_svd,
+                                      precision_tolerance)
 from fakeelliptic.family import PeriodLattice, as_complex
 from fakeelliptic.orders import NotAnOrder, OrderLattice, UnitSample
 from fakeelliptic.quaternions import QuatElement, _factorize, embed, ramified_primes
@@ -175,12 +175,6 @@ def laplace_det(rows):
     return total
 
 
-def _entry_is_zero(x):
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
-
-
 def rank_by_minors(rows):
     """Exact rank as the largest size of a nonvanishing square minor."""
     nr = len(rows)
@@ -189,7 +183,7 @@ def rank_by_minors(rows):
         for ri in itertools.combinations(range(nr), size):
             for ci in itertools.combinations(range(nc), size):
                 sub = [[rows[i][j] for j in ci] for i in ri]
-                if not _entry_is_zero(laplace_det(sub)):
+                if laplace_det(sub) != 0:
                     return size
     return 0
 
@@ -482,8 +476,8 @@ def curve_h0_svd(point, prec=DEFAULT_PRECISION, tol=None):
     """h^0 on the elliptic curve of a CM point from the SVD nullspace of the
     1x2 system (mu_11 - tau', mu_21), zero-padded to 2x2.
 
-    Sections and the eigen residual are built the same way as by the
-    closed form, once per nullspace vector.
+    Sections, the eigen residual and dphi = f1 tau' + f2 are built the
+    same way as by the closed form, once per nullspace vector.
     """
     with mp.workprec(prec):
         tolv = mpmath.mpf(10) ** -20 if tol is None else mpmath.mpf(tol)
@@ -495,7 +489,7 @@ def curve_h0_svd(point, prec=DEFAULT_PRECISION, tol=None):
         null = numeric_nullspace(system, tolv, prec)
         h0 = 1 + len(null)
         sections = [Section(0, 0, (0,), 1)]
-        residual = mpmath.mpf(0)
+        residual, dphi = mpmath.mpf(0), None
         for _ in null:
             f1 = mpmath.mpc(1)
             f2 = (tprime - m11) / m21
@@ -504,7 +498,8 @@ def curve_h0_svd(point, prec=DEFAULT_PRECISION, tol=None):
             Mt = mpmath.matrix([[m11, m21],
                                 [M[0][1].numeric(prec), M[1][1].numeric(prec)]])
             residual = max(residual, mpmath.norm(Mt * vec - tprime * vec))
-        return CurveH0(h0, sections, residual)
+            dphi = f1 * tprime + f2
+        return CurveH0(h0, sections, residual, dphi)
 
 
 def _coords_str(q):
@@ -587,9 +582,9 @@ def exact_nullspace(rows):
     if not rows:
         return []
     ncols = len(rows[0])
-    rref, pivots = exact_rref(rows)
+    rref, pivots, _ = exact_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
-    zero = _zero_like(rows[0][0])
+    zero = 0 * rows[0][0]
     one = zero + 1
     basis = []
     for fc in free:

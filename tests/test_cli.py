@@ -611,6 +611,18 @@ def _child(*argv):
         timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
 
 
+def test_order_saturate_refuses_a_gap_prime_above_the_bound(tmp_path):
+    # the gap of (3,-11953) is 2 * 11953, whose coset search would run for
+    # about ten minutes: the child exits 1 at once and names the prime
+    cfg = tmp_path / "large-gap.cfg"
+    cfg.write_text("algebra.a = 3\nalgebra.b = -11953\n")
+    start = time.perf_counter()
+    proc = _child("order", "saturate", str(cfg))
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert b"SearchExhausted" in proc.stderr and b"11953" in proc.stderr
+
+
 def test_child_writes_a_complete_report_through_a_pipe():
     proc = _child("cm", "enumerate", "--height", "3")
     assert proc.returncode == 0 and proc.stderr == b""

@@ -147,6 +147,18 @@ def test_exact_det_shape_check():
         exact_det(frows([[1, 2, 3], [4, 5, 6]]))
 
 
+def test_exact_det_edge_cases():
+    empty = exact_det([])
+    assert empty == 1 and isinstance(empty, Fraction)
+    # a singular matrix over Q(sqrt 3) has the zero of its entries' type
+    row = [QuadExt(1, 1, 3), QuadExt(2, 0, 3), QuadExt(0, 1, 3)]
+    zero = exact_det([row, [2 * x for x in row], [QuadExt(1, 0, 3)] * 3])
+    assert isinstance(zero, QuadExt) and zero == 0
+    # the second pivot needs a row swap, which negates the product
+    rows = frows([[1, 2, 3], [2, 4, 7], [1, 3, 3]])
+    assert exact_det(rows) == laplace_det(rows) == -1
+
+
 def test_exact_nullspace_membership():
     rows = frows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     basis = exact_nullspace(rows)
@@ -165,6 +177,10 @@ def test_exact_solve():
     assert exact_solve(frows([[1, 1], [1, 1]]), [Fraction(0), Fraction(1)]) is None
     # underdetermined
     assert exact_solve(frows([[1, 1], [2, 2]]), [Fraction(1), Fraction(2)]) is None
+    # overdetermined 3x2: consistent, then inconsistent in the last row
+    rows = frows([[1, 1], [1, -1], [2, 0]])
+    assert exact_solve(rows, frows([[3, 1, 4]])[0]) == [2, 1]
+    assert exact_solve(rows, frows([[3, 1, 5]])[0]) is None
 
 
 def test_numeric_svd_reconstructs():

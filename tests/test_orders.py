@@ -123,6 +123,16 @@ def test_saturate_large_unramified_gap_prime():
     assert ok, problems
 
 
+def test_saturate_refuses_a_gap_prime_above_the_bound():
+    # the gap of (3,-11953) is 2 * 11953: no coset is searched, and the
+    # start lattice comes back with the error
+    start = standard_order(AlgebraParams(3, -11953))
+    with pytest.raises(orders.SearchExhausted, match="gap prime 11953") as exc:
+        saturate(start)
+    assert exc.value.order is start
+    assert 1093 <= orders.MAX_GAP_PRIME < 11953
+
+
 def test_index_two_sublattice_doubles_disc(params, std_order):
     # the parity condition l + m = 0 mod 2 cuts out a subring of index 2
     rows = [[Fraction(v) for v in row]

@@ -137,6 +137,17 @@ def test_curve_f2_is_minus_conjugate_tau(max_order):
             assert abs(dphi) > mpmath.mpf(10) ** -12
 
 
+@pytest.mark.parametrize("prec", [128, 256])
+def test_one_dphi_per_curve_certificate(max_order, prec):
+    # the report and robust_dphi read the dphi that curve_h0 computed
+    pts = enumerate_cm_points(max_order, 2, prec=prec)
+    assert pts
+    for pt in pts:
+        dphi = curve_h0(pt, prec).dphi
+        assert curve_splitting_report(pt, prec).dphi_value == dphi
+        assert robust_dphi(pt, prec) == dphi
+
+
 def _section_values(res):
     return [(s.f1, s.f2, s.a, s.b) for s in res.sections]
 
@@ -157,6 +168,7 @@ def test_curve_h0_closed_form_matches_svd_oracle(ab, height, prec, monkeypatch):
         assert res.h0 == ref.h0 == 2
         assert _section_values(res) == _section_values(ref)
         assert res.eigen_residual == ref.eigen_residual
+        assert res.dphi == ref.dphi
 
 
 def test_fiber_path_runs_no_svd(max_order, tmp_path, capsys, monkeypatch):
