@@ -19,6 +19,7 @@ locale.
 """
 
 import functools
+import gc
 import os
 import random
 import sys
@@ -59,10 +60,11 @@ CITE_ISOGENY = ("For a norm-one unit gamma, the period lattice at "
 
 
 # the largest --height of `units` and `cm enumerate`, whose box holds
-# (2h+1)^4 vectors: at height 16 `units` takes 0.3 s and `cm enumerate`
-# 3.0 s and 45 MB on (3, -1); on (13, -38), the slowest benchmark algebra
-# (12,163 points, a 9.1 MB report, 116 MB), its child takes 6.6-8.1 s at
-# 128 bits and 25-30 s at 4096 (Python 3.11, 2-vCPU Xeon VM)
+# (2h+1)^4 vectors: at height 16 on (3, -1) the `units` child takes 0.18 s
+# and 17 MB and the `cm enumerate` child 0.7 s and 42 MB; on (13, -38), the
+# slowest benchmark algebra (12,163 points, a 9.1 MB report), its child
+# takes 2.9-3.2 s and 112 MB at 128 bits and 10-12 s and 111 MB at 4096
+# (Python 3.11, one CPU of a 2-vCPU Xeon VM)
 MAX_HEIGHT = 16
 # the largest `suite --trials`: the Riemann suite holds trials + 1 taus;
 # `suite all --trials 2000` takes 1.9 s and 16 MB on (3, -1) (same VM)
@@ -136,6 +138,9 @@ def _check_height(height):
 
 def _cmd_units(args, cfg):
     _check_height(args.height)
+    if args.congruence is not None and args.congruence < 1:
+        raise ValueError(f"--congruence must be at least 1, got "
+                         f"{args.congruence}")
     order = cfg.build_order()
     units = orders.enumerate_units(order, args.height)
     results = {"height": args.height, "count": len(units),
@@ -500,11 +505,16 @@ def _dumps(value, indent="\n"):
         text = repr(value)
         return _NAMES.get(text, text)
     inner = indent + "  "
+    # str and int items, most of a report, are written here without a call
     if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        items = [f"{_string(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        items = [f"{_string(k)}: " + (_string(v) if type(v) is str else
+                                      repr(v) if type(v) is int else
+                                      _dumps(v, inner))
+                 for k, v in value.items()]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        items = [_dumps(v, inner) for v in value]
+        items = [_string(v) if type(v) is str else repr(v) if type(v) is int
+                 else _dumps(v, inner) for v in value]
         brackets = "[]"
     else:
         raise TypeError(f"not a report value: {value!r:.60}")
@@ -574,11 +584,16 @@ def main(argv=None):
 
 
 def run():
-    """Entry point: `main()`, flush, then exit without interpreter teardown.
+    """Entry point: `main()` with the cyclic garbage collector off, flush,
+    then exit without interpreter teardown.
 
-    An exception escaping `main` exits the normal way, so its traceback
+    The process handles one command and ends, which frees its cycles, so
+    collecting them on the way costs time and saves little memory; `main`
+    itself leaves the collector alone for tests and library callers.  An
+    exception escaping `main` exits the normal way, so its traceback
     prints; a failed final flush never exits 0.
     """
+    gc.disable()
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

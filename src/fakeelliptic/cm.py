@@ -7,12 +7,13 @@ mu_tau = tau' * (tau, 1)^t for the eigenvalue tau' = C tau + D.  The
 fiber over such a tau is isogenous to a product of elliptic curves.
 """
 
+from fractions import Fraction
 import itertools
 import math
 
 from .exactlinalg import (ComputationError, DEFAULT_PRECISION, QuadComplex,
-                          UpperHalfPoint, _mpf_matrix, as_complex,
-                          precision_tolerance, solve_quadratic)
+                          UpperHalfPoint, _sqrt, as_complex,
+                          precision_tolerance, solve_quadratic, to_mpf)
 from .orders import _coords_str
 from .quaternions import embed, is_elliptic
 
@@ -47,7 +48,7 @@ class CMPoint:
                 f"tau_prime={mpmath.nstr(self.tau_prime, 10)})")
 
 
-def cm_point(mu, prec=DEFAULT_PRECISION, coords=None):
+def cm_point(mu, prec=DEFAULT_PRECISION, coords=None, nrd=None):
     """The CM point of an elliptic mu, with the sign that puts tau' = C tau + D
     in the upper half plane.
 
@@ -58,20 +59,35 @@ def cm_point(mu, prec=DEFAULT_PRECISION, coords=None):
     nonzero, so tau is the upper root of C T^2 + (D - A) T - B, and
     A tau + B = tau' tau is verified relative to 1 + |tau'|, at the
     tolerance 2^-(prec/2) that the working precision resolves.
+
+    A caller that has proved mu elliptic passes its nrd, as
+    `enumerate_cm_points` does from its integer scan; without it, mu's
+    norm is computed here and a mu that is not elliptic is refused.  All
+    numerics run inside one `workprec`.
     """
     import mpmath
-    nrd = mu.nrd()  # = nrd(-mu)
-    if not is_elliptic(mu, nrd):
-        raise NotElliptic(f"{mu!r} has no fixed point in the upper half plane")
+    if nrd is None:
+        nrd = mu.nrd()  # = nrd(-mu)
+        if not is_elliptic(mu, nrd):
+            raise NotElliptic(f"{mu!r} has no fixed point in the upper "
+                              "half plane")
     if mu.m <= 0:
         mu = -mu
         coords = tuple(-c for c in coords) if coords is not None else None
     E = embed(mu)
     quad = (E[1][0], E[1][1] - E[0][0], -E[0][1])
+    k, l, m, n = mu.coords()
+    b = mu.params.b
     with mpmath.workprec(prec):
-        (A, B), (C, D) = _mpf_matrix(E)
-        # D - A is rounded once from the exact difference, not from D and A
-        tau, _ = solve_quadratic(C, quad[1], -B, prec)
+        # E's entries u + v sqrt(a) as `to_mpf` rounds each, with each
+        # coordinate converted once: rounding to nearest commutes with
+        # negation and with doubling, so D = k - l sqrt(a) reuses the term
+        # l sqrt(a) of A, and the exact D - A = -2 l sqrt(a) doubles it
+        root = _sqrt(mu.params.a, prec)
+        K, ls, ns = to_mpf(k), to_mpf(l) * root, to_mpf(n) * root
+        A, D, C = K + ls, K - ls, to_mpf(m) - ns
+        B = to_mpf(b * m) + to_mpf(b * n) * root
+        tau, _ = solve_quadratic(C, -2 * ls, -B, prec)
         tau_prime = C * tau + D
         r1 = A * tau + B - tau_prime * tau
         if abs(r1) > precision_tolerance(prec) * (1 + abs(tau_prime)):
@@ -109,32 +125,40 @@ def enumerate_cm_points(order, height, window=None, prec=DEFAULT_PRECISION):
     The loop (partial sums over c0, c1, c2, then c3) skips the elements
     that are not elliptic (scalars among them) or have M <= 0, and keeps
     the minimal (sum c^2, c) per primitive (L, M, N), so `cm_point` runs
-    once per elliptic class, on the minimum of the orientation with C > 0.
+    once per elliptic class, on the minimum of the orientation with C > 0,
+    with the nrd (v0^2 + Q) / D^2 that the scan proved positive, for
+    v0 = (c B')_0 and Q = -a' L^2 - b' M^2 + a' b' N^2.  When g0 is a
+    scalar ((L, M, N) = 0 on the first row, as in every saturated order),
+    c0 moves no class and c0 = 0 has the least (sum c^2, c), so only
+    c0 = 0 is scanned.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
-    a, b, _, B = order.form
+    a, b, D, B = order.form
     (l0, m0, n0), (l1, m1, n1), (l2, m2, n2), (l3, m3, n3) = (r[1:] for r in B)
     box = range(-height, height + 1)
+    first = (0,) if l0 == m0 == n0 == 0 else box
     best = {}
-    for c0, c1, c2 in itertools.product(box, repeat=3):
+    for c0, c1, c2 in itertools.product(first, box, box):
         L0 = c0 * l0 + c1 * l1 + c2 * l2
         M0 = c0 * m0 + c1 * m1 + c2 * m2
         N0 = c0 * n0 + c1 * n1 + c2 * n2
         s0 = c0 * c0 + c1 * c1 + c2 * c2
         for c3 in box:
             L, M, N = L0 + c3 * l3, M0 + c3 * m3, N0 + c3 * n3
-            if M <= 0 or a * (b * N * N - L * L) - b * M * M <= 0:
+            if M <= 0 or (Q := a * (b * N * N - L * L) - b * M * M) <= 0:
                 continue
             g = math.gcd(L, M, N)
             key = (L // g, M // g, N // g)
             # c runs in lexicographic order: on a tie the first c is least
             norm, old = s0 + c3 * c3, best.get(key)
             if old is None or norm < old[0]:
-                best[key] = (norm, (c0, c1, c2, c3))
+                best[key] = (norm, (c0, c1, c2, c3), Q)
     pts = []
-    for _, coords in best.values():
-        pt = cm_point(order.element_from(coords), prec, coords)
+    for _, coords, Q in best.values():
+        v0 = sum(c * row[0] for c, row in zip(coords, B))
+        pt = cm_point(order.element_from(coords), prec, coords,
+                      Fraction(v0 * v0 + Q, D * D))
         if in_window(pt.tau, window):
             pts.append(pt)
     pts.sort(key=lambda p: (sum(c * c for c in p.coords), p.coords))

@@ -23,6 +23,7 @@ tolerance.  The numeric functions import mpmath where they run, so the
 exact commands never load it.
 """
 
+import contextlib
 from fractions import Fraction
 import functools
 import math
@@ -52,9 +53,22 @@ def to_mpf(x):
     return mpmath.mpf(x)
 
 
+@functools.lru_cache(maxsize=16)
 def precision_tolerance(prec):
-    """2^-(prec/2): a residual that prec-bit arithmetic resolves from zero."""
+    """2^-(prec/2): a residual that prec-bit arithmetic resolves from zero;
+    a power of two, so exact at any precision and computed once per prec."""
     return to_mpf(Fraction(1, 2 ** ((prec + 1) // 2)))
+
+
+_AMBIENT = contextlib.nullcontext()
+
+
+def _at(prec):
+    """`mpmath.workprec(prec)`, or a context that changes nothing when prec
+    is the ambient precision already: a numeric call inside another one's
+    workprec then does not set and restore the precision again."""
+    import mpmath
+    return _AMBIENT if mpmath.mp.prec == prec else mpmath.workprec(prec)
 
 
 def fraction_sqrt(r):
@@ -86,6 +100,22 @@ def _complex(ra, rb, ia, ib, d, rad, R):
     z = object.__new__(QuadExt if real else QuadComplex)
     z.ra, z.rb, z.ia, z.ib, z.d, z.rad, z.R = ra, rb, ia, ib, d, rad, R
     return z
+
+
+def _mp_parts(z):
+    """The `_mpf_` tuples of an mpc or an mpf, or None for any other value
+    (a `QuadComplex` among them); a nan or an infinity raises ValueError."""
+    if isinstance(z, QuadComplex):
+        return None
+    if hasattr(z, "_mpc_"):
+        parts = z._mpc_
+    elif hasattr(z, "_mpf_"):
+        parts = (z._mpf_,)
+    else:
+        return None
+    if any(x[3] < 0 for x in parts):  # bc < 0: a nan or an infinity
+        raise ValueError("not a finite number")
+    return parts
 
 
 def _lift(x):
@@ -138,12 +168,9 @@ class QuadComplex:
         or OverflowError."""
         if isinstance(z, QuadComplex):
             return z
-        if not (hasattr(z, "_mpc_") or hasattr(z, "_mpf_")):
+        if (parts := _mp_parts(z)) is None:
             return QuadComplex(z.real, z.imag)
         from mpmath.libmp import to_rational
-        parts = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_,)
-        if any(x[3] < 0 for x in parts):  # bc < 0: a nan or an infinity
-            raise ValueError("not a finite number")
         return QuadComplex(*(Fraction(*to_rational(x)) for x in parts))
 
     def _part(self, A, B):
@@ -295,8 +322,7 @@ class QuadExt(QuadComplex):
 
     def numeric(self, prec=DEFAULT_PRECISION):
         """The mpf of u + v sqrt(rad) at prec bits, from the reduced u, v."""
-        import mpmath
-        with mpmath.workprec(prec):
+        with _at(prec):
             return to_mpf(self.u) + to_mpf(self.v) * _sqrt(self.rad, prec)
 
     def __repr__(self):
@@ -364,7 +390,12 @@ def decimal_str(x, n):
 
 def complex_pair(z):
     """{re, im} pair of 20-digit decimal strings, the report form of
-    complex values (exact, or an mpc printed as `mpmath.nstr` does)."""
+    complex values: an mpc or an mpf printed by `mpmath.nstr`, whose text
+    `decimal_str` gives for its exact value too, and any other value
+    through `QuadComplex.of`."""
+    if _mp_parts(z) is not None:
+        import mpmath
+        return {"re": mpmath.nstr(z.real, 20), "im": mpmath.nstr(z.imag, 20)}
     z = QuadComplex.of(z)
     return {"re": decimal_str(z.real, 20), "im": decimal_str(z.imag, 20)}
 
@@ -513,14 +544,16 @@ def solve_quadratic(c2, c1, c0, prec=DEFAULT_PRECISION):
     larger real part.
     """
     import mpmath
-    with mpmath.workprec(prec):
+    with _at(prec):
         A, B, C = (to_mpf(c) for c in (c2, c1, c0))
         if A == 0:
             raise ZeroDivisionError("leading coefficient is zero")
         disc = B * B - 4 * A * C
+        # -B and 2 A are exact, so each is formed once
+        minus_b, two_a = -B, 2 * A
         sq = mpmath.sqrt(mpmath.mpc(disc))
-        r1 = (-B + sq) / (2 * A)
-        r2 = (-B - sq) / (2 * A)
+        r1 = (minus_b + sq) / two_a
+        r2 = (minus_b - sq) / two_a
         if (r1.imag, r1.real) < (r2.imag, r2.real):
             r1, r2 = r2, r1
         return r1, r2

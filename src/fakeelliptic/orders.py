@@ -14,7 +14,7 @@ import math
 
 from .exactlinalg import ComputationError
 from .quaternions import (AlgebraSplit, QuatElement, _factorize, _product,
-                          embed, is_elliptic, ramified_primes)
+                          embed, ramified_primes)
 
 
 # the largest gap prime that `saturate` searches.  On (3,-p), whose gap 2p
@@ -330,14 +330,22 @@ def _adjoin_coset(L, q, disc):
 
 
 class UnitSample:
-    """An element of nrd 1 (proved by the caller), elliptic or not."""
+    """A lattice element of nrd 1 (proved by the caller), elliptic or not,
+    at basis coordinates `coords`; `element` is built on its first read."""
 
-    __slots__ = ("element", "is_elliptic", "coords")
+    __slots__ = ("lattice", "coords", "is_elliptic", "_element")
 
-    def __init__(self, element, coords):
-        self.element = element
+    def __init__(self, lattice, coords, is_elliptic, element=None):
+        self.lattice = lattice
         self.coords = tuple(coords)
-        self.is_elliptic = is_elliptic(element, 1)
+        self.is_elliptic = is_elliptic
+        self._element = element
+
+    @property
+    def element(self):
+        if self._element is None:
+            self._element = self.lattice.element_from(self.coords)
+        return self._element
 
     def __repr__(self):
         return f"UnitSample({self.element!r}, elliptic={self.is_elliptic})"
@@ -348,14 +356,16 @@ def enumerate_units(L, height):
 
     nrd(sum c_i g_i) = c^T G c / 2 for the trace pairing G, so the box is
     screened in machine integers on G' = D^2 G of `_gram`, which is
-    integral also when L is no order: nrd = 1 iff c^T G' c = 2 D^2.  Only
-    the units are built, by `element_from` and with no second norm, in
-    `itertools.product` order, which sorts them by coordinates.
+    integral also when L is no order: nrd = 1 iff c^T G' c = 2 D^2.  A unit
+    is elliptic iff trd^2 < 4, i.e. |k| < 1 for k = v0 / D and
+    v0 = (c B')_0.  The units come in `itertools.product` order, which
+    sorts them by coordinates, and build no element until it is read.
     """
     if height < 0:
         raise ValueError("height must be >= 0")
     a, b, D, B = L.form
     G, target = _gram(a, b, B), 2 * D * D
+    k0, k1, k2, k3 = (row[0] for row in B)
     box = range(-height, height + 1)
     out = []
     for c0, c1, c2 in itertools.product(box, repeat=3):
@@ -366,20 +376,21 @@ def enumerate_units(L, height):
         lin = G[0][3] * c0 + G[1][3] * c1 + G[2][3] * c2
         for c3 in box:
             if head + (2 * lin + G[3][3] * c3) * c3 == target:
-                coords = (c0, c1, c2, c3)
-                out.append(UnitSample(L.element_from(coords), coords))
+                v0 = c0 * k0 + c1 * k1 + c2 * k2 + c3 * k3
+                out.append(UnitSample(L, (c0, c1, c2, c3), abs(v0) < D))
     return out
 
 
 def congruence_filter(units, N, L):
-    """Units congruent to 1 modulo N in the lattice basis (N >= 3 for torsion-freeness).
+    """Units congruent to 1 modulo N >= 1 in the lattice basis (N >= 3 for
+    torsion-freeness).
 
     The units carry their coordinates in the basis of L, as
     `enumerate_units(L, height)` returns them; u = 1 mod N L iff those
     coordinates agree with the coordinates of 1 modulo N.
     """
-    if N == 0:
-        raise ValueError("the congruence modulus must be nonzero")
+    if N < 1:
+        raise ValueError(f"the congruence modulus must be at least 1, got {N}")
     one = L.coords_of(QuatElement(L.params, 1))
     if any(c.denominator != 1 for c in one):
         return []  # 1 is not in L, so no u - 1 is

@@ -6,8 +6,10 @@ solubility instead of the Legendre-symbol formulas, unit counts by symbolic
 2x2 determinants instead of the norm form, quadratic roots by the explicit
 formula instead of the library solver, the fixed-point quadratic of a CM
 point from its coordinates instead of the embedding and its root by
-`mpmath.polyroots`, saturation by the plain
-q^4 coset search instead of the integer-screened one, units and CM
+`mpmath.polyroots`, tau and tau' from each embedding entry rounded on its
+own (`cm_point_reference`) instead of one conversion per coordinate,
+saturation by the plain q^4 coset search instead of the integer-screened
+one, units and CM
 points by building every box element as a `QuatElement` instead of
 scanning integer forms, the curve section space by an SVD nullspace
 instead of the closed form, the period lattice rank condition by an SVD
@@ -345,7 +347,7 @@ def enumerate_units_bruteforce(L, height):
         for c, g in zip(coeffs, gens):
             q = q + g * c
         if q.nrd() == 1:
-            out.append(UnitSample(q, coeffs))
+            out.append(UnitSample(L, coeffs, is_elliptic(q, 1), q))
     out.sort(key=lambda u: u.coords)
     return out
 
@@ -391,6 +393,30 @@ def fixed_point_ref(mu, prec=128):
         C, D = (_numeric_fresh(QuadRef(u, v, a), work)
                 for u, v in ((m, -n), (k, -l)))
         return tau, C * tau + D
+
+
+def cm_point_reference(mu, prec=DEFAULT_PRECISION):
+    """(tau, tau', quad) of an elliptic mu, oriented as `cm.cm_point`
+    orients it: each entry u + v sqrt(a) of `embed` rounded on its own,
+    D - A rounded from the exact difference, and the upper root by the
+    quadratic formula in the order of `solve_quadratic`, all at prec bits.
+    `cm_point` converts each coordinate once for all four entries; rounding
+    to nearest commutes with negation and doubling, so it must give the
+    same bits."""
+    if mu.m <= 0:
+        mu = -mu
+    E = embed(mu)
+    quad = (E[1][0], E[1][1] - E[0][0], -E[0][1])
+    with mp.workprec(prec):
+        (A, B), (C, D) = [[_numeric_fresh(x, prec) for x in row] for row in E]
+        c2, c1, c0 = mpmath.mpf(C), _numeric_fresh(quad[1], prec), -B
+        disc = c1 * c1 - 4 * c2 * c0
+        sq = mpmath.sqrt(mpmath.mpc(disc))
+        r1 = (-c1 + sq) / (2 * c2)
+        r2 = (-c1 - sq) / (2 * c2)
+        if (r1.imag, r1.real) < (r2.imag, r2.real):
+            r1, r2 = r2, r1
+        return r1, C * r1 + D, quad
 
 
 def enumerate_cm_points_bruteforce(order, height, window=None,

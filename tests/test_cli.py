@@ -76,6 +76,17 @@ def test_units(capsys):
     assert all(len(u["coords"]) == 4 for u in r["units"])
 
 
+@pytest.mark.parametrize("modulus", ["0", "-3"])
+def test_units_refuses_a_congruence_below_one(capsys, modulus):
+    # -3 was echoed and filtered mod 3; each is refused before the scan
+    code, report, err = run(capsys, "units", "--height", "1",
+                            "--congruence", modulus)
+    assert code == 2 and report is None
+    assert err == f"invalid input: --congruence must be at least 1, got {modulus}\n"
+    code, report, _ = run(capsys, "units", "--height", "1", "--congruence=1")
+    assert code == 0 and report["results"]["kept_count"] == 20
+
+
 def test_cm_enumerate(capsys):
     code, report, _ = run(capsys, "cm", "enumerate", "--height", "1")
     assert code == 0
@@ -1036,6 +1047,7 @@ def test_full_stdout_exits_one_with_one_line(monkeypatch, capsys):
     {}, [], {"a": {}}, [[]], {"a": [{}, []], "b": {"c": []}},
     -0.0, 1e300, 10 ** 30, float("nan"), float("inf"), float("-inf"),
     [True, 1, False, 0, None], (1, (2, "t")), {"k": [1.5, {"z": None}]},
+    {"n": -7, "s": "\u00e9", "t": True, "l": [10 ** 20, "q\"", [], 0.5]},
 ], ids=repr)
 def test_the_report_writer_writes_what_json_writes(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)

@@ -14,11 +14,14 @@ from fakeelliptic.cm import (EigenMismatch, NotElliptic, cm_point,
                              enumerate_cm_points, in_window, is_elliptic)
 from fakeelliptic.family import moebius_act
 from fakeelliptic.exactlinalg import QuadExt
-from fakeelliptic.orders import enumerate_units, saturate, standard_order
+from fakeelliptic.config import Config
+from fakeelliptic.orders import (OrderLattice, enumerate_units, saturate,
+                                 standard_order)
 from fakeelliptic.quaternions import AlgebraParams, QuatElement, embed
-from oracles import (enumerate_cm_points_bruteforce, fixed_point_quadratic,
-                     fixed_point_ref, fixes_tau_numeric, normalize_isogeny,
-                     quad_key, reference_roots)
+from oracles import (cm_point_reference, enumerate_cm_points_bruteforce,
+                     fixed_point_quadratic, fixed_point_ref,
+                     fixes_tau_numeric, normalize_isogeny, quad_key,
+                     reference_roots)
 
 I = mpmath.mpc(0, 1)
 EPS = mpmath.mpf(10) ** -30
@@ -196,16 +199,23 @@ def test_enumerate_finds_pinned_taus(max_order):
     assert len(keys) == len(pts)  # deduplicated by exact quadratic
 
 
-def test_enumerate_computes_each_reduced_norm_once(max_order, monkeypatch):
-    # cm_point's ellipticity test and char_poly share one nrd per point
+def test_enumerate_computes_each_reduced_norm_once(max_order,
+                                                  rational_lattices,
+                                                  monkeypatch):
+    # the integer scan proves each point elliptic and gives its nrd, so
+    # cm_point computes no norm and tests no ellipticity again
     calls = []
     nrd = QuatElement.nrd
     monkeypatch.setattr(QuatElement, "nrd",
                         lambda mu: calls.append(mu) or nrd(mu))
-    pts = enumerate_cm_points(max_order, 4, prec=128)
-    assert len(pts) == 60 and len(calls) == 60
+    monkeypatch.setattr(cm, "is_elliptic", lambda *args: calls.append(args))
+    found = [enumerate_cm_points(L, h, prec=128) for L, h in
+             ((max_order, 4), *((L, 2) for L in rational_lattices))]
+    assert len(found[0]) == 60 and len(calls) == 0
     monkeypatch.undo()
-    assert all(p.char_poly == (p.mu.trd(), p.mu.nrd()) for p in pts)
+    for pts in found:
+        assert pts
+        assert all(p.char_poly == (p.mu.trd(), p.mu.nrd()) for p in pts)
 
 
 def test_enumerate_embeds_and_solves_once_per_point(max_order, monkeypatch):
@@ -337,6 +347,73 @@ def test_enumerate_matches_bruteforce(ab, height, window):
     got = enumerate_cm_points(order, height, window, 128)
     want = enumerate_cm_points_bruteforce(order, height, window, 128)
     assert [_point_fields(p) for p in got] == [_point_fields(p) for p in want]
+
+
+# heights up to 4 on the algebras of the benchmark and the tests, at the
+# precisions of the benchmark and a double's
+BITS_CASES = [((3, -1), 4), ((3, -7), 4), ((2, -13), 4), ((7, -57), 4),
+              ((13, -10), 4)]
+
+
+@pytest.mark.parametrize("prec", [53, 128, 256])
+def test_cm_points_keep_the_bits_of_the_reference(prec, rational_lattices):
+    # the rational lattices add (a, b) = (3/4, -1/9) and (2/9, -5/4)
+    cases = [(saturate(standard_order(AlgebraParams(*ab))), height)
+             for ab, height in BITS_CASES]
+    for order, height in cases + [(L, 2) for L in rational_lattices]:
+        pts = enumerate_cm_points(order, height, None, prec)
+        assert pts
+        for pt in pts:
+            tau, tau_prime, quad = cm_point_reference(pt.mu, prec)
+            assert pt.tau.tau._mpc_ == tau._mpc_, (order.params, pt.coords)
+            assert pt.tau_prime._mpc_ == tau_prime._mpc_, pt.coords
+            assert ([(c.u, c.v, c.rad) for c in pt.quad]
+                    == [(c.u, c.v, c.rad) for c in quad])
+    # a window keeps the points whose reference tau it holds: the Im = 1/2
+    # points of (3, -1) sit on its lower edge
+    half = Fraction(1, 2)
+    window = (-3 * half, 0, half, 2)
+    order = saturate(standard_order(AlgebraParams(3, -1)))
+    kept = enumerate_cm_points(order, 3, window, prec)
+    assert kept
+    assert [p.coords for p in kept] == [
+        p.coords for p in enumerate_cm_points(order, 3, None, prec)
+        if in_window(cm_point_reference(p.mu, prec)[0], window)]
+
+
+def _bits(pt):
+    return (pt.mu.coords(), pt.tau.tau._mpc_, pt.tau_prime._mpc_,
+            pt.char_poly, tuple((c.u, c.v, c.rad) for c in pt.quad))
+
+
+def test_a_first_row_that_is_no_scalar_scans_the_full_box():
+    # g0 = 1 + x moves classes, so a minimal representative may need c0
+    order = Config(3, -1, order_basis=[[1, 1, 0, 0], [0, 1, 0, 0],
+                                       [0, 0, 1, 0], [0, 0, 0, 1]]).build_order()
+    got = enumerate_cm_points(order, 2, None, 128)
+    want = enumerate_cm_points_bruteforce(order, 2, None, 128)
+    assert [_point_fields(p) for p in got] == [_point_fields(p) for p in want]
+    assert any(p.coords[0] for p in got)
+    for pt in got:
+        tau, tau_prime, _ = cm_point_reference(pt.mu, 128)
+        assert (pt.tau.tau._mpc_, pt.tau_prime._mpc_) == (tau._mpc_,
+                                                          tau_prime._mpc_)
+
+
+@pytest.mark.parametrize("ab", [(3, -1), (3, -7), (2, -5), (5, -7), (2, -13)])
+def test_the_scan_without_c0_equals_the_full_scan(ab):
+    # the saturated orders of the benchmark's enumerate algebras keep g0 = 1;
+    # with g0 moved last the first row is no scalar and the full box is
+    # scanned, and its minimal representatives have c0 = 0 last
+    order = saturate(standard_order(AlgebraParams(*ab)))
+    assert order.basis[0] == [1, 0, 0, 0]
+    moved = OrderLattice(order.params, order.basis[1:] + order.basis[:1])
+    for height in (1, 2, 3):
+        got = enumerate_cm_points(order, height, None, 128)
+        full = enumerate_cm_points(moved, height, None, 128)
+        assert all(p.coords[0] == 0 for p in got)
+        assert (sorted((p.coords[1:] + p.coords[:1], _bits(p)) for p in got)
+                == sorted((p.coords, _bits(p)) for p in full))
 
 
 def test_enumerate_matches_bruteforce_on_rational_lattices(rational_lattices):

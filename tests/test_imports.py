@@ -1,7 +1,8 @@
 """The exact commands run without loading mpmath; only `cm enumerate` and
 `curve split` load it.  No command loads argparse, gettext, locale or
 json, only the suites load `family`, and no module compiles a regex at
-import.  The package modules import each other in layers.
+import.  The package modules import each other in layers.  Only the
+process entry `cli.run` turns the cyclic garbage collector off.
 
 Each check runs in a fresh interpreter, since the test session itself
 has long imported mpmath.
@@ -137,6 +138,28 @@ enumerate_cm_points(standard_order(AlgebraParams(3, -1)), 1)
 print("mpmath" in sys.modules)
 """)
     assert out.split() == ["False", "True"]
+
+
+def test_only_the_process_entry_turns_the_collector_off():
+    # importing cli and calling main keep the cyclic collector for tests
+    # and library callers; run(), which ends the process, turns it off
+    out = _python("""
+import contextlib, gc, io, os, sys
+from fakeelliptic import cli
+print(gc.isenabled())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["cm", "enumerate", "--height", "1"]) == 0
+print(gc.isenabled())
+exit_ = os._exit
+
+def report_exit(code):
+    print(gc.isenabled(), code, flush=True)
+    exit_(code)
+os._exit = report_exit
+sys.argv = ["fakeelliptic", "classify", "--out", os.devnull]
+cli.run()
+""")
+    assert out.split() == ["True", "True", "False", "0"]
 
 
 def test_every_exported_name_resolves():

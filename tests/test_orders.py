@@ -10,7 +10,8 @@ from fakeelliptic.orders import (NotAnOrder, OrderLattice, _adjoin_coset,
                                  is_maximal, is_order, reduced_discriminant,
                                  saturate, standard_order)
 from fakeelliptic.quaternions import (AlgebraParams, AlgebraSplit,
-                                      QuatElement, ramified_primes)
+                                      QuatElement, is_elliptic,
+                                      ramified_primes)
 from oracles import (congruence_filter_bruteforce, contains_by_solve,
                      coords_by_solve, count_units_by_embedding,
                      enumerate_units_bruteforce, is_order_fraction,
@@ -244,9 +245,12 @@ def test_right_multiplication_matches_coords_of(std_order, max_order,
                 L.coords_of(g * e) for g in L.generators()]
 
 
-def test_enumerate_units_builds_one_element_per_unit(max_order, monkeypatch):
-    # the integer screen proves nrd = 1, so no norm is recomputed, and
-    # each unit is built once from the integer form
+def test_enumerate_units_builds_one_element_per_unit(max_order,
+                                                    rational_lattices,
+                                                    monkeypatch):
+    # the integer screen proves nrd = 1 and decides ellipticity as
+    # |v0| < D, so no norm is computed and no element is built until a
+    # unit's element is read: then once per unit
     calls = {"nrd": 0, "init": 0}
     nrd, init = QuatElement.nrd, QuatElement.__init__
 
@@ -261,7 +265,18 @@ def test_enumerate_units_builds_one_element_per_unit(max_order, monkeypatch):
     monkeypatch.setattr(QuatElement, "__init__", counted_init)
     units = enumerate_units(max_order, 4)
     assert len(units) == 232
-    assert calls == {"nrd": 0, "init": 232}
+    assert calls == {"nrd": 0, "init": 0}
+    read = units[::3]
+    assert [u.element for u in read] == [u.element for u in read]
+    assert calls == {"nrd": 0, "init": len(read)}
+    monkeypatch.undo()
+    for L, h in ((max_order, 4), *((L, 2) for L in rational_lattices)):
+        found = enumerate_units(L, h)
+        assert found
+        # the integer ellipticity against the QuatElement test
+        assert ([u.is_elliptic for u in found]
+                == [is_elliptic(u.element, 1) for u in found])
+    assert {u.is_elliptic for u in units} == {True, False}
 
 
 def _unit_fields(units):
@@ -297,8 +312,9 @@ def test_enumerate_units_matches_bruteforce(params, std_order, max_order,
 
 def test_congruence_filter_needs_nonzero_modulus(max_order):
     units = enumerate_units(max_order, 1)
-    with pytest.raises(ValueError):
-        congruence_filter(units, 0, max_order)
+    for N in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            congruence_filter(units, N, max_order)
 
 
 def _certificate(L, order_test, discriminant):
