@@ -17,10 +17,13 @@ from .quaternions import (AlgebraSplit, QuatElement, _factorize, _product,
                           embed, ramified_primes)
 
 
-# the largest gap prime that `saturate` searches.  On (3,-p), whose gap 2p
-# holds p, the search grows like p^2: as `order saturate` children,
-# (3,-1093) takes 5.1-5.9 s and (3,-1489), the largest such p below the
-# bound, 8.6-12.8 s; (3,-11953) would take ten minutes (Python 3.11, Xeon)
+# the largest gap prime that `saturate` searches.  On a division algebra
+# the search over coset lines ends in milliseconds: on (3,-p), whose gap 2p
+# holds p, (3,-1489) takes 4 ms in process and 0.1 s as an `order
+# saturate` child, and (3,-11953), above the bound, 35 ms.  The bound
+# still guards the library's saturation of a split algebra, which the CLI
+# refuses first and which still grows like q^2: (3,-1499) takes 1.2 s
+# (Python 3.11, one CPU of a 2-vCPU Xeon VM)
 MAX_GAP_PRIME = 1500
 
 
@@ -41,19 +44,40 @@ class OrderLattice:
 
     Every exact question about the lattice reads its integer form
     `form` = (a', b', D, B') and `adjugate` = (adj(B'), det(B')), built
-    once here; the rank is 4 iff det(B') != 0.
+    once here; the rank is 4 iff det(B') != 0.  A lattice built by
+    `from_form` computes its `Fraction` basis on first read.
+    `is_certified` records that the lattice was found to be an order, so
+    `certified` checks it once.
     """
 
     def __init__(self, params, basis):
         basis = [[Fraction(x) for x in row] for row in basis]
         if len(basis) != 4 or any(len(r) != 4 for r in basis):
             raise ValueError("basis must be 4x4")
-        self.params = params
         self.basis = basis
-        self.form = _integer_form(params, basis)
-        self.adjugate = _adjugate(self.form[3])
+        self._set_form(params, _integer_form(params, basis))
+
+    @classmethod
+    def from_form(cls, params, form):
+        """The lattice whose integer form is `form`, as `_integer_form`
+        gives it: D is the least denominator of the scaled rows."""
+        L = cls.__new__(cls)
+        L._set_form(params, form)
+        return L
+
+    def _set_form(self, params, form):
+        self.params = params
+        self.form = form
+        self.adjugate = _adjugate(form[3])
         if self.adjugate[1] == 0:
             raise ValueError("basis is not of full rank")
+        self.is_certified = False
+
+    @functools.cached_property
+    def basis(self):
+        """The generator rows B'_i / D with the scaling of x', y' undone."""
+        _, _, D, B = self.form
+        return [_unscaled(self.params, row, D) for row in B]
 
     def generators(self):
         return [QuatElement(self.params, *row) for row in self.basis]
@@ -108,13 +132,11 @@ class OrderLattice:
                 for c in range(4)]
 
     def element_from(self, coords):
-        """sum c_i g_i (c integer or `Fraction`) from v = c B': undoing
-        `_scaled`, it is (v0, v1 den a, v2 den b, v3 den a den b) / D."""
+        """sum c_i g_i (c integer or `Fraction`): `_unscaled` of v = c B'."""
         _, _, D, B = self.form
-        ad, bd = self.params.a.denominator, self.params.b.denominator
-        return QuatElement(self.params, *(
-            Fraction(sum(c * row[k] for c, row in zip(coords, B)) * s, D)
-            for k, s in enumerate((1, ad, bd, ad * bd))))
+        return QuatElement(self.params, *_unscaled(
+            self.params, [sum(c * row[k] for c, row in zip(coords, B))
+                          for k in range(4)], D))
 
     def contains(self, q):
         return all(c.denominator == 1 for c in self.coords_of(q))
@@ -128,8 +150,12 @@ class OrderLattice:
 
 
 def standard_order(params):
-    return OrderLattice(params, [[1, 0, 0, 0], [0, 1, 0, 0],
-                                 [0, 0, 1, 0], [0, 0, 0, 1]])
+    """Z<1, x, y, xy>, whose scaled rows are (1, 1/den a, 1/den b,
+    1/(den a den b)) on the diagonal: D = den a den b."""
+    ad, bd = params.a.denominator, params.b.denominator
+    return OrderLattice.from_form(params, (
+        params.a.numerator * ad, params.b.numerator * bd, ad * bd,
+        [[ad * bd, 0, 0, 0], [0, bd, 0, 0], [0, 0, ad, 0], [0, 0, 0, 1]]))
 
 
 def _coords_str(coords):
@@ -143,6 +169,13 @@ def _scaled(params, coords):
     ad, bd = params.a.denominator, params.b.denominator
     k, l, m, n = coords
     return k, l / ad, m / bd, n / (ad * bd)
+
+
+def _unscaled(params, v, D):
+    """The (1, x, y, xy) coordinates of v / D for v over (1, x', y', x'y'),
+    undoing `_scaled`: (v0, v1 den a, v2 den b, v3 den a den b) / D."""
+    ad, bd = params.a.denominator, params.b.denominator
+    return [Fraction(x * s, D) for x, s in zip(v, (1, ad, bd, ad * bd))]
 
 
 def _integer_form(params, basis):
@@ -170,51 +203,90 @@ def _gram(a, b, B, C=None):
 
 
 def _adjugate(m):
-    """(adj(m), det(m)) of a 4x4 integer matrix, by 3x3 cofactors written
-    out: with `exactlinalg.cofactor_det` a call takes 122 us against 51,
-    and saturating the standard order of (7, -57) 3.5 ms against 3.0
-    (Python 3.11 on a 2-vCPU VM)."""
-    def cofactor(i, j):
-        (p, q, r), (s, t, u), (v, w, z) = [
-            [x for c, x in enumerate(row) if c != j]
-            for k, row in enumerate(m) if k != i]
-        return (-1) ** (i + j) * (p * (t * z - u * w) - q * (s * z - u * v)
-                                  + r * (s * w - t * v))
-    adj = [[cofactor(j, i) for j in range(4)] for i in range(4)]
-    return adj, sum(m[0][j] * adj[j][0] for j in range(4))
+    """(adj(m), det(m)) of a 4x4 integer matrix, m adj(m) = det(m) I.
+
+    Each 3x3 cofactor expands into the 2x2 minors of rows 0, 1 (s_k) or
+    of rows 2, 3 (c_k) on the column pairs 01, 02, 03, 12, 13, 23, so
+    twelve minors serve all sixteen: a call takes about 2 us against
+    49 us for sixteen 3x3 determinants (Python 3.11 on a 2-vCPU VM).
+    """
+    (a00, a01, a02, a03), (a10, a11, a12, a13), \
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = m
+    s0 = a00 * a11 - a10 * a01
+    s1 = a00 * a12 - a10 * a02
+    s2 = a00 * a13 - a10 * a03
+    s3 = a01 * a12 - a11 * a02
+    s4 = a01 * a13 - a11 * a03
+    s5 = a02 * a13 - a12 * a03
+    c0 = a20 * a31 - a30 * a21
+    c1 = a20 * a32 - a30 * a22
+    c2 = a20 * a33 - a30 * a23
+    c3 = a21 * a32 - a31 * a22
+    c4 = a21 * a33 - a31 * a23
+    c5 = a22 * a33 - a32 * a23
+    adj = [[a11 * c5 - a12 * c4 + a13 * c3, -a01 * c5 + a02 * c4 - a03 * c3,
+            a31 * s5 - a32 * s4 + a33 * s3, -a21 * s5 + a22 * s4 - a23 * s3],
+           [-a10 * c5 + a12 * c2 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1,
+            -a30 * s5 + a32 * s2 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1],
+           [a10 * c4 - a11 * c2 + a13 * c0, -a00 * c4 + a01 * c2 - a03 * c0,
+            a30 * s4 - a31 * s2 + a33 * s0, -a20 * s4 + a21 * s2 - a23 * s0],
+           [-a10 * c3 + a11 * c1 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
+            -a30 * s3 + a31 * s1 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0]]
+    return adj, s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
 
 
-def is_order(L):
-    """Closure certificate: returns (bool, list of violated conditions).
+# the messages of `is_order`, indexed by the length of a `_violations` entry
+_PROBLEMS = ("1 is not in the lattice", "generator {} is not integral",
+             "product {} * {} leaves the lattice")
+
+
+def _violations(L):
+    """The conditions of `is_order` that L fails, lazily and in order: ()
+    when 1 is not in L, (i,) when g_i is not integral, (i, j) when g_i g_j
+    leaves L.
 
     Decided by divisibility on the integer form of L: with A = adj(B')
     and d = det(B'), 1 is in L iff D A_0 = 0 mod d, g_i g_j is iff
     (B'_i B'_j) A = 0 mod D d, trd(g_i) = 2 B'_i0 / D and
-    nrd(g_i) = G'_ii / 2 D^2 on G' = `_gram`.
+    nrd(g_i) = (k^2 - a' l^2 - b' m^2 + a'b' n^2) / D^2 on B'_i = (k, l, m, n).
     """
     a, b, D, B = L.form
     adj, det = L.adjugate
-    G = _gram(a, b, B)
-    problems = []
     if any(D * x % det for x in adj[0]):
-        problems.append("1 is not in the lattice")
-    for i, row in enumerate(L.basis):
-        if 2 * B[i][0] % D or G[i][i] % (2 * D * D):
-            problems.append(f"generator {_coords_str(row)} is not integral")
-    for (gi, ri), (gj, rj) in itertools.product(zip(B, L.basis), repeat=2):
-        p = _product(gi, gj, a, b)
-        if any(sum(p[k] * adj[k][c] for k in range(4)) % (D * det)
-               for c in range(4)):
-            problems.append(f"product {_coords_str(ri)} * {_coords_str(rj)} "
-                            "leaves the lattice")
+        yield ()
+    for i, (k, l, m, n) in enumerate(B):
+        if 2 * k % D or (k * k - a * l * l - b * m * m
+                         + a * b * n * n) % (D * D):
+            yield (i,)
+    (u0, u1, u2, u3), (v0, v1, v2, v3), (w0, w1, w2, w3), \
+        (z0, z1, z2, z3) = adj
+    mod = D * det
+    for (i, gi), (j, gj) in itertools.product(enumerate(B), repeat=2):
+        p0, p1, p2, p3 = _product(gi, gj, a, b)
+        if ((p0 * u0 + p1 * v0 + p2 * w0 + p3 * z0) % mod
+                or (p0 * u1 + p1 * v1 + p2 * w1 + p3 * z1) % mod
+                or (p0 * u2 + p1 * v2 + p2 * w2 + p3 * z2) % mod
+                or (p0 * u3 + p1 * v3 + p2 * w3 + p3 * z3) % mod):
+            yield (i, j)
+
+
+def is_order(L):
+    """Closure certificate: returns (bool, list of violated conditions),
+    and marks L certified when the list is empty."""
+    problems = [_PROBLEMS[len(v)].format(*(_coords_str(L.basis[i]) for i in v))
+                for v in _violations(L)]
+    if not problems:
+        L.is_certified = True
     return not problems, problems
 
 
 def certified(L):
-    """L once `is_order` passes; otherwise NotAnOrder lists its problems."""
-    ok, problems = is_order(L)
-    if not ok:
-        raise NotAnOrder("; ".join(problems))
+    """L once it is certified, by `is_order` if no check has passed yet;
+    otherwise NotAnOrder lists its problems."""
+    if not L.is_certified:
+        ok, problems = is_order(L)
+        if not ok:
+            raise NotAnOrder("; ".join(problems))
     return L
 
 
@@ -250,10 +322,10 @@ def saturate(L):
     the leading generators, in particular 1, in place.
 
     Each pass returns the first coset, in `itertools.product(range(q),
-    repeat=4)` order, that passes the exact checks.  Trace and norm
-    integrality are screened in machine integers first; only survivors
-    are built with `Fraction` coordinates and certified by `is_order`,
-    once per lattice.
+    repeat=4)` order, that passes the exact checks; the search visits
+    each line of cosets once.  Trace and norm integrality are screened in
+    machine integers first; only survivors are built, from the integer
+    form of L, and checked as `is_order` checks them, once per lattice.
 
     L.params must be squarefree integers (`AlgebraParams.squarefree`, as
     `Config.algebra()` builds them).  In other presentations of the same
@@ -281,34 +353,47 @@ def saturate(L):
 
 
 def _integral_cosets(L, q):
-    """(j, s) for each v = sum(s_i g_i)/q with trd(v), nrd(v) in Z.
+    """(j, s) for each line of v = sum(s_i g_i)/q with trd(v), nrd(v) in Z.
 
-    c runs in `itertools.product` order, j is its last nonzero index and
-    s = c / c_j mod q.  L is a certified order: trd(g_i) and the Gram
+    A coset vector c != 0 mod q and its multiples give the same v, up to
+    a unit mod q, so c runs over the vectors whose first nonzero
+    coordinate is 1, in lexicographic order: (0,0,0,1), (0,0,1,.),
+    (0,1,.,.), (1,.,.,.), the order in which `itertools.product(range(q),
+    repeat=4)` first meets each line.  j is the last nonzero index of c
+    and s = c / c_j mod q.  L is a certified order: trd(g_i) and the Gram
     matrix are integral.
     """
     a, b, D, B = L.form
-    t = [2 * row[0] // D for row in B]
-    G = [[x // (D * D) for x in row] for row in _gram(a, b, B)]
-    t3_inv = pow(t[3], -1, q) if t[3] % q else None
-    for c0, c1, c2 in itertools.product(range(q), repeat=3):
-        # trd(v) in Z <=> sum c_i t_i = 0 mod q, which fixes c3 if t3 is a unit
-        partial = (c0 * t[0] + c1 * t[1] + c2 * t[2]) % q
-        if t3_inv is not None:
+    t0, t1, t2, t3 = (2 * row[0] // D for row in B)
+    (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), \
+        (_, _, _, g33) = [[x // (D * D) for x in row]
+                          for row in _gram(a, b, B)]
+    t3_inv = pow(t3, -1, q) if t3 % q else None
+    mod = 2 * q * q
+    heads = itertools.chain(
+        [(0, 0, 0), (0, 0, 1)], ((0, 1, c2) for c2 in range(q)),
+        ((1, c1, c2) for c1 in range(q) for c2 in range(q)))
+    for c0, c1, c2 in heads:
+        # trd(v) in Z <=> sum c_i t_i = 0 mod q, which fixes c3 if t3 is
+        # a unit; after (0, 0, 0) only c3 = 1 starts a line
+        partial = (c0 * t0 + c1 * t1 + c2 * t2) % q
+        if not (c0 or c1 or c2):
+            tails = (1,) if t3_inv is None else ()
+        elif t3_inv is not None:
             tails = ((-partial * t3_inv) % q,)
         else:
             tails = () if partial else range(q)
         for c3 in tails:
-            c = (c0, c1, c2, c3)
-            if not any(c):
-                continue
-            j = max(i for i, ci in enumerate(c) if ci)
+            j = 3 if c3 else 2 if c2 else 1 if c1 else 0
             # scale the representative so the replaced coordinate is 1 mod q
-            inv = pow(c[j], -1, q)
-            s = [(ci * inv) % q for ci in c]
+            inv = pow((c0, c1, c2, c3)[j], -1, q)
+            s0, s1, s2, s3 = s = [c0 * inv % q, c1 * inv % q, c2 * inv % q,
+                                  c3 * inv % q]
             # nrd(v) in Z <=> s^T G s = 0 mod 2 q^2
-            form = sum(G[a][b] * s[a] * s[b] for a in range(4) for b in range(4))
-            if form % (2 * q * q) == 0:
+            if (g00 * s0 * s0 + g11 * s1 * s1 + g22 * s2 * s2 + g33 * s3 * s3
+                    + 2 * (g01 * s0 * s1 + g02 * s0 * s2 + g03 * s0 * s3
+                           + g12 * s1 * s2 + g13 * s1 * s3
+                           + g23 * s2 * s3)) % mod == 0:
                 yield j, s
 
 
@@ -317,14 +402,20 @@ def _adjoin_coset(L, q, disc):
 
     Each v = sum(s_i g_i)/q from `_integral_cosets` is integral and has
     s_j = 1, so replacing g_j by v gives a lattice containing L with index
-    q: once `is_order` certifies it, its discriminant is disc/q.
+    q.  Over the denominator D q its integer rows are q B'_i and
+    sum s_i B'_i for row j, reduced by their common gcd with D q as in
+    `_integer_form`.  A candidate is dropped at its first violated
+    condition; one with none is an order of discriminant disc/q.
     """
+    a, b, D, B = L.form
     for j, s in _integral_cosets(L, q):
-        rows = [list(r) for r in L.basis]
-        rows[j] = [sum(c * row[k] for c, row in zip(s, L.basis)) / q
-                   for k in range(4)]
-        candidate = OrderLattice(L.params, rows)
-        if is_order(candidate)[0]:
+        rows = [[q * x for x in row] for row in B]
+        rows[j] = [sum(c * row[k] for c, row in zip(s, B)) for k in range(4)]
+        g = math.gcd(D * q, *(x for row in rows for x in row))
+        candidate = OrderLattice.from_form(L.params, (
+            a, b, D * q // g, [[x // g for x in row] for row in rows]))
+        if next(_violations(candidate), None) is None:
+            candidate.is_certified = True
             return candidate, disc // q
     return None
 

@@ -21,7 +21,7 @@ class AlgebraSplit(ComputationError):
 class AlgebraParams:
     """The pair (a, b) with a > 0 not a rational square and b < 0."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_ramified")
 
     def __init__(self, a, b):
         a = Fraction(a)
@@ -34,6 +34,7 @@ class AlgebraParams:
             raise ValueError("b must be negative")
         self.a = a
         self.b = b
+        self._ramified = None  # set by `ramified_primes`
 
     def __eq__(self, other):
         return isinstance(other, AlgebraParams) and (self.a, self.b) == (other.a, other.b)
@@ -316,9 +317,14 @@ def symbol_support(a, b):
 
 
 def ramified_primes(params):
-    """Finite primes where B = (a, b / Q) is ramified."""
-    return [p for p in symbol_support(params.a, params.b)
-            if hilbert_symbol(params.a, params.b, p) == -1]
+    """Finite primes where B = (a, b / Q) is ramified, found once per
+    `AlgebraParams`: a command asks for them up to three times (the split
+    refusal, the discriminant target, the saturation target)."""
+    if params._ramified is None:
+        params._ramified = tuple(
+            p for p in symbol_support(params.a, params.b)
+            if hilbert_symbol(params.a, params.b, p) == -1)
+    return list(params._ramified)
 
 
 def is_indefinite_division(params):

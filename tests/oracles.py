@@ -9,7 +9,9 @@ point from its coordinates instead of the embedding and its root by
 `mpmath.polyroots`, tau and tau' from each embedding entry rounded on its
 own (`cm_point_reference`) instead of one conversion per coordinate,
 saturation by the plain q^4 coset search instead of the integer-screened
-one, units and CM
+one, and the integer-screened search over every coset vector in
+`itertools.product` order (`integral_cosets_product`) instead of once
+per line of cosets, units and CM
 points by building every box element as a `QuatElement` instead of
 scanning integer forms, the curve section space by an SVD nullspace
 instead of the closed form, the period lattice rank condition by an SVD
@@ -41,7 +43,9 @@ from fakeelliptic.exactlinalg import (DEFAULT_PRECISION, _to_ap_matrix,
                                       exact_solve, fraction_sqrt, numeric_svd,
                                       precision_tolerance)
 from fakeelliptic.family import PeriodLattice, as_complex
-from fakeelliptic.orders import NotAnOrder, OrderLattice, UnitSample
+from fakeelliptic import orders
+from fakeelliptic.orders import (NotAnOrder, OrderLattice, UnitSample,
+                                 _gram, is_order)
 from fakeelliptic.quaternions import QuatElement, _factorize, embed, ramified_primes
 from fakeelliptic.splitting import CurveH0, Section
 
@@ -305,6 +309,96 @@ def adjoin_coset_bruteforce(L, q, disc):
         if ok and reduced_discriminant_fraction(candidate) < disc:
             return candidate
     return None
+
+
+def integral_cosets_product(L, q):
+    """(j, s) for each v = sum(s_i g_i)/q with trd(v), nrd(v) in Z, over
+    every coset vector: each line of cosets comes q - 1 times.
+
+    c runs in `itertools.product` order, j is its last nonzero index and
+    s = c / c_j mod q.  L is a certified order: trd(g_i) and the Gram
+    matrix are integral.
+    """
+    a, b, D, B = L.form
+    t = [2 * row[0] // D for row in B]
+    G = [[x // (D * D) for x in row] for row in _gram(a, b, B)]
+    t3_inv = pow(t[3], -1, q) if t[3] % q else None
+    for c0, c1, c2 in itertools.product(range(q), repeat=3):
+        # trd(v) in Z <=> sum c_i t_i = 0 mod q, which fixes c3 if t3 is a unit
+        partial = (c0 * t[0] + c1 * t[1] + c2 * t[2]) % q
+        if t3_inv is not None:
+            tails = ((-partial * t3_inv) % q,)
+        else:
+            tails = () if partial else range(q)
+        for c3 in tails:
+            c = (c0, c1, c2, c3)
+            if not any(c):
+                continue
+            j = max(i for i, ci in enumerate(c) if ci)
+            # scale the representative so the replaced coordinate is 1 mod q
+            inv = pow(c[j], -1, q)
+            s = [(ci * inv) % q for ci in c]
+            # nrd(v) in Z <=> s^T G s = 0 mod 2 q^2
+            form = sum(G[a][b] * s[a] * s[b] for a in range(4) for b in range(4))
+            if form % (2 * q * q) == 0:
+                yield j, s
+
+
+def adjoin_coset_product(L, q, disc):
+    """First enlargement (order, disc) of L by an integral v/q, or None,
+    over every coset vector in `itertools.product` order and with each
+    candidate built from `Fraction` rows: the reference for the line walk
+    of `orders._adjoin_coset`.
+
+    Each v = sum(s_i g_i)/q from `integral_cosets_product` is integral and has
+    s_j = 1, so replacing g_j by v gives a lattice containing L with index
+    q: once `is_order` certifies it, its discriminant is disc/q.
+    """
+    for j, s in integral_cosets_product(L, q):
+        rows = [list(r) for r in L.basis]
+        rows[j] = [sum(c * row[k] for c, row in zip(s, L.basis)) / q
+                   for k in range(4)]
+        candidate = OrderLattice(L.params, rows)
+        if is_order(candidate)[0]:
+            return candidate, disc // q
+    return None
+
+
+def saturation_by_both_walks(params):
+    """Saturate the standard order of params twice: by `orders.saturate`,
+    and with every pass taken from `adjoin_coset_product` once the line
+    walk of `orders._adjoin_coset` has accepted the same lattice (or none)
+    from the same parent.
+
+    Returns the two outcomes, each the final basis or the error message
+    with the basis of the order it carries, and the number of passes.
+    """
+    def outcome():
+        try:
+            return orders.saturate(orders.standard_order(params)).basis
+        except orders.SearchExhausted as exc:
+            return str(exc), exc.order.basis
+        except NotAnOrder as exc:
+            return str(exc)
+
+    line_walk, passes = orders._adjoin_coset, []
+
+    def product_walk(L, q, disc):
+        got, want = line_walk(L, q, disc), adjoin_coset_product(L, q, disc)
+        assert (got is None) == (want is None), (params, q)
+        if got is not None:
+            assert got[0].basis == want[0].basis, (params, q)
+            assert got[1] == want[1] and got[0].is_certified
+        passes.append(q)
+        return want
+
+    line = outcome()
+    orders._adjoin_coset = product_walk
+    try:
+        product = outcome()
+    finally:
+        orders._adjoin_coset = line_walk
+    return line, product, len(passes)
 
 
 def saturate_bruteforce(L):

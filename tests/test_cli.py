@@ -280,24 +280,34 @@ def test_order_commands_certify_each_lattice_once(tmp_path, capsys,
                                                   monkeypatch):
     cfg = tmp_path / "b.cfg"
     cfg.write_text("algebra.a = 7\nalgebra.b = -57\n")
-    calls = []
-    is_order = orders.is_order
+    calls, checks = [], []
+    is_order, violations = orders.is_order, orders._violations
     monkeypatch.setattr(orders, "is_order",
                         lambda L: calls.append(L) or is_order(L))
-    code, report, _ = run(capsys, "order", "saturate", str(cfg))
-    assert code == 0
-    assert report["results"]["disc_before"] == "1596"
-    assert report["results"]["disc_after"] == "14"
-    assert report["results"]["maximal"] is True
-    # the start lattice, then the start and the three enlargements in saturate
-    assert len(calls) == 5
-    calls.clear()
-    code, report, _ = run(capsys, "order", "maximal", str(cfg))
-    assert code == 0
-    assert report["results"] == {"maximal": True, "reduced_discriminant": "14",
-                                 "target": "14"}
-    # four in saturate, one for the discriminant
-    assert len(calls) == 5
+    monkeypatch.setattr(orders, "_violations",
+                        lambda L: checks.append(L) or violations(L))
+    want = {
+        "saturate": {"disc_before": "1596", "disc_after": "14",
+                     "maximal": True},
+        "maximal": {"maximal": True, "reduced_discriminant": "14",
+                    "target": "14"},
+        "disc": {"reduced_discriminant": "14"},
+        "verify": {"is_order": True, "problems": []},
+    }
+    for action, results in want.items():
+        calls.clear()
+        checks.clear()
+        code, report, _ = run(capsys, "order", action, str(cfg))
+        assert code == 0
+        assert results.items() <= report["results"].items()
+        # the start and the three enlargements are checked once each, the
+        # start by is_order and the candidates by the saturation search;
+        # order verify runs is_order once more on the order it reports
+        own = action == "verify"
+        assert len(checks) == 4 + own
+        assert len({id(L) for L in checks}) == 4
+        assert len(calls) == 1 + own
+        assert calls[0] is checks[0]
 
 
 @pytest.mark.parametrize("action", ["saturate", "maximal"])
@@ -632,6 +642,20 @@ def test_order_saturate_refuses_a_gap_prime_above_the_bound(tmp_path):
     assert time.perf_counter() - start < 2
     assert proc.returncode == 1 and proc.stdout == b""
     assert b"SearchExhausted" in proc.stderr and b"11953" in proc.stderr
+
+
+def test_order_saturate_reaches_a_large_gap_prime_quickly(tmp_path):
+    # the gap of (3,-1489) is 2 * 1489: the search over each coset line
+    # once ends in milliseconds, where a walk over all q^3 trace-screened
+    # coset vectors took 9-13 s
+    cfg = tmp_path / "gap-1489.cfg"
+    cfg.write_text("algebra.a = 3\nalgebra.b = -1489\n")
+    start = time.perf_counter()
+    proc = _child("order", "saturate", str(cfg))
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results["disc_before"] == "17868" and results["disc_after"] == "6"
 
 
 def test_child_writes_a_complete_report_through_a_pipe():

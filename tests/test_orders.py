@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from oracles import (congruence_filter_bruteforce, contains_by_solve,
                      coords_by_solve, count_units_by_embedding,
                      enumerate_units_bruteforce, is_order_fraction,
                      laplace_det, reduced_discriminant_fraction,
-                     saturate_bruteforce, squarefree_part,
+                     saturate_bruteforce, saturation_by_both_walks,
+                     squarefree_part,
                      stacked_embedding_det)
 
 # the algebras of the benchmark's enumerate and saturate workloads, and two
@@ -114,6 +116,68 @@ def test_saturate_matches_bruteforce_search():
         assert saturate(std).basis == chain[-1][0].basis, (a, b)
     assert {q for q, _ in seen} == {2, 3, 7, 13}
     assert {unit for _, unit in seen} == {False, True}
+
+
+def _squarefree_presentations():
+    """(a, b) squarefree for every non-square 2 <= a <= 20 and
+    -20 <= b <= -1, split algebras included."""
+    out = set()
+    for a in range(2, 21):
+        if math.isqrt(a) ** 2 != a:
+            for b in range(-20, 0):
+                sq = AlgebraParams(a, b).squarefree()
+                out.add((sq.a, sq.b))
+    return sorted(out)
+
+
+def test_line_walk_accepts_the_lattice_of_the_product_walk():
+    # on every pass the same lattice, and the same final basis or error:
+    # 156 squarefree presentations with 504 passes, raw presentations
+    # with square factors and (a/4, b/9) ones; about 0.4 s, and 0.1 s more
+    # for the sweep's 40 algebras in test_sweep.py
+    params = [AlgebraParams(a, b) for a, b in _squarefree_presentations()]
+    params += [AlgebraParams(a, b) for a, b in ((5, -18), (27, -7), (2, -45),
+                                                (12, -45), (20, -63))]
+    params += [AlgebraParams(Fraction(a, 4), Fraction(b, 9))
+               for a, b in ((3, -7), (12, -45), (20, -63), (8, -18))]
+    passes, kinds = 0, set()
+    for p in params:
+        line, product, n = saturation_by_both_walks(p)
+        assert line == product, p
+        passes += n
+        # a basis, SearchExhausted (message, order) or a NotAnOrder message
+        kinds.add(type(line))
+    assert passes > 500 and kinds == {list, tuple, str}
+
+
+def test_lattices_built_from_an_integer_form_read_back_that_form(
+        monkeypatch):
+    # the standard order and every saturation candidate come from an
+    # integer form; saturate reads no Fraction basis but for a NotAnOrder
+    # message, and the basis read afterwards has that form and adjugate
+    built, named = [], []
+    from_form = OrderLattice.from_form.__func__
+
+    def recorded(cls, *args):
+        built.append(from_form(cls, *args))
+        return built[-1]
+    monkeypatch.setattr(OrderLattice, "from_form", classmethod(recorded))
+    for a, b in ((3, -1), (3, -7), (7, -57), (13, -10), (3, -2), (5, -18),
+                 (Fraction(1, 3), Fraction(-1, 2)),
+                 (Fraction(12, 4), Fraction(-45, 9)),
+                 (Fraction(3, 4), Fraction(-7, 9))):
+        start = standard_order(AlgebraParams(a, b))
+        try:
+            saturate(start)
+        except orders.SearchExhausted:
+            pass
+        except NotAnOrder:
+            named.append(start)
+    assert len(built) > 20 and len(named) == 2
+    assert [L for L in built if "basis" in vars(L)] == named
+    for L in built:
+        assert orders._integer_form(L.params, L.basis) == L.form
+        assert OrderLattice(L.params, L.basis).adjugate == L.adjugate
 
 
 def test_saturate_large_unramified_gap_prime():
@@ -335,11 +399,12 @@ def _assert_matches_fraction_oracle(L):
 
 
 def test_certificate_matches_fraction_oracle_on_saturation(monkeypatch):
-    # every lattice that saturate certifies: each start and each candidate
+    # every lattice that saturate checks: each start through is_order and
+    # each candidate, accepted or dropped, through the same violations
     seen = []
-    certify = orders.is_order
-    monkeypatch.setattr(orders, "is_order",
-                        lambda L: seen.append(L) or certify(L))
+    violations = orders._violations
+    monkeypatch.setattr(orders, "_violations",
+                        lambda L: seen.append(L) or violations(L))
     for a, b in BENCHMARK_ALGEBRAS:
         saturate(standard_order(AlgebraParams(a, b)))
     monkeypatch.undo()
@@ -460,25 +525,35 @@ def test_membership_matches_exact_solve(max_order, rational_lattices):
 
 
 def test_adjugate_runs_once_per_lattice(monkeypatch):
-    counts = {"lattices": 0, "adjugates": 0}
-    init, adjugate = OrderLattice.__init__, orders._adjugate
+    # lattices are built from a basis or, in saturate, from an integer form
+    counts = {"lattices": 0, "forms": 0, "adjugates": 0}
+    init, from_form = OrderLattice.__init__, OrderLattice.from_form.__func__
+    adjugate = orders._adjugate
 
     def counted_init(self, *args):
         counts["lattices"] += 1
         init(self, *args)
 
+    def counted_from_form(cls, *args):
+        counts["forms"] += 1
+        return from_form(cls, *args)
+
     def counted_adjugate(m):
         counts["adjugates"] += 1
         return adjugate(m)
     monkeypatch.setattr(OrderLattice, "__init__", counted_init)
+    monkeypatch.setattr(OrderLattice, "from_form",
+                        classmethod(counted_from_form))
     monkeypatch.setattr(orders, "_adjugate", counted_adjugate)
     L = saturate(standard_order(AlgebraParams(7, -57)))
-    assert is_maximal(L) and is_order(L)[0] and L == L
+    M = OrderLattice(L.params, L.basis)
+    assert is_maximal(L) and is_order(L)[0] and L == M
     units = enumerate_units(L, 1)
     congruence_filter(units, 3, L)
     assert L.contains(QuatElement(L.params, 1)) and L.embedding_det
-    assert counts["lattices"] > 2
-    assert counts["adjugates"] == counts["lattices"]
+    # the standard order and three enlargements, then M
+    assert counts["forms"] == 4 and counts["lattices"] == 1
+    assert counts["adjugates"] == counts["lattices"] + counts["forms"]
 
 
 def test_order_modules_use_no_elimination():

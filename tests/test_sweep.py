@@ -28,7 +28,7 @@ from fakeelliptic.quaternions import (AlgebraParams, is_indefinite_division,
                                       ramified_primes)
 from fakeelliptic.splitting import curve_splitting_report, fiber_h0
 
-from oracles import hilbert_solvable
+from oracles import hilbert_solvable, saturation_by_both_walks
 
 SEED = 5
 SAMPLE_SIZE = 40
@@ -68,6 +68,15 @@ def test_ramified_primes_match_the_brute_force_symbol(sample):
 def test_saturation_reaches_the_discriminant(sample):
     for (a, b), (ram, order) in sample.items():
         assert reduced_discriminant(order) == math.prod(ram), (a, b)
+
+
+def test_line_walk_matches_the_product_walk(sample):
+    # each pass accepts the lattice the product walk of the coset search
+    # accepts from the same parent (test_orders.py has the small algebras)
+    for a, b in sample:
+        line, product, _ = saturation_by_both_walks(
+            AlgebraParams(a, b).squarefree())
+        assert line == product and isinstance(line, list), (a, b)
 
 
 def test_fiber_h0_is_one_with_the_discriminant_as_witness(sample):
