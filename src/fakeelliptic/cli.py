@@ -106,10 +106,11 @@ def _cmd_order_disc(args, cfg):
 
 
 def _cmd_order_maximal(args, cfg):
+    order = cfg.build_order(certify=False)
     # a split algebra is refused ahead of an explicit basis that is not an
-    # order: AlgebraSplit before NotAnOrder
-    target = orders.maximal_discriminant(cfg.algebra())
-    disc = orders.reduced_discriminant(cfg.build_order())
+    # order: AlgebraSplit before NotAnOrder, which reduced_discriminant raises
+    target = orders.maximal_discriminant(order.params)
+    disc = orders.reduced_discriminant(order)
     return ({"maximal": disc == target, "reduced_discriminant": str(disc),
              "target": str(target)}, [CITE_DISC], True)
 

@@ -235,7 +235,8 @@ class Config:
         """The configured order; an explicit basis is certified by `is_order`.
 
         certify=False returns an explicit lattice as it is, for the
-        certifier itself (`order verify`).
+        certifier itself (`order verify`) and for `order maximal`, which
+        refuses a split algebra before it certifies.
         """
         params = self.algebra()
         if self.order_mode == "saturate-from-standard":

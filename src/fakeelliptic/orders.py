@@ -150,12 +150,9 @@ class OrderLattice:
 
 
 def standard_order(params):
-    """Z<1, x, y, xy>, whose scaled rows are (1, 1/den a, 1/den b,
-    1/(den a den b)) on the diagonal: D = den a den b."""
-    ad, bd = params.a.denominator, params.b.denominator
-    return OrderLattice.from_form(params, (
-        params.a.numerator * ad, params.b.numerator * bd, ad * bd,
-        [[ad * bd, 0, 0, 0], [0, bd, 0, 0], [0, 0, ad, 0], [0, 0, 0, 1]]))
+    """Z<1, x, y, xy>."""
+    identity = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    return OrderLattice.from_form(params, _integer_form(params, identity))
 
 
 def _coords_str(coords):

@@ -286,20 +286,22 @@ def test_order_commands_certify_each_lattice_once(tmp_path, capsys,
                         lambda L: calls.append(L) or is_order(L))
     monkeypatch.setattr(orders, "_violations",
                         lambda L: checks.append(L) or violations(L))
+    basis = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+             ["1/2", "1/2", "49/114", "1/114"]]
     want = {
         "saturate": {"disc_before": "1596", "disc_after": "14",
-                     "maximal": True},
+                     "maximal": True, "basis": basis},
         "maximal": {"maximal": True, "reduced_discriminant": "14",
                     "target": "14"},
-        "disc": {"reduced_discriminant": "14"},
-        "verify": {"is_order": True, "problems": []},
+        "disc": {"reduced_discriminant": "14", "basis": basis},
+        "verify": {"is_order": True, "problems": [], "basis": basis},
     }
     for action, results in want.items():
         calls.clear()
         checks.clear()
         code, report, _ = run(capsys, "order", action, str(cfg))
         assert code == 0
-        assert results.items() <= report["results"].items()
+        assert report["results"] == results
         # the start and the three enlargements are checked once each, the
         # start by is_order and the candidates by the saturation search;
         # order verify runs is_order once more on the order it reports
