@@ -319,7 +319,9 @@ def symbol_support(a, b):
 def ramified_primes(params):
     """Finite primes where B = (a, b / Q) is ramified, found once per
     `AlgebraParams`: a command asks for them up to three times (the split
-    refusal, the discriminant target, the saturation target)."""
+    refusal, the discriminant target, the saturation target) on the params
+    of its one order.  They are kept there, not in a process-wide cache,
+    so a command run in process repeats the work of a fresh child."""
     if params._ramified is None:
         params._ramified = tuple(
             p for p in symbol_support(params.a, params.b)
