@@ -12,10 +12,10 @@ import itertools
 import math
 
 from .exactlinalg import (ComputationError, DEFAULT_PRECISION, QuadComplex,
-                          UpperHalfPoint, _sqrt, as_complex,
-                          precision_tolerance, solve_quadratic, to_mpf)
+                          UpperHalfPoint, as_complex, precision_tolerance,
+                          solve_quadratic)
 from .orders import _coords_str
-from .quaternions import embed, is_elliptic
+from .quaternions import embed, embed_mpf, is_elliptic
 
 
 class NotElliptic(ComputationError):
@@ -62,8 +62,8 @@ def cm_point(mu, prec=DEFAULT_PRECISION, coords=None, nrd=None):
 
     A caller that has proved mu elliptic passes its nrd, as
     `enumerate_cm_points` does from its integer scan; without it, mu's
-    norm is computed here and a mu that is not elliptic is refused.  All
-    numerics run inside one `workprec`.
+    norm is computed here and a mu that is not elliptic is refused.  mu
+    is embedded once, exactly, for `quad`, and rounded by `embed_mpf`.
     """
     import mpmath
     if nrd is None:
@@ -76,18 +76,10 @@ def cm_point(mu, prec=DEFAULT_PRECISION, coords=None, nrd=None):
         coords = tuple(-c for c in coords) if coords is not None else None
     E = embed(mu)
     quad = (E[1][0], E[1][1] - E[0][0], -E[0][1])
-    k, l, m, n = mu.coords()
-    b = mu.params.b
     with mpmath.workprec(prec):
-        # E's entries u + v sqrt(a) as `to_mpf` rounds each, with each
-        # coordinate converted once: rounding to nearest commutes with
-        # negation and with doubling, so D = k - l sqrt(a) reuses the term
-        # l sqrt(a) of A, and the exact D - A = -2 l sqrt(a) doubles it
-        root = _sqrt(mu.params.a, prec)
-        K, ls, ns = to_mpf(k), to_mpf(l) * root, to_mpf(n) * root
-        A, D, C = K + ls, K - ls, to_mpf(m) - ns
-        B = to_mpf(b * m) + to_mpf(b * n) * root
-        tau, _ = solve_quadratic(C, -2 * ls, -B, prec)
+        (A, B), (C, D) = embed_mpf(mu)
+        # D - A = -2 l sqrt(a) is exact, so it is rounded once
+        tau, _ = solve_quadratic(C, quad[1], -B, prec)
         tau_prime = C * tau + D
         r1 = A * tau + B - tau_prime * tau
         if abs(r1) > precision_tolerance(prec) * (1 + abs(tau_prime)):

@@ -16,14 +16,14 @@ also returns the product of its pivots, signed by its row swaps.
 Numeric work (CM points, curve sections) runs on mpmath at a
 binary precision that each numeric function takes as `prec`, 128 bits
 by default.  The numeric policies live here once: one conversion each
-way between exact scalars and mpmath (`to_mpf`, `QuadComplex.of`), the
-decimal form (`decimal_str`, `complex_pair`), and the upper half plane
+way between exact scalars and mpmath (`to_mpf`, `QuadComplex.of`; an
+embedded quaternion is rounded by `quaternions.embed_mpf`), the decimal
+form (`decimal_str`, `complex_pair`), and the upper half plane
 (`UpperHalfPoint`, `as_complex`); no fiber or suite verdict reads a
 tolerance.  The numeric functions import mpmath where they run, so the
 exact commands never load it.
 """
 
-import contextlib
 from fractions import Fraction
 import functools
 import math
@@ -58,17 +58,6 @@ def precision_tolerance(prec):
     """2^-(prec/2): a residual that prec-bit arithmetic resolves from zero;
     a power of two, so exact at any precision and computed once per prec."""
     return to_mpf(Fraction(1, 2 ** ((prec + 1) // 2)))
-
-
-_AMBIENT = contextlib.nullcontext()
-
-
-def _at(prec):
-    """`mpmath.workprec(prec)`, or a context that changes nothing when prec
-    is the ambient precision already: a numeric call inside another one's
-    workprec then does not set and restore the precision again."""
-    import mpmath
-    return _AMBIENT if mpmath.mp.prec == prec else mpmath.workprec(prec)
 
 
 def fraction_sqrt(r):
@@ -322,7 +311,8 @@ class QuadExt(QuadComplex):
 
     def numeric(self, prec=DEFAULT_PRECISION):
         """The mpf of u + v sqrt(rad) at prec bits, from the reduced u, v."""
-        with _at(prec):
+        import mpmath
+        with mpmath.workprec(prec):
             return to_mpf(self.u) + to_mpf(self.v) * _sqrt(self.rad, prec)
 
     def __repr__(self):
@@ -507,11 +497,6 @@ class UpperHalfPoint:
         return f"UpperHalfPoint({mpmath.nstr(as_complex(self.tau), 12)})"
 
 
-def _mpf_matrix(E):
-    """A 2x2 matrix over Q(sqrt a) as mpfs at the ambient precision."""
-    return [[to_mpf(x) for x in row] for row in E]
-
-
 def numeric_svd(m, prec=DEFAULT_PRECISION):
     """Full SVD rows of a complex matrix, zero-padding to square shape.
 
@@ -544,7 +529,7 @@ def solve_quadratic(c2, c1, c0, prec=DEFAULT_PRECISION):
     larger real part.
     """
     import mpmath
-    with _at(prec):
+    with mpmath.workprec(prec):
         A, B, C = (to_mpf(c) for c in (c2, c1, c0))
         if A == 0:
             raise ZeroDivisionError("leading coefficient is zero")

@@ -14,10 +14,10 @@ from fractions import Fraction
 import math
 
 from .exactlinalg import (DEFAULT_PRECISION, QuadComplex, QuadExt,
-                          UpperHalfPoint, _complex, _mpf_matrix, as_complex,
-                          cofactor_det, decimal_str)
+                          UpperHalfPoint, _complex, as_complex, cofactor_det,
+                          decimal_str)
 from .orders import _gram, _integer_form
-from .quaternions import QuatElement, _product, embed
+from .quaternions import QuatElement, _product, embed, embed_mpf
 
 
 def complex_structure(m, tau, prec=DEFAULT_PRECISION):
@@ -25,7 +25,7 @@ def complex_structure(m, tau, prec=DEFAULT_PRECISION):
     coordinate is its automorphy denominator j = c tau + d."""
     import mpmath
     with mpmath.workprec(prec):
-        return _apply(_mpf_matrix(embed(m)), as_complex(tau))
+        return _apply(embed_mpf(m), as_complex(tau))
 
 
 def _apply(N, tau):
@@ -308,8 +308,8 @@ def automorphy_factor(g, z, tau, prec=DEFAULT_PRECISION):
     import mpmath
     with mpmath.workprec(prec):
         tau = as_complex(tau)
-        L = _mpf_matrix(embed(g.lam))
-        c, d = _mpf_matrix(embed(g.gamma))[1]
+        L = embed_mpf(g.lam)
+        c, d = embed_mpf(g.gamma)[1]
         j = c * tau + d
         lt = _apply(L, tau)
         A = mpmath.zeros(3, 3)

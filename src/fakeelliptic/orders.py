@@ -44,8 +44,8 @@ class OrderLattice:
 
     Every exact question about the lattice reads its integer form
     `form` = (a', b', D, B') and `adjugate` = (adj(B'), det(B')), built
-    once here; the rank is 4 iff det(B') != 0.  A lattice built by
-    `from_form` computes its `Fraction` basis on first read.
+    once here; the rank is 4 iff det(B') != 0.  The `Fraction` basis
+    follows from the form on first read, also for the rows given here.
     `is_certified` records that the lattice was found to be an order, so
     `certified` checks it once.
     """
@@ -54,7 +54,6 @@ class OrderLattice:
         basis = [[Fraction(x) for x in row] for row in basis]
         if len(basis) != 4 or any(len(r) != 4 for r in basis):
             raise ValueError("basis must be 4x4")
-        self.basis = basis
         self._set_form(params, _integer_form(params, basis))
 
     @classmethod

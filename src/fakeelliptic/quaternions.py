@@ -11,7 +11,8 @@ import functools
 import itertools
 import math
 
-from .exactlinalg import ComputationError, QuadExt, fraction_sqrt
+from .exactlinalg import (ComputationError, QuadExt, _sqrt, fraction_sqrt,
+                          to_mpf)
 
 
 class AlgebraSplit(ComputationError):
@@ -164,6 +165,19 @@ def embed(q):
     # AlgebraParams has checked that a is no rational square
     return [[QuadExt._over(k, l, a), QuadExt._over(m, n, a) * b],
             [QuadExt._over(m, -n, a), QuadExt._over(k, -l, a)]]
+
+
+def embed_mpf(q):
+    """`embed(q)` rounded at the ambient precision, the one rounding of an
+    embedding: each entry u + v sqrt(a) as `to_mpf` rounds it, with each
+    coordinate converted once.  Rounding to nearest commutes with negation,
+    so the entries share the terms l sqrt(a) and n sqrt(a)."""
+    import mpmath
+    a, b = q.params.a, q.params.b
+    k, l, m, n = q.coords()
+    root = _sqrt(a, mpmath.mp.prec)
+    K, M, ls, ns = to_mpf(k), to_mpf(m), to_mpf(l) * root, to_mpf(n) * root
+    return [[K + ls, to_mpf(b * m) + to_mpf(b * n) * root], [M - ns, K - ls]]
 
 
 # ---------------------------------------------------------------------------

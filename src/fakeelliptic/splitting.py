@@ -17,10 +17,9 @@ and the classifier are exact.
 import random
 
 from .exactlinalg import (DEFAULT_PRECISION, NONZERO_TOL, ComputationError,
-                          QuadComplex, QuadExt, UpperHalfPoint, _mpf_matrix,
-                          as_complex, cofactor_det, complex_pair, decimal_str,
-                          to_mpf)
-from .quaternions import embed
+                          QuadComplex, QuadExt, UpperHalfPoint, as_complex,
+                          cofactor_det, complex_pair, decimal_str, to_mpf)
+from .quaternions import embed, embed_mpf
 
 
 class InconsistentData(ComputationError):
@@ -132,7 +131,7 @@ def curve_h0(point, prec=DEFAULT_PRECISION):
     """
     import mpmath
     with mpmath.workprec(prec):
-        (m11, m12), (m21, m22) = _mpf_matrix(embed(point.mu))
+        (m11, m12), (m21, m22) = embed_mpf(point.mu)
         tprime = as_complex(point.tau_prime)
         f1 = mpmath.mpc(1)
         f2 = (tprime - m11) / m21

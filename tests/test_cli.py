@@ -217,6 +217,47 @@ def test_suite_all(capsys):
     assert report["command"] == "suite all"
 
 
+# each suite and the check of the invariant it tests
+_SUITE_CHECKS = {"riemann": "riemann_conditions_check",
+                 "cocycle": "cocycle_check",
+                 "isogeny": "isogeny_lattice_check"}
+
+
+@pytest.mark.parametrize("suite", list(_SUITE_CHECKS))
+def test_a_failing_invariant_fails_its_suite(monkeypatch, capsys, suite):
+    from fakeelliptic import family
+    check = getattr(family, _SUITE_CHECKS[suite])
+
+    def failing(*args):
+        if suite != "riemann":
+            return False
+        rep = check(*args)
+        rep["conditions"]["integral"]["pass"] = rep["all_pass"] = False
+        return rep
+
+    monkeypatch.setattr(family, _SUITE_CHECKS[suite], failing)
+    for name in (suite, "all"):
+        code, report, err = run(capsys, "suite", name, "--trials", "2")
+        assert code == 1, err
+        r = report["results"]
+        assert r["pass"] is False
+        assert ({s: out["pass"] for s, out in r["suites"].items()}
+                == {s: s != suite for s in (_SUITE_CHECKS if name == "all"
+                                            else [suite])})
+        failures = r["suites"][suite]["failures"]
+        if suite != "riemann":
+            assert failures == 2
+            continue
+        # tau = i and one per trial
+        assert len(failures) == 3
+        for f in failures:
+            assert set(f) == {"tau", "conditions"}
+            assert set(f["tau"]) == {"re", "im"}
+            assert f["conditions"] == {"integral": False,
+                                       "j_compatible": True,
+                                       "positive_definite": True}
+
+
 def test_suite_accepts_config_after_options(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("algebra.a = 3\nalgebra.b = -1\nprecision = 128\nseed = 5\n")

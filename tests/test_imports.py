@@ -230,6 +230,34 @@ def test_conversion_and_import_rules_hold_in_the_source():
     assert compiles == []
 
 
+def test_the_embedding_is_rounded_in_one_place():
+    # `quaternions.embed_mpf` is the one rounding of an embedding: only it
+    # and `QuadExt.numeric` read the cached `_sqrt`, `cm` reads no private
+    # name of `exactlinalg`, and no module keeps a second matrix rounding
+    # (`_mpf_matrix`) or precision idiom (`_at`)
+    sqrt_users, cm_private, retired = set(), [], []
+    for path in sorted(Path(SRC, "fakeelliptic").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+                if path.stem == "cm" and node.module == "exactlinalg":
+                    cm_private += [n for n in names if n.startswith("_")]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            if "_sqrt" in names:
+                sqrt_users.add(path.stem)
+            retired += [(path.stem, n) for n in names
+                        if n in ("_mpf_matrix", "_at")]
+    assert sqrt_users <= {"exactlinalg", "quaternions"}
+    assert cm_private == []
+    assert retired == []
+
+
 # module -> the package modules it may import at module level: each layer
 # imports only the layers below it, so `family` is loaded only by the
 # suites and the functions that import it where they run

@@ -483,6 +483,15 @@ def test_order_lattice_rejects_dependent_rows(params):
                               [2, 0, 0, 0]])
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]]],
+    ids=["three rows", "a row of length 3"])
+def test_order_lattice_refuses_a_basis_not_4x4(params, rows):
+    with pytest.raises(ValueError, match="basis must be 4x4"):
+        OrderLattice(params, rows)
+
+
 def _lattices(max_order, rational_lattices):
     """Orders and non-orders over integer and rational (a, b)."""
     out = [saturate(standard_order(AlgebraParams(a, b)))

@@ -1,14 +1,18 @@
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from fakeelliptic import exactlinalg
-from fakeelliptic.exactlinalg import QuadExt
+from fakeelliptic.config import Config
+from fakeelliptic.exactlinalg import QuadExt, to_mpf
 from fakeelliptic.quaternions import (FACTOR_LIMIT, INFINITE_PLACE,
                                       AlgebraParams, QuatElement, _factorize,
-                                      embed, hilbert_symbol,
+                                      embed, embed_mpf, hilbert_symbol,
                                       is_indefinite_division, ramified_primes,
                                       symbol_support)
 from oracles import (hilbert_solvable, hilbert_solvable_real, mat2_det,
@@ -96,6 +100,37 @@ def test_embed_reuses_the_checked_radicand(monkeypatch):
     a = params.a
     assert M == [[QuadExt(1, 2, a), QuadExt(-5 * Fraction(1, 2), 15, a)],
                  [QuadExt(Fraction(1, 2), 3, a), QuadExt(1, -2, a)]]
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=["add", "sub", "mul"])
+def test_arithmetic_refuses_elements_of_different_algebras(op):
+    p = QuatElement(AlgebraParams(3, -1), 1, 2, 3, 4)
+    q = QuatElement(AlgebraParams(3, -7), 1, 2, 3, 4)
+    with pytest.raises(ValueError, match="elements of different algebras"):
+        op(p, q)
+
+
+@pytest.mark.parametrize("prec", [53, 128, 256, 4096])
+def test_embed_mpf_rounds_each_entry_as_to_mpf_does(prec, rational_lattices):
+    # the saturated orders have half-integer coordinates; the box holds
+    # negative ones, and the rational lattices non-integral a and b
+    elements = [QuatElement(AlgebraParams(3, -1), Fraction(-1, 2),
+                            Fraction(3, 2), Fraction(-5, 2), Fraction(1, 2))]
+    for a, b in ((3, -1), (3, -7), (2, -5), (5, -7), (2, -13), (7, -57)):
+        order = Config(a=a, b=b).build_order()
+        elements += [order.element_from(c)
+                     for c in itertools.product((-1, 0, 1), repeat=4)]
+    for L in rational_lattices:
+        elements += L.generators()
+        elements.append(L.element_from((-2, 1, -1, 3)))
+    assert any(c.denominator == 2 for q in elements for c in q.coords())
+    assert any(q.params.a.denominator > 1 and q.params.b.denominator > 1
+               for q in elements)
+    with mpmath.workprec(prec):
+        for q in elements:
+            assert ([[x._mpf_ for x in row] for row in embed_mpf(q)]
+                    == [[to_mpf(x)._mpf_ for x in row] for row in embed(q)]), q
 
 
 def test_embed_homomorphism(params):
