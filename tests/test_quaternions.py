@@ -113,11 +113,13 @@ def test_arithmetic_refuses_elements_of_different_algebras(op):
 
 @pytest.mark.parametrize("prec", [53, 128, 256, 4096])
 def test_embed_mpf_rounds_each_entry_as_to_mpf_does(prec, rational_lattices):
-    # the saturated orders have half-integer coordinates; the box holds
-    # negative ones, and the rational lattices non-integral a and b
+    # configured orders of algebras in the sweep's range (the benchmark's
+    # among them) have half-integer coordinates, their boxes negative ones,
+    # and the rational lattices non-integral a and b
     elements = [QuatElement(AlgebraParams(3, -1), Fraction(-1, 2),
                             Fraction(3, 2), Fraction(-5, 2), Fraction(1, 2))]
-    for a, b in ((3, -1), (3, -7), (2, -5), (5, -7), (2, -13), (7, -57)):
+    for a, b in ((3, -1), (3, -7), (2, -5), (5, -7), (2, -13), (7, -57),
+                 (13, -10), (34, -51)):
         order = Config(a=a, b=b).build_order()
         elements += [order.element_from(c)
                      for c in itertools.product((-1, 0, 1), repeat=4)]
