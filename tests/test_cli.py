@@ -317,16 +317,23 @@ def test_precision_above_the_ceiling_exits_two(tmp_path, capsys):
                    "bits\n")
 
 
-def test_order_commands_certify_each_lattice_once(tmp_path, capsys,
-                                                  monkeypatch):
+def test_order_commands_certify_the_lattice_they_report(tmp_path, capsys,
+                                                        monkeypatch):
     cfg = tmp_path / "b.cfg"
     cfg.write_text("algebra.a = 7\nalgebra.b = -57\n")
-    calls, checks = [], []
-    is_order, violations = orders.is_order, orders._violations
-    monkeypatch.setattr(orders, "is_order",
-                        lambda L: calls.append(L) or is_order(L))
-    monkeypatch.setattr(orders, "_violations",
-                        lambda L: checks.append(L) or violations(L))
+    # one log of is_order runs and saturate returns, in the order they happen
+    events = []
+    is_order, saturate = orders.is_order, orders.saturate
+
+    def logged_saturate(L):
+        result = saturate(L)
+        events.append(("saturate", result))
+        return result
+
+    monkeypatch.setattr(orders, "is_order", lambda L: (
+        events.append(("is_order", L)) or is_order(L)))
+    monkeypatch.setattr(orders, "saturate", logged_saturate)
+    monkeypatch.setattr("fakeelliptic.config.saturate", logged_saturate)
     basis = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
              ["1/2", "1/2", "49/114", "1/114"]]
     want = {
@@ -338,19 +345,19 @@ def test_order_commands_certify_each_lattice_once(tmp_path, capsys,
         "verify": {"is_order": True, "problems": [], "basis": basis},
     }
     for action, results in want.items():
-        calls.clear()
-        checks.clear()
+        events.clear()
         code, report, _ = run(capsys, "order", action, str(cfg))
         assert code == 0
         assert report["results"] == results
-        # the start and the three enlargements are checked once each, the
-        # start by is_order and the candidates by the saturation search;
-        # order verify runs is_order once more on the order it reports
-        own = action == "verify"
-        assert len(checks) == 4 + own
-        assert len({id(L) for L in checks}) == 4
-        assert len(calls) == 1 + own
-        assert calls[0] is checks[0]
+        # the saturated order, which `order maximal` judges without
+        # printing its basis, is certified by an is_order run of its own
+        # after the search has returned it
+        kinds = [kind for kind, _ in events]
+        assert kinds.count("saturate") == 1
+        last = max(i for i, kind in enumerate(kinds) if kind == "is_order")
+        assert kinds.index("saturate") < last
+        checked = events[last][1]
+        assert [[str(c) for c in row] for row in checked.basis] == basis
 
 
 @pytest.mark.parametrize("action", ["saturate", "maximal"])
@@ -662,6 +669,21 @@ def test_closed_stdout_exits_quietly():
             [sys.executable, "-m", "fakeelliptic.cli", "cm", "enumerate",
              "--height", "2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=dict(os.environ, PYTHONPATH=SRC)) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_reader_gone_mid_report_exits_quietly():
+    # the 430 KB report of `units --height 16` outgrows the pipe buffer, so
+    # the child is still writing when the reader closes after 16 bytes
+    with subprocess.Popen(
+            [sys.executable, "-c", "from fakeelliptic.cli import run; run()",
+             "units", "--height", "16"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC)) \
+            as proc:
+        assert len(proc.stdout.read(16)) == 16
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1

@@ -258,6 +258,32 @@ def test_the_embedding_is_rounded_in_one_place():
     assert retired == []
 
 
+def test_orders_and_algebras_hold_no_cached_certificate():
+    # an order is certified by the `is_order` run where it is read and the
+    # ramified set is recomputed from (a, b): no module writes a verdict
+    # (`is_certified`) or the ramified set (`_ramified`) onto an object
+    from fakeelliptic.quaternions import AlgebraParams
+    assert AlgebraParams.__slots__ == ("a", "b")
+    cached = ("is_certified", "_ramified")
+    writes, mentions = [], []
+    for path in sorted(Path(SRC, "fakeelliptic").glob("*.py")):
+        text = path.read_text()
+        mentions += [(path.stem, n) for n in cached if n in text]
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                writes += [(path.stem, t.attr) for target in targets
+                           for t in ast.walk(target)
+                           if isinstance(t, ast.Attribute)
+                           and t.attr in cached]
+            elif (isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "setattr"
+                  and ast.unparse(node.args[1]).strip("'\"") in cached):
+                writes.append((path.stem, ast.unparse(node.args[1])))
+    assert writes == []
+    assert mentions == []
+
+
 # module -> the package modules it may import at module level: each layer
 # imports only the layers below it, so `family` is loaded only by the
 # suites and the functions that import it where they run
@@ -297,5 +323,9 @@ def test_the_source_parses_at_the_python_floor():
     floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
                       Path(SRC).parent.joinpath("pyproject.toml").read_text())
     assert floor.groups() == ("3", "10")
+    # the 3.10 grammar refuses what 3.11 added, such as except*
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
     for path in sorted(Path(SRC, "fakeelliptic").glob("*.py")):
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))

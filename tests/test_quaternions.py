@@ -111,6 +111,19 @@ def test_arithmetic_refuses_elements_of_different_algebras(op):
         op(p, q)
 
 
+@pytest.mark.parametrize("got, want", [
+    (AlgebraParams(3, -1), AlgebraParams(Fraction(6, 2), Fraction(-2, 2))),
+    (QuatElement(AlgebraParams(3, -1), 1, 2, 3, 4),
+     QuatElement(AlgebraParams(3, -1), Fraction(2, 2), 2, 3, 4)),
+    # int - QuatElement goes through __rsub__
+    (1 - QuatElement(AlgebraParams(3, -1), 1, 2, 3, 4),
+     QuatElement(AlgebraParams(3, -1), 0, -2, -3, -4)),
+], ids=["params", "element", "rsub"])
+def test_equal_values_hash_equal(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert len({got, want}) == 1
+
+
 @pytest.mark.parametrize("prec", [53, 128, 256, 4096])
 def test_embed_mpf_rounds_each_entry_as_to_mpf_does(prec, rational_lattices):
     # configured orders of algebras in the sweep's range (the benchmark's
