@@ -336,6 +336,6 @@ def ramified_primes(params):
 
 
 def is_indefinite_division(params):
-    """True iff B is a division algebra, so `bool(ramified_primes(params))`:
-    a > 0 makes (a, b)_oo = 1, so B is split at the infinite place."""
+    """True iff B is a division algebra: `bool(ramified_primes(params))`,
+    since a > 0 makes (a, b)_oo = 1 and B split at the infinite place."""
     return bool(ramified_primes(params))
