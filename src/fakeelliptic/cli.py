@@ -10,8 +10,9 @@ byte, so no command loads json.
 Only `cm enumerate` and `curve split` compute numerically: their
 handlers import `cm` and `splitting` themselves, after reading their
 options, and pass the configured precision to each numeric function.
-Every other command, `fiber h0` and the suites included, is exact and
-reads no precision.
+`cm enumerate` rounds on the kernel of `exactlinalg` and loads no
+mpmath; `curve split` loads it for its sections.  Every other command,
+`fiber h0` and the suites included, is exact and reads no precision.
 
 `main` reads argv, and writes help and usage errors, from one table of
 commands and options, `_COMMANDS`; no command loads argparse, gettext or

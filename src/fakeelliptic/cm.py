@@ -12,10 +12,11 @@ import itertools
 import math
 
 from .exactlinalg import (ComputationError, DEFAULT_PRECISION, QuadComplex,
-                          UpperHalfPoint, as_complex, precision_tolerance,
+                          UpperHalfPoint, complex_str, dy_add, dy_mul,
+                          dyadic_complex, dyadic_parts, precision_tolerance,
                           solve_quadratic)
 from .orders import _coords_str
-from .quaternions import embed, embed_mpf, is_elliptic
+from .quaternions import embed, embed_dyadic, is_elliptic
 
 
 class NotElliptic(ComputationError):
@@ -42,10 +43,16 @@ class CMPoint:
         self.quad = quad
 
     def __repr__(self):
-        import mpmath
         return (f"CMPoint(mu={_coords_str(self.mu.coords())}, "
-                f"tau={mpmath.nstr(self.tau.tau, 10)}, "
-                f"tau_prime={mpmath.nstr(self.tau_prime, 10)})")
+                f"tau={complex_str(self.tau.tau, 10)}, "
+                f"tau_prime={complex_str(self.tau_prime, 10)})")
+
+
+def _abs2(z):
+    """|z|^2 of a dyadic QuadComplex as (numerator, denominator), a power
+    of two: no gcd on numbers of 2 prec bits."""
+    (x, k), (y, _) = dyadic_parts(z)
+    return x * x + y * y, 1 << -2 * k
 
 
 def cm_point(mu, prec=DEFAULT_PRECISION, coords=None, nrd=None):
@@ -56,16 +63,21 @@ def cm_point(mu, prec=DEFAULT_PRECISION, coords=None, nrd=None):
     Im tau' = C Im tau, so the sign with C = m - n sqrt(a) > 0 is kept.
     For elliptic mu that is the sign with m > 0: with a > 0 > b,
     -b m^2 > a l^2 - a b n^2 >= -a b n^2 forces m^2 > a n^2.  C is then
-    nonzero, so tau is the upper root of C T^2 + (D - A) T - B, and
-    A tau + B = tau' tau is verified relative to 1 + |tau'|, at the
-    tolerance 2^-(prec/2) that the working precision resolves.
+    nonzero, so tau is the upper root of C T^2 + (D - A) T - B.
+
+    tau and tau' are exact dyadic `QuadComplex` values: the entries of
+    `embed_dyadic`, `solve_quadratic` and C tau + D, each step rounded to
+    prec bits by the kernel of `exactlinalg`, so they carry the bits of
+    mpmath's arithmetic at prec bits.  The residual r = A tau + B - tau' tau
+    of the rounded values is computed exactly, and |r|^2 <= t^2 (1 +
+    |tau'|^2), for the tolerance t = 2^-(prec/2) that the working precision
+    resolves, is verified: no looser than |r| <= t (1 + |tau'|).
 
     A caller that has proved mu elliptic passes its nrd, as
     `enumerate_cm_points` does from its integer scan; without it, mu's
     norm is computed here and a mu that is not elliptic is refused.  mu
-    is embedded once, exactly, for `quad`, and rounded by `embed_mpf`.
+    is embedded once, exactly, for `quad`, and rounded by `embed_dyadic`.
     """
-    import mpmath
     if nrd is None:
         nrd = mu.nrd()  # = nrd(-mu)
         if not is_elliptic(mu, nrd):
@@ -76,24 +88,29 @@ def cm_point(mu, prec=DEFAULT_PRECISION, coords=None, nrd=None):
         coords = tuple(-c for c in coords) if coords is not None else None
     E = embed(mu)
     quad = (E[1][0], E[1][1] - E[0][0], -E[0][1])
-    with mpmath.workprec(prec):
-        (A, B), (C, D) = embed_mpf(mu)
-        # D - A = -2 l sqrt(a) is exact, so it is rounded once
-        tau, _ = solve_quadratic(C, quad[1], -B, prec)
-        tau_prime = C * tau + D
-        r1 = A * tau + B - tau_prime * tau
-        if abs(r1) > precision_tolerance(prec) * (1 + abs(tau_prime)):
-            raise EigenMismatch(f"residual {mpmath.nstr(abs(r1), 5)}")
+    (A, B), (C, D) = embed_dyadic(mu, prec)
+    # D - A = -2 l sqrt(a) is exact, so it is rounded once
+    tau, _ = solve_quadratic(C, quad[1], (-B[0], B[1]), prec)
+    x, y = dyadic_parts(tau)
+    tau_prime = dyadic_complex(dy_add(dy_mul(C, x, prec), D, prec),
+                               dy_mul(C, y, prec))
+    r = (dyadic_complex(A) - tau_prime) * tau + dyadic_complex(B)
+    (rn, rd), (tn, td) = _abs2(r), _abs2(tau_prime)
+    tol = precision_tolerance(prec)
+    # |r|^2 <= tol^2 (1 + |tau'|^2), cross-multiplied
+    if rn * td * tol.denominator ** 2 > (td + tn) * rd * tol.numerator ** 2:
+        raise EigenMismatch(f"residual {complex_str(r, 5)}")
     return CMPoint(mu, UpperHalfPoint(tau), tau_prime, coords, nrd, quad)
 
 
 def in_window(tau, window):
-    """Whether the rounded tau lies in the closed window (re_min, re_max,
-    im_min, im_max) of rationals, compared exactly as a dyadic value."""
+    """Whether the rounded tau (an `UpperHalfPoint` of a dyadic value, or an
+    mpc) lies in the closed window (re_min, re_max, im_min, im_max) of
+    rationals, compared exactly."""
     if window is None:
         return True
     re_min, re_max, im_min, im_max = window
-    t = QuadComplex.of(as_complex(tau))
+    t = QuadComplex.of(tau.tau if isinstance(tau, UpperHalfPoint) else tau)
     return re_min <= t.real <= re_max and im_min <= t.imag <= im_max
 
 

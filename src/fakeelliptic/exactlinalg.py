@@ -13,15 +13,18 @@ and determinants are decided on integer forms (`orders.OrderLattice`);
 the benchmark's tracer, read `exact_rref`, the one elimination, which
 also returns the product of its pivots, signed by its row swaps.
 
-Numeric work (CM points, curve sections) runs on mpmath at a
-binary precision that each numeric function takes as `prec`, 128 bits
-by default.  The numeric policies live here once: one conversion each
-way between exact scalars and mpmath (`to_mpf`, `QuadComplex.of`; an
-embedded quaternion is rounded by `quaternions.embed_mpf`), the decimal
-form (`decimal_str`, `complex_pair`), and the upper half plane
+Numeric work runs at a binary precision that each numeric function
+takes as `prec`, 128 bits by default.  The numeric policies live here
+once: the rounding kernel (`dyadic` and the `dy_*` operations on pairs
+(m, e) = m 2^e, which round as mpmath does), one conversion each way
+between exact scalars and mpmath (`to_mpf`, `QuadComplex.of`; an embedded
+quaternion is rounded by `quaternions.embed_dyadic`), the decimal form
+(`decimal_str`, `complex_pair`, `complex_str`), and the upper half plane
 (`UpperHalfPoint`, `as_complex`); no fiber or suite verdict reads a
-tolerance.  The numeric functions import mpmath where they run, so the
-exact commands never load it.
+tolerance.  CM points are computed on the kernel (`solve_quadratic`,
+`cm.cm_point`) as exact dyadic values; the curve sections run on mpmath,
+which the numeric functions import where they run, so `cm enumerate` and
+the exact commands never load it.
 """
 
 from fractions import Fraction
@@ -43,21 +46,146 @@ class NonConvergence(ComputationError):
 
 
 def to_mpf(x):
-    """An int, Fraction, QuadExt or mpf as an mpf at the ambient precision:
-    the one conversion of exact values to mpmath."""
+    """An int, Fraction, QuadExt or mpf as an mpf at the ambient precision,
+    rounded by the kernel (`dyadic`): the one conversion of exact values to
+    mpmath."""
     import mpmath
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
     if isinstance(x, QuadExt):
         return x.numeric(mpmath.mp.prec)
-    return mpmath.mpf(x)
+    return dyadic_mpf(dyadic(x, mpmath.mp.prec))
 
 
-@functools.lru_cache(maxsize=16)
 def precision_tolerance(prec):
-    """2^-(prec/2): a residual that prec-bit arithmetic resolves from zero;
-    a power of two, so exact at any precision and computed once per prec."""
-    return to_mpf(Fraction(1, 2 ** ((prec + 1) // 2)))
+    """2^-(prec/2) as a Fraction: a residual that prec-bit arithmetic
+    resolves from zero."""
+    return Fraction(1, 1 << (prec + 1) // 2)
+
+
+# ---------------------------------------------------------------------------
+# rounding kernel
+#
+# A dyadic value is a pair (m, e) of ints, the number m 2^e.  Each operation
+# rounds its exact result to prec bits, to nearest with ties to even, as
+# mpmath's `mpf_add`, `mpf_mul`, `mpf_div` and `mpf_sqrt` round theirs; a
+# correctly rounded result is unique, so a chain of these operations in
+# mpmath's order gives mpmath's bits.  `_round` is the one rounding of the
+# package: `to_mpf`, `QuadExt.numeric`, `quaternions.embed_dyadic` and the
+# CM points (`solve_quadratic`, `cm.cm_point`) round through it, and mpmath
+# receives their results exactly (`dyadic_mpf`, `QuadComplex._mpc_`).
+
+
+def _round(m, e, prec):
+    """m 2^e to prec bits, to nearest with ties to even."""
+    a = m if m >= 0 else -m
+    n = a.bit_length() - prec
+    if n <= 0:
+        return m, e
+    q = a >> n
+    # above the half, or on it with an odd q
+    if a >> (n - 1) & 1 and (q & 1 or a & ((1 << (n - 1)) - 1)):
+        q += 1
+    return (q if m >= 0 else -q), e + n
+
+
+def dy_add(x, y, prec):
+    (m, e), (n, f) = x, y
+    # a zero shifts nothing to its exponent
+    if not n:
+        return _round(m, e, prec)
+    if not m:
+        return _round(n, f, prec)
+    if e > f:
+        return _round((m << (e - f)) + n, f, prec)
+    return _round(m + (n << (f - e)), e, prec)
+
+
+def dy_sub(x, y, prec):
+    return dy_add(x, (-y[0], y[1]), prec)
+
+
+def dy_mul(x, y, prec):
+    return _round(x[0] * y[0], x[1] + y[1], prec)
+
+
+def dy_div(x, y, prec):
+    """x / y: a quotient of at least prec + 4 bits, its last bit set when
+    the division leaves a remainder, then rounded once."""
+    (m, e), (n, f) = x, y
+    if not n:
+        raise ZeroDivisionError("dyadic division by zero")
+    extra = max(prec - m.bit_length() + n.bit_length() + 5, 5)
+    q, r = divmod(abs(m) << extra, abs(n))
+    if r:
+        q, extra = q << 1 | 1, extra + 1
+    return _round(q if (m < 0) == (n < 0) else -q, e - f - extra, prec)
+
+
+def dy_sqrt(x, prec):
+    """sqrt(x) for x >= 0: a root of at least prec + 2 bits, its last bit
+    set when the root is inexact, then rounded once."""
+    m, e = x
+    if m < 0:
+        raise ValueError("square root of a negative number")
+    if e & 1:
+        m, e = m << 1, e - 1
+    shift = max(2 * prec - m.bit_length() + 4, 4)
+    shift += shift & 1
+    root = math.isqrt(m << shift)
+    if root * root != m << shift:
+        root, shift = root << 1 | 1, shift + 2
+    return _round(root, (e - shift) // 2, prec)
+
+
+def dyadic(x, prec):
+    """x rounded to prec bits, as a dyadic pair: the one conversion into the
+    kernel.  An int or an mpf is rounded once; a Fraction or a float as
+    mpmath's `mpf(num) / den`, twice; a QuadExt as `to_mpf(u) + to_mpf(v)
+    sqrt(rad)`, each step rounded; a dyadic pair to prec bits."""
+    if isinstance(x, tuple):
+        return _round(x[0], x[1], prec)
+    if isinstance(x, QuadExt):
+        v = dy_mul(dyadic(x.v, prec), _sqrt(x.rad, prec), prec)
+        return dy_add(dyadic(x.u, prec), v, prec)
+    r = _ratio(x)
+    if r is None:
+        if (parts := _mp_parts(x)) is None:
+            raise TypeError(f"cannot round {x!r}")
+        sign, man, exp, _ = parts[0]
+        return _round(-man if sign else man, exp, prec)
+    num = _round(r[0], 0, prec)
+    return num if r[1] == 1 else dy_div(num, (r[1], 0), prec)
+
+
+def _mpf_tuple(m, e):
+    """mpmath's normalized (sign, man, exp, bc) of m 2^e: man odd."""
+    if not m:
+        return (0, 0, 0, 0)
+    a = m if m > 0 else -m
+    zeros = (a & -a).bit_length() - 1
+    a >>= zeros
+    return (int(m < 0), a, e + zeros, a.bit_length())
+
+
+def dyadic_mpf(x):
+    """The mpf of a dyadic pair, exactly: mpmath rounds nothing."""
+    import mpmath
+    return mpmath.mp.make_mpf(_mpf_tuple(*x))
+
+
+def dyadic_complex(re, im=(0, 0)):
+    """re + i im for dyadic pairs, exactly: a QuadComplex over 2^k."""
+    (m, e), (n, f) = re, im
+    k = max(-e, -f, 0)
+    return _complex(m << (e + k), 0, n << (f + k), 0, 1 << k, None, 0)
+
+
+def dyadic_parts(z):
+    """The (re, im) pairs of a QuadComplex with rational parts over a power
+    of two, such as `dyadic_complex` builds; None for any other value."""
+    if z.rb or z.ib or z.d & (z.d - 1):
+        return None
+    k = 1 - z.d.bit_length()
+    return (z.ra, k), (z.ia, k)
 
 
 def fraction_sqrt(r):
@@ -133,8 +261,8 @@ class QuadComplex:
     Held as real = (ra + rb sqrt(R)) / d and imag = (ia + ib sqrt(R)) / d
     with R = num(rad) den(rad); numerators over one denominator add,
     others cross-multiply.  A real result with a radicand is a `QuadExt`.
-    With rational parts rad is None, R = 0, and `mpmath.mpc(z)` rounds z
-    through the `_mpc_` hook.
+    With rational parts rad is None and R = 0.  `mpmath.mpc(z)` reads z
+    through the `_mpc_` hook: a dyadic z exactly, any other z rounded.
     """
 
     __slots__ = ("ra", "rb", "ia", "ib", "d", "rad", "R")
@@ -159,8 +287,7 @@ class QuadComplex:
             return z
         if (parts := _mp_parts(z)) is None:
             return QuadComplex(z.real, z.imag)
-        from mpmath.libmp import to_rational
-        return QuadComplex(*(Fraction(*to_rational(x)) for x in parts))
+        return dyadic_complex(*((-m if s else m, e) for s, m, e, _ in parts))
 
     def _part(self, A, B):
         if self.rad is None:
@@ -232,6 +359,10 @@ class QuadComplex:
 
     @property
     def _mpc_(self):
+        """The parts as mpf tuples: a dyadic value's own bits at any ambient
+        precision, any other value rounded by `to_mpf`."""
+        if (parts := dyadic_parts(self)) is not None:
+            return tuple(_mpf_tuple(*p) for p in parts)
         return (to_mpf(self.real)._mpf_, to_mpf(self.imag)._mpf_)
 
 
@@ -310,10 +441,9 @@ class QuadExt(QuadComplex):
         return hash((self.u, self.v, self.rad))
 
     def numeric(self, prec=DEFAULT_PRECISION):
-        """The mpf of u + v sqrt(rad) at prec bits, from the reduced u, v."""
-        import mpmath
-        with mpmath.workprec(prec):
-            return to_mpf(self.u) + to_mpf(self.v) * _sqrt(self.rad, prec)
+        """The mpf of u + v sqrt(rad) at prec bits, from the reduced u, v,
+        as `dyadic` rounds it."""
+        return dyadic_mpf(dyadic(self, prec))
 
     def __repr__(self):
         return f"({self.u} + {self.v}*sqrt({self.rad}))"
@@ -321,20 +451,23 @@ class QuadExt(QuadComplex):
 
 @functools.lru_cache(maxsize=64)
 def _sqrt(rad, prec):
-    """sqrt(rad) as an mpf at prec bits, computed once per pair."""
-    import mpmath
-    with mpmath.workprec(prec):
-        return mpmath.sqrt(to_mpf(rad))
+    """sqrt(rad) at prec bits as a dyadic pair, from rad as `dyadic` rounds
+    it, computed once per pair."""
+    return dy_sqrt(dyadic(rad, prec), prec)
 
 
 def _floor_scaled(x, k):
-    """floor(x 2^k), k >= 0, exactly, for a rational or a QuadExt.
+    """floor(x 2^k), k >= 0, exactly, for a rational, a QuadExt or a dyadic
+    pair (m, e), which shifts.
 
     With x = (ra + rb sqrt(R)) / d and rb != 0, rb sqrt(R) is irrational, so
     ra + rb sqrt(R) lies strictly between the integers ra + floor(rb sqrt(R))
     and the next, and the floor of x 2^k is (2^k ra + floor(2^k rb sqrt(R)))
     // d, the root from math.isqrt; rb = 0 gives root 0.
     """
+    if isinstance(x, tuple):
+        m, e = x
+        return m << e + k if e + k >= 0 else m >> -(e + k)
     if not isinstance(x, QuadExt):
         return (x.numerator << k) // x.denominator
     A, B = x.ra << k, x.rb << k
@@ -343,23 +476,29 @@ def _floor_scaled(x, k):
 
 
 def decimal_str(x, n):
-    """`mpmath.nstr(x, n)` for an exact x (int, Fraction or QuadExt), n >= 1.
+    """`mpmath.nstr(x, n)` for an exact x (int, Fraction, QuadExt or a
+    dyadic pair (m, e), read without a gcd however wide), n >= 1.
 
     The steps of mpmath's `to_str` on x itself: truncate to a binary fixed
     point of (n + 3) log2(10) + 10 significant bits, take its decimal
     floor, round half up at n digits.  So a dyadic x within 2^+-3500
     (a double, an mpf) prints exactly as its mpf does.  From 2^3500 up, a
     power of ten comes out of x first, as in `to_str`."""
-    if x == 0:
+    if (x[0] if isinstance(x, tuple) else x) == 0:
         return "0.0"
-    negative = (x.sign() if isinstance(x, QuadExt) else x) < 0
-    x = -x if negative else x
+    if isinstance(x, tuple):
+        negative, x = x[0] < 0, (abs(x[0]), x[1])
+    else:
+        negative = (x.sign() if isinstance(x, QuadExt) else x) < 0
+        x = -x if negative else x
     k = 0
     while (f := _floor_scaled(x, k)) == 0:
         k += 64
     shift = 0
     if f.bit_length() > 3500:
         shift = int(f.bit_length() * math.log10(2)) - 100
+        if isinstance(x, tuple):
+            x = Fraction(x[0]) * Fraction(2) ** x[1]
         x = x / 10 ** shift
         f = _floor_scaled(x, 0)
     fixprec = max(int((n + 3) * math.log(10, 2)) + 10 - f.bit_length() + k, 0)
@@ -378,16 +517,25 @@ def decimal_str(x, n):
     return "-" * negative + text + ("0" if text.endswith(".") else "") + exp
 
 
+def _decimal_parts(z, n):
+    """The real and imaginary parts of any value `QuadComplex.of` takes as
+    `decimal_str` prints them at n digits: a dyadic value (an mpc, a CM
+    point) from its pairs, with no gcd however wide."""
+    z = QuadComplex.of(z)
+    return [decimal_str(x, n) for x in dyadic_parts(z) or (z.real, z.imag)]
+
+
 def complex_pair(z):
     """{re, im} pair of 20-digit decimal strings, the report form of
-    complex values: an mpc or an mpf printed by `mpmath.nstr`, whose text
-    `decimal_str` gives for its exact value too, and any other value
-    through `QuadComplex.of`."""
-    if _mp_parts(z) is not None:
-        import mpmath
-        return {"re": mpmath.nstr(z.real, 20), "im": mpmath.nstr(z.imag, 20)}
-    z = QuadComplex.of(z)
-    return {"re": decimal_str(z.real, 20), "im": decimal_str(z.imag, 20)}
+    complex values; an mpc prints as `mpmath.nstr` prints it."""
+    re, im = _decimal_parts(z, 20)
+    return {"re": re, "im": im}
+
+
+def complex_str(z, n):
+    """`mpmath.nstr` of a complex value at n digits, (re + imj)."""
+    re, im = _decimal_parts(z, n)
+    return f"({re} - {im[1:]}j)" if im.startswith("-") else f"({re} + {im}j)"
 
 
 def exact_rref(rows):
@@ -468,7 +616,8 @@ def as_complex(tau):
 
     mpmath constructors round to the ambient precision even for existing
     mpmath numbers, so conversions must skip them to keep high-precision
-    inputs intact outside workprec blocks.  An exact tau is rounded.
+    inputs intact outside workprec blocks.  An exact tau keeps its bits
+    when it is dyadic and is rounded by `to_mpf` otherwise (`_mpc_`).
     """
     import mpmath
     if isinstance(tau, UpperHalfPoint):
@@ -485,16 +634,19 @@ class UpperHalfPoint:
     __slots__ = ("tau",)
 
     def __init__(self, tau):
-        if not isinstance(tau, QuadComplex):
+        if isinstance(tau, QuadComplex):
+            # the sign of Im tau as `QuadExt.sign` reads it, with no gcd
+            ia, ib = tau.ia, tau.ib
+            upper = ia * abs(ia) + tau.R * ib * abs(ib) > 0
+        else:
             tau = as_complex(tau)
-        im = tau.imag
-        if not (im.sign() if isinstance(im, QuadExt) else im) > 0:
+            upper = tau.imag > 0
+        if not upper:
             raise ValueError("point not in the upper half plane")
         self.tau = tau
 
     def __repr__(self):
-        import mpmath
-        return f"UpperHalfPoint({mpmath.nstr(as_complex(self.tau), 12)})"
+        return f"UpperHalfPoint({complex_str(self.tau, 12)})"
 
 
 def numeric_svd(m, prec=DEFAULT_PRECISION):
@@ -522,23 +674,27 @@ def numeric_svd(m, prec=DEFAULT_PRECISION):
 
 
 def solve_quadratic(c2, c1, c0, prec=DEFAULT_PRECISION):
-    """Both roots of c2*T^2 + c1*T + c0, for exact coefficients (int,
-    Fraction or QuadExt) or mpfs, each converted by `to_mpf`.
+    """Both roots of c2*T^2 + c1*T + c0 as exact dyadic `QuadComplex`
+    values, for coefficients that `dyadic` rounds to prec bits (int,
+    Fraction, QuadExt, an mpf or a dyadic pair).
 
-    Deterministic order: larger imaginary part first, ties broken by
-    larger real part.
+    The quadratic formula in mpmath's order of operations, each step
+    rounded by the kernel, so the roots carry the bits of mpmath's mpc
+    arithmetic at prec bits.  Deterministic order: larger imaginary part
+    first, ties broken by larger real part.
     """
-    import mpmath
-    with mpmath.workprec(prec):
-        A, B, C = (to_mpf(c) for c in (c2, c1, c0))
-        if A == 0:
-            raise ZeroDivisionError("leading coefficient is zero")
-        disc = B * B - 4 * A * C
-        # -B and 2 A are exact, so each is formed once
-        minus_b, two_a = -B, 2 * A
-        sq = mpmath.sqrt(mpmath.mpc(disc))
-        r1 = (minus_b + sq) / two_a
-        r2 = (minus_b - sq) / two_a
-        if (r1.imag, r1.real) < (r2.imag, r2.real):
-            r1, r2 = r2, r1
-        return r1, r2
+    A, B, C = (dyadic(c, prec) for c in (c2, c1, c0))
+    if not A[0]:
+        raise ZeroDivisionError("leading coefficient is zero")
+    disc = dy_sub(dy_mul(B, B, prec), dy_mul((4 * A[0], A[1]), C, prec), prec)
+    # as `mpc_sqrt` takes it, a negative disc has the root i sqrt(-disc)
+    root = dy_sqrt((abs(disc[0]), disc[1]), prec)
+    re, im = ((0, 0), root) if disc[0] < 0 else (root, (0, 0))
+    # -B and 2 A are exact
+    minus_b, two_a = (-B[0], B[1]), (A[0], A[1] + 1)
+    r1 = dyadic_complex(dy_div(dy_add(minus_b, re, prec), two_a, prec),
+                        dy_div(im, two_a, prec))
+    r2 = dyadic_complex(dy_div(dy_sub(minus_b, re, prec), two_a, prec),
+                        dy_div((-im[0], im[1]), two_a, prec))
+    # rounding is monotone, so r1 >= r2 in (imag, real) iff 2 A > 0
+    return (r1, r2) if A[0] > 0 else (r2, r1)

@@ -11,8 +11,8 @@ import functools
 import itertools
 import math
 
-from .exactlinalg import (ComputationError, QuadExt, _sqrt, fraction_sqrt,
-                          to_mpf)
+from .exactlinalg import (ComputationError, QuadExt, _sqrt, dy_add, dy_mul,
+                          dy_sub, dyadic, dyadic_mpf, fraction_sqrt)
 
 
 class AlgebraSplit(ComputationError):
@@ -166,17 +166,25 @@ def embed(q):
             [QuadExt._over(m, -n, a), QuadExt._over(k, -l, a)]]
 
 
-def embed_mpf(q):
-    """`embed(q)` rounded at the ambient precision, the one rounding of an
-    embedding: each entry u + v sqrt(a) as `to_mpf` rounds it, with each
+def embed_dyadic(q, prec):
+    """`embed(q)` rounded to prec bits as dyadic pairs, the one rounding of
+    an embedding: each entry u + v sqrt(a) as `dyadic` rounds it, with each
     coordinate converted once.  Rounding to nearest commutes with negation,
     so the entries share the terms l sqrt(a) and n sqrt(a)."""
-    import mpmath
     a, b = q.params.a, q.params.b
     k, l, m, n = q.coords()
-    root = _sqrt(a, mpmath.mp.prec)
-    K, M, ls, ns = to_mpf(k), to_mpf(m), to_mpf(l) * root, to_mpf(n) * root
-    return [[K + ls, to_mpf(b * m) + to_mpf(b * n) * root], [M - ns, K - ls]]
+    root = _sqrt(a, prec)
+    K, M = dyadic(k, prec), dyadic(m, prec)
+    ls, ns, bns = (dy_mul(dyadic(c, prec), root, prec) for c in (l, n, b * n))
+    return [[dy_add(K, ls, prec), dy_add(dyadic(b * m, prec), bns, prec)],
+            [dy_sub(M, ns, prec), dy_sub(K, ls, prec)]]
+
+
+def embed_mpf(q):
+    """`embed_dyadic(q)` at the ambient precision, as exact mpfs."""
+    import mpmath
+    return [[dyadic_mpf(x) for x in row]
+            for row in embed_dyadic(q, mpmath.mp.prec)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fakeelliptic import cm
 from fakeelliptic.cm import (EigenMismatch, NotElliptic, cm_point,
                              enumerate_cm_points, in_window, is_elliptic)
 from fakeelliptic.family import moebius_act
-from fakeelliptic.exactlinalg import QuadExt
+from fakeelliptic.exactlinalg import QuadComplex, QuadExt, as_complex
 from fakeelliptic.config import Config
 from fakeelliptic.orders import (OrderLattice, enumerate_units, saturate,
                                  standard_order)
@@ -75,9 +75,9 @@ def test_eigenvalue_pinned(params):
     w = QuatElement(params, 1, 0, 1)
     for q, want in ((y, I), (mu, I), (w, 1 + I)):
         assert abs(fixed_point_ref(q)[1] - want) < EPS
-        assert abs(cm_point(q, 128).tau_prime - want) < EPS
+        assert abs(as_complex(cm_point(q, 128).tau_prime) - want) < EPS
     # char poly T^2 - 2T + 2 of 1 + y vanishes at tau'
-    tp = cm_point(w, 128).tau_prime
+    tp = as_complex(cm_point(w, 128).tau_prime)
     assert abs(tp * tp - 2 * tp + 2) < EPS
 
 
@@ -85,8 +85,8 @@ def test_eigenvalue_rejects_wrong_point(params, monkeypatch):
     # both roots of the quadratic are fixed points of the Moebius map, so
     # the eigen relation holds at either; 2i is no fixed point of y
     monkeypatch.setattr(cm, "solve_quadratic",
-                        lambda *args: (mpmath.mpc(0, 2), mpmath.mpc(0, -2)))
-    with pytest.raises(EigenMismatch):
+                        lambda *args: (QuadComplex(0, 2), QuadComplex(0, -2)))
+    with pytest.raises(EigenMismatch, match=r"residual \(3\.0 \+ 0\.0j\)"):
         cm_point(QuatElement(params, 0, 0, 1), 128)
 
 
@@ -142,15 +142,14 @@ def test_cm_point_eigenvector_relation(params, max_order):
     pts = enumerate_cm_points(max_order, 2, prec=128)
     for pt in pts:
         M = embed(pt.mu)
-        t = pt.tau.tau
+        t, tp = as_complex(pt.tau), as_complex(pt.tau_prime)
         with mp.workprec(160):
             for row in (0, 1):
                 lhs = M[row][0].numeric(128) * t + M[row][1].numeric(128)
-                rhs = pt.tau_prime * (t if row == 0 else 1)
+                rhs = tp * (t if row == 0 else 1)
                 assert abs(lhs - rhs) < mpmath.mpf(10) ** -25
             # tau' is a root of the exact characteristic polynomial
             trd, nrd = pt.char_poly
-            tp = pt.tau_prime
             assert abs(tp * tp - int(trd) * tp + int(nrd)) < mpmath.mpf(10) ** -25
 
 
@@ -176,6 +175,13 @@ def test_cm_point_repr(max_order):
     pt = enumerate_cm_points(max_order, 1)[0]
     assert repr(pt) == ("CMPoint(mu=(0, 0, 1, 0), tau=(0.0 + 1.0j), "
                         "tau_prime=(0.0 + 1.0j))")
+    # the exact point prints as mpmath prints its mpc
+    for pt in enumerate_cm_points(max_order, 3):
+        assert repr(pt).endswith(
+            f", tau={mpmath.nstr(as_complex(pt.tau), 10)}, "
+            f"tau_prime={mpmath.nstr(as_complex(pt.tau_prime), 10)})")
+        assert repr(pt.tau) == (
+            f"UpperHalfPoint({mpmath.nstr(as_complex(pt.tau), 12)})")
 
 
 def test_enumerate_counts(max_order):
@@ -303,7 +309,8 @@ def test_grid_equivalence_with_brute_force(max_order):
         if not q.is_zero() and is_elliptic(q):
             box.append(q)
     for pt in pts:
-        assert any(fixes_tau_numeric(mu, pt.tau.tau, 128) for mu in box)
+        tau = as_complex(pt.tau)
+        assert any(fixes_tau_numeric(mu, tau, 128) for mu in box)
     generic = mpmath.mpc("0.31", "0.93")
     assert not any(fixes_tau_numeric(mu, generic, 128) for mu in box)
 

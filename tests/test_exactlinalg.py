@@ -4,11 +4,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp
+from mpmath import libmp, mp
 
 from fakeelliptic import exactlinalg
 from fakeelliptic.exactlinalg import (QuadComplex, QuadExt, UpperHalfPoint,
-                                      cofactor_det, complex_pair, decimal_str,
+                                      as_complex, cofactor_det, complex_pair,
+                                      complex_str, decimal_str, dy_add, dy_div, dy_mul,
+                                      dy_sqrt, dy_sub, dyadic, dyadic_mpf,
                                       exact_det, exact_rank, exact_solve,
                                       fraction_sqrt, numeric_svd,
                                       precision_tolerance, solve_quadratic,
@@ -238,18 +240,25 @@ def test_numeric_nullspace_wide_matrix():
             assert mpmath.norm(M * v) < mpmath.mpf(10) ** -30
 
 
+def _roots(*coefficients):
+    """The roots of `solve_quadratic`, exact dyadic values, as mpcs."""
+    r1, r2 = solve_quadratic(*coefficients)
+    assert all(QuadComplex.of(as_complex(r)) == r for r in (r1, r2))
+    return as_complex(r1), as_complex(r2)
+
+
 def test_solve_quadratic_pinned():
     with mp.workprec(128):
         eps = mpmath.mpf(10) ** -30
-        r1, r2 = solve_quadratic(Fraction(1), Fraction(0), Fraction(1))
+        r1, r2 = _roots(Fraction(1), Fraction(0), Fraction(1))
         assert abs(r1 - 1j) < eps and abs(r2 + 1j) < eps
         s3 = QuadExt(0, 1, 3)
-        r1, r2 = solve_quadratic(QuadExt(1, 0, 3), -s3, QuadExt(1, 0, 3))
+        r1, r2 = _roots(QuadExt(1, 0, 3), -s3, QuadExt(1, 0, 3))
         want = (mpmath.sqrt(3) + 1j) / 2
         assert abs(r1 - want) < eps
         assert abs(r2 - mpmath.conj(want)) < eps
         # two real roots: larger real part first
-        r1, r2 = solve_quadratic(Fraction(2), Fraction(0), Fraction(-8))
+        r1, r2 = _roots(Fraction(2), Fraction(0), Fraction(-8))
         assert abs(r1 - 2) < eps and abs(r2 + 2) < eps
 
 
@@ -263,7 +272,7 @@ def test_solve_quadratic_matches_formula_oracle():
                 continue
             c1 = QuadExt(rng.randint(-3, 3), rng.randint(-3, 3), 3)
             c0 = QuadExt(rng.randint(-3, 3), rng.randint(-3, 3), 3)
-            r1, r2 = solve_quadratic(c2, c1, c0, 128)
+            r1, r2 = _roots(c2, c1, c0, 128)
             w1, w2 = reference_roots(c2, c1, c0, 128)
             assert abs(r1 - w1) < eps
             assert abs(r2 - w2) < eps
@@ -294,10 +303,11 @@ def test_to_mpf_matches_replaced_expressions(prec):
 
 
 def test_precision_tolerance_halves_the_bits():
-    assert precision_tolerance(128) == mpmath.mpf(2) ** -64
+    # an exact power of two, so the same at any working precision
+    assert precision_tolerance(128) == Fraction(1, 2 ** 64)
     assert precision_tolerance(64) == mpmath.mpf(2) ** -32
-    with mp.workprec(64):
-        assert mpmath.mpf(10) ** -20 < precision_tolerance(64)
+    assert precision_tolerance(65) == Fraction(1, 2 ** 33)
+    assert Fraction(1, 10 ** 20) < precision_tolerance(64)
 
 
 
@@ -320,6 +330,13 @@ DIGITS = st.sampled_from([5, 10, 15, 20])
 @example(2.0 ** -1074, 20)
 def test_decimal_str_of_a_double_matches_mpmath(x, n):
     assert decimal_str(Fraction(x), n) == mpmath.nstr(mpmath.mpf(x), n)
+    assert decimal_str(_pair(mpmath.mpf(x)), n) == mpmath.nstr(mpmath.mpf(x), n)
+
+
+def _pair(x):
+    """The dyadic pair (m, e) of an mpf."""
+    sign, man, exp, _ = x._mpf_
+    return -man if sign else man, exp
 
 
 @SEEDED
@@ -337,6 +354,8 @@ def test_decimal_str_of_a_rational_matches_mpmath(x, n):
 def test_decimal_str_beyond_2_to_the_3500_matches_mpmath(text):
     # a power of ten comes out first: no int prints beyond Python's limit
     assert decimal_str(Fraction(text), 10) == mpmath.nstr(mpmath.mpf(text), 10)
+    x = mpmath.mpf(text)
+    assert decimal_str(_pair(x), 10) == mpmath.nstr(x, 10)
 
 
 @SEEDED
@@ -588,3 +607,164 @@ def test_quadcomplex_kernel_matches_the_fraction_reference(parts, rad):
     assert _unreduced(rational) == rational
     if (float(p), float(q)) == (p, q):
         assert QuadComplex.of(complex(float(p), float(q))) == rational
+
+
+# ---------------------------------------------------------------------------
+# the rounding kernel against mpmath's libmpf, the oracle, rounding to
+# nearest ('n'): seeded, no example database
+
+PRECISIONS = st.integers(2, 4096)
+# mantissas narrower and far wider than the precision, zero and both signs
+MANTISSAS = st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                      st.integers(-2 ** 5000, 2 ** 5000))
+DYADICS = st.tuples(MANTISSAS, st.integers(-400, 400))
+
+
+def _mp(x, prec):
+    """A dyadic pair rounded by mpmath: its operand for prec bits."""
+    return libmp.from_man_exp(x[0], x[1], prec, "n")
+
+
+def _bits(x):
+    return dyadic_mpf(x)._mpf_
+
+
+@KERNEL
+@given(DYADICS, DYADICS, PRECISIONS)
+@example((0, 0), (0, 5), 2)
+@example((0, 7), (-3, -2), 53)
+@example((1, 0), (-1, -4200), 4096)  # just below a power of two
+@example((3, 0), (1, -2000), 2)  # an addend far below the last bit
+@example((-5, 3), (5, 3), 16)  # an exact zero
+def test_kernel_operations_match_mpmath(x, y, prec):
+    x, y = dyadic(x, prec), dyadic(y, prec)
+    X, Y = _mp(x, prec), _mp(y, prec)
+    assert _bits(x) == X and _bits(y) == Y
+    assert _bits(dy_add(x, y, prec)) == libmp.mpf_add(X, Y, prec, "n")
+    assert _bits(dy_sub(x, y, prec)) == libmp.mpf_sub(X, Y, prec, "n")
+    assert _bits(dy_mul(x, y, prec)) == libmp.mpf_mul(X, Y, prec, "n")
+    if y[0]:
+        assert _bits(dy_div(x, y, prec)) == libmp.mpf_div(X, Y, prec, "n")
+    else:
+        with pytest.raises(ZeroDivisionError):
+            dy_div(x, y, prec)
+    z = (abs(x[0]), x[1])
+    assert _bits(dy_sqrt(z, prec)) == libmp.mpf_sqrt(_mp(z, prec), prec, "n")
+
+
+@pytest.mark.parametrize("prec", [2, 3, 16, 53, 128, 4096])
+def test_kernel_rounds_exact_ties_to_even(prec):
+    # 2 q + 1 for q of prec bits lies halfway between 2 q and 2 q + 2: it
+    # rounds to q or q + 1, whichever is even, times 2, up or down
+    for q in (2 ** (prec - 1), 2 ** (prec - 1) + 1, 2 ** prec - 1):
+        want = q + (q & 1)
+        for sign in (1, -1):
+            tie = sign * (2 * q + 1)
+            assert dyadic((tie, -7), prec) == (sign * want, -6)
+            got = dy_add((sign * 2 * q, 0), (sign, 0), prec)
+            assert got == (sign * want, 1)
+            assert _bits(got) == libmp.from_int(tie, prec, "n")
+    # past the half rounds away, short of it rounds back
+    q = 2 ** (prec - 1)
+    for m in (4 * q + 3, 4 * q + 1, -(4 * q + 3), -(4 * q + 1)):
+        assert _bits(dyadic((m, -2), prec)) == libmp.from_man_exp(m, -2, prec,
+                                                                  "n")
+    assert dyadic((4 * q + 3, -2), prec) == (q + 1, 0)
+    assert dyadic((4 * q + 1, -2), prec) == (q, 0)
+
+
+@pytest.mark.parametrize("prec", [2, 5, 16, 53, 128, 1000])
+def test_kernel_square_roots_of_squares_and_near_squares(prec):
+    rng = random.Random(prec)
+    for _ in range(60):
+        k = rng.randint(1, 2 ** rng.choice([3, prec, 2 * prec]))
+        for m in (k * k, k * k - 1, k * k + 1):
+            for e in (0, -2 * rng.randint(0, 40), 1, -3):
+                x = (m, e)
+                assert _bits(dy_sqrt(dyadic(x, prec), prec)) == libmp.mpf_sqrt(
+                    _mp(x, prec), prec, "n")
+    assert _bits(dy_sqrt((0, 9), prec)) == libmp.fzero
+    with pytest.raises(ValueError, match="negative"):
+        dy_sqrt((-1, 0), prec)
+
+
+@KERNEL
+@given(st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200),
+       PRECISIONS)
+@example(0, 3, 2)
+@example(-(2 ** 17 + 1), 3, 16)
+def test_kernel_converts_ints_and_fractions_as_mpmath(num, den, prec):
+    # an int rounds once; a Fraction as `mpf(num) / den`, twice
+    assert _bits(dyadic(num, prec)) == libmp.from_int(num, prec, "n")
+    x = Fraction(num, den)
+    with mp.workprec(prec):
+        want = mpmath.mpf(x.numerator) / x.denominator
+        assert _bits(dyadic(x, prec)) == want._mpf_
+        assert to_mpf(x)._mpf_ == want._mpf_
+        assert _bits(dyadic(mpmath.mpf(x.numerator), prec)) == (
+            mpmath.mpf(x.numerator)._mpf_)
+
+
+def test_kernel_rounds_a_fraction_twice_at_16_bits():
+    # numerators above 2^16: mpf(num) is rounded before the division, so
+    # some quotients differ from the correctly rounded num / den
+    rng = random.Random(16)
+    twice = 0
+    with mp.workprec(16):
+        for _ in range(2000):
+            x = Fraction(rng.randint(2 ** 16, 2 ** 40), rng.randint(3, 2 ** 12))
+            want = (mpmath.mpf(x.numerator) / x.denominator)._mpf_
+            assert _bits(dyadic(x, 16)) == want
+            twice += want != libmp.from_rational(x.numerator, x.denominator,
+                                                 16, "n")
+    assert twice > 0
+
+
+@KERNEL
+@given(PARTS, PARTS, RADICANDS, PRECISIONS)
+@example(Fraction(0), Fraction(0), 3, 2)
+@example(Fraction(-1), Fraction(1, 2), 3, 16)  # -1 + sqrt(3)/2 < 0
+@example(Fraction(1, 3), Fraction(-2, 7), Fraction(3, 4), 4096)
+def test_kernel_converts_a_quadext_as_mpmath(u, v, rad, prec):
+    # u + v sqrt(rad) as the old `numeric` formed it, each step in mpmath
+    q = QuadExt(u, v, rad)
+    with mp.workprec(prec):
+        f = [mpmath.mpf(c.numerator) / c.denominator for c in (q.u, q.v, q.rad)]
+        want = f[0] + f[1] * mpmath.sqrt(f[2])
+        assert _bits(dyadic(q, prec)) == want._mpf_
+        assert q.numeric(prec)._mpf_ == to_mpf(q)._mpf_ == want._mpf_
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_dyadic_values_cross_to_mpmath_with_their_own_bits(bits):
+    # at 53 ambient bits a dyadic QuadComplex keeps the bits of the mpc it
+    # came from, through `as_complex` and `mpmath.mpc`; a value that is
+    # not dyadic is rounded at the ambient precision, as `to_mpf` rounds
+    with mp.workprec(bits):
+        z = mpmath.mpc(1) / 3 + mpmath.sqrt(mpmath.mpf(2)) * 1j
+    assert mp.prec == 53
+    exact = QuadComplex.of(z)
+    assert as_complex(exact)._mpc_ == mpmath.mpc(exact)._mpc_ == z._mpc_
+    assert exact._mpc_ == z._mpc_ and QuadComplex.of(as_complex(exact)) == exact
+    third = QuadComplex(Fraction(1, 3), 1)
+    assert mpmath.mpc(third)._mpc_ == (to_mpf(Fraction(1, 3))._mpf_,
+                                       mpmath.mpf(1)._mpf_)
+
+
+@SEEDED
+@given(st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e6, 1e6,
+                                                        allow_nan=False),
+       DIGITS)
+@example(0.0, 0.0, 5)
+@example(-0.5, -2.0 ** -60, 10)
+@example(1.0, 3.0, 12)
+def test_complex_str_matches_mpmath(re, im, n):
+    z = mpmath.mpc(re, im)
+    assert complex_str(z, n) == complex_str(QuadComplex.of(z), n) == (
+        mpmath.nstr(z, n))
+
+
+def test_kernel_refuses_what_it_cannot_round():
+    for bad in ("x", 1j, QuadComplex(0, 1)):
+        with pytest.raises(TypeError, match="cannot round"):
+            dyadic(bad, 53)

@@ -1,5 +1,5 @@
-"""The exact commands run without loading mpmath; only `cm enumerate` and
-`curve split` load it.  No command loads argparse, gettext, locale or
+"""The exact commands run without loading mpmath; only `curve split` loads
+it, and `cm enumerate` computes its points on the rounding kernel.  No command loads argparse, gettext, locale or
 json, only the suites load `family`, and no module compiles a regex at
 import.  The package modules import each other in layers.  Only the
 process entry `cli.run` turns the cyclic garbage collector off.
@@ -31,13 +31,14 @@ EXACT_COMMANDS = (
     ["classify", "--genus", "3", "--degree", "2"],
     ["classify", "--genus", "4", "--degree", "2", "--ramification", "2"],
     ["fiber", "h0", "--tau", "i"], ["fiber", "h0", "--tau=0.3,1"],
+    ["cm", "enumerate", "--height", "1"],
+    ["cm", "enumerate", "--height", "2", "--window=-1,1,0.5,2"],
     # the suites come last: they load `family`, which no command before
     # them may load
     ["suite", "riemann", "--trials", "2"], ["suite", "cocycle", "--trials", "2"],
     ["suite", "isogeny", "--trials", "2"], ["suite", "all", "--trials", "2"],
 )
-NUMERIC_COMMANDS = (["cm", "enumerate", "--height", "1"],
-                    ["curve", "split", "--mu", "0,0,1,0"])
+NUMERIC_COMMANDS = (["curve", "split", "--mu", "0,0,1,0"],)
 
 
 def _python(code):
@@ -128,16 +129,21 @@ print("mpmath" in sys.modules)
                            "True"]
 
 
-def test_cm_loads_mpmath_at_its_first_numeric_call():
+def test_cm_never_loads_mpmath():
+    # the points, their window test, their reprs and the eigen check's
+    # message are exact: the kernel rounds, `decimal_str` prints
     out = _python("""
 import sys
-from fakeelliptic import AlgebraParams, cm_point, standard_order
+from fractions import Fraction
+from fakeelliptic import AlgebraParams, QuatElement, cm_point, standard_order
 from fakeelliptic.cm import enumerate_cm_points
-print("mpmath" in sys.modules)
-enumerate_cm_points(standard_order(AlgebraParams(3, -1)), 1)
-print("mpmath" in sys.modules)
+order = standard_order(AlgebraParams(3, -1))
+pts = enumerate_cm_points(order, 2, (-1, 1, Fraction(1, 2), 2), 256)
+text = repr(pts) + repr(pts[0].tau)
+cm_point(QuatElement(order.params, 0, 1, 2), 16)
+print(len(pts), "mpmath" in sys.modules)
 """)
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["3", "False"]
 
 
 def test_only_the_process_entry_turns_the_collector_off():
@@ -230,32 +236,79 @@ def test_conversion_and_import_rules_hold_in_the_source():
     assert compiles == []
 
 
+def _names(node):
+    """The names a node binds or reads: imported, plain, attribute or
+    function names."""
+    if isinstance(node, ast.ImportFrom):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.name]
+    return []
+
+
 def test_the_embedding_is_rounded_in_one_place():
-    # `quaternions.embed_mpf` is the one rounding of an embedding: only it
-    # and `QuadExt.numeric` read the cached `_sqrt`, `cm` reads no private
-    # name of `exactlinalg`, and no module keeps a second matrix rounding
+    # `quaternions.embed_dyadic` is the one rounding of an embedding, on the
+    # kernel: besides the kernel only it reads the cached `_sqrt`, and
+    # `embed_mpf` is its exact view; `cm` reads no private name of
+    # `exactlinalg`, and no module keeps a second matrix rounding
     # (`_mpf_matrix`) or precision idiom (`_at`)
-    sqrt_users, cm_private, retired = set(), [], []
+    sqrt_users, cm_private, retired, views = set(), [], [], set()
     for path in sorted(Path(SRC, "fakeelliptic").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = []
-            if isinstance(node, ast.ImportFrom):
-                names = [a.name for a in node.names]
-                if path.stem == "cm" and node.module == "exactlinalg":
-                    cm_private += [n for n in names if n.startswith("_")]
-            elif isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names = [node.name]
-            if "_sqrt" in names:
-                sqrt_users.add(path.stem)
+        tree = ast.parse(path.read_text())
+        for node, scope in _scoped_nodes(tree):
+            names = _names(node)
+            if (path.stem == "cm" and isinstance(node, ast.ImportFrom)
+                    and node.module == "exactlinalg"):
+                cm_private += [n for n in names if n.startswith("_")]
+            if "_sqrt" in names and not isinstance(node, ast.FunctionDef):
+                sqrt_users.add(path.stem if path.stem == "exactlinalg"
+                               else (path.stem, scope))
+            if scope == "embed_mpf" and isinstance(node, ast.Call):
+                views.add(ast.unparse(node.func))
             retired += [(path.stem, n) for n in names
                         if n in ("_mpf_matrix", "_at")]
-    assert sqrt_users <= {"exactlinalg", "quaternions"}
+    assert sqrt_users == {"exactlinalg", ("quaternions", None),
+                          ("quaternions", "embed_dyadic")}
+    assert views == {"dyadic_mpf", "embed_dyadic"}
     assert cm_private == []
     assert retired == []
+
+
+# mpmath's raw parts: only the kernel builds an mpf or an mpc from them
+_RAW = {"_mpf_", "_mpc_", "make_mpf", "make_mpc", "libmp", "from_man_exp",
+        "normalize", "to_rational"}
+
+
+def test_only_exactlinalg_defines_rounding():
+    # `exactlinalg._round` is the one rounding: it is defined once, only
+    # the kernel in `exactlinalg` calls it, and only `exactlinalg` reads or
+    # builds mpmath's raw parts.  Elsewhere mpmath takes no exact value by
+    # hand: `mpmath.mpf` and `mpmath.mpc` get number literals and random
+    # sample draws only, and `mpmath.sqrt` is not called
+    defined, callers, raw, by_hand = [], set(), set(), []
+    for path in sorted(Path(SRC, "fakeelliptic").glob("*.py")):
+        for node, scope in _scoped_nodes(ast.parse(path.read_text())):
+            names = _names(node)
+            if isinstance(node, ast.FunctionDef) and node.name == "_round":
+                defined.append(path.stem)
+            elif "_round" in names:
+                callers.add(path.stem)
+            if path.stem == "exactlinalg" or isinstance(node, ast.FunctionDef):
+                continue
+            raw |= _RAW & set(names)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "mpmath.mpf", "mpmath.mpc", "mpmath.sqrt"):
+                by_hand += [(path.stem, ast.unparse(node))
+                            for arg in node.args
+                            if not isinstance(arg, ast.Constant)
+                            and not ast.unparse(arg).startswith("rng.uniform(")]
+    assert defined == ["exactlinalg"] and callers == {"exactlinalg"}
+    assert raw == set()
+    assert by_hand == []
 
 
 def test_orders_and_algebras_hold_no_cached_certificate():

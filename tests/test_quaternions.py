@@ -15,6 +15,7 @@ from fakeelliptic.quaternions import (FACTOR_LIMIT, INFINITE_PLACE,
                                       embed, embed_mpf, hilbert_symbol,
                                       is_indefinite_division, ramified_primes,
                                       symbol_support)
+from fakeelliptic.orders import UnitSample, standard_order
 from oracles import (hilbert_solvable, hilbert_solvable_real, mat2_det,
                      mat2_mul, mat2_trace)
 
@@ -122,6 +123,43 @@ def test_arithmetic_refuses_elements_of_different_algebras(op):
 def test_equal_values_hash_equal(got, want):
     assert got == want and hash(got) == hash(want)
     assert len({got, want}) == 1
+
+
+# values of the package next to a foreign operand, the string "x"
+_B = AlgebraParams(3, -1)
+FOREIGN = {
+    "quadcomplex": exactlinalg.QuadComplex(1, 2), "quadext": QuadExt(1, 1, 3),
+    "params": _B, "config": Config(3, -1), "lattice": standard_order(_B),
+}
+
+
+@pytest.mark.parametrize("value", FOREIGN.values(), ids=FOREIGN.keys())
+def test_a_value_never_equals_another_type(value):
+    assert value != "x" and not value == "x"
+
+
+@pytest.mark.parametrize("op", [
+    lambda z: z + "x", lambda z: "x" + z, lambda z: z - "x",
+    lambda z: "x" - z, lambda z: z * "x", lambda z: z / "x",
+    lambda z: "x" / z,
+], ids=["add", "radd", "sub", "rsub", "mul", "div", "rdiv"])
+@pytest.mark.parametrize("value", [exactlinalg.QuadComplex(1, 2),
+                                   QuadExt(1, 1, 3)],
+                         ids=["quadcomplex", "quadext"])
+def test_exact_scalars_refuse_a_foreign_operand(op, value):
+    # each operation returns NotImplemented, so Python raises TypeError
+    with pytest.raises(TypeError):
+        op(value)
+
+
+@pytest.mark.parametrize("value, text", [
+    (_B, "AlgebraParams(3, -1)"),
+    (QuadExt(Fraction(1, 2), -3, 3), "(1/2 + -3*sqrt(3))"),
+    (UnitSample(standard_order(_B), (0, 0, 1, 0), True),
+     "UnitSample(QuatElement(0, 0, 1, 0), elliptic=True)"),
+], ids=["params", "quadext", "unit"])
+def test_reprs_name_their_values(value, text):
+    assert repr(value) == text
 
 
 @pytest.mark.parametrize("prec", [53, 128, 256, 4096])
