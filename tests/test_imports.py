@@ -1,8 +1,9 @@
 """The exact commands run without loading mpmath; only `curve split` loads
-it, and `cm enumerate` computes its points on the rounding kernel.  No command loads argparse, gettext, locale or
-json, only the suites load `family`, and no module compiles a regex at
-import.  The package modules import each other in layers.  Only the
-process entry `cli.run` turns the cyclic garbage collector off.
+it, and `cm enumerate` computes its points on the rounding kernel.  No
+command loads argparse, gettext, locale or json, only the suites load
+`family`, and no module compiles a regex at import.  The package modules
+import each other in layers.  Only the process entry `cli.run` turns the
+cyclic garbage collector off.
 
 Each check runs in a fresh interpreter, since the test session itself
 has long imported mpmath.
@@ -139,7 +140,7 @@ from fakeelliptic import AlgebraParams, QuatElement, cm_point, standard_order
 from fakeelliptic.cm import enumerate_cm_points
 order = standard_order(AlgebraParams(3, -1))
 pts = enumerate_cm_points(order, 2, (-1, 1, Fraction(1, 2), 2), 256)
-text = repr(pts) + repr(pts[0].tau)
+repr(pts), repr(pts[0].tau)
 cm_point(QuatElement(order.params, 0, 1, 2), 16)
 print(len(pts), "mpmath" in sys.modules)
 """)
