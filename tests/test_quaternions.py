@@ -147,7 +147,8 @@ def test_a_value_never_equals_another_type(value):
                                    QuadExt(1, 1, 3)],
                          ids=["quadcomplex", "quadext"])
 def test_exact_scalars_refuse_a_foreign_operand(op, value):
-    # each operation returns NotImplemented, so Python raises TypeError
+    # each operation returns NotImplemented or is not defined, so Python
+    # raises TypeError
     with pytest.raises(TypeError):
         op(value)
 
