@@ -39,7 +39,10 @@ EXACT_COMMANDS = (
     ["suite", "riemann", "--trials", "2"], ["suite", "cocycle", "--trials", "2"],
     ["suite", "isogeny", "--trials", "2"], ["suite", "all", "--trials", "2"],
 )
-NUMERIC_COMMANDS = (["curve", "split", "--mu", "0,0,1,0"],)
+# the `--mu=` form, and an element with a scalar part, which fixes the
+# same point as its pure part
+NUMERIC_COMMANDS = (["curve", "split", "--mu=1,0,1,0"],
+                    ["curve", "split", "--mu", "0,0,1,0"])
 
 
 def _python(code):
